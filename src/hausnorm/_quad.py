@@ -1,15 +1,21 @@
 """Shared 1-D radial integration helpers.
 
-All radial integrals in the package run through here: exact antiderivatives
-for power integrands, scipy adaptive quadrature in log-radius for anything
-else, and the decay-cutoff search that truncates integrable tails before
-handing them to the quadrature routine.
+Every radial integral in the package runs through here: exact
+antiderivatives for power integrands, and ``radial_integral`` for anything
+else.  The latter integrates in log-radius with scipy's adaptive quadrature
+and decides each singular end (r = 0 or r = inf) on its own: a known power
+slope there is checked with the power test and its tail is cut where the
+integrand has decayed, and an unknown slope falls back to a cutoff search.
+Callers read power slopes off their own data; the dilation families, for
+instance, take a ``PowerMap`` so the image radius is a power of the kernel
+radius.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
+from typing import NamedTuple
 
 from scipy import integrate
 
@@ -78,27 +84,6 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     if b > 0:
         return b * math.log(v) + math.log1p(-math.exp(-scaled)) - math.log(b)
     return b * math.log(u) + math.log1p(-math.exp(scaled)) - math.log(-b)
-
-
-def quad_log(fn, r_lo: float, r_hi: float, rel_tol: float = 1e-9,
-             inner_breaks: tuple[float, ...] = ()) -> float:
-    """Adaptive quadrature of fn(r) dr over finite [r_lo, r_hi], 0 < r_lo.
-
-    Integrates in s = ln r so wide dynamic ranges stay well conditioned.
-    inner_breaks lists radii where the integrand may be non-smooth.
-    """
-    if r_lo <= 0 or math.isinf(r_hi):
-        raise ValueError("quad_log needs a finite positive interval")
-    if r_hi <= r_lo:
-        return 0.0
-    pts = tuple(math.log(b) for b in inner_breaks if r_lo < b < r_hi)
-    return quad_s(
-        lambda s: fn(math.exp(s)) * math.exp(s),
-        math.log(r_lo),
-        math.log(r_hi),
-        rel_tol,
-        pts,
-    )
 
 
 def quad_s(g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
@@ -170,3 +155,60 @@ def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
         if abs(s) > 1e7:
             return None
     return None
+
+
+class RadialIntegral(NamedTuple):
+    """Value of a radial integral and how it was obtained.
+
+    s_lo and s_hi bound the log-radius interval handed to the quadrature,
+    with tail cutoffs in place of singular ends.  divergence is None for a
+    finite value, "power" when the power test at an end fails, and "cutoff"
+    when no tail cutoff is found; the value is +inf in both cases.
+    """
+
+    value: float
+    s_lo: float
+    s_hi: float
+    divergence: str | None
+
+
+def radial_integral(log_integrand, lo: float, hi: float,
+                    slope_at_0: float | None = None,
+                    slope_at_inf: float | None = None,
+                    breaks=(), rel_tol: float = 1e-9) -> RadialIntegral:
+    """Integral of exp(log_integrand(s)) ds over s in [ln lo, ln hi].
+
+    In radius terms this is the integral of r**beta(r) dr over [lo, hi]
+    with log_integrand(s) ~ (beta + 1) s.  slope_at_0 and slope_at_inf give
+    the limit of beta at a singular end (lo = 0, hi = inf); None means the
+    slope is unknown and the tail is cut by search.  breaks lists radii
+    where the integrand may be non-smooth.
+    """
+    s_lo = -_INF if lo == 0.0 else math.log(lo)
+    s_hi = _INF if math.isinf(hi) else math.log(hi)
+
+    if math.isinf(hi):
+        if slope_at_inf is None:
+            s_hi = search_cutoff(log_integrand, max(s_lo, 1.0), +1)
+        elif slope_at_inf >= -1.0 - DIV_TOL:
+            return RadialIntegral(_INF, s_lo, s_hi, "power")
+        else:
+            s_hi = linear_cutoff(log_integrand, max(s_lo, 0.0), abs(slope_at_inf + 1.0), +1)
+        if s_hi is None:
+            return RadialIntegral(_INF, s_lo, _INF, "cutoff")
+
+    if lo == 0.0:
+        if slope_at_0 is None:
+            s_lo = search_cutoff(log_integrand, min(s_hi - 1.0, -1.0), -1)
+        elif slope_at_0 <= -1.0 + DIV_TOL:
+            return RadialIntegral(_INF, s_lo, s_hi, "power")
+        else:
+            s_lo = linear_cutoff(log_integrand, min(s_hi, 0.0), slope_at_0 + 1.0, -1)
+        if s_lo is None:
+            return RadialIntegral(_INF, -_INF, s_hi, "cutoff")
+
+    if s_hi <= s_lo:
+        return RadialIntegral(0.0, s_lo, s_hi, None)
+    pts = tuple(math.log(b) for b in breaks if b > 0)
+    value = quad_s(lambda s: exp_clip(log_integrand(s)), s_lo, s_hi, rel_tol, pts)
+    return RadialIntegral(value, s_lo, s_hi, None)

@@ -192,18 +192,12 @@ class NodeFactor:
 
 
 def _inv_norm_piece(fam):
-    data = _family_power_data(fam)
-    if data is None:
-        return None
-    c, a = data
+    c, a = _family_power_data(fam)
     return math.sqrt(fam.n) / c, -a
 
 
 def _norm_piece(fam):
-    data = _family_power_data(fam)
-    if data is None:
-        return None
-    c, a = data
+    c, a = _family_power_data(fam)
     return math.sqrt(fam.n) * c, a
 
 
@@ -213,10 +207,7 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
     The pair max(||A||^-g, ||A^-1||^g) shares the radius power, so only the
     determinant max needs a split.
     """
-    data = _family_power_data(fam)
-    if data is None:
-        return None
-    c, a = data
+    c, a = _family_power_data(fam)
     n = fam.n
     weight_coef = n ** (abs(gamma) / 2.0) * c ** (-gamma)
     weight_expo = -a * gamma
@@ -312,44 +303,22 @@ def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
                 out += math.log(nv)
             return out
 
-        def integrand(s):
-            return _quad.exp_clip(log_integrand(s))
-
-        expo_eff = expo
+        slope = expo_eff = None
         if lo == 0.0 or math.isinf(hi):
             probe_at = hi / 8.0 if lo == 0.0 else lo * 8.0
             expo_eff = expo + math.fsum(
                 _probe_slope(nf, probe_at, lo == 0.0) for nf in node_factors
             )
-        if lo == 0.0:
-            if expo_eff <= -1.0 + 1e-6:
-                diag["divergent_at"] = [lo, hi]
+            # a probed slope this close to -1 cannot be told from it
+            slope = -1.0 if -1.0 - 1e-6 <= expo_eff <= -1.0 + 1e-6 else expo_eff
+        res = _quad.radial_integral(log_integrand, lo, hi, slope, slope, rel_tol=rel_tol)
+        if res.divergence is not None:
+            diag["divergent_at"] = [lo, hi]
+            if res.divergence == "power":
                 diag["endpoint_slope"] = expo_eff
-                return _INF, diag
-            s_lo = _quad.linear_cutoff(
-                log_integrand, min(math.log(hi), 0.0), expo_eff + 1.0, -1
-            )
-            if s_lo is None:
-                diag["divergent_at"] = [lo, hi]
-                return _INF, diag
-        else:
-            s_lo = math.log(lo)
-        if math.isinf(hi):
-            if expo_eff >= -1.0 - 1e-6:
-                diag["divergent_at"] = [lo, hi]
-                diag["endpoint_slope"] = expo_eff
-                return _INF, diag
-            s_hi = _quad.linear_cutoff(
-                log_integrand, max(s_lo, 0.0), abs(expo_eff + 1.0), +1
-            )
-            if s_hi is None:
-                diag["divergent_at"] = [lo, hi]
-                return _INF, diag
-        else:
-            s_hi = math.log(hi)
-        val = _quad.quad_s(integrand, s_lo, s_hi, rel_tol)
-        diag["pieces"].append({"s_lo": s_lo, "s_hi": s_hi, "quadrature": True})
-        total.append(val)
+            return _INF, diag
+        diag["pieces"].append({"s_lo": res.s_lo, "s_hi": res.s_hi, "quadrature": True})
+        total.append(res.value)
     return math.fsum(total), diag
 
 
@@ -419,8 +388,6 @@ def _run_builders(cfg, builders, which, rel_tol):
     out: dict[str, BoundResult] = {}
     for cid in which:
         factors, nodes = builders[cid]()
-        if any(f is None for f in factors):
-            raise HypothesisError("constants need power-law scalar maps")
         val, diag = _integrate_factors(cfg.operator, factors, nodes, rel_tol)
         out[cid] = BoundResult(cid, val, math.isfinite(val), diag)
     return out
@@ -623,10 +590,7 @@ def constparam_constants(cfg: BoundConfig, rel_tol: float | None = None,
     def build_c9():
         factors = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
-            data = _family_power_data(fam)
-            if data is None:
-                raise HypothesisError("constants need power-law scalar maps")
-            c, a = data
+            c, a = _family_power_data(fam)
             e = -(slot.alpha(1.0) + n / slot.p)
             factors.append(_power_factor(c ** e, a * e, "dilation-scale"))
         return factors, []

@@ -374,25 +374,6 @@ def space_from_json(obj: dict, n: int) -> SpaceSpec:
         raise ConfigError(f"bad space fragment {obj!r}: {exc}") from exc
 
 
-def space_to_json(spec: SpaceSpec) -> dict:
-    out: dict[str, Any] = {
-        "kind": spec.kind,
-        "n": spec.n,
-        "q": exponent_to_json(spec.q),
-        "gamma": spec.gamma,
-    }
-    if spec.alpha is not None:
-        out["alpha"] = exponent_to_json(spec.alpha)
-    if spec.kind in ("herz", "morrey_herz"):
-        out["lambda"] = spec.lam
-        out["p"] = spec.p_outer
-    if spec.kind == "central_morrey":
-        out["lambda"] = spec.lam
-        if spec.gamma_outer is not None:
-            out["gamma_outer"] = spec.gamma_outer
-    return out
-
-
 def load_config(path: str) -> ExperimentConfig:
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -17,7 +17,7 @@ from typing import Sequence
 from . import _quad
 from .exponents import sphere_area
 from .luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
-from .matrices import MatrixFamily, PowerMap, ScalarDilation, family_power_data as _family_power_data
+from .matrices import MatrixFamily, PowerMap, ScalarDilation
 from .spaces import SpaceSpec, space_norm
 
 __all__ = [
@@ -120,31 +120,27 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         raise ValueError("evaluation radius must be positive")
 
     k = spec.kernel
-    all_power = (
-        all(getattr(fam, "is_power_map", False) for fam in spec.families)
-    )
 
     # split the kernel support where any factor switches segment
     cuts = {k.r_lo, k.r_hi}
-    if all_power:
-        for f, fam in zip(fs, spec.families):
-            cuts.update(
-                r for r in _pullback_breaks(f, fam.s, x_radius) if k.r_lo < r < k.r_hi
-            )
+    for f, fam in zip(fs, spec.families):
+        cuts.update(
+            r for r in _pullback_breaks(f, fam.s, x_radius) if k.r_lo < r < k.r_hi
+        )
     edges = sorted(cuts)
 
     total = []
     for u, v in zip(edges, edges[1:]):
         if v <= u:
             continue
-        val = _piece_image(spec, fs, x_radius, u, v, all_power, rel_tol)
+        val = _piece_image(spec, fs, x_radius, u, v, rel_tol)
         if math.isinf(val):
             return _INF
         total.append(val)
     return spec.sigma * math.fsum(total)
 
 
-def _piece_image(spec, fs, x, u, v, all_power, rel_tol):
+def _piece_image(spec, fs, x, u, v, rel_tol):
     k = spec.kernel
     mid = math.sqrt(u * v) if u > 0 else (v / 2.0 if math.isfinite(v) else 1.0)
 
@@ -155,8 +151,7 @@ def _piece_image(spec, fs, x, u, v, all_power, rel_tol):
             return 0.0
         active.append(seg)
 
-    closed = all_power and all(seg.plain_power for seg in active)
-    if closed:
+    if all(seg.plain_power for seg in active):
         coef = k.c
         expo = k.a - 1.0
         for seg, fam in zip(active, spec.families):
@@ -166,62 +161,32 @@ def _piece_image(spec, fs, x, u, v, all_power, rel_tol):
         return coef * _quad.power_integral(u, v, expo)
 
     lx = math.log(x)
-
-    def log_image_radius(fam, s):
-        data = _family_power_data(fam)
-        if data is not None:
-            c, a = data
-            return math.log(c) + a * s + lx
-        r = math.exp(s) if s < 700 else _INF
-        return math.log(fam.dilation_scale(r) * x)
+    # ln |s(r)| = ln|c| + a ln r, so each image radius is linear in s = ln r
+    maps = [
+        (seg, math.log(abs(fam.s.c)), fam.s.a) for seg, fam in zip(active, spec.families)
+    ]
 
     def log_integrand(s):
         # phi(r)/r dr in log-radius carries Jacobian r, hence k.a * s
         out = math.log(k.c) + k.a * s
-        for seg, fam in zip(active, spec.families):
-            out += seg.log_amplitude_s(log_image_radius(fam, s))
+        for seg, ln_c, a in maps:
+            out += seg.log_amplitude_s(ln_c + a * s + lx)
         return out
 
-    def integrand(s):
-        return _quad.exp_clip(log_integrand(s))
-
-    def endpoint_beta(at_zero: bool) -> float | None:
-        if not all_power:
-            return None
+    def endpoint_beta(at_zero: bool) -> float:
         beta = k.a - 1.0
-        for seg, fam in zip(active, spec.families):
-            image_shrinks = (fam.s.a > 0) == at_zero
+        for seg, _ln_c, a in maps:
+            image_shrinks = (a > 0) == at_zero
             lim = seg.expr.limit_zero() if image_shrinks else seg.expr.limit_infty()
-            beta += fam.s.a * lim
+            beta += a * lim
         return beta
 
-    if u == 0.0:
-        beta = endpoint_beta(at_zero=True)
-        if beta is not None:
-            if beta <= -1.0 + _quad.DIV_TOL:
-                return _INF
-            s_lo = _quad.linear_cutoff(log_integrand, min(math.log(v), 0.0), beta + 1.0, -1)
-        else:
-            s_lo = _quad.search_cutoff(log_integrand, min(math.log(v), 0.0) - 1.0, -1)
-        if s_lo is None:
-            return _INF
-    else:
-        s_lo = math.log(u)
-    if math.isinf(v):
-        beta = endpoint_beta(at_zero=False)
-        if beta is not None:
-            if beta >= -1.0 - _quad.DIV_TOL:
-                return _INF
-            s_hi = _quad.linear_cutoff(log_integrand, max(s_lo, 0.0), abs(beta + 1.0), +1)
-        else:
-            s_hi = _quad.search_cutoff(log_integrand, max(s_lo, 0.0) + 1.0, +1)
-        if s_hi is None:
-            return _INF
-    else:
-        s_hi = math.log(v)
-    if s_hi <= s_lo:
-        return 0.0
-    return _quad.quad_s(integrand, s_lo, s_hi, rel_tol)
+    return _quad.radial_integral(
+        log_integrand, u, v,
+        slope_at_0=endpoint_beta(True) if u == 0.0 else None,
+        slope_at_inf=endpoint_beta(False) if math.isinf(v) else None,
+        rel_tol=rel_tol,
+    ).value
 
 
 def _image_support(spec, fs, samples=600):
@@ -286,7 +251,7 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         and math.isinf(f.segments[0].r_hi)
         and f.segments[0].plain_power
         for f in fs
-    ) and all(getattr(fam, "is_power_map", False) for fam in spec.families)
+    )
 
     if exact:
         b_total = math.fsum(f.segments[0].expr.constant_value() for f in fs)

@@ -363,59 +363,29 @@ def _piece_modular(seg: Segment, u: float, v: float, p: RadialExponent,
             return _INF
         return n * s + pv * la
 
-    def integrand(s):
-        return _quad.exp_clip(log_integrand(s))
-
-    # --- endpoint analysis -------------------------------------------------
-    s_lo = None if u == 0.0 else math.log(u)
-    s_hi = None if math.isinf(v) else math.log(v)
+    # an exponent infinite at a singular end gives no power slope there
     a0, a_inf = seg.exponent_limits()
-    c0, c_inf = seg.coef_limits()
-
-    if s_hi is None:
-        p_inf = p.p_infty
-        if math.isfinite(p_inf):
-            beta = n - 1 + a_inf * p_inf
-            if beta >= -1.0 - _quad.DIV_TOL:
-                return _INF, True
-            rate = abs(beta + 1.0)
-            ref = max(math.log(u), 0.0) if u > 0 else 0.0
-            s_hi = _quad.linear_cutoff(log_integrand, ref, rate, +1)
-        else:
-            if a_inf > _quad.DIV_TOL:
-                return _INF, True
-            if abs(a_inf) <= _quad.DIV_TOL and c_inf >= eta * (1 - 1e-12):
-                return _INF, False
-            start = max(math.log(u), 1.0) if u > 0 else 1.0
-            s_hi = _quad.search_cutoff(log_integrand, start, +1)
-        if s_hi is None:
+    slope_at_0 = slope_at_inf = None
+    if math.isinf(v):
+        if math.isfinite(p.p_infty):
+            slope_at_inf = n - 1 + a_inf * p.p_infty
+        elif a_inf > _quad.DIV_TOL:
+            return _INF, True
+        elif abs(a_inf) <= _quad.DIV_TOL and seg.coef_limits()[1] >= eta * (1 - 1e-12):
             return _INF, False
-
-    if s_lo is None:
-        p0 = p.p_zero
-        if math.isfinite(p0):
-            beta = n - 1 + a0 * p0
-            if beta <= -1.0 + _quad.DIV_TOL:
-                return _INF, True
-            rate = beta + 1.0
-            ref = min(s_hi, 0.0)
-            s_lo = _quad.linear_cutoff(log_integrand, ref, rate, -1)
-        else:
-            if a0 < -_quad.DIV_TOL:
-                return _INF, True
-            start = min(s_hi - 1.0, -1.0)
-            s_lo = _quad.search_cutoff(log_integrand, start, -1)
-        if s_lo is None:
-            return _INF, False
-
-    if s_hi <= s_lo:
-        return 0.0, False
+    if u == 0.0:
+        if math.isfinite(p.p_zero):
+            slope_at_0 = n - 1 + a0 * p.p_zero
+        elif a0 < -_quad.DIV_TOL:
+            return _INF, True
 
     breaks = set(seg.discontinuities())
     breaks.update(p.discontinuities())
-    pts = tuple(math.log(b) for b in breaks if b > 0)
-    val = _quad.quad_s(integrand, s_lo, s_hi, rel_tol, pts)
-    return val, False
+    res = _quad.radial_integral(log_integrand, u, v, slope_at_0, slope_at_inf,
+                                breaks, rel_tol)
+    if res.divergence is not None:
+        return _INF, res.divergence == "power"
+    return res.value, False
 
 
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
@@ -427,13 +397,12 @@ def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 def _modular_scaled(g, p, region, n, eta, rel_tol):
     sigma = sphere_area(n)
     total = []
-    eta_indep = False
     for seg, u, v in g.pieces_in(region):
         val, indep = _piece_modular(seg, u, v, p, n, eta, rel_tol)
         if math.isinf(val):
             return _INF, indep
         total.append(val)
-    return sigma * math.fsum(total), eta_indep
+    return sigma * math.fsum(total), False
 
 
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,

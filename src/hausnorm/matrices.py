@@ -3,19 +3,22 @@
 Three families are supported, all acting on radii as pure dilations
 |A(t) x| = |s(t)| |x|: scalar multiples of the identity, diagonal matrices
 with entries of equal modulus, and a fixed orthogonal matrix times a scalar
-map.  Under the Frobenius norm each satisfies ||A|| ||A^-1|| = n exactly,
-which is the conditioning bound every boundedness estimate relies on.
+map.  The scalar map is always a PowerMap s(t) = c t^a, so image radii,
+norms and determinants are powers of t and the radial integrals built on
+them have known endpoint slopes.  Under the Frobenius norm each family
+satisfies ||A|| ||A^-1|| = n exactly, which is the conditioning bound
+every boundedness estimate relies on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .exponents import RadialExponent, UnsupportedFamilyError
+from .exponents import RadialExponent
 
 __all__ = [
     "PowerMap",
@@ -51,10 +54,6 @@ class PowerMap:
             return 0.0 if self.a > 0 else (self.c if self.a == 0 else math.copysign(math.inf, self.c))
         return self.c * r ** self.a
 
-    @property
-    def is_power(self) -> bool:
-        return True
-
 
 def _scale_of(s, t: float) -> float:
     val = abs(s(t))
@@ -67,6 +66,10 @@ class _RadialFamily:
     """Shared behaviour: dilation scale, Frobenius norms, explicit matrices."""
 
     radial_isometry = True
+
+    def __post_init__(self):
+        if not isinstance(self.s, PowerMap):
+            raise TypeError(f"the scalar map must be a PowerMap, got {self.s!r}")
 
     @property
     def n(self) -> int:
@@ -81,16 +84,12 @@ class _RadialFamily:
     def matrix(self, t: float) -> np.ndarray:
         raise NotImplementedError
 
-    @property
-    def is_power_map(self) -> bool:
-        return getattr(self.s, "is_power", False)
-
 
 @dataclass(frozen=True)
 class ScalarDilation(_RadialFamily):
     """A(t) = s(t) * I_n."""
 
-    s: PowerMap | Callable[[float], float]
+    s: PowerMap
     n_dim: int = 1
 
     @property
@@ -108,10 +107,11 @@ class ScalarDilation(_RadialFamily):
 class DiagonalEqualModulus(_RadialFamily):
     """A(t) = diag(sign_1 s(t), ..., sign_n s(t)) with signs in {-1, +1}."""
 
-    s: PowerMap | Callable[[float], float]
+    s: PowerMap
     signs: tuple[int, ...]
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.signs or any(x not in (-1, 1) for x in self.signs):
             raise ValueError("signs must be a nonempty vector of +-1")
 
@@ -131,9 +131,10 @@ class OrthogonalTimesScalar(_RadialFamily):
     """A(t) = s(t) * Q with Q a fixed real orthogonal matrix."""
 
     q_matrix: tuple[tuple[float, ...], ...]
-    s: PowerMap | Callable[[float], float]
+    s: PowerMap
 
     def __post_init__(self):
+        super().__post_init__()
         q = np.asarray(self.q_matrix, dtype=float)
         if q.ndim != 2 or q.shape[0] != q.shape[1]:
             raise ValueError("q_matrix must be square")
@@ -230,14 +231,6 @@ def c_factor(fam: MatrixFamily, q: RadialExponent, gamma: float, t_radius: float
     return weight_part * det_part
 
 
-def family_power_data(fam) -> tuple[float, float] | None:
-    """(|c|, a) of the scalar map when it is a power law, else None."""
-    s = getattr(fam, "s", None)
-    if getattr(s, "is_power", False):
-        return abs(s.c), s.a
-    return None
-
-
-def require_radial(fam) -> None:
-    if not getattr(fam, "radial_isometry", False):
-        raise UnsupportedFamilyError(f"{fam!r} does not act by radial dilation")
+def family_power_data(fam: MatrixFamily) -> tuple[float, float]:
+    """(|c|, a) of the family's scalar map s(t) = c t^a."""
+    return abs(fam.s.c), fam.s.a

@@ -59,6 +59,14 @@ class TestLebesgueConstants:
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
         assert res.finite
         assert 2.0 < res.value < 4.0
+        # the breakdown `hausnorm constants` prints for this configuration
+        breakdown = res.to_json()["breakdown"]
+        assert breakdown["factors"] == ["c-factor", "norm-of-one"]
+        assert "divergent_at" not in breakdown
+        (piece,) = breakdown["pieces"]
+        assert set(piece) == {"s_lo", "s_hi", "quadrature"}
+        assert piece["quadrature"] is True
+        assert piece["s_lo"] < piece["s_hi"] == 0.0
 
     def test_zeta_two_divergence_reported(self, hardy_op):
         cfg = BoundConfig(hardy_op, (SlotParams(q=Constant(2.0)),), zeta=2.0)

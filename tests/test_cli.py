@@ -55,6 +55,19 @@ class TestConstants:
         assert code == 0
         assert out["value"] == pytest.approx(1.33934, abs=1e-5)
 
+    def test_divergent_breakdown(self, capsys):
+        code = main(
+            ["constants", "--config", str(FIXTURES / "divergent_c1.json"), "--which", "C1"]
+        )
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["value"] is None and out["finite"] is False
+        assert out["breakdown"] == {
+            "divergent_at": [0.0, 1.0],
+            "factors": ["c-factor", "norm-of-one"],
+            "pieces": [],
+        }
+
     def test_unknown_id_exits_2(self, capsys):
         code = main(["constants", "--config", str(FIXTURES / "hardy_p2.json"), "--which", "C13"])
         capsys.readouterr()

@@ -1,8 +1,10 @@
 import math
 
 import pytest
+from scipy import integrate
 
-from hausnorm.exponents import Constant
+from hausnorm import _quad
+from hausnorm.exponents import Constant, LogInterp
 from hausnorm.hausdorff import (
     DivergentImageError,
     OperatorSpec,
@@ -15,7 +17,7 @@ from hausnorm.hausdorff import (
     from_multilinear_hardy_cesaro,
     operator_ratio,
 )
-from hausnorm.luxemburg import PiecewisePowerFunction
+from hausnorm.luxemburg import ExprTerm, PiecewisePowerFunction
 from hausnorm.matrices import PowerMap, ScalarDilation
 from hausnorm.spaces import SpaceSpec
 
@@ -85,6 +87,41 @@ class TestApplyPointwise:
         big = PiecewisePowerFunction.single_power(0.9, 0.3, 0.1, 5.0)
         for x in [0.3, 1.0, 4.0]:
             assert apply_pointwise(hardy_op, [big], x) >= apply_pointwise(hardy_op, [small], x)
+
+
+class TestQuadraturePath:
+    """Inputs with a variable exponent have no closed-form image."""
+
+    Q = LogInterp(3.0, 2.0)
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("x", [0.5, 2.0])
+    def test_reciprocal_term_matches_scipy(self, hardy_op, monkeypatch, sign, x):
+        # g(r) = r^(+-1/q(r)); the minus sign is singular at r = 0
+        g = PiecewisePowerFunction.power_with_terms(
+            1.0, 0.0, [ExprTerm(sign, self.Q, reciprocal=True)]
+        )
+        calls = []
+        quad_s = _quad.quad_s
+
+        def counted(*args):
+            calls.append(args)
+            return quad_s(*args)
+
+        monkeypatch.setattr(_quad, "quad_s", counted)
+        val = apply_pointwise(hardy_op, [g], x)
+        assert calls
+        oracle, _err = integrate.quad(
+            lambda t: g(t * x), 0.0, 1.0, epsabs=0.0, epsrel=1e-13, limit=200
+        )
+        assert val == pytest.approx(oracle, rel=1e-9)
+
+    def test_divergent_variable_exponent_returns_inf(self, hardy_op):
+        # r^(-1 - 1/q(r)) behaves like r^(-4/3) at r = 0
+        g = PiecewisePowerFunction.power_with_terms(
+            1.0, -1.0, [ExprTerm(-1.0, self.Q, reciprocal=True)]
+        )
+        assert apply_pointwise(hardy_op, [g], 1.0) == math.inf
 
 
 class TestApplyOnGrid:

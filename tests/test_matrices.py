@@ -41,6 +41,21 @@ def scan_theta(rho, lo=-60, hi=60):
     return best
 
 
+class TestScalarMap:
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: ScalarDilation(s, 1),
+            lambda s: DiagonalEqualModulus(s, (1, -1)),
+            lambda s: OrthogonalTimesScalar(ROT, s),
+        ],
+    )
+    def test_only_power_maps_accepted(self, make):
+        assert make(PowerMap(1.0, 1.0)).dilation_scale(2.0) == 2.0
+        with pytest.raises(TypeError):
+            make(lambda t: t)
+
+
 class TestFrobenius:
     def test_identity_3d(self):
         fam = ScalarDilation(PowerMap(1.0, 0.0), 3)

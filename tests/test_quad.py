@@ -1,0 +1,66 @@
+import math
+
+import pytest
+
+from hausnorm._quad import power_integral, radial_integral
+
+
+def power_log_integrand(coef, beta):
+    """ln of coef * r**beta * r at r = e^s: the power integrand in log-radius."""
+    return lambda s: math.log(coef) + (beta + 1.0) * s
+
+
+class TestRadialIntegral:
+    @pytest.mark.parametrize(
+        "lo, hi, beta",
+        [(0.5, 3.0, 1.3), (0.0, 2.0, -0.5), (1.5, math.inf, -2.5), (0.0, 0.25, 4.0)],
+    )
+    def test_matches_power_integral(self, lo, hi, beta):
+        res = radial_integral(
+            power_log_integrand(1.7, beta), lo, hi, slope_at_0=beta, slope_at_inf=beta
+        )
+        assert res.divergence is None
+        assert res.value == pytest.approx(1.7 * power_integral(lo, hi, beta), rel=1e-10)
+
+    def test_both_ends_singular(self):
+        # r^0.5 below r = 1 and r^-3 above it: integral 1/1.5 + 1/2
+        def log_integrand(s):
+            return (1.5 if s < 0.0 else -2.0) * s
+
+        res = radial_integral(log_integrand, 0.0, math.inf, 0.5, -3.0, breaks=(1.0,))
+        assert res.divergence is None
+        assert res.s_lo < 0.0 < res.s_hi
+        assert res.value == pytest.approx(1.0 / 1.5 + 0.5, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "lo, hi, beta", [(0.0, 1.0, -1.0), (0.0, 1.0, -1.5), (1.0, math.inf, -1.0),
+                         (1.0, math.inf, -0.5)],
+    )
+    def test_power_divergence_at_each_end(self, lo, hi, beta):
+        res = radial_integral(
+            power_log_integrand(1.0, beta), lo, hi, slope_at_0=beta, slope_at_inf=beta
+        )
+        assert res.divergence == "power"
+        assert res.value == math.inf
+
+    def test_unknown_slopes_search_both_tails(self):
+        # integral of r e^-r dr over (0, inf) is Gamma(2) = 1
+        res = radial_integral(lambda s: 2.0 * s - math.exp(s), 0.0, math.inf)
+        assert res.divergence is None
+        assert math.isfinite(res.s_lo) and math.isfinite(res.s_hi)
+        assert res.value == pytest.approx(1.0, rel=1e-9)
+
+    def test_unknown_slope_without_decay_is_a_cutoff_divergence(self):
+        res = radial_integral(lambda s: 0.0, 1.0, math.inf)
+        assert res.divergence == "cutoff"
+        assert res.value == math.inf
+
+    def test_breaks_honoured_for_step(self):
+        # 1 on the narrow window [2, 2.0001] of [1, 1e6], 0 elsewhere
+        lo_w, hi_w = math.log(2.0), math.log(2.0001)
+
+        def log_integrand(s):
+            return 0.0 if lo_w <= s < hi_w else -math.inf
+
+        res = radial_integral(log_integrand, 1.0, 1e6, breaks=(2.0, 2.0001))
+        assert res.value == pytest.approx(hi_w - lo_w, rel=1e-9)
