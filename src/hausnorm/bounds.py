@@ -315,7 +315,8 @@ def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
         if res.divergence is not None:
             diag["divergent_at"] = [lo, hi]
             if res.divergence == "power":
-                diag["endpoint_slope"] = expo_eff
+                # JSON has no infinities: a divergent probed slope is null
+                diag["endpoint_slope"] = expo_eff if math.isfinite(expo_eff) else None
             return _INF, diag
         diag["pieces"].append({"s_lo": res.s_lo, "s_hi": res.s_hi, "quadrature": True})
         total.append(res.value)
@@ -323,12 +324,18 @@ def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
 
 
 def _probe_slope(nf: NodeFactor, r0: float, towards_zero: bool) -> float:
-    """Empirical log-log slope of an opaque factor near a singular endpoint."""
+    """Empirical log-log slope of an opaque factor near a singular endpoint.
+
+    An infinite probed value gives the slope that diverges at that end:
+    -inf toward 0, +inf toward infinity.
+    """
     step = 1 / 8.0 if towards_zero else 8.0
     rs = [r0, r0 * step, r0 * step ** 2]
     vs = [nf.value(r) for r in rs]
-    if any(v <= 0 or math.isinf(v) for v in vs):
-        return _INF if any(math.isinf(v) for v in vs) else 0.0
+    if any(math.isinf(v) for v in vs):
+        return -_INF if towards_zero else _INF
+    if any(v <= 0 for v in vs):
+        return 0.0
     s1 = math.log(vs[1] / vs[0]) / math.log(rs[1] / rs[0])
     s2 = math.log(vs[2] / vs[1]) / math.log(rs[2] / rs[1])
     # conservative toward divergence at the relevant end

@@ -10,7 +10,9 @@ a region is
 computed in closed form whenever p and the segment exponent are constant on
 the piece and by adaptive quadrature otherwise.  Divergence is decided
 analytically first (power test at the singular endpoints), so infinite
-norms are reported instead of silently truncated.
+norms are reported instead of silently truncated.  A Luxemburg norm is the
+root of ln F_p(g/eta) = 0 in ln eta, found by a safeguarded secant search
+and certified from both sides to a relative width of CERT_DELTA.
 """
 
 from __future__ import annotations
@@ -38,15 +40,25 @@ __all__ = [
 _INF = math.inf
 _LN2 = math.log(2.0)
 
-# relative width of the bisection certificate
+# relative width of the norm certificate
 CERT_DELTA = 1e-10
+
+# the root-find searches ln eta in [-_LN_ETA_MAX, _LN_ETA_MAX]; norms above
+# that range are reported as infinite
+_LN_ETA_MAX = math.log(1e280)
+# certificate width in ln eta
+_TOL = math.log1p(CERT_DELTA)
 
 # snap tolerance for segment ends landing on region boundaries
 _SNAP = 1e-12
 
 
 class BracketError(RuntimeError):
-    """Norm bisection failed to bracket the unit modular level."""
+    """The norm root-find failed to bracket the unit modular level."""
+
+
+class _EtaIndependent(Exception):
+    """The modular diverges whatever eta is: the norm is infinite."""
 
 
 @dataclass(frozen=True)
@@ -407,11 +419,15 @@ def _modular_scaled(g, p, region, n, eta, rel_tol):
 
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
                    n: int, rel_tol: float = 1e-9, max_iter: int = 200) -> float:
-    """inf{eta > 0 : F_p(g/eta) <= 1}, certified by bisection.
+    """inf{eta > 0 : F_p(g/eta) <= 1}, certified by a log-space root-find.
 
     Returns 0 for the zero function and +inf when no finite eta brackets
     the unit level.  For constant p the norm has the closed form
-    F_p(g)^(1/p), which is used directly.
+    F_p(g)^(1/p), which is used directly.  Otherwise the root of
+    h(x) = ln F_p(g/e^x), decreasing and convex in x = ln eta, is
+    bracketed from eta = 1 and refined by secant steps until the bracket is
+    one certificate width wide: the returned eta has F_p(g/eta) <= 1 and
+    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).
     """
     pieces = list(g.pieces_in(region))
     if not pieces or all(s.coef == 0.0 for s, _, _ in pieces):
@@ -426,40 +442,79 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 
     evals = 0
 
-    def F(eta):
+    def h(x):
         nonlocal evals
         evals += 1
         if evals > max_iter:
-            raise BracketError("norm bisection exceeded the iteration cap")
-        return _modular_scaled(g, p, region, n, eta, rel_tol)
+            raise BracketError("norm root-find exceeded the iteration cap")
+        val, indep = _modular_scaled(g, p, region, n, math.exp(x), rel_tol)
+        if indep:
+            raise _EtaIndependent
+        return math.log(val) if val > 0.0 else -_INF
 
-    lo, hi = 1e-12, 1e12
-    f_hi, indep = F(hi)
-    if math.isinf(f_hi) and indep:
+    try:
+        return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0]))
+    except _EtaIndependent:
         return _INF
-    while f_hi > 1.0:
-        lo = hi
-        hi *= 1e4
-        if hi > 1e280:
-            return _INF
-        f_hi, indep = F(hi)
-        if math.isinf(f_hi) and indep:
-            return _INF
-    f_lo, _ = F(lo)
-    while f_lo < 1.0:
-        hi = lo
-        lo *= 1e-4
-        if lo < 1e-280:
-            raise BracketError("modular stays below 1 for arbitrarily small eta")
-        f_lo, _ = F(lo)
 
-    while hi > lo * (1.0 + CERT_DELTA):
-        mid = math.sqrt(lo * hi)
-        if F(mid)[0] <= 1.0:
-            hi = mid
+
+def _log_root(h, p_minus):
+    """Upper end b of a bracket [a, b] of the root of h with b - a <= _TOL.
+
+    h is decreasing, h(a) > 0 >= h(b) at evaluated points, and the search
+    starts at x = 0.  Bracketing: from a finite h(x) the next point is
+    x + h(x)/p_minus, which reaches the other sign because h falls at least
+    p_minus per unit of x; from an infinite one the step doubles.
+    Refining: regula falsi with the Anderson-Bjorck scaling of the end kept
+    twice in a row (the Illinois method scales it by 1/2), with every trial
+    point at least _TOL/2 inside the bracket, and the midpoint while an end
+    is infinite.  Returns +inf when h stays positive up to _LN_ETA_MAX.
+    """
+    jump = 0.0 < p_minus < _INF
+    a, ha, b, hb = -_INF, _INF, _INF, -_INF
+    x, step = 0.0, 1.0
+    while True:
+        hx = h(x)
+        if jump and math.isfinite(hx):
+            d = max(abs(hx) / p_minus, _TOL)
         else:
-            lo = mid
-    return hi
+            d, step = step, 2.0 * step
+        if hx > 0.0:
+            a, ha = x, hx
+            if b < _INF:
+                break
+            if x >= _LN_ETA_MAX:
+                return _INF
+            x = min(x + d, _LN_ETA_MAX)
+        else:
+            b, hb = x, hx
+            if a > -_INF:
+                break
+            if x <= -_LN_ETA_MAX:
+                raise BracketError("modular stays below 1 for arbitrarily small eta")
+            x = max(x - d, -_LN_ETA_MAX)
+
+    moved = 0  # -1 when the last step moved a, +1 when it moved b
+    while b - a > _TOL:
+        if math.isfinite(ha) and math.isfinite(hb):
+            x = b - hb * (b - a) / (hb - ha)
+        else:
+            x = 0.5 * (a + b)
+        x = min(max(x, a + 0.5 * _TOL), b - 0.5 * _TOL)
+        hx = h(x)
+        if hx > 0.0:
+            if moved < 0:
+                m = 1.0 - hx / ha
+                hb *= m if m > 0.0 else 0.5
+            a, ha = x, hx
+            moved = -1
+        else:
+            if moved > 0:
+                m = 1.0 - hx / hb if hb != 0.0 else 0.0
+                ha *= m if m > 0.0 else 0.5
+            b, hb = x, hx
+            moved = 1
+    return b
 
 
 def weighted_vexp_norm(f: PiecewisePowerFunction, p: RadialExponent,

@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import pytest
 
+from hausnorm import _quad
 from hausnorm.bounds import (
     BoundConfig,
     HypothesisError,
@@ -14,11 +16,14 @@ from hausnorm.bounds import (
     sharpness_region_check,
     slot_region_values,
 )
+from hausnorm.config import load_config
 from hausnorm.exponents import Constant, LogInterp
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
 from hausnorm.matrices import PowerMap, ScalarDilation
 
 from conftest import seeded
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def central_cfg(lam=-0.1, gamma=0.0, q=2.0):
@@ -174,6 +179,18 @@ class TestScalingCovariance:
         assert evaluate_constant(cfg5, "C2").value == pytest.approx(
             5.0 * evaluate_constant(cfg1, "C2").value, rel=1e-12
         )
+
+
+def test_infinite_node_factor_diverges_by_power_test(monkeypatch):
+    # the norm-of-one factor of divergent_c1.json is +inf at every radius:
+    # the endpoint slope is -inf, so no tail cutoff is attempted
+    calls = []
+    monkeypatch.setattr(_quad, "linear_cutoff", lambda *args, **kw: calls.append(args))
+    cfg = load_config(FIXTURES / "divergent_c1.json").bound_config()
+    res = evaluate_constant(cfg, "C1")
+    assert not res.finite
+    assert res.breakdown["endpoint_slope"] is None
+    assert calls == []
 
 
 class TestFinitenessConsistency:

@@ -11,6 +11,10 @@ from hausnorm.config import ExperimentConfig, load_config
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
+def reject_non_finite(token):
+    raise ValueError(f"non-finite JSON number {token}")
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "hausnorm.cli", *args],
@@ -59,11 +63,12 @@ class TestConstants:
         code = main(
             ["constants", "--config", str(FIXTURES / "divergent_c1.json"), "--which", "C1"]
         )
-        out = json.loads(capsys.readouterr().out)
+        out = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)
         assert code == 0
         assert out["value"] is None and out["finite"] is False
         assert out["breakdown"] == {
             "divergent_at": [0.0, 1.0],
+            "endpoint_slope": None,
             "factors": ["c-factor", "norm-of-one"],
             "pieces": [],
         }

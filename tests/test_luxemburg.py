@@ -1,10 +1,22 @@
 import math
+import statistics
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausnorm.exponents import Constant, Infinite, LogInterp, PowerWeight
+from hausnorm import luxemburg
+from hausnorm.config import load_config
+from hausnorm.exponents import (
+    Constant,
+    Infinite,
+    LogInterp,
+    PiecewiseRadial,
+    PowerWeight,
+    difference_reciprocal,
+    pullback_exponent,
+)
 from hausnorm.luxemburg import (
     ExponentExpr,
     PiecewisePowerFunction,
@@ -17,6 +29,8 @@ from hausnorm.luxemburg import (
 )
 
 from conftest import midpoint_radial, seeded
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 CHI_UNIT = PiecewisePowerFunction.single_power(1.0, 0.0, 0.0, 1.0)
 
@@ -239,3 +253,120 @@ class TestRegions:
         assert len(pieces) == 1
         _, lo, hi = pieces[0]
         assert lo == pytest.approx(0.5) and hi == 1.0
+
+
+# ---------------------------------------------------------------------------
+# the log-space root-find
+
+
+def c1_residual(t):
+    """The residual exponent of the C1 norm-of-one node factor at kernel
+    radius t, for the operator and exponent of loginterp_norm.json."""
+    cfg = load_config(FIXTURES / "loginterp_norm.json").bound_config()
+    q = cfg.slots[0].q
+    pulled = pullback_exponent(q, cfg.operator.families[0], t)
+    return difference_reciprocal(pulled, q, cfg.zeta)
+
+
+def random_piecewise(rng):
+    """Piecewise power function with 2-3 segments on an annulus in [1/8, 8]."""
+    edges = sorted(2.0 ** rng.uniform(-3.0, 3.0) for _ in range(rng.randint(3, 4)))
+    segs = tuple(
+        Segment(lo, hi, rng.uniform(0.1, 3.0), ExponentExpr(rng.uniform(-0.4, 1.2)))
+        for lo, hi in zip(edges, edges[1:])
+        if hi > lo * (1 + 1e-6)
+    )
+    return PiecewisePowerFunction(segs) if segs else random_piecewise(rng)
+
+
+def bisection_oracle(g, p, region=Region.all(), n=1):
+    """Plain bisection in ln eta on the public modular."""
+
+    def above_one(x):
+        return modular(g.scaled(math.exp(-x)), p, region, n) > 1.0
+
+    lo, hi = -30.0, 30.0
+    assert above_one(lo) and not above_one(hi)
+    while hi - lo > 1e-12:
+        mid = 0.5 * (lo + hi)
+        if above_one(mid):
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(hi)
+
+
+ROOT_EXPONENTS = {
+    "loginterp": LogInterp(3.0, 2.0),
+    "jump": PiecewiseRadial((1.0,), (3.0, 1.5)),
+    "c1_residual": c1_residual(0.5),
+}
+
+
+class TestLogRootFind:
+    @pytest.mark.parametrize("name", sorted(ROOT_EXPONENTS))
+    def test_certificate_and_oracle(self, name):
+        p = ROOT_EXPONENTS[name]
+        rng = seeded(41)
+        gs = [random_piecewise(rng) for _ in range(30)]
+        if name == "c1_residual":
+            # the node factor itself: F(1) = inf, so the search runs upward
+            gs.append(PiecewisePowerFunction.one())
+        region = Region.all()
+        for g in gs:
+            eta = luxemburg_norm(g, p, region, 1)
+            assert 0.0 < eta < math.inf
+            # the certificate as the root-find evaluated it, then the
+            # public modular just below the returned eta
+            assert luxemburg._modular_scaled(g, p, region, 1, eta, 1e-9)[0] <= 1.0
+            shrunk = eta * (1 - 1e-9)
+            assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
+            assert eta == pytest.approx(bisection_oracle(g, p, region), rel=1e-9)
+
+    def test_c1_residual_modular_infinite_at_one(self):
+        one = PiecewisePowerFunction.one()
+        assert modular(one, ROOT_EXPONENTS["c1_residual"], Region.all(), 1) == math.inf
+
+    def test_infinite_exponent_is_sup_norm(self):
+        assert luxemburg_norm(CHI_UNIT.scaled(0.5), Infinite(), Region.all(), 1) == pytest.approx(
+            0.5, abs=1e-9
+        )
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-160, 1e160, 1e200])
+    def test_homogeneity_at_extreme_scales(self, c):
+        p = LogInterp(3.0, 2.0)
+        base = luxemburg_norm(CHI_UNIT, p, Region.all(), 1)
+        assert luxemburg_norm(CHI_UNIT.scaled(c), p, Region.all(), 1) == pytest.approx(
+            c * base, rel=1e-9
+        )
+
+    def test_norm_beyond_search_range_is_infinite(self):
+        p = LogInterp(3.0, 2.0)
+        assert luxemburg_norm(CHI_UNIT.scaled(1e300), p, Region.all(), 1) == math.inf
+
+    def test_evaluation_budget(self, monkeypatch):
+        calls = []
+        inner = luxemburg._modular_scaled
+
+        def counted(*args):
+            calls.append(1)
+            return inner(*args)
+
+        monkeypatch.setattr(luxemburg, "_modular_scaled", counted)
+
+        def evals(fn):
+            calls.clear()
+            fn()
+            return len(calls)
+
+        q = LogInterp(3.0, 2.0)
+        rng = seeded(7)
+        counts = [
+            evals(lambda: luxemburg_norm(random_piecewise(rng), q, Region.all(), 1))
+            for _ in range(40)
+        ]
+        for t in (1e-6, 1e-3, 0.1, 0.5, 0.9):
+            resid = c1_residual(t)
+            counts.append(evals(lambda: norm_of_one(resid, Region.all(), 1, rel_tol=1e-7)))
+        assert statistics.median(counts) <= 12
+        assert max(counts) <= 20
