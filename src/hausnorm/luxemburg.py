@@ -18,8 +18,8 @@ and certified from both sides to a relative width of CERT_DELTA.
 from __future__ import annotations
 
 import math
-from bisect import bisect_right
-from dataclasses import dataclass
+from bisect import bisect_left, bisect_right
+from dataclasses import dataclass, field
 
 from . import _quad
 from .exponents import PowerWeight, RadialExponent, sphere_area
@@ -48,6 +48,10 @@ CERT_DELTA = 1e-10
 _LN_ETA_MAX = math.log(1e280)
 # certificate width in ln eta
 _TOL = math.log1p(CERT_DELTA)
+
+# constant-p norms sum their piece modulars in log space once a closed-form
+# piece is further than this from 0 in ln
+_LN_RANGE = 700.0
 
 # snap tolerance for segment ends landing on region boundaries
 _SNAP = 1e-12
@@ -232,6 +236,8 @@ class PiecewisePowerFunction:
     """Nonnegative radial function assembled from power segments."""
 
     segments: tuple[Segment, ...]
+    # sorted segment starts, for bisection
+    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         segs = tuple(sorted(self.segments, key=lambda s: s.r_lo))
@@ -239,6 +245,7 @@ class PiecewisePowerFunction:
             if b.r_lo < a.r_hi * (1 - _SNAP):
                 raise ValueError("segments overlap")
         object.__setattr__(self, "segments", segs)
+        object.__setattr__(self, "starts", tuple(s.r_lo for s in segs))
 
     # -- constructors -------------------------------------------------------
 
@@ -261,8 +268,7 @@ class PiecewisePowerFunction:
     # -- evaluation ---------------------------------------------------------
 
     def segment_at(self, r: float) -> Segment | None:
-        starts = [s.r_lo for s in self.segments]
-        i = bisect_right(starts, r) - 1
+        i = bisect_right(self.starts, r) - 1
         if i >= 0 and self.segments[i].r_lo <= r < self.segments[i].r_hi:
             return self.segments[i]
         return None
@@ -294,6 +300,8 @@ class PiecewisePowerFunction:
 
     def weighted(self, gamma: float) -> "PiecewisePowerFunction":
         """Multiply by |x|^gamma (power weights fold into the exponents)."""
+        if gamma == 0.0:
+            return self
         return PiecewisePowerFunction(
             tuple(
                 Segment(s.r_lo, s.r_hi, s.coef, s.expr.shifted(gamma), s.pow2)
@@ -320,6 +328,19 @@ class PiecewisePowerFunction:
                     )
         return PiecewisePowerFunction(tuple(out))
 
+    def window(self, region: Region) -> "PiecewisePowerFunction":
+        """The segments that can meet the region, unclipped.
+
+        Found by bisection on the starts; may include a segment or two at
+        either end that pieces_in then drops, so pieces_in over the window
+        yields exactly what it yields over the whole function.  Segments
+        before the one holding r_lo (1 - 4 _SNAP) end below r_lo even with
+        the overlap the constructor tolerates.
+        """
+        i = max(bisect_right(self.starts, region.r_lo * (1 - 4 * _SNAP)) - 1, 0)
+        j = bisect_left(self.starts, region.r_hi)
+        return PiecewisePowerFunction(self.segments[i:j])
+
     def pieces_in(self, region: Region):
         """Yield (segment, lo, hi) clipped to the region, snapped at boundaries."""
         for s in self.segments:
@@ -341,25 +362,38 @@ class PiecewisePowerFunction:
 # the modular
 
 
+def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
+                     n: int, eta: float) -> float | None:
+    """ln of the piece modular when p and the segment exponent are constant
+    on [u, v], with eta folded in; +inf marks divergence, None any other
+    piece."""
+    p_lo, p_hi = p.range_on(u, v)
+    p_const = p.is_constant or (p_lo == p_hi and math.isfinite(p_lo))
+    if not (p_const and seg.plain_power and math.isfinite(p_lo)):
+        return None
+    a = seg.expr.constant_value()
+    ln_integral = _quad.log_power_integral(u, v, n - 1 + a * p_lo)
+    if ln_integral == _INF:
+        return _INF
+    return p_lo * (math.log(seg.coef) - math.log(eta)) + ln_integral
+
+
 def _piece_modular(seg: Segment, u: float, v: float, p: RadialExponent,
                    n: int, eta: float, rel_tol: float) -> tuple[float, bool]:
     """Modular contribution of one clipped segment, with eta folded in.
 
     Returns (value, eta_independent) where the flag marks divergence that no
     choice of eta can repair (a power tail at or past the critical slope).
+    A closed-form value past the float range is +inf.
     """
-    p_lo, p_hi = p.range_on(u, v)
-    p_const = p.is_constant or (p_lo == p_hi and math.isfinite(p_lo))
-
-    if p_const and seg.plain_power and math.isfinite(p_lo):
-        pbar = p_lo
-        a = seg.expr.constant_value()
-        beta = n - 1 + a * pbar
-        ln_integral = _quad.log_power_integral(u, v, beta)
-        if math.isinf(ln_integral) and ln_integral > 0:
+    ln_val = _closed_form_log(seg, u, v, p, n, eta)
+    if ln_val is not None:
+        if ln_val == _INF:
             return _INF, True
-        ln_val = pbar * (math.log(seg.coef) - math.log(eta)) + ln_integral
-        return _quad.exp_clip(ln_val), False
+        try:
+            return math.exp(ln_val), False
+        except OverflowError:
+            return _INF, False
 
     ln_eta = math.log(eta)
 
@@ -430,15 +464,11 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).
     """
     pieces = list(g.pieces_in(region))
-    if not pieces or all(s.coef == 0.0 for s, _, _ in pieces):
+    if not pieces:
         return 0.0
 
     if p.is_constant and math.isfinite(p.p_zero):
-        pbar = p(1.0)
-        m = _modular_scaled(g, p, region, n, 1.0, rel_tol)[0]
-        if m == 0.0:
-            return 0.0
-        return m ** (1.0 / pbar)
+        return _constant_p_norm(pieces, p, n, rel_tol)
 
     evals = 0
 
@@ -455,6 +485,39 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     try:
         return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0]))
     except _EtaIndependent:
+        return _INF
+
+
+def _constant_p_norm(pieces, p, n, rel_tol):
+    """F_p(g)^(1/p) for a constant finite p, from the clipped pieces of g.
+
+    The piece modulars are summed as floats while every closed-form one is
+    within e^(+-_LN_RANGE), and from their logs otherwise, so that norms far
+    outside the float range neither saturate nor flush to 0.
+    """
+    vals, logs = [], []
+    for seg, u, v in pieces:
+        ln_val = _closed_form_log(seg, u, v, p, n, 1.0)
+        if ln_val is None:
+            val = _piece_modular(seg, u, v, p, n, 1.0, rel_tol)[0]
+            ln_val = math.log(val) if val > 0.0 else -_INF
+        else:
+            val = math.exp(ln_val) if abs(ln_val) <= _LN_RANGE else None
+        if ln_val == _INF:
+            return _INF
+        vals.append(val)
+        logs.append(ln_val)
+    pbar = p(1.0)
+    sigma = sphere_area(n)
+    if None not in vals:
+        m = sigma * math.fsum(vals)
+        if m < _INF:
+            return m ** (1.0 / pbar) if m > 0.0 else 0.0
+    top = max(logs)
+    ln_m = math.log(sigma) + top + math.log(math.fsum(math.exp(x - top) for x in logs))
+    try:
+        return math.exp(ln_m / pbar)
+    except OverflowError:
         return _INF
 
 

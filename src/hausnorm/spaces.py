@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .exponents import PowerWeight, RadialExponent, ball_measure
-from .luxemburg import PiecewisePowerFunction, Region, weighted_vexp_norm
+from .luxemburg import PiecewisePowerFunction, Region, luxemburg_norm, weighted_vexp_norm
 
 __all__ = [
     "SpaceSpec",
@@ -93,8 +93,9 @@ def shell_norm(f: PiecewisePowerFunction, spec: SpaceSpec, k: int,
     """Weighted norm of 2^{k alpha(.)} f on the k-th dyadic shell."""
     if spec.kind not in ("herz", "morrey_herz"):
         raise ValueError("shell norms apply to herz-type spaces")
-    g = f.times_pow2(float(k), spec.alpha)
-    return weighted_vexp_norm(g, spec.q, spec.weight, Region.shell(k), rel_tol)
+    shell = Region.shell(k)
+    g = f.window(shell).times_pow2(float(k), spec.alpha)
+    return weighted_vexp_norm(g, spec.q, spec.weight, shell, rel_tol)
 
 
 def _decays(triple) -> bool:
@@ -171,12 +172,13 @@ def central_morrey_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
     if spec.kind != "central_morrey":
         raise ValueError("central_morrey_norm needs a central_morrey spec")
     expo = spec.lam + 1.0 / spec.q.p_infty
-    w_in = spec.weight
     w_out = spec.outer_weight
+    g = f.weighted(spec.gamma)
     vals = []
     for j in range(j_range[0], j_range[1] + 1):
         radius = 2.0 ** j
-        restricted = weighted_vexp_norm(f, spec.q, w_in, Region.ball(radius), rel_tol)
+        ball = Region.ball(radius)
+        restricted = luxemburg_norm(g.window(ball), spec.q, ball, spec.n, rel_tol)
         vals.append(restricted / ball_measure(w_out, radius) ** expo)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("restricted-norm-infinite",))

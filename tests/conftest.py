@@ -6,6 +6,7 @@ import pytest
 from hausnorm import PowerMap, from_hardy_littlewood
 from hausnorm.bounds import BoundConfig, SlotParams
 from hausnorm.exponents import Constant
+from hausnorm.luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
 
 
 @pytest.fixture(scope="session")
@@ -26,3 +27,17 @@ def midpoint_radial(fn, r_lo, r_hi, n_steps=20000):
 
 def seeded(seed):
     return random.Random(seed)
+
+
+def snapped_edges():
+    """Segments ending within the snap tolerance of the dyadic radii,
+    at 2^j (1 +- 1e-13): overlapping the next segment at odd j, leaving a
+    gap at even j."""
+
+    def edge(j, side):
+        return 2.0 ** j * (1 + side * (1e-13 if j % 2 else -1e-13))
+
+    return PiecewisePowerFunction(tuple(
+        Segment(edge(j, -1), edge(j + 1, 1), 1.0 + 0.1 * j, ExponentExpr(0.05 * j))
+        for j in range(-6, 6)
+    ))

@@ -28,7 +28,7 @@ from hausnorm.luxemburg import (
     weighted_vexp_norm,
 )
 
-from conftest import midpoint_radial, seeded
+from conftest import midpoint_radial, seeded, snapped_edges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -253,6 +253,66 @@ class TestRegions:
         assert len(pieces) == 1
         _, lo, hi = pieces[0]
         assert lo == pytest.approx(0.5) and hi == 1.0
+
+
+class TestWindow:
+    def regions(self):
+        out = [Region.shell(k) for k in range(-9, 10)]
+        out += [Region.ball(2.0 ** j) for j in range(-9, 10)]
+        return out + [Region.all(), Region.annulus(0.3, 0.7), Region.annulus(1e3, math.inf)]
+
+    def test_pieces_match_whole_function(self):
+        rng = seeded(17)
+        fs = [snapped_edges()] + [random_piecewise(rng) for _ in range(20)]
+        for f in fs:
+            for region in self.regions():
+                win = f.window(region)
+                assert set(win.segments) <= set(f.segments)
+                assert list(win.pieces_in(region)) == list(f.pieces_in(region))
+
+    def test_window_is_narrow(self):
+        f = snapped_edges()
+        for k in range(-5, 6):
+            assert len(f.window(Region.shell(k)).segments) <= 3
+
+    def test_starts_are_cached_not_compared(self):
+        f = snapped_edges()
+        assert f.starts == tuple(s.r_lo for s in f.segments)
+        assert "starts" not in repr(f)
+        assert f == PiecewisePowerFunction(tuple(reversed(f.segments)))
+        for r in (0.01, 2.0 ** -6 * (1 + 2e-13), 0.75, 1.0, 3.0, 100.0):
+            hits = [s for s in f.segments if s.r_lo <= r < s.r_hi]
+            assert f.segment_at(r) in (hits or [None])
+
+
+class TestConstantExponentRange:
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e150, 1e200])
+    def test_indicator_norm(self, c):
+        val = luxemburg_norm(CHI_UNIT.scaled(c), Constant(3.0), Region.all(), 1)
+        assert val == pytest.approx(c * 2.0 ** (1.0 / 3.0), rel=1e-12)
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e150, 1e200])
+    def test_homogeneity(self, c):
+        rng = seeded(23)
+        for _ in range(10):
+            g = random_piecewise(rng)
+            p = Constant(rng.choice([1.5, 2.0, 3.0]))
+            base = luxemburg_norm(g, p, Region.all(), 1)
+            assert luxemburg_norm(g.scaled(c), p, Region.all(), 1) == pytest.approx(
+                c * base, rel=1e-12
+            )
+
+    def test_overflowing_modular_is_inf(self):
+        assert modular(CHI_UNIT.scaled(1e150), Constant(3.0), Region.all(), 1) == math.inf
+
+    def test_in_range_norm_is_the_modular_root(self):
+        # within float range the pieces are summed as plain floats, bit for bit
+        rng = seeded(29)
+        for _ in range(20):
+            g = random_piecewise(rng).scaled(10.0 ** rng.uniform(-60.0, 60.0))
+            q = rng.choice([1.5, 2.0, 3.0])
+            expected = modular(g, Constant(q), Region.all(), 1) ** (1.0 / q)
+            assert luxemburg_norm(g, Constant(q), Region.all(), 1) == expected
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,16 @@
 import math
+from pathlib import Path
 
 import pytest
 
-from hausnorm.exponents import Constant, LogInterp, PowerWeight
+from hausnorm.config import load_config
+from hausnorm.exponents import Constant, LogInterp, PowerWeight, ball_measure
+from hausnorm.harness import random_test_functions, spaces_for_constant
+from hausnorm.hausdorff import apply_on_grid
 from hausnorm.luxemburg import (
     PiecewisePowerFunction,
     Region,
+    Segment,
     luxemburg_norm,
     weighted_vexp_norm,
 )
@@ -17,7 +22,9 @@ from hausnorm.spaces import (
     shell_norm,
 )
 
-from conftest import midpoint_radial, seeded
+from conftest import midpoint_radial, seeded, snapped_edges
+
+HERZ_A03 = Path(__file__).parents[1] / "perfbench" / "configs" / "herz_a03.json"
 
 ALPHA0 = Constant(0.0, signed=True)
 ALPHA1 = Constant(1.0, signed=True)
@@ -213,3 +220,105 @@ class TestLemmaDecay:
             rate = lam - (alpha.p_zero if j <= -5 else alpha.p_infty)
             ratios.append(plain / (2.0 ** (j * rate) * mk))
         assert max(ratios) / min(ratios) < 1e3
+
+
+# ---------------------------------------------------------------------------
+# windowed shell and ball norms against full copies of the function
+
+
+@pytest.fixture(scope="module")
+def herz_image():
+    """Image of a seeded random input under the herz_a03 operator, with the
+    target space of its upper suite."""
+    cfg = load_config(HERZ_A03)
+    sources, target = spaces_for_constant(cfg.bound_config(), "C8")
+    f = random_test_functions(3, 1, sources[0])[0]
+    return apply_on_grid(cfg.operator(), [f]), target
+
+
+def weighted_copy(f, gamma):
+    """f * |x|^gamma copied segment by segment, also for gamma = 0."""
+    return PiecewisePowerFunction(tuple(
+        Segment(s.r_lo, s.r_hi, s.coef, s.expr.shifted(gamma), s.pow2) for s in f.segments
+    ))
+
+
+def full_copy_shells(f, spec, ks):
+    return [
+        luxemburg_norm(
+            weighted_copy(f.times_pow2(float(k), spec.alpha), spec.gamma),
+            spec.q, Region.shell(k), spec.n,
+        )
+        for k in ks
+    ]
+
+
+def full_copy_herz(f, spec, ks):
+    vals = full_copy_shells(f, spec, ks)
+    p = spec.p_outer
+    return math.fsum(v ** p for v in vals) ** (1.0 / p)
+
+
+def full_copy_morrey_herz(f, spec, ks):
+    p = spec.p_outer
+    powered = [v ** p for v in full_copy_shells(f, spec, ks)]
+    return max(
+        2.0 ** (-k0 * spec.lam) * math.fsum(powered[: i + 1]) ** (1.0 / p)
+        for i, k0 in enumerate(ks)
+    )
+
+
+def full_copy_central_morrey(f, spec, js):
+    expo = spec.lam + 1.0 / spec.q.p_infty
+    return max(
+        luxemburg_norm(weighted_copy(f, spec.gamma), spec.q, Region.ball(2.0 ** j), spec.n)
+        / ball_measure(spec.outer_weight, 2.0 ** j) ** expo
+        for j in js
+    )
+
+
+HERZ_SPECS = {
+    "constant_alpha": dict(alpha=Constant(0.3, signed=True)),
+    "loginterp_alpha": dict(alpha=LogInterp(0.6, 0.2, signed=True)),
+    "gamma": dict(alpha=Constant(0.3, signed=True), gamma=0.3),
+}
+
+
+class TestWindowedNormsBitIdentical:
+    @pytest.mark.parametrize("case", sorted(HERZ_SPECS))
+    @pytest.mark.parametrize("source", ["image", "snapped_edges"])
+    def test_herz_and_morrey_herz(self, herz_image, case, source):
+        f = herz_image[0] if source == "image" else snapped_edges()
+        ks = range(-40, 41) if source == "image" else range(-10, 11)
+        k_range = (ks[0], ks[-1])
+        herz = SpaceSpec("herz", 1, Constant(2.0), p_outer=2.0, **HERZ_SPECS[case])
+        rep = herz_norm(f, herz, k_range)
+        assert 0.0 < rep.value < math.inf
+        assert rep.value == full_copy_herz(f, herz, ks)
+        mh = SpaceSpec("morrey_herz", 1, Constant(2.0), lam=0.2, p_outer=2.0, **HERZ_SPECS[case])
+        assert morrey_herz_norm(f, mh, k_range, k_range).value == full_copy_morrey_herz(f, mh, ks)
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.3])
+    @pytest.mark.parametrize("source", ["image", "snapped_edges"])
+    def test_central_morrey(self, herz_image, gamma, source):
+        f = herz_image[0] if source == "image" else snapped_edges()
+        spec = SpaceSpec("central_morrey", 1, Constant(2.0), gamma=gamma, lam=-0.2)
+        rep = central_morrey_norm(f, spec)
+        assert 0.0 < rep.value < math.inf
+        assert rep.value == full_copy_central_morrey(f, spec, range(-40, 41))
+
+    def test_herz_norm_builds_only_window_segments(self, herz_image, monkeypatch):
+        g, spec = herz_image
+        ks = range(-40, 41)
+        window_total = sum(len(g.window(Region.shell(k)).segments) for k in ks)
+        assert window_total < 2 * len(g.segments)
+        built = []
+        inner = Segment.__post_init__
+
+        def counted(seg):
+            built.append(1)
+            inner(seg)
+
+        monkeypatch.setattr(Segment, "__post_init__", counted)
+        herz_norm(g, spec)
+        assert len(built) <= window_total + 4 * len(ks)
