@@ -17,6 +17,7 @@ import math
 import warnings
 from typing import NamedTuple
 
+import numpy as np
 from scipy import integrate
 
 _INF = math.inf
@@ -50,7 +51,8 @@ def power_integral(u: float, v: float, beta: float) -> float:
     if v == u:
         return 0.0
     if math.isinf(v):
-        if b >= -DIV_TOL:
+        # on (0, inf) one end or the other diverges
+        if b >= -DIV_TOL or u == 0.0:
             return _INF
         return -(u ** b) / b
     if u == 0.0:
@@ -59,6 +61,22 @@ def power_integral(u: float, v: float, beta: float) -> float:
         return (v ** b) / b
     # finite positive interval; expm1 keeps precision near b = 0
     return (u ** b) * math.expm1(b * math.log(v / u)) / b if b != 0.0 else math.log(v / u)
+
+
+def power_integrals(u: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
+    """power_integral over arrays of intervals, each with u < v.
+
+    Same closed forms and power test; numpy's pow and expm1 may differ
+    from the scalar libm results by an ulp.
+    """
+    b = beta + 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        out = u ** b * np.expm1(b * np.log(v / u)) / b if b != 0.0 else np.log(v / u)
+        at_inf = np.isinf(v)
+        out[at_inf] = _INF if b >= -DIV_TOL else -(u[at_inf] ** b) / b
+        at_zero = (u == 0.0) & ~at_inf
+        out[at_zero] = _INF if b <= DIV_TOL else v[at_zero] ** b / b
+    return out
 
 
 def log_power_integral(u: float, v: float, beta: float) -> float:

@@ -15,7 +15,7 @@ from dataclasses import replace
 from .bounds import CONSTANT_IDS, HypothesisError, evaluate_constant
 from .config import ConfigError, ExperimentConfig, function_from_json, load_config
 from .exponents import Constant
-from .harness import sharpness_sweep, upper_bound_suite
+from .harness import ExtremalError, sharpness_sweep, upper_bound_suite
 from .hausdorff import apply_pointwise
 from .matrices import dyadic_index, inverse_stats
 from .spaces import space_norm
@@ -211,6 +211,10 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
     except HypothesisError as exc:
         _write_rows(args.out, "check,status,detail", [f"constant_finite,fail,{exc}"])
         sys.stderr.write(f"constant not finite: {exc}\n")
+        return EXIT_FAIL
+    except ExtremalError as exc:
+        _write_rows(args.out, "check,status,detail", [f"extremal_admissible,fail,{exc}"])
+        sys.stderr.write(f"extremal family not admissible: {exc}\n")
         return EXIT_FAIL
     rows = [
         ",".join((_fmt(e), _fmt(r), _fmt(c), _fmt(rc)))

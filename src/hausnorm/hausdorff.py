@@ -3,16 +3,20 @@
 The operator integrates a kernel phi(|t|)/|t|^n against a product of
 dilated factors f_i(A_i(t) x).  For radial kernels and radially dilating
 families the whole thing collapses to a 1-D integral over the kernel
-radius, which is evaluated exactly (piecewise power antiderivatives)
-whenever the inputs are piecewise powers with constant exponents, and by
+radius.  It is evaluated at a whole grid of radii at once, one segment
+combination at a time: exactly (power antiderivatives, vectorized with
+numpy) where the segments are powers with constant exponents, and by
 adaptive quadrature otherwise.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from . import _quad
 from .exponents import sphere_area
@@ -94,20 +98,6 @@ class OperatorSpec:
         return 1.0 if self.kernel.one_sided else sphere_area(self.n)
 
 
-def _pullback_breaks(f: PiecewisePowerFunction, s: PowerMap, x: float) -> list[float]:
-    """Kernel radii where s(r) * x crosses a segment boundary of f."""
-    if s.a == 0.0:
-        return []
-    out = []
-    for seg in f.segments:
-        for edge in (seg.r_lo, seg.r_hi):
-            if 0.0 < edge < _INF:
-                r = (edge / (abs(s.c) * x)) ** (1.0 / s.a)
-                if math.isfinite(r) and r > 0:
-                    out.append(r)
-    return out
-
-
 def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                     x_radius: float, rel_tol: float = 1e-9) -> float:
     """Image value at radius x: sigma * int phi(r)/r * prod f_i(|s_i(r)| x) dr.
@@ -118,52 +108,63 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
     if x_radius <= 0:
         raise ValueError("evaluation radius must be positive")
+    return float(_image_values(spec, fs, np.array([float(x_radius)]), rel_tol)[0])
 
-    k = spec.kernel
 
-    # split the kernel support where any factor switches segment
-    cuts = {k.r_lo, k.r_hi}
-    for f, fam in zip(fs, spec.families):
-        cuts.update(
-            r for r in _pullback_breaks(f, fam.s, x_radius) if k.r_lo < r < k.r_hi
-        )
-    edges = sorted(cuts)
-
-    total = []
-    for u, v in zip(edges, edges[1:]):
-        if v <= u:
+def _pullback_windows(f: PiecewisePowerFunction, s: PowerMap, xs: np.ndarray):
+    """(segment, r_lo, r_hi) per nonzero segment of f: arrays over xs of the
+    kernel radii r with |s(r)| x in [seg.r_lo, min(seg.r_hi, next start)),
+    where segment_at assigns it, so snapped overlaps are counted once."""
+    cx = abs(s.c) * xs
+    out = []
+    for seg, hi in zip(f.segments, f.starts[1:] + (_INF,)):
+        if seg.coef == 0.0:
             continue
-        val = _piece_image(spec, fs, x_radius, u, v, rel_tol)
-        if math.isinf(val):
-            return _INF
-        total.append(val)
-    return spec.sigma * math.fsum(total)
+        hi = min(seg.r_hi, hi)
+        if s.a == 0.0:
+            on = (seg.r_lo <= cx) & (cx < hi)
+            out.append((seg, np.where(on, 0.0, _INF), np.where(on, _INF, 0.0)))
+        else:
+            ends = ((seg.r_lo / cx) ** (1.0 / s.a), (hi / cx) ** (1.0 / s.a))
+            out.append((seg, *(ends if s.a > 0 else ends[::-1])))
+    return out
 
 
-def _piece_image(spec, fs, x, u, v, rel_tol):
+def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
+                  xs: np.ndarray, rel_tol: float) -> np.ndarray:
+    """Image values at the radii xs, one segment combination (a segment of
+    each input) at a time: in closed form over the whole grid when every
+    segment is a plain power, by radial_integral per radius otherwise."""
     k = spec.kernel
-    mid = math.sqrt(u * v) if u > 0 else (v / 2.0 if math.isfinite(v) else 1.0)
+    total = np.zeros(len(xs))
+    with np.errstate(all="ignore"):
+        windows = [_pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+        for combo in itertools.product(*windows):
+            segs, los, his = zip(*combo)
+            u = np.maximum(k.r_lo, np.max(los, axis=0))
+            v = np.minimum(k.r_hi, np.min(his, axis=0))
+            idx = np.flatnonzero(u < v)
+            if not all(seg.plain_power for seg in segs):
+                for i in idx:
+                    total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
+                continue
+            coef, expo = k.c, k.a - 1.0
+            for seg, fam in zip(segs, spec.families):
+                b = seg.expr.constant_value()
+                coef = coef * (seg.coef * (abs(fam.s.c) * xs[idx]) ** b)
+                expo += fam.s.a * b
+            piece = _quad.power_integrals(u[idx], v[idx], expo)
+            # a divergent piece is +inf even where its coefficient underflows
+            total[idx] += np.where(np.isinf(piece), _INF, coef * piece)
+    return spec.sigma * total
 
-    active = []
-    for f, fam in zip(fs, spec.families):
-        seg = f.segment_at(fam.dilation_scale(mid) * x)
-        if seg is None or seg.coef == 0.0:
-            return 0.0
-        active.append(seg)
 
-    if all(seg.plain_power for seg in active):
-        coef = k.c
-        expo = k.a - 1.0
-        for seg, fam in zip(active, spec.families):
-            b = seg.expr.constant_value()
-            coef *= seg.coef * (abs(fam.s.c) * x) ** b
-            expo += fam.s.a * b
-        return coef * _quad.power_integral(u, v, expo)
-
+def _quadrature_piece(spec, segs, x, u, v, rel_tol):
+    k = spec.kernel
     lx = math.log(x)
     # ln |s(r)| = ln|c| + a ln r, so each image radius is linear in s = ln r
     maps = [
-        (seg, math.log(abs(fam.s.c)), fam.s.a) for seg, fam in zip(active, spec.families)
+        (seg, math.log(abs(fam.s.c)), fam.s.a) for seg, fam in zip(segs, spec.families)
     ]
 
     def log_integrand(s):
@@ -209,8 +210,30 @@ def _image_support(spec, fs, samples=600):
     return x_lo, x_hi
 
 
+# ln of the largest coefficient, and of the largest x0^slope, that a sampled
+# segment may carry
+_LN_EDGE = 700.0
+
+
+def _representable_slope(x0: float, v0: float, slope: float) -> float:
+    """slope, or the nearest slope whose power through (x0, v0) keeps its
+    coefficient and x0**slope within e^(+-_LN_EDGE)."""
+    ln_v = math.log(v0)
+    lo, hi = max(-_LN_EDGE, ln_v - _LN_EDGE), min(_LN_EDGE, ln_v + _LN_EDGE)
+    ln_pow = slope * math.log(x0)
+    if lo <= ln_pow <= hi:
+        return slope
+    return min(max(ln_pow, lo), hi) / math.log(x0)
+
+
 def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
-    """Piecewise power function through positive samples, extrapolating the tail."""
+    """Piecewise power function through positive samples, extrapolating the tail.
+
+    A piece whose coefficient would leave the float range (the image jumping
+    by orders of magnitude within one grid step, at an edge of its support)
+    keeps its larger sample and takes the steepest slope representable
+    there; every other piece is the power through both samples.
+    """
     segs = []
     prev_x = prev_v = None
     last_slope = None
@@ -220,13 +243,15 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
             continue
         if prev_x is not None:
             slope = math.log(v / prev_v) / math.log(x / prev_x)
-            coef = prev_v / prev_x ** slope
-            segs.append(Segment(prev_x, x, coef, ExponentExpr(slope)))
+            steep = _representable_slope(prev_x, prev_v, slope) != slope
+            x0, v0 = (x, v) if steep and v > prev_v else (prev_x, prev_v)
+            slope = _representable_slope(x0, v0, slope)
+            segs.append(Segment(prev_x, x, v0 / x0 ** slope, ExponentExpr(slope)))
             last_slope = slope
         prev_x, prev_v = x, v
     if prev_x is not None and last_slope is not None:
-        coef = prev_v / prev_x ** last_slope
-        segs.append(Segment(prev_x, _INF, coef, ExponentExpr(last_slope)))
+        slope = _representable_slope(prev_x, prev_v, last_slope)
+        segs.append(Segment(prev_x, _INF, prev_v / prev_x ** slope, ExponentExpr(slope)))
     return PiecewisePowerFunction(tuple(segs))
 
 
@@ -277,10 +302,10 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         if any(x <= 0 for x in grid):
             raise ValueError("grid radii must be positive")
 
-    vals = [apply_pointwise(spec, fs, x, rel_tol) for x in grid]
-    if any(math.isinf(v) for v in vals):
+    vals = _image_values(spec, fs, np.array(grid, dtype=float), rel_tol)
+    if np.isinf(vals).any():
         raise DivergentImageError("image is infinite at a grid radius")
-    return _loglog_interpolant(grid, vals)
+    return _loglog_interpolant(grid, vals.tolist())
 
 
 # ---------------------------------------------------------------------------

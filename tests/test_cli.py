@@ -151,6 +151,34 @@ class TestVerify:
         assert rows[0] == "epsilon,ratio,constant,ratio_over_constant"
         assert float(rows[-1].split(",")[3]) >= 0.9
 
+    def test_inadmissible_extremal_family_is_a_failed_check(self, tmp_path, capsys):
+        # Morrey-Herz with alpha = 0.3, lambda = 0.1: the power family's
+        # source norm is flagged as truncated
+        cfg = {
+            "n": 1,
+            "m": 1,
+            "kernel": {"c": 1.0, "a": 1.0, "support": [0.0, 1.0], "one_sided": True},
+            "families": [{"type": "scalar_dilation", "s": {"c": 1.0, "a": 1.0}}],
+            "slots": [
+                {"q": {"type": "constant", "value": 2.0}, "gamma": 0.0,
+                 "alpha": {"type": "constant", "value": 0.3}, "lambda": 0.1, "p": 2.0}
+            ],
+            "zeta": 1.0,
+            "space_kind": "morrey_herz",
+            "quadrature": {"rel_tol": 1e-9, "seed": 42},
+        }
+        path = tmp_path / "morrey_herz.json"
+        path.write_text(json.dumps(cfg), encoding="utf-8")
+        out = tmp_path / "sharp.csv"
+        code = main(["verify", "--config", str(path), "--suite", "sharpness",
+                     "--out", str(out)])
+        assert code == 1
+        rows = out.read_text().splitlines()
+        assert rows[0] == "check,status,detail"
+        assert rows[1].startswith("extremal_admissible,fail,extremal member has source norm")
+        assert len(rows) == 2
+        assert "extremal family not admissible" in capsys.readouterr().err
+
     def test_determinism_across_runs_and_workers(self, tmp_path):
         outs = []
         for i, workers in enumerate((1, 1, 3)):

@@ -1,10 +1,13 @@
 import math
+from pathlib import Path
 
 import pytest
 from scipy import integrate
 
-from hausnorm import _quad
+from hausnorm import _quad, hausdorff
+from hausnorm.config import load_config
 from hausnorm.exponents import Constant, LogInterp
+from hausnorm.harness import upper_bound_suite
 from hausnorm.hausdorff import (
     DivergentImageError,
     OperatorSpec,
@@ -17,12 +20,13 @@ from hausnorm.hausdorff import (
     from_multilinear_hardy_cesaro,
     operator_ratio,
 )
-from hausnorm.luxemburg import ExprTerm, PiecewisePowerFunction
+from hausnorm.luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
 from hausnorm.matrices import PowerMap, ScalarDilation
 from hausnorm.spaces import SpaceSpec
 
-from conftest import seeded
+from conftest import seeded, snapped_edges
 
+FIXTURES = Path(__file__).parent / "fixtures"
 ONE = PiecewisePowerFunction.one()
 LINEAR = PiecewisePowerFunction.single_power(1.0, 1.0)
 
@@ -122,6 +126,193 @@ class TestQuadraturePath:
             1.0, -1.0, [ExprTerm(-1.0, self.Q, reciprocal=True)]
         )
         assert apply_pointwise(hardy_op, [g], 1.0) == math.inf
+
+
+def kernel_oracle(spec, fs, x):
+    """sigma * int phi(r)/r * prod f_i(|s_i(r)| x) dr by scipy quad, split at
+    the pullback radii of every segment end."""
+    k = spec.kernel
+    cuts = {k.r_lo, k.r_hi}
+    for f, fam in zip(fs, spec.families):
+        if fam.s.a == 0.0:
+            continue
+        for seg in f.segments:
+            for edge in (seg.r_lo, seg.r_hi):
+                if 0.0 < edge < math.inf:
+                    r = (edge / (abs(fam.s.c) * x)) ** (1.0 / fam.s.a)
+                    if k.r_lo < r < k.r_hi:
+                        cuts.add(r)
+    edges = sorted(cuts)
+
+    def integrand(r):
+        out = k.phi(r) / r
+        for f, fam in zip(fs, spec.families):
+            out *= f(fam.dilation_scale(r) * x)
+        return out
+
+    total = 0.0
+    for u, v in zip(edges, edges[1:]):
+        val, _err = integrate.quad(integrand, u, v, epsabs=0.0, epsrel=1e-12, limit=200)
+        total += val
+    return spec.sigma * total
+
+
+def one_sided(c, a, r_lo, r_hi, *maps):
+    return OperatorSpec(1, len(maps), RadialKernel(c, a, r_lo, r_hi, one_sided=True),
+                        tuple(ScalarDilation(PowerMap(*cm), 1) for cm in maps))
+
+
+# plain powers with a gap between 2.5 and 3
+PLAIN = PiecewisePowerFunction((
+    Segment(0.3, 0.9, 1.4, ExponentExpr(0.6)),
+    Segment(0.9, 2.5, 0.7, ExponentExpr(-0.8)),
+    Segment(3.0, 6.0, 2.2, ExponentExpr(0.25)),
+))
+PLAIN2 = PiecewisePowerFunction((
+    Segment(0.5, 1.5, 0.9, ExponentExpr(-0.3)),
+    Segment(1.5, 4.0, 1.6, ExponentExpr(1.1)),
+))
+# a decaying tail to infinity
+TAIL = PiecewisePowerFunction((
+    Segment(0.3, 0.9, 1.4, ExponentExpr(0.6)),
+    Segment(0.9, math.inf, 0.7, ExponentExpr(-1.6)),
+))
+# a constant-exponent segment next to a LogInterp one
+MIXED = PiecewisePowerFunction((
+    Segment(0.2, 1.0, 1.3, ExponentExpr(0.4)),
+    Segment(1.0, 5.0, 0.8,
+            ExponentExpr(-0.2, (ExprTerm(1.0, LogInterp(3.0, 2.0), reciprocal=True),))),
+))
+
+KERNEL_CASES = {
+    "m1_a_pos": (one_sided(1.0, 0.5, 0.0, 1.0, (1.5, 2.0)), [PLAIN]),
+    "m1_a_neg_tail_to_zero": (one_sided(1.0, 0.5, 0.0, 1.0, (0.7, -1.0)), [TAIL]),
+    "m1_a_zero": (one_sided(1.0, 1.0, 0.0, 1.0, (2.0, 0.0)), [PLAIN]),
+    "m1_r_lo_pos": (one_sided(2.0, -0.5, 0.5, 4.0, (1.0, 1.0)), [PLAIN]),
+    "m1_r_hi_inf": (one_sided(1.0, -0.5, 1.0, math.inf, (1.0, 1.0)), [TAIL]),
+    "n3_two_sided": (
+        OperatorSpec(3, 1, RadialKernel(1.0, 1.0, 0.25, 2.0),
+                     (ScalarDilation(PowerMap(1.0, 1.0), 3),)),
+        [PLAIN],
+    ),
+    "m2_a_pos_and_neg": (one_sided(1.0, 1.0, 0.25, 2.0, (1.0, 1.5), (0.8, -0.5)),
+                         [PLAIN, PLAIN2]),
+    "m2_a_zero_and_pos": (one_sided(1.0, 0.0, 0.0, 1.0, (1.2, 0.0), (1.0, 1.0)),
+                          [PLAIN2, TAIL]),
+    "snapped_edges": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0)), [snapped_edges()]),
+    "mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0)), [MIXED]),
+    "m2_mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (0.8, -0.5)),
+                           [MIXED, PLAIN2]),
+}
+
+
+class TestImageKernel:
+    """The segment-combination image routine against independent oracles."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_matches_scipy_oracle(self, case):
+        spec, fs = KERNEL_CASES[case]
+        nonzero = 0
+        for x in (0.05, 0.3, 0.6, 1.0, 1.8, 2.7, 5.0, 40.0):
+            oracle = kernel_oracle(spec, fs, x)
+            val = apply_pointwise(spec, fs, x)
+            assert val == pytest.approx(oracle, rel=1e-9, abs=1e-300)
+            nonzero += oracle > 0.0
+        assert nonzero >= 3
+
+    def test_a_zero_is_a_constant_times_f(self):
+        # s(r) = 2: the image is f(2x) times int_0^1 phi(r)/r dr = 1
+        spec, (f,) = KERNEL_CASES["m1_a_zero"]
+        # 2x = 0.9, 2.5 and 3.0 sit on segment ends: segments are half-open
+        for x in (0.2, 0.4, 0.45, 1.0, 1.25, 1.3, 1.5, 2.9):
+            assert apply_pointwise(spec, [f], x) == pytest.approx(f(2.0 * x), rel=1e-15)
+
+    @pytest.mark.parametrize("x", [2.0, 4.0])
+    def test_snapped_overlap_counted_once(self, x):
+        # a kernel window of relative width 2e-12 around r = 1 sees only the
+        # snapped edge at x: the segments overlap by 2e-13 at x = 2 and leave
+        # a 2e-13 gap at x = 4; double counting the overlap adds about 10%
+        spec = one_sided(1.0, 1.0, 1.0 - 1e-12, 1.0 + 1e-12, (1.0, 1.0))
+        f = snapped_edges()
+        val = apply_pointwise(spec, [f], x)
+        assert val == pytest.approx(kernel_oracle(spec, [f], x), rel=1e-3, abs=0.0)
+
+    def test_closed_form_two_sided_power(self):
+        # n = 3, phi = r on [1/4, 2]: sigma * int r^0 (r x)^0.6 dr for r x in [0.3, 0.9)
+        spec = KERNEL_CASES["n3_two_sided"][0]
+        f = PiecewisePowerFunction.single_power(1.4, 0.6, 0.3, 0.9)
+        x = 1.0
+        expected = 4.0 * math.pi * 1.4 * (0.9 ** 1.6 - 0.3 ** 1.6) / 1.6
+        assert apply_pointwise(spec, [f], x) == pytest.approx(expected, rel=1e-14)
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_grid_samples_equal_pointwise_bit_for_bit(self, case, monkeypatch):
+        spec, fs = KERNEL_CASES[case]
+        seen = []
+        interpolant = hausdorff._loglog_interpolant
+
+        def spy(xs, vals):
+            seen.append((list(xs), list(vals)))
+            return interpolant(xs, vals)
+
+        monkeypatch.setattr(hausdorff, "_loglog_interpolant", spy)
+        quadrature = any(not seg.plain_power for f in fs for seg in f.segments)
+        r_grid = [2.0 ** (j / 4.0) for j in range(-16, 16)] if quadrature else None
+        apply_on_grid(spec, fs, r_grid=r_grid)
+        ((xs, vals),) = seen
+        assert len(xs) >= 32
+        assert sum(v > 0.0 for v in vals) >= 4
+        for x, v in zip(xs, vals):
+            assert apply_pointwise(spec, fs, x) == v
+
+    def test_divergent_factor_gives_inf(self):
+        # r^-1.5 times r^0.3 near r = 0 is not integrable
+        spec = one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (1.0, 1.0))
+        fs = [PiecewisePowerFunction.single_power(1.0, -1.5, 0.0, 1.0),
+              PiecewisePowerFunction.single_power(1.0, 0.3, 0.0, 2.0)]
+        assert apply_pointwise(spec, fs, 0.5) == math.inf
+        with pytest.raises(DivergentImageError):
+            apply_on_grid(spec, fs)
+
+    def test_infinite_piece_is_inf_not_nan(self):
+        # at x = 1e-10 the coefficient underflows to 0 and x^-32 overflows;
+        # the piece still diverges at r = 0
+        spec = one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (1.0, 1.0))
+        fs = [PiecewisePowerFunction.single_power(1e-300, 30.0),
+              PiecewisePowerFunction.single_power(1.0, -32.0)]
+        assert apply_pointwise(spec, fs, 1e-10) == math.inf
+
+
+class TestLogLogInterpolant:
+    def test_steep_jump_gets_a_representable_piece(self):
+        # the image jumps from 1e-3 to 0.62 within one grid step at x = 0.024
+        step = 2.0 ** (1.0 / 24.0)
+        xs = [0.024057 * step ** j for j in range(5)]
+        vals = [0.00104, 0.620, 0.75, 0.80, 0.82]
+        img = hausdorff._loglog_interpolant(xs, vals)
+        steep = img.segments[0]
+        assert 0.0 < steep.coef < math.inf
+        assert steep.value(xs[0]) > vals[0]
+        assert steep.value(xs[1] * (1 - 1e-15)) == pytest.approx(vals[1], rel=1e-12)
+        for seg, x0, x1, v0, v1 in zip(img.segments[1:], xs[1:], xs[2:], vals[1:], vals[2:]):
+            slope = math.log(v1 / v0) / math.log(x1 / x0)
+            assert seg.coef == v0 / x0 ** slope
+            assert seg.expr.const == slope
+        tail = img.segments[-1]
+        assert tail.r_hi == math.inf and tail.value(xs[-1]) == pytest.approx(vals[-1])
+
+    def test_seed_10_hardy_suite_within_c9(self):
+        cfg = load_config(str(FIXTURES / "hardy_p2.json"))
+        suite = upper_bound_suite(cfg.operator(), cfg.bound_config(), "C9", 40, 10)
+        assert len(suite.rows) == 40
+        assert all(r <= 2.0 * (1 + 1e-3) for _s, _i, r in suite.rows)
+
+    @pytest.mark.parametrize("seed", [0, 5])
+    def test_central_morrey_seeds_complete(self, seed):
+        cfg = load_config(str(FIXTURES / "central_morrey_m1.json"))
+        suite = upper_bound_suite(cfg.operator(), cfg.bound_config(), "C12", 6, seed)
+        assert len(suite.rows) == 6
+        assert all(0.0 < r < math.inf for _s, _i, r in suite.rows)
 
 
 class TestApplyOnGrid:

@@ -1,8 +1,11 @@
 import math
 
+import numpy as np
 import pytest
 
-from hausnorm._quad import power_integral, radial_integral
+from hausnorm._quad import power_integral, power_integrals, radial_integral
+
+from conftest import seeded
 
 
 def power_log_integrand(coef, beta):
@@ -64,3 +67,27 @@ class TestRadialIntegral:
 
         res = radial_integral(log_integrand, 1.0, 1e6, breaks=(2.0, 2.0001))
         assert res.value == pytest.approx(hi_w - lo_w, rel=1e-9)
+
+
+class TestPowerIntegrals:
+    @pytest.mark.parametrize("beta", [-2.5, -1.0, -1.0 + 1e-13, -0.4, 0.0, -1.0 - 1e-13, 1.7])
+    def test_matches_scalar_power_integral(self, beta):
+        rng = seeded(int(1e3 * abs(beta)) + 5)
+        pairs = [(0.0, 2.0), (0.5, math.inf), (3.0, 3.0 * (1 + 1e-9))]
+        for _ in range(40):
+            u = 2.0 ** rng.uniform(-30, 30)
+            pairs.append((u, u * 2.0 ** rng.uniform(1e-6, 20)))
+        u, v = (np.array(col) for col in zip(*pairs))
+        got = power_integrals(u, v, beta)
+        for ui, vi, gi in zip(u.tolist(), v.tolist(), got.tolist()):
+            want = power_integral(ui, vi, beta)
+            if math.isinf(want):
+                assert gi == math.inf
+            else:
+                assert gi == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("beta", [-2.5, -1.0, -0.4, 1.7])
+    def test_whole_half_line_diverges(self, beta):
+        # a power diverges at one end of (0, inf) or the other
+        assert power_integral(0.0, math.inf, beta) == math.inf
+        assert power_integrals(np.array([0.0]), np.array([math.inf]), beta)[0] == math.inf
