@@ -21,7 +21,7 @@ import numpy as np
 from . import _quad
 from .exponents import sphere_area
 from .luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
-from .matrices import MatrixFamily, PowerMap, ScalarDilation
+from .matrices import MatrixFamily, PowerMap, ScalarDilation, SingularFamilyError
 from .spaces import SpaceSpec, space_norm
 
 __all__ = [
@@ -195,19 +195,22 @@ def _image_support(spec, fs, samples=600):
     k = spec.kernel
     lo_k = k.r_lo if k.r_lo > 0 else min(k.r_hi * 1e-18, 1e-18)
     hi_k = k.r_hi if math.isfinite(k.r_hi) else max(k.r_lo, 1.0) * 1e18
-    x_lo, x_hi = _INF, 0.0
-    for i in range(samples + 1):
-        r = lo_k * (hi_k / lo_k) ** (i / samples)
-        lo_req, hi_req = 0.0, _INF
-        for f, fam in zip(fs, spec.families):
-            su = fam.dilation_scale(r)
-            f_lo, f_hi = f.support()
-            lo_req = max(lo_req, f_lo / su)
-            hi_req = min(hi_req, f_hi / su)
-        if lo_req < hi_req:
-            x_lo = min(x_lo, lo_req)
-            x_hi = max(x_hi, hi_req)
-    return x_lo, x_hi
+    radii = [lo_k * (hi_k / lo_k) ** (i / samples) for i in range(samples + 1)]
+    lo_req, hi_req = np.zeros(len(radii)), np.full(len(radii), _INF)
+    for f, fam in zip(fs, spec.families):
+        # |s(r)| with the scalar pow of PowerMap, so the support and the grid
+        # are those of the per-radius scan bit for bit
+        c, a = abs(fam.s.c), fam.s.a
+        su = np.array([c * r ** a for r in radii])
+        if not np.all((0.0 < su) & (su < _INF)):
+            raise SingularFamilyError("family scale is 0 or inf on the kernel support")
+        f_lo, f_hi = f.support()
+        lo_req = np.maximum(lo_req, f_lo / su)
+        hi_req = np.minimum(hi_req, f_hi / su)
+    live = lo_req < hi_req
+    if not live.any():
+        return _INF, 0.0
+    return float(lo_req[live].min()), float(hi_req[live].max())
 
 
 # ln of the largest coefficient, and of the largest x0^slope, that a sampled
@@ -215,44 +218,47 @@ def _image_support(spec, fs, samples=600):
 _LN_EDGE = 700.0
 
 
-def _representable_slope(x0: float, v0: float, slope: float) -> float:
-    """slope, or the nearest slope whose power through (x0, v0) keeps its
-    coefficient and x0**slope within e^(+-_LN_EDGE)."""
-    ln_v = math.log(v0)
-    lo, hi = max(-_LN_EDGE, ln_v - _LN_EDGE), min(_LN_EDGE, ln_v + _LN_EDGE)
-    ln_pow = slope * math.log(x0)
-    if lo <= ln_pow <= hi:
-        return slope
-    return min(max(ln_pow, lo), hi) / math.log(x0)
+def _representable_slope(x0: np.ndarray, v0: np.ndarray, slope: np.ndarray) -> np.ndarray:
+    """slope where its power through (x0, v0) keeps the coefficient and
+    x0**slope within e^(+-_LN_EDGE), elsewhere the nearest slope that does."""
+    ln_v, ln_x = np.log(v0), np.log(x0)
+    lo = np.maximum(-_LN_EDGE, ln_v - _LN_EDGE)
+    hi = np.minimum(_LN_EDGE, ln_v + _LN_EDGE)
+    ln_pow = slope * ln_x
+    ok = (lo <= ln_pow) & (ln_pow <= hi)
+    return np.divide(np.clip(ln_pow, lo, hi), ln_x, out=slope.copy(), where=~ok)
 
 
 def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
     """Piecewise power function through positive samples, extrapolating the tail.
 
-    A piece whose coefficient would leave the float range (the image jumping
+    Each pair of neighbouring positive finite samples gives the power
+    through both; a non-positive or non-finite sample breaks the chain.  A
+    piece whose coefficient would leave the float range (the image jumping
     by orders of magnitude within one grid step, at an edge of its support)
     keeps its larger sample and takes the steepest slope representable
-    there; every other piece is the power through both samples.
+    there.  A positive last sample extends to infinity with the slope of
+    the last piece.
     """
-    segs = []
-    prev_x = prev_v = None
-    last_slope = None
-    for x, v in zip(xs, vals):
-        if v <= 0.0 or math.isinf(v) or math.isnan(v):
-            prev_x = prev_v = None
-            continue
-        if prev_x is not None:
-            slope = math.log(v / prev_v) / math.log(x / prev_x)
-            steep = _representable_slope(prev_x, prev_v, slope) != slope
-            x0, v0 = (x, v) if steep and v > prev_v else (prev_x, prev_v)
-            slope = _representable_slope(x0, v0, slope)
-            segs.append(Segment(prev_x, x, v0 / x0 ** slope, ExponentExpr(slope)))
-            last_slope = slope
-        prev_x, prev_v = x, v
-    if prev_x is not None and last_slope is not None:
-        slope = _representable_slope(prev_x, prev_v, last_slope)
-        segs.append(Segment(prev_x, _INF, prev_v / prev_x ** slope, ExponentExpr(slope)))
-    return PiecewisePowerFunction(tuple(segs))
+    xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
+    ok = (vals > 0.0) & np.isfinite(vals)
+    i = np.flatnonzero(ok[:-1] & ok[1:])
+    x0, x1, v0, v1 = xs[i], xs[i + 1], vals[i], vals[i + 1]
+    slope = np.log(v1 / v0) / np.log(x1 / x0)
+    # a steep piece passes through its larger sample
+    up = (_representable_slope(x0, v0, slope) != slope) & (v1 > v0)
+    ax, av = np.where(up, x1, x0), np.where(up, v1, v0)
+    slope = _representable_slope(ax, av, slope)
+    coef = av / ax ** slope
+    if len(i) and ok[-1]:
+        tail = _representable_slope(xs[-1:], vals[-1:], slope[-1:])
+        x0, x1 = np.append(x0, xs[-1]), np.append(x1, _INF)
+        coef = np.append(coef, vals[-1] / xs[-1] ** tail)
+        slope = np.append(slope, tail)
+    return PiecewisePowerFunction(tuple(
+        Segment(lo, hi, c, ExponentExpr(b))
+        for lo, hi, c, b in zip(x0.tolist(), x1.tolist(), coef.tolist(), slope.tolist())
+    ))
 
 
 def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
@@ -264,8 +270,9 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
 
     Exact when every input is a single unrestricted power (the image is
     then the same power scaled by the kernel integral); otherwise the image
-    is sampled on a dyadic grid and interpolated log-log, with the last
-    slope extended to infinity.
+    is sampled on a dyadic grid (or at the radii of r_grid, at least two
+    distinct positive ones) and interpolated log-log, with the last slope
+    extended to infinity.
     """
     if len(fs) != spec.m:
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
@@ -299,13 +306,18 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             x *= step
     else:
         grid = sorted(r_grid)
+        if len(grid) < 2:
+            raise ValueError("need at least two grid radii")
         if any(x <= 0 for x in grid):
             raise ValueError("grid radii must be positive")
+        if any(a == b for a, b in zip(grid, grid[1:])):
+            raise ValueError("grid radii must be distinct")
 
-    vals = _image_values(spec, fs, np.array(grid, dtype=float), rel_tol)
+    xs = np.array(grid, dtype=float)
+    vals = _image_values(spec, fs, xs, rel_tol)
     if np.isinf(vals).any():
         raise DivergentImageError("image is infinite at a grid radius")
-    return _loglog_interpolant(grid, vals.tolist())
+    return _loglog_interpolant(xs, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -106,7 +106,7 @@ class ExponentExpr:
 
     @property
     def is_constant(self):
-        return all(t.is_constant for t in self.terms)
+        return not self.terms or all(t.is_constant for t in self.terms)
 
     def constant_value(self):
         if not self.is_constant:
@@ -367,11 +367,16 @@ def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
     """ln of the piece modular when p and the segment exponent are constant
     on [u, v], with eta folded in; +inf marks divergence, None any other
     piece."""
-    p_lo, p_hi = p.range_on(u, v)
-    p_const = p.is_constant or (p_lo == p_hi and math.isfinite(p_lo))
-    if not (p_const and seg.plain_power and math.isfinite(p_lo)):
+    if not seg.plain_power:
         return None
-    a = seg.expr.constant_value()
+    if p.is_constant:
+        # equal to range_on(u, v) for a constant p, without its cost per piece
+        p_lo = p_hi = p.p_zero
+    else:
+        p_lo, p_hi = p.range_on(u, v)
+    if not (p_lo == p_hi and math.isfinite(p_lo)):
+        return None
+    a = seg.expr(1.0)
     ln_integral = _quad.log_power_integral(u, v, n - 1 + a * p_lo)
     if ln_integral == _INF:
         return _INF

@@ -21,7 +21,7 @@ from hausnorm.hausdorff import (
     operator_ratio,
 )
 from hausnorm.luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
-from hausnorm.matrices import PowerMap, ScalarDilation
+from hausnorm.matrices import PowerMap, ScalarDilation, SingularFamilyError
 from hausnorm.spaces import SpaceSpec
 
 from conftest import seeded, snapped_edges
@@ -206,6 +206,25 @@ KERNEL_CASES = {
 }
 
 
+def grid_samples(spec, fs, monkeypatch):
+    """The (radii, values) that apply_on_grid hands to the interpolant; an
+    explicit grid where the image needs quadrature."""
+    seen = []
+    interpolant = hausdorff._loglog_interpolant
+
+    def spy(xs, vals):
+        seen.append((list(xs), list(vals)))
+        return interpolant(xs, vals)
+
+    monkeypatch.setattr(hausdorff, "_loglog_interpolant", spy)
+    quadrature = any(not seg.plain_power for f in fs for seg in f.segments)
+    r_grid = [2.0 ** (j / 4.0) for j in range(-16, 16)] if quadrature else None
+    apply_on_grid(spec, fs, r_grid=r_grid)
+    monkeypatch.undo()
+    ((xs, vals),) = seen
+    return xs, vals
+
+
 class TestImageKernel:
     """The segment-combination image routine against independent oracles."""
 
@@ -248,18 +267,7 @@ class TestImageKernel:
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_grid_samples_equal_pointwise_bit_for_bit(self, case, monkeypatch):
         spec, fs = KERNEL_CASES[case]
-        seen = []
-        interpolant = hausdorff._loglog_interpolant
-
-        def spy(xs, vals):
-            seen.append((list(xs), list(vals)))
-            return interpolant(xs, vals)
-
-        monkeypatch.setattr(hausdorff, "_loglog_interpolant", spy)
-        quadrature = any(not seg.plain_power for f in fs for seg in f.segments)
-        r_grid = [2.0 ** (j / 4.0) for j in range(-16, 16)] if quadrature else None
-        apply_on_grid(spec, fs, r_grid=r_grid)
-        ((xs, vals),) = seen
+        xs, vals = grid_samples(spec, fs, monkeypatch)
         assert len(xs) >= 32
         assert sum(v > 0.0 for v in vals) >= 4
         for x, v in zip(xs, vals):
@@ -281,6 +289,138 @@ class TestImageKernel:
         fs = [PiecewisePowerFunction.single_power(1e-300, 30.0),
               PiecewisePowerFunction.single_power(1.0, -32.0)]
         assert apply_pointwise(spec, fs, 1e-10) == math.inf
+
+
+def scalar_support(spec, fs, samples=600):
+    """(x_lo, x_hi) by the per-radius scan of the kernel radii; oracle for
+    hausdorff._image_support."""
+    k = spec.kernel
+    lo_k = k.r_lo if k.r_lo > 0 else min(k.r_hi * 1e-18, 1e-18)
+    hi_k = k.r_hi if math.isfinite(k.r_hi) else max(k.r_lo, 1.0) * 1e18
+    x_lo, x_hi = math.inf, 0.0
+    for i in range(samples + 1):
+        r = lo_k * (hi_k / lo_k) ** (i / samples)
+        lo_req, hi_req = 0.0, math.inf
+        for f, fam in zip(fs, spec.families):
+            su = fam.dilation_scale(r)
+            f_lo, f_hi = f.support()
+            lo_req = max(lo_req, f_lo / su)
+            hi_req = min(hi_req, f_hi / su)
+        if lo_req < hi_req:
+            x_lo = min(x_lo, lo_req)
+            x_hi = max(x_hi, hi_req)
+    return x_lo, x_hi
+
+
+def scalar_representable_slope(x0, v0, slope):
+    ln_v = math.log(v0)
+    lo, hi = max(-700.0, ln_v - 700.0), min(700.0, ln_v + 700.0)
+    ln_pow = slope * math.log(x0)
+    if lo <= ln_pow <= hi:
+        return slope
+    return min(max(ln_pow, lo), hi) / math.log(x0)
+
+
+def scalar_interpolant(xs, vals):
+    """(r_lo, r_hi, x0, v0, slope) per piece, (x0, v0) the sample its power
+    passes through, by the sample-by-sample loop; oracle for
+    hausdorff._loglog_interpolant."""
+    out = []
+    prev_x = prev_v = None
+    last_slope = None
+    for x, v in zip(xs, vals):
+        if v <= 0.0 or math.isinf(v) or math.isnan(v):
+            prev_x = prev_v = None
+            continue
+        if prev_x is not None:
+            slope = math.log(v / prev_v) / math.log(x / prev_x)
+            steep = scalar_representable_slope(prev_x, prev_v, slope) != slope
+            x0, v0 = (x, v) if steep and v > prev_v else (prev_x, prev_v)
+            slope = scalar_representable_slope(x0, v0, slope)
+            out.append((prev_x, x, x0, v0, slope))
+            last_slope = slope
+        prev_x, prev_v = x, v
+    if prev_x is not None and last_slope is not None:
+        slope = scalar_representable_slope(prev_x, prev_v, last_slope)
+        out.append((prev_x, math.inf, prev_x, prev_v, slope))
+    return out
+
+
+def assert_matches_scalar_interpolant(xs, vals):
+    xs, vals = [float(x) for x in xs], [float(v) for v in vals]
+    img = hausdorff._loglog_interpolant(xs, vals)
+    ref = scalar_interpolant(xs, vals)
+    assert len(img.segments) == len(ref)
+    for seg, (lo, hi, x0, v0, slope) in zip(img.segments, ref):
+        assert (seg.r_lo, seg.r_hi) == (lo, hi)
+        assert abs(seg.expr.const - slope) <= 2 * math.ulp(slope)
+        # an ulp of slope moves v0 / x0**slope by about |slope ln x0| ulp, so
+        # the coefficient is checked at the slope the piece carries
+        assert abs(seg.coef - v0 / x0 ** seg.expr.const) <= 2 * math.ulp(seg.coef)
+    return img
+
+
+class TestScalarOracles:
+    """The array forms of the support scan and the interpolant against the
+    scalar loops they replaced: the same support, the same pieces through
+    the same samples, slopes within 2 ulp (numpy's log against libm's)."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_cases(self, case, monkeypatch):
+        spec, fs = KERNEL_CASES[case]
+        assert hausdorff._image_support(spec, fs) == scalar_support(spec, fs)
+        assert_matches_scalar_interpolant(*grid_samples(spec, fs, monkeypatch))
+
+    @pytest.mark.parametrize("seed", [3, 10])
+    @pytest.mark.parametrize("fixture", ["hardy_p2.json", "bilinear_p4.json"])
+    def test_seeded_suite_images(self, fixture, seed, monkeypatch):
+        supports, samples = [], []
+        support, interpolant = hausdorff._image_support, hausdorff._loglog_interpolant
+
+        def support_spy(spec, fs):
+            out = support(spec, fs)
+            supports.append((spec, fs, out))
+            return out
+
+        def interpolant_spy(xs, vals):
+            samples.append((xs, vals))
+            return interpolant(xs, vals)
+
+        monkeypatch.setattr(hausdorff, "_image_support", support_spy)
+        monkeypatch.setattr(hausdorff, "_loglog_interpolant", interpolant_spy)
+        cfg = load_config(str(FIXTURES / fixture))
+        upper_bound_suite(cfg.operator(), cfg.bound_config(), "C9", 40, seed)
+        monkeypatch.undo()
+        # an image with an empty support is zero and never sampled
+        live = [out for _spec, _fs, out in supports if out[0] < out[1]]
+        assert len(supports) == 40 and len(samples) == len(live) >= 35
+        for spec, fs, out in supports:
+            assert out == scalar_support(spec, fs)
+        for xs, vals in samples:
+            assert_matches_scalar_interpolant(xs, vals)
+
+    def test_broken_chains_and_lone_last_sample(self):
+        xs = [2.0 ** (j / 4.0) for j in range(13)]
+        vals = [0.0, 1.0, 2.0, 0.0, 3.0, 4.0, math.inf, 5.0, 6.5, math.nan, -1.0, 0.0, 7.0]
+        img = assert_matches_scalar_interpolant(xs, vals)
+        # pieces only between neighbouring positive finite samples
+        assert [s.r_lo for s in img.segments] == [xs[1], xs[4], xs[7], xs[12]]
+        # the lone last sample carries the slope of the chain before it
+        tail = img.segments[-1]
+        assert tail.r_hi == math.inf and tail.expr.const == img.segments[-2].expr.const
+        assert tail.value(xs[12]) == pytest.approx(7.0, rel=1e-15)
+
+    @pytest.mark.parametrize("vals", [
+        [0.0, 0.0, 0.0, 0.0],
+        [1.0, 0.0, 2.0, 0.0],
+        [0.0, 1.0, 0.0, 3.0],
+        [1.0, 2.0, 3.0, 0.0],
+        [0.00104, 0.620, 0.0, 0.75, 0.80],
+        [1e-200, 1e100, 2e100, 1e-200, 3e-200],
+    ])
+    def test_sample_vectors(self, vals):
+        xs = [0.024057 * 2.0 ** (j / 24.0) for j in range(len(vals))]
+        assert_matches_scalar_interpolant(xs, vals)
 
 
 class TestLogLogInterpolant:
@@ -342,6 +482,24 @@ class TestApplyOnGrid:
         f = PiecewisePowerFunction.single_power(1.0, -1.2)
         with pytest.raises(DivergentImageError):
             apply_on_grid(hardy_op, [f])
+
+    def test_explicit_grid_radii_must_be_distinct(self, hardy_op):
+        f = PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0)
+        with pytest.raises(ValueError, match="distinct"):
+            apply_on_grid(hardy_op, [f], r_grid=[1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("r_grid", [[], [1.0]])
+    def test_explicit_grid_needs_two_radii(self, hardy_op, r_grid):
+        # H f(1) > 0, so one radius cannot stand for the image
+        f = PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0)
+        with pytest.raises(ValueError, match="two grid radii"):
+            apply_on_grid(hardy_op, [f], r_grid=r_grid)
+
+    def test_vanishing_family_scale_raises(self):
+        spec = from_hardy_cesaro(PowerMap(1.0, 0.0), PowerMap(0.0, 1.0))
+        f = PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0)
+        with pytest.raises(SingularFamilyError):
+            apply_on_grid(spec, [f])
 
 
 class TestConstructors:
