@@ -2,23 +2,21 @@
 
 Every radial integral in the package runs through here: exact
 antiderivatives for power integrands, and ``radial_integral`` for anything
-else.  The latter integrates in log-radius with scipy's adaptive quadrature
-and decides each singular end (r = 0 or r = inf) on its own: a known power
-slope there is checked with the power test and its tail is cut where the
-integrand has decayed, and an unknown slope falls back to a cutoff search.
-Callers read power slopes off their own data; the dilation families, for
-instance, take a ``PowerMap`` so the image radius is a power of the kernel
-radius.
+else.  The latter integrates in log-radius with an adaptive Gauss-Kronrod
+rule over numpy arrays of nodes, in log space, and decides each singular
+end (r = 0 or r = inf) on its own: a known power slope there is checked
+with the power test and its tail is cut where the integrand has decayed,
+and an unknown slope falls back to a cutoff search.  Callers read power
+slopes off their own data; the dilation families, for instance, take a
+``PowerMap`` so the image radius is a power of the kernel radius.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from typing import NamedTuple
 
 import numpy as np
-from scipy import integrate
 
 _INF = math.inf
 
@@ -27,15 +25,6 @@ DIV_TOL = 1e-12
 
 # stop a tail once the log-integrand drops below this
 _LOG_FLOOR = -720.0
-
-
-def exp_clip(x: float) -> float:
-    """exp with overflow clipped to a huge finite value."""
-    if x > 700.0:
-        return 1e304
-    if x < -745.0:
-        return 0.0
-    return math.exp(x)
 
 
 def power_integral(u: float, v: float, beta: float) -> float:
@@ -104,26 +93,143 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     return b * math.log(u) + math.log1p(-math.exp(scaled)) - math.log(-b)
 
 
-def quad_s(g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
-           points: tuple[float, ...] = ()) -> float:
-    """Adaptive quadrature of g(s) ds over a finite interval in log-radius.
+# QUADPACK's 7-point Gauss / 15-point Kronrod pair (qk15) on [-1, 1]: the
+# abscissae from the outside in, the Kronrod weights, and the Gauss weights
+# of the odd abscissae (the last one is the centre)
+_XK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+       0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+       0.586087235467691130294144845693013, 0.405845151377397166906606412076961,
+       0.207784955007898467600689403773245, 0.0)
+_WK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+       0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+       0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+       0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+_NODES = np.array([-x for x in _XK[:-1]] + [x for x in _XK[::-1]])
+_K_WEIGHTS = np.array(_WK[:-1] + _WK[::-1])
+_G_WEIGHTS = np.zeros(15)
+_G_WEIGHTS[1::2] = _WG + _WG[-2::-1]
+_G_MINUS_K = _G_WEIGHTS - _K_WEIGHTS
 
-    g must be evaluable for any s, however extreme; callers express radial
-    integrands through log-amplitudes so this holds.
+# cell edges of the panel grid in s: unit cells next to 0, then cells
+# doubling in width, so a long tail costs a logarithmic number of cells
+_GRID = np.array(sorted({0.0} | {sign * 2.0 ** k for k in range(25) for sign in (-1, 1)}))
+
+# an integral stops refining after this many rounds or once it has this
+# many panels, and returns its estimate as it stands
+_MAX_ROUNDS = 50
+_MAX_PANELS = 4000
+
+
+def radius(s):
+    """r = e^s for a float or an array of s; +inf from s = 700 on."""
+    if isinstance(s, np.ndarray):
+        return np.where(s < 700.0, np.exp(np.minimum(s, 700.0)), _INF)
+    return math.exp(s) if s < 700.0 else _INF
+
+
+class NodeCache:
+    """Panels that earlier integrals ended with, kept per grid cell.
+
+    data maps an array of nodes to a tuple of arrays of per-node data, so
+    that quad_s calls the log-integrand as log_g(s, *data) and evaluates
+    data once per node.  One cache serves a family of integrands that share
+    their node data, such as the eta trials of one Luxemburg norm: each
+    integral starts from the panels its cells ended with last time.
     """
-    if s_hi <= s_lo:
-        return 0.0
-    pts = sorted(p for p in points if s_lo < p < s_hi)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _err = integrate.quad(
-            g, s_lo, s_hi,
-            epsabs=0.0,
-            epsrel=rel_tol,
-            limit=400,
-            points=pts or None,
-        )
-    return val
+
+    def __init__(self, data=None):
+        self.data = data
+        # (cell start, cell end) -> (panel starts, panel ends, nodes, *data)
+        self.cells: dict[tuple[float, float], tuple[np.ndarray, ...]] = {}
+        # the interval of the last call, its cells, and their panels joined
+        self.last: tuple | None = None
+
+    def panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
+        """The panels [lo, hi) with their nodes and node data."""
+        s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+        return (lo, hi, s, *(self.data(s) if self.data else ()))
+
+
+def _cells(s_lo: float, s_hi: float, points) -> list[tuple[float, float]]:
+    """The grid cells of [s_lo, s_hi], split at the points inside it."""
+    inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
+    inner.update(p for p in points if s_lo < p < s_hi)
+    edges = [s_lo, *sorted(inner), s_hi]
+    return list(zip(edges, edges[1:]))
+
+
+def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
+           points: tuple[float, ...] = (), cache: NodeCache | None = None,
+           ) -> tuple[float, float]:
+    """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi], and ln of
+    its error estimate.
+
+    Adaptive Gauss-Kronrod 7-15 on panels of a fixed grid: the cells between
+    0, +-1, +-2, +-4, ... and the points, bisected while the sum of |G - K|
+    over the panels exceeds rel_tol times the integral.  Each round calls
+    log_g once, on the nodes of every panel as an array of shape
+    (panels, 15), and bisects the panels with the largest |G - K| until
+    those left hold at most half the allowed error.  The sums are taken
+    over exp(log_g - M), M the largest node value, and returned as logs, so
+    an integral beyond the float range keeps its size.  The error estimate
+    is the sum of |G - K|, the error of the Gauss rule.  With a cache the
+    panels of each cell start from those it ended with in an earlier call.
+    """
+    if not s_hi > s_lo:
+        return -_INF, -_INF
+    keep = cache is not None
+    cache = cache if keep else NodeCache()
+    interval = (s_lo, s_hi, points)
+    if cache.last is not None and cache.last[0] == interval:
+        _interval, cells, leaves, cell_of = cache.last
+    else:
+        cells = _cells(s_lo, s_hi, points)
+        missing = [c for c in cells if c not in cache.cells]
+        if missing:
+            lo, hi = np.array(missing).T
+            new = cache.panels(lo, hi)
+            for i, c in enumerate(missing):
+                cache.cells[c] = tuple(col[i:i + 1] for col in new)
+        parts = [cache.cells[c] for c in cells]
+        leaves = [np.concatenate(col) for col in zip(*parts)]
+        cell_of = np.repeat(np.arange(len(cells)), [len(part[0]) for part in parts])
+    refined: set[int] = set()
+    for _round in range(_MAX_ROUNDS):
+        lo, hi, s, *data = leaves
+        f = log_g(s, *data)
+        top = float(f.max())
+        if top == _INF or not top > -_INF:
+            # an infinite node value, or no mass at any node
+            return top, top
+        e = np.exp(f - top)
+        half = 0.5 * (hi - lo)
+        total = float(half @ (e @ _K_WEIGHTS))
+        err = np.abs(half * (e @ _G_MINUS_K))
+        err_total = float(err.sum())
+        budget = rel_tol * total
+        if err_total <= budget or len(lo) >= _MAX_PANELS:
+            break
+        # bisect the worst panels until the rest hold half the budget
+        order = np.argsort(err)[::-1]
+        rest = err_total - np.cumsum(err[order])
+        split = order[:int(np.argmax(rest <= 0.5 * budget)) + 1]
+        mid = 0.5 * (lo[split] + hi[split])
+        children = cache.panels(np.concatenate((lo[split], mid)),
+                                np.concatenate((mid, hi[split])))
+        whole = np.ones(len(lo), dtype=bool)
+        whole[split] = False
+        leaves = [np.concatenate((col[whole], child)) for col, child in zip(leaves, children)]
+        cell_of = np.concatenate((cell_of[whole], np.tile(cell_of[split], 2)))
+        refined.update(cell_of[-2 * len(split):].tolist())
+    if keep:
+        for i in refined:
+            mine = cell_of == i
+            cache.cells[cells[i]] = tuple(col[mine] for col in leaves)
+        cache.last = (interval, cells, leaves, cell_of)
+    ln_err = top + math.log(err_total) if err_total > 0.0 else -_INF
+    return top + math.log(total), ln_err
 
 
 def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
@@ -178,29 +284,43 @@ def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
 class RadialIntegral(NamedTuple):
     """Value of a radial integral and how it was obtained.
 
-    s_lo and s_hi bound the log-radius interval handed to the quadrature,
-    with tail cutoffs in place of singular ends.  divergence is None for a
-    finite value, "power" when the power test at an end fails, and "cutoff"
-    when no tail cutoff is found; the value is +inf in both cases.
+    log_value is the ln of the integral and log_error the ln of the
+    quadrature's error estimate (-inf when no quadrature ran).  s_lo and
+    s_hi bound the log-radius interval handed to the quadrature, with tail
+    cutoffs in place of singular ends.  divergence is None for a finite
+    value, "power" when the power test at an end fails, and "cutoff" when
+    no tail cutoff is found; the value is +inf in both cases.
     """
 
-    value: float
+    log_value: float
     s_lo: float
     s_hi: float
     divergence: str | None
+    log_error: float = -_INF
+
+    @property
+    def value(self) -> float:
+        """The integral itself; +inf where it overflows."""
+        try:
+            return math.exp(self.log_value)
+        except OverflowError:
+            return _INF
 
 
 def radial_integral(log_integrand, lo: float, hi: float,
                     slope_at_0: float | None = None,
                     slope_at_inf: float | None = None,
-                    breaks=(), rel_tol: float = 1e-9) -> RadialIntegral:
+                    breaks=(), rel_tol: float = 1e-9,
+                    cache: NodeCache | None = None) -> RadialIntegral:
     """Integral of exp(log_integrand(s)) ds over s in [ln lo, ln hi].
 
     In radius terms this is the integral of r**beta(r) dr over [lo, hi]
     with log_integrand(s) ~ (beta + 1) s.  slope_at_0 and slope_at_inf give
     the limit of beta at a singular end (lo = 0, hi = inf); None means the
     slope is unknown and the tail is cut by search.  breaks lists radii
-    where the integrand may be non-smooth.
+    where the integrand may be non-smooth.  The tail searches call
+    log_integrand on floats, the quadrature on arrays of nodes (followed by
+    their node data when a cache with data is given; see quad_s).
     """
     s_lo = -_INF if lo == 0.0 else math.log(lo)
     s_hi = _INF if math.isinf(hi) else math.log(hi)
@@ -226,7 +346,8 @@ def radial_integral(log_integrand, lo: float, hi: float,
             return RadialIntegral(_INF, -_INF, s_hi, "cutoff")
 
     if s_hi <= s_lo:
-        return RadialIntegral(0.0, s_lo, s_hi, None)
+        return RadialIntegral(-_INF, s_lo, s_hi, None)
     pts = tuple(math.log(b) for b in breaks if b > 0)
-    value = quad_s(lambda s: exp_clip(log_integrand(s)), s_lo, s_hi, rel_tol, pts)
-    return RadialIntegral(value, s_lo, s_hi, None)
+    # positional, so that a wrapper bound over quad_s sees every argument
+    log_value, log_error = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, cache)
+    return RadialIntegral(log_value, s_lo, s_hi, None, log_error)

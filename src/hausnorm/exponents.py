@@ -13,6 +13,8 @@ import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
+import numpy as np
+
 __all__ = [
     "RadialExponent",
     "Constant",
@@ -46,6 +48,8 @@ RECIP_ZERO_TOL = 1e-12
 
 # radii used for sampled precondition checks (plus 0 and the two limits)
 _CHECK_RADII = tuple(10.0 ** (-8 + 16 * i / 160) for i in range(161))
+_CHECK_ARRAY = np.array(_CHECK_RADII)
+_CHECK_WITH_ZERO = np.array((0.0,) + _CHECK_RADII)
 
 
 class ExponentDomainError(ValueError):
@@ -69,11 +73,15 @@ class UnsupportedFamilyError(TypeError):
 
 
 class RadialExponent:
-    """Base class; concrete variants implement evaluation and bounds."""
+    """Base class; concrete variants implement evaluation and bounds.
+
+    Calling an exponent on a float radius gives a float; on a numpy array
+    of radii it gives an array of the same shape.
+    """
 
     signed: bool = False
 
-    def __call__(self, r: float) -> float:
+    def __call__(self, r):
         raise NotImplementedError
 
     def range_on(self, r_lo: float, r_hi: float) -> tuple[float, float]:
@@ -143,6 +151,8 @@ class Constant(RadialExponent):
         self._check_bounds()
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            return np.full(r.shape, self.value)
         return self.value
 
     def range_on(self, r_lo, r_hi):
@@ -189,6 +199,9 @@ class LogInterp(RadialExponent):
         self._check_bounds()
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            # ln(e + inf) = inf gives p_inf exactly
+            return self.p_inf + (self.p0 - self.p_inf) / np.log(_E + r)
         if math.isinf(r):
             return self.p_inf
         return self.p_inf + (self.p0 - self.p_inf) / math.log(_E + r)
@@ -244,6 +257,8 @@ class PiecewiseRadial(RadialExponent):
         self._check_bounds()
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            return np.array(self.values)[np.searchsorted(self.breaks, r, side="right")]
         return self.values[bisect_right(self.breaks, r)]
 
     def range_on(self, r_lo, r_hi):
@@ -360,6 +375,8 @@ class HarmonicSum(RadialExponent):
             )
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            return 1.0 / sum(1.0 / p(r) for p in self.parts)
         return 1.0 / math.fsum(1.0 / p(r) for p in self.parts)
 
     def range_on(self, r_lo, r_hi):
@@ -399,6 +416,8 @@ class PointwiseSum(RadialExponent):
             raise ExponentDomainError("need at least one summand")
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            return sum(p(r) for p in self.parts)
         return math.fsum(p(r) for p in self.parts)
 
     def range_on(self, r_lo, r_hi):
@@ -441,6 +460,8 @@ class Infinite(RadialExponent):
     """The degenerate exponent that is infinity everywhere."""
 
     def __call__(self, r):
+        if isinstance(r, np.ndarray):
+            return np.full(r.shape, _INF)
         return _INF
 
     def range_on(self, r_lo, r_hi):
@@ -472,7 +493,7 @@ class ReciprocalDifference(RadialExponent):
     """r(x) with 1/r(x) = 1/a(x) - 1/(zeta * b(x)); infinity where that is ~0.
 
     The difference must be nonnegative; construction samples a radius grid
-    and raises ReciprocalSignError with the witness radius otherwise.
+    and raises ReciprocalSignError with the first witness radius otherwise.
     """
 
     a: RadialExponent
@@ -482,8 +503,7 @@ class ReciprocalDifference(RadialExponent):
     def __post_init__(self):
         if not (self.zeta > 0):
             raise ExponentDomainError("zeta must be positive")
-        for r in (0.0,) + _CHECK_RADII:
-            self._diff(r, check=True)
+        self._diff(_CHECK_WITH_ZERO, check=True)
         # limits must be nonnegative as well
         for d in (self._limit_diff_zero(), self._limit_diff_infty()):
             if d < -RECIP_ZERO_TOL:
@@ -491,8 +511,10 @@ class ReciprocalDifference(RadialExponent):
 
     def _diff(self, r, check=False):
         d = 1.0 / self.a(r) - 1.0 / (self.zeta * self.b(r))
-        if check and d < -RECIP_ZERO_TOL:
-            raise ReciprocalSignError(r, d)
+        if check and np.any(d < -RECIP_ZERO_TOL):
+            # the first failing radius is the witness
+            i = np.argmax(np.ravel(d) < -RECIP_ZERO_TOL)
+            raise ReciprocalSignError(float(np.ravel(r)[i]), float(np.ravel(d)[i]))
         return d
 
     def _limit_diff_zero(self):
@@ -503,6 +525,9 @@ class ReciprocalDifference(RadialExponent):
 
     def __call__(self, r):
         d = self._diff(r, check=True)
+        if isinstance(d, np.ndarray):
+            out = np.full(d.shape, _INF)
+            return np.divide(1.0, d, out=out, where=d > RECIP_ZERO_TOL)
         if d <= RECIP_ZERO_TOL:
             return _INF
         return 1.0 / d
@@ -537,7 +562,7 @@ class ReciprocalDifference(RadialExponent):
     def infinite_everywhere(self):
         if self.a.is_constant and self.b.is_constant:
             return abs(self._diff(1.0)) <= RECIP_ZERO_TOL
-        if any(self._diff(r) > RECIP_ZERO_TOL for r in _CHECK_RADII):
+        if np.any(self._diff(_CHECK_ARRAY) > RECIP_ZERO_TOL):
             return False
         return (
             self._limit_diff_zero() <= RECIP_ZERO_TOL

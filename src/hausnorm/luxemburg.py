@@ -8,11 +8,14 @@ a region is
     F_p(g) = |S^{n-1}| * integral of r^{n-1} g(r)^{p(r)} dr,
 
 computed in closed form whenever p and the segment exponent are constant on
-the piece and by adaptive quadrature otherwise.  Divergence is decided
-analytically first (power test at the singular endpoints), so infinite
-norms are reported instead of silently truncated.  A Luxemburg norm is the
-root of ln F_p(g/eta) = 0 in ln eta, found by a safeguarded secant search
-and certified from both sides to a relative width of CERT_DELTA.
+the piece and by adaptive quadrature otherwise, in log space either way.
+Divergence is decided analytically first (power test at the singular
+endpoints), so infinite norms are reported instead of silently truncated.
+A Luxemburg norm is the root of ln F_p(g/eta) = 0 in ln eta, found by a
+safeguarded secant search and certified from both sides to a relative
+width of CERT_DELTA.  Only ln eta changes between the trials of one norm,
+so every quadrature node, with its p(r) and log-amplitude, is evaluated
+once per norm.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
+from typing import NamedTuple
+
+import numpy as np
 
 from . import _quad
 from .exponents import PowerWeight, RadialExponent, sphere_area
@@ -101,7 +107,10 @@ class ExponentExpr:
 
     def __call__(self, r):
         if not self.terms:
+            # a float, which broadcasts against an array of radii
             return self.const
+        if isinstance(r, np.ndarray):
+            return sum((t.value(r) for t in self.terms), np.full(r.shape, self.const))
         return self.const + math.fsum(t.value(r) for t in self.terms)
 
     @property
@@ -194,11 +203,11 @@ class Segment:
             out *= 2.0 ** (m * alpha(r))
         return out
 
-    def log_amplitude_s(self, s: float) -> float:
-        """ln amplitude at r = e^s; safe even when e^s under/overflows."""
-        r = math.exp(s) if s < 700 else _INF
-        a = self.expr(r)
-        out = math.log(self.coef) + a * s
+    def log_amplitude_s(self, s):
+        """ln amplitude at r = e^s, for a float s or an array; safe even
+        when e^s under/overflows."""
+        r = _quad.radius(s)
+        out = math.log(self.coef) + self.expr(r) * s
         for m, alpha in self.pow2:
             out += m * alpha(r) * _LN2
         return out
@@ -227,7 +236,7 @@ class Segment:
 
 def _fold_pow2(pow2, m, alpha):
     if alpha.is_constant:
-        return pow2, 2.0 ** (m * alpha(1.0))
+        return pow2, 2.0 ** (m * alpha.p_zero)
     return pow2 + ((m, alpha),), 1.0
 
 
@@ -363,10 +372,10 @@ class PiecewisePowerFunction:
 
 
 def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
-                     n: int, eta: float) -> float | None:
-    """ln of the piece modular when p and the segment exponent are constant
-    on [u, v], with eta folded in; +inf marks divergence, None any other
-    piece."""
+                     n: int) -> tuple[float, float] | None:
+    """(ln of the piece modular at eta = 1, the exponent on the piece) when
+    p and the segment exponent are constant on [u, v]; a log of +inf marks
+    divergence.  None for any other piece."""
     if not seg.plain_power:
         return None
     if p.is_constant:
@@ -379,81 +388,153 @@ def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
     a = seg.expr(1.0)
     ln_integral = _quad.log_power_integral(u, v, n - 1 + a * p_lo)
     if ln_integral == _INF:
-        return _INF
-    return p_lo * (math.log(seg.coef) - math.log(eta)) + ln_integral
+        return _INF, p_lo
+    return p_lo * math.log(seg.coef) + ln_integral, p_lo
 
 
-def _piece_modular(seg: Segment, u: float, v: float, p: RadialExponent,
-                   n: int, eta: float, rel_tol: float) -> tuple[float, bool]:
-    """Modular contribution of one clipped segment, with eta folded in.
+def _log_power(ns, pv, l):
+    """n s + p (ln g - ln eta), the ln of r^n (g/eta)^p at r = e^s, for
+    floats or arrays.  An infinite p gives -inf, n s or +inf as g/eta is
+    below, at or above 1."""
+    if isinstance(pv, np.ndarray):
+        with np.errstate(invalid="ignore"):
+            return np.where(np.isinf(pv) & (l == 0.0), ns, ns + pv * l)
+    if math.isinf(pv) and l == 0.0:
+        return ns
+    return ns + pv * l
 
-    Returns (value, eta_independent) where the flag marks divergence that no
-    choice of eta can repair (a power tail at or past the critical slope).
-    A closed-form value past the float range is +inf.
+
+class _Piece:
+    """ln of the modular of one clipped segment as a function of eta.
+
+    A closed-form piece keeps its log at eta = 1.  A quadrature piece keeps
+    its divergence verdicts and power slopes, the p(r) and log-amplitude of
+    every node of its panels (a NodeCache) and of every tail-search probe,
+    so that a new eta costs one reduction over known nodes, plus the nodes
+    of panels that fail the error test or are clipped by a moved cutoff.
     """
-    ln_val = _closed_form_log(seg, u, v, p, n, eta)
-    if ln_val is not None:
-        if ln_val == _INF:
-            return _INF, True
-        try:
-            return math.exp(ln_val), False
-        except OverflowError:
+
+    def __init__(self, seg: Segment, u: float, v: float, p: RadialExponent,
+                 n: int, rel_tol: float):
+        self.closed = _closed_form_log(seg, u, v, p, n)
+        if self.closed is not None:
+            return
+        self.seg, self.u, self.v, self.p, self.n, self.rel_tol = seg, u, v, p, n, rel_tol
+        # an exponent infinite at a singular end gives no power slope there
+        a0, a_inf = seg.exponent_limits()
+        self.slope_at_0 = self.slope_at_inf = None
+        # divergent whatever eta is; divergent once eta is at most tail_coef
+        self.diverges = False
+        self.tail_coef = None
+        if math.isinf(v):
+            if math.isfinite(p.p_infty):
+                self.slope_at_inf = n - 1 + a_inf * p.p_infty
+            elif a_inf > _quad.DIV_TOL:
+                self.diverges = True
+            elif abs(a_inf) <= _quad.DIV_TOL:
+                self.tail_coef = seg.coef_limits()[1]
+        if u == 0.0:
+            if math.isfinite(p.p_zero):
+                self.slope_at_0 = n - 1 + a0 * p.p_zero
+            elif a0 < -_quad.DIV_TOL:
+                self.diverges = True
+        self.breaks = set(seg.discontinuities()) | set(p.discontinuities())
+        # p(r) * 0 is NaN where p is infinite; a finite p skips that case
+        self.finite_p = math.isfinite(p.range_on(u, v)[1])
+        self.nodes = _quad.NodeCache(self._node_data)
+        self.probes: dict[float, tuple[float, float]] = {}
+
+    def _node_data(self, s):
+        return self.p(_quad.radius(s)), self.seg.log_amplitude_s(s)
+
+    def _probe(self, s: float) -> tuple[float, float]:
+        if s not in self.probes:
+            self.probes[s] = self._node_data(s)
+        return self.probes[s]
+
+    def log_value(self, eta: float, ln_eta: float) -> tuple[float, bool]:
+        """(ln of the piece modular of g/eta, eta_independent), where the
+        flag marks divergence that no choice of eta can repair (a power
+        tail at or past the critical slope)."""
+        if self.closed is not None:
+            ln_val, p_val = self.closed
+            if ln_val == _INF:
+                return _INF, True
+            return ln_val - p_val * ln_eta, False
+        if self.tail_coef is not None and self.tail_coef >= eta * (1 - 1e-12):
             return _INF, False
-
-    ln_eta = math.log(eta)
-
-    def log_integrand(s):
-        r = math.exp(s) if s < 700 else _INF
-        pv = p(r)
-        la = seg.log_amplitude_s(s) - ln_eta
-        if math.isinf(pv):
-            if la < 0:
-                return -_INF
-            if la == 0:
-                return n * s
-            return _INF
-        return n * s + pv * la
-
-    # an exponent infinite at a singular end gives no power slope there
-    a0, a_inf = seg.exponent_limits()
-    slope_at_0 = slope_at_inf = None
-    if math.isinf(v):
-        if math.isfinite(p.p_infty):
-            slope_at_inf = n - 1 + a_inf * p.p_infty
-        elif a_inf > _quad.DIV_TOL:
+        if self.diverges:
             return _INF, True
-        elif abs(a_inf) <= _quad.DIV_TOL and seg.coef_limits()[1] >= eta * (1 - 1e-12):
-            return _INF, False
-    if u == 0.0:
-        if math.isfinite(p.p_zero):
-            slope_at_0 = n - 1 + a0 * p.p_zero
-        elif a0 < -_quad.DIV_TOL:
-            return _INF, True
+        n = self.n
 
-    breaks = set(seg.discontinuities())
-    breaks.update(p.discontinuities())
-    res = _quad.radial_integral(log_integrand, u, v, slope_at_0, slope_at_inf,
-                                breaks, rel_tol)
-    if res.divergence is not None:
-        return _INF, res.divergence == "power"
-    return res.value, False
+        def log_integrand(s, pv=None, la=None):
+            if pv is None:
+                pv, la = self._probe(s)
+            elif self.finite_p:
+                return n * s + pv * (la - ln_eta)
+            return _log_power(n * s, pv, la - ln_eta)
+
+        res = _quad.radial_integral(log_integrand, self.u, self.v, self.slope_at_0,
+                                    self.slope_at_inf, self.breaks, self.rel_tol,
+                                    self.nodes)
+        if res.divergence is not None:
+            return _INF, res.divergence == "power"
+        return res.log_value, False
+
+
+def _log_sum(logs: list[float], sigma: float) -> tuple[float | None, float | None]:
+    """sigma * sum of e^l over the logs: (that sum, None) when every l is
+    within +-_LN_RANGE and the float sum is finite, (None, its ln)
+    otherwise.  Modulars in the float range are then bit-identical to a
+    float sum of their pieces, and the rest neither saturate nor flush."""
+    top = max(logs)
+    if top <= _LN_RANGE and min(logs) >= -_LN_RANGE:
+        m = sigma * math.fsum(map(math.exp, logs))
+        if m < _INF:
+            return m, None
+    if top == -_INF:
+        return 0.0, None
+    return None, math.log(sigma) + top + math.log(math.fsum([math.exp(x - top) for x in logs]))
+
+
+def _exp(x: float) -> float:
+    try:
+        return math.exp(x)
+    except OverflowError:
+        return _INF
 
 
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
             n: int, rel_tol: float = 1e-9) -> float:
     """F_p(g * chi_region); may be +inf, never raises on divergence."""
-    return _modular_scaled(g, p, region, n, 1.0, rel_tol)[0]
+    return _modular_scaled(g, p, region, n, 1.0, rel_tol).value
 
 
-def _modular_scaled(g, p, region, n, eta, rel_tol):
-    sigma = sphere_area(n)
-    total = []
-    for seg, u, v in g.pieces_in(region):
-        val, indep = _piece_modular(seg, u, v, p, n, eta, rel_tol)
-        if math.isinf(val):
-            return _INF, indep
-        total.append(val)
-    return sigma * math.fsum(total), False
+class _ModularValue(NamedTuple):
+    value: float
+    eta_independent: bool
+    log_value: float
+
+
+def _modular_scaled(g, p, region, n, eta, rel_tol, pieces=None) -> _ModularValue:
+    """F_p(g/eta) on the region, whether its divergence is eta-independent,
+    and ln F.  pieces are the _Piece objects of (g, p, region, n) from an
+    earlier call, whose nodes are then reused."""
+    if pieces is None:
+        pieces = [_Piece(seg, u, v, p, n, rel_tol) for seg, u, v in g.pieces_in(region)]
+    ln_eta = math.log(eta)
+    logs = []
+    for piece in pieces:
+        ln_val, indep = piece.log_value(eta, ln_eta)
+        if ln_val == _INF:
+            return _ModularValue(_INF, indep, _INF)
+        logs.append(ln_val)
+    if not logs:
+        return _ModularValue(0.0, False, -_INF)
+    m, ln_m = _log_sum(logs, sphere_area(n))
+    if m is None:
+        return _ModularValue(_exp(ln_m), False, ln_m)
+    return _ModularValue(m, False, math.log(m) if m > 0.0 else -_INF)
 
 
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
@@ -466,15 +547,18 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     h(x) = ln F_p(g/e^x), decreasing and convex in x = ln eta, is
     bracketed from eta = 1 and refined by secant steps until the bracket is
     one certificate width wide: the returned eta has F_p(g/eta) <= 1 and
-    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).
+    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).  All
+    trials share one set of pieces, so each quadrature node is evaluated
+    once per norm.
     """
-    pieces = list(g.pieces_in(region))
-    if not pieces:
+    clipped = list(g.pieces_in(region))
+    if not clipped:
         return 0.0
 
     if p.is_constant and math.isfinite(p.p_zero):
-        return _constant_p_norm(pieces, p, n, rel_tol)
+        return _constant_p_norm(clipped, p, n, rel_tol)
 
+    pieces = [_Piece(seg, u, v, p, n, rel_tol) for seg, u, v in clipped]
     evals = 0
 
     def h(x):
@@ -482,10 +566,10 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
         evals += 1
         if evals > max_iter:
             raise BracketError("norm root-find exceeded the iteration cap")
-        val, indep = _modular_scaled(g, p, region, n, math.exp(x), rel_tol)
-        if indep:
+        res = _modular_scaled(g, p, region, n, math.exp(x), rel_tol, pieces)
+        if res.eta_independent:
             raise _EtaIndependent
-        return math.log(val) if val > 0.0 else -_INF
+        return res.log_value
 
     try:
         return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0]))
@@ -496,34 +580,25 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 def _constant_p_norm(pieces, p, n, rel_tol):
     """F_p(g)^(1/p) for a constant finite p, from the clipped pieces of g.
 
-    The piece modulars are summed as floats while every closed-form one is
-    within e^(+-_LN_RANGE), and from their logs otherwise, so that norms far
-    outside the float range neither saturate nor flush to 0.
+    The piece modulars are summed as floats while every one is within
+    e^(+-_LN_RANGE), and from their logs otherwise (_log_sum), so that
+    norms far outside the float range neither saturate nor flush to 0.
     """
-    vals, logs = [], []
+    logs = []
     for seg, u, v in pieces:
-        ln_val = _closed_form_log(seg, u, v, p, n, 1.0)
-        if ln_val is None:
-            val = _piece_modular(seg, u, v, p, n, 1.0, rel_tol)[0]
-            ln_val = math.log(val) if val > 0.0 else -_INF
+        closed = _closed_form_log(seg, u, v, p, n)
+        if closed is None:
+            ln_val = _Piece(seg, u, v, p, n, rel_tol).log_value(1.0, 0.0)[0]
         else:
-            val = math.exp(ln_val) if abs(ln_val) <= _LN_RANGE else None
+            ln_val = closed[0]
         if ln_val == _INF:
             return _INF
-        vals.append(val)
         logs.append(ln_val)
-    pbar = p(1.0)
-    sigma = sphere_area(n)
-    if None not in vals:
-        m = sigma * math.fsum(vals)
-        if m < _INF:
-            return m ** (1.0 / pbar) if m > 0.0 else 0.0
-    top = max(logs)
-    ln_m = math.log(sigma) + top + math.log(math.fsum(math.exp(x - top) for x in logs))
-    try:
-        return math.exp(ln_m / pbar)
-    except OverflowError:
-        return _INF
+    m, ln_m = _log_sum(logs, sphere_area(n))
+    pbar = p.p_zero
+    if m is not None:
+        return m ** (1.0 / pbar) if m > 0.0 else 0.0
+    return _exp(ln_m / pbar)
 
 
 def _log_root(h, p_minus):

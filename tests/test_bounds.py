@@ -17,7 +17,7 @@ from hausnorm.bounds import (
     slot_region_values,
 )
 from hausnorm.config import load_config
-from hausnorm.exponents import Constant, LogInterp
+from hausnorm.exponents import Constant, LogInterp, pullback_exponent
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
 from hausnorm.matrices import PowerMap, ScalarDilation
 
@@ -83,6 +83,23 @@ class TestLebesgueConstants:
         cfg = BoundConfig(hardy_op, (SlotParams(q=LogInterp(2.0, 3.0)),))
         with pytest.raises(HypothesisError):
             evaluate_constant(cfg, "C2")
+
+    def test_pullback_witness_is_the_first_failure(self):
+        # kernel radii 1e-6 ... 1 and |x| = 1e-6 ... 1e6, as the check samples them
+        q = LogInterp(2.0, 3.0)
+        op = from_multilinear_hardy_cesaro(PowerMap(1.0, 0.0), [PowerMap(1.0, 1.0)])
+        cfg = BoundConfig(op, (SlotParams(q=q),))
+        fam, k = op.families[0], op.kernel
+        lo = k.r_lo if k.r_lo > 0 else k.r_hi * 1e-6
+        ts = [lo * (k.r_hi / lo) ** (i / 8.0) for i in range(9)]
+        radii = [10.0 ** (-6 + 12 * i / 40) for i in range(41)]
+        t, r = next(
+            (t, r) for t in ts for r in radii
+            if pullback_exponent(q, fam, t)(r) > q(r) * (1 + 1e-12)
+        )
+        with pytest.raises(HypothesisError) as err:
+            evaluate_constant(cfg, "C2")
+        assert f"t={t:.4g}, |x|={r:.4g}" in str(err.value)
 
 
 class TestHerzMorreyConstants:

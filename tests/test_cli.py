@@ -211,6 +211,12 @@ class TestConfigRoundTrip:
 
 
 class TestSubprocessEntry:
+    def test_import_leaves_scipy_out(self):
+        # scipy is a test-only dependency; importing the CLI must not load it
+        code = "import hausnorm, hausnorm.cli, sys; assert 'scipy' not in sys.modules"
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+
     def test_module_invocation(self):
         proc = run_cli("constants", "--config", str(FIXTURES / "hardy_p2.json"), "--which", "C9")
         assert proc.returncode == 0

@@ -1,15 +1,23 @@
 import math
 
+import numpy as np
 import pytest
 
 from hausnorm.exponents import (
+    _CHECK_RADII,
+    RECIP_ZERO_TOL,
     Constant,
     ExponentDomainError,
+    HarmonicSum,
     Infinite,
     LogInterp,
     PiecewiseRadial,
+    PointwiseSum,
     PowerWeight,
+    ReciprocalDifference,
     ReciprocalSignError,
+    Rescaled,
+    ScaledBy,
     UnsupportedFamilyError,
     ball_measure,
     combine_reciprocal,
@@ -45,6 +53,57 @@ class TestEval:
         p = LogInterp(3.0, 2.0)
         for r in [0.0, 0.3, 1.0, 7.0, 1e6]:
             assert p.p_minus <= eval_exponent(p, r) <= p.p_plus
+
+
+ARRAY_RADII = np.array([[0.0, 1e-9, 0.3, 0.5], [1.0, 2.0, 7.0, 1e6], [1e12, 1e300, 3.5, math.inf]])
+
+
+def every_exponent_type():
+    q = LogInterp(3.0, 2.0)
+    fam = ScalarDilation(PowerMap(1.0, 1.0), 1)
+    return [
+        Constant(2.5),
+        q,
+        PiecewiseRadial((0.5, 2.0), (3.0, 1.5, 2.5)),
+        Rescaled(q, 0.25),
+        ScaledBy(q, 1.5),
+        HarmonicSum((q, LogInterp(4.0, 3.5))),
+        PointwiseSum((LogInterp(0.5, 0.1, signed=True), Constant(0.2, signed=True))),
+        Infinite(),
+        difference_reciprocal(pullback_exponent(q, fam, 0.5), q, 1.0),
+    ]
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("p", every_exponent_type(), ids=lambda p: type(p).__name__)
+    def test_array_matches_scalar_calls(self, p):
+        got = p(ARRAY_RADII)
+        assert isinstance(got, np.ndarray) and got.shape == ARRAY_RADII.shape
+        for r, g in zip(ARRAY_RADII.ravel().tolist(), got.ravel().tolist()):
+            want = p(r)
+            assert type(want) is float
+            if math.isinf(want):
+                assert g == want
+            else:
+                assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_reciprocal_difference_is_infinite_where_the_difference_vanishes(self):
+        p = every_exponent_type()[-1]
+        assert isinstance(p, ReciprocalDifference)
+        assert p(ARRAY_RADII)[0, 0] == math.inf == p(0.0)
+
+    def test_sign_check_reports_the_first_failing_radius(self):
+        # q increases, so the pullback by a shrinking dilation exceeds it
+        q = LogInterp(2.0, 3.0)
+        pulled = pullback_exponent(q, ScalarDilation(PowerMap(1.0, 1.0), 1), 0.5)
+        first = next(
+            r for r in (0.0,) + _CHECK_RADII
+            if 1.0 / pulled(r) - 1.0 / q(r) < -RECIP_ZERO_TOL
+        )
+        with pytest.raises(ReciprocalSignError) as err:
+            ReciprocalDifference(pulled, q, 1.0)
+        assert err.value.radius == first
+        assert err.value.value == 1.0 / pulled(first) - 1.0 / q(first)
 
 
 class TestRange:

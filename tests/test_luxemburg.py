@@ -305,6 +305,18 @@ class TestConstantExponentRange:
     def test_overflowing_modular_is_inf(self):
         assert modular(CHI_UNIT.scaled(1e150), Constant(3.0), Region.all(), 1) == math.inf
 
+    def test_overflowing_variable_exponent_modular_is_inf(self):
+        # (1e150)^p(r) with p >= 2.76 on [0, 1] is past the float range
+        assert modular(CHI_UNIT.scaled(1e150), LogInterp(3.0, 2.0), Region.all(), 1) == math.inf
+
+    @pytest.mark.parametrize("c", [1e-200, 1e-150, 1e150, 1e200])
+    def test_quadrature_piece_homogeneity(self, c):
+        # a variable pow2 factor puts the piece on the quadrature path
+        g = CHI_UNIT.times_pow2(1.0, LogInterp(0.6, 0.2, signed=True))
+        base = luxemburg_norm(g, Constant(3.0), Region.all(), 1)
+        scaled = luxemburg_norm(g.scaled(c), Constant(3.0), Region.all(), 1)
+        assert scaled / c == pytest.approx(base, rel=1e-12)
+
     def test_in_range_norm_is_the_modular_root(self):
         # within float range the pieces are summed as plain floats, bit for bit
         rng = seeded(29)

@@ -1,0 +1,150 @@
+"""The quadrature path against independent 30-digit mpmath integrals.
+
+Each case is integrated once more by mpmath's tanh-sinh rule, with the
+exponents re-evaluated in mpmath arithmetic.  The package's value must
+agree to 1e-9 relative, and the |G - K| estimate that quad_s returns must
+be at least the true error.
+"""
+
+import math
+from bisect import bisect_right
+
+import mpmath
+import numpy as np
+import pytest
+from mpmath import mp
+
+from hausnorm import _quad
+from hausnorm.exponents import (
+    RECIP_ZERO_TOL,
+    LogInterp,
+    PiecewiseRadial,
+    ReciprocalDifference,
+    Rescaled,
+)
+from hausnorm.luxemburg import (
+    ExponentExpr,
+    ExprTerm,
+    PiecewisePowerFunction,
+    Region,
+    Segment,
+    modular,
+)
+
+from test_luxemburg import c1_residual
+
+REL = 1e-9
+# the edges of mpmath's subintervals in s = ln r, dense where the C1
+# integrands peak and reaching past their tail cutoffs
+S_EDGES = [-80, -40, -20, -10, -5, -2, -1, 0, 1, 2, 5, 10, 20, 30, 40, 50, 70, 100, 150,
+           250, 400]
+
+
+def mp_exponent(p, r):
+    """p(r) in mpmath arithmetic, for the exponent types used below."""
+    if isinstance(p, LogInterp):
+        return p.p_inf + (p.p0 - p.p_inf) / mp.log(mp.e + r)
+    if isinstance(p, Rescaled):
+        return mp_exponent(p.base, p.scale * r)
+    if isinstance(p, PiecewiseRadial):
+        return mp.mpf(p.values[bisect_right(p.breaks, float(r))])
+    if isinstance(p, ReciprocalDifference):
+        d = 1 / mp_exponent(p.a, r) - 1 / (p.zeta * mp_exponent(p.b, r))
+        return mp.inf if d <= RECIP_ZERO_TOL else 1 / d
+    raise TypeError(p)
+
+
+def mp_modular(seg, p, eta, s_edges):
+    """2 * integral of (seg(r)/eta)^p(r) dr (the n = 1 modular) over the
+    segment, in s = ln r, split at s_edges."""
+    lo = -mp.inf if seg.r_lo == 0.0 else mp.log(seg.r_lo)
+    hi = mp.inf if math.isinf(seg.r_hi) else mp.log(seg.r_hi)
+    edges = [lo] + [mp.mpf(s) for s in s_edges if lo < s < hi] + [hi]
+
+    def integrand(s):
+        r = mp.exp(s)
+        expo = seg.expr.const + sum(
+            t.coef / mp_exponent(t.fn, r) if t.reciprocal else t.coef * mp_exponent(t.fn, r)
+            for t in seg.expr.terms
+        )
+        ln_g = mp.log(seg.coef) + expo * s - mp.log(eta)
+        pv = mp_exponent(p, r)
+        if mp.isinf(pv):
+            return mp.mpf(0) if ln_g < 0 else mp.inf
+        return mp.exp(s + pv * ln_g)
+
+    value, error = mp.quad(integrand, edges, error=True)
+    # the oracle's own error estimate is far inside the tolerance
+    assert error <= 1e-15 * value
+    return 2 * value
+
+
+@pytest.fixture
+def dps30():
+    with mp.workdps(30):
+        yield
+
+
+@pytest.fixture
+def last_quad(monkeypatch):
+    """The (ln value, ln error) of every quad_s call."""
+    calls = []
+    inner = _quad.quad_s
+
+    def recorded(*args):
+        out = inner(*args)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(_quad, "quad_s", recorded)
+    return calls
+
+
+def check(got, want, quad_calls, sigma=2.0):
+    """got within REL of want, and the error estimate of the one quadrature
+    behind got at least the true error."""
+    assert got == pytest.approx(float(want), rel=REL)
+    assert len(quad_calls) == 1
+    ln_value, ln_error = quad_calls[0]
+    assert sigma * math.exp(ln_value) == got
+    assert abs(mpmath.mpf(got) - want) <= sigma * math.exp(ln_error)
+
+
+class TestModularOracle:
+    # two eta on either side of each norm of 1 (1.187, 1.055 and 1.004)
+    @pytest.mark.parametrize("t, eta", [(0.05, 1.15), (0.05, 1.25), (0.5, 1.03), (0.5, 1.08),
+                                        (0.95, 1.003), (0.95, 1.01)])
+    def test_c1_residual(self, dps30, last_quad, t, eta):
+        p = c1_residual(t)
+        one = PiecewisePowerFunction.one()
+        got = modular(one.scaled(1.0 / eta), p, Region.all(), 1)
+        want = mp_modular(one.segments[0], p, mp.mpf(eta), S_EDGES)
+        check(got, want, last_quad)
+
+    def test_step_exponent_with_breaks(self, dps30, last_quad):
+        p = PiecewiseRadial((0.5, 2.0), (3.0, 1.5, 2.5))
+        seg = Segment(0.1, 8.0, 1.3, ExponentExpr(0.4))
+        got = modular(PiecewisePowerFunction((seg,)), p, Region.all(), 1)
+        # the mpmath subintervals end at the steps
+        want = mp_modular(seg, p, mp.mpf(1), [math.log(0.5), math.log(2.0)])
+        check(got, want, last_quad)
+
+    def test_reciprocal_term_segment(self, dps30, last_quad):
+        # 0.8 r^(0.2 - 1/q(r)) on [0, 4) against p = q = LogInterp(3, 2)
+        q = LogInterp(3.0, 2.0)
+        g = PiecewisePowerFunction.power_with_terms(
+            0.8, 0.2, [ExprTerm(-1.0, q, reciprocal=True)], 0.0, 4.0
+        )
+        got = modular(g, q, Region.all(), 1)
+        want = mp_modular(g.segments[0], q, mp.mpf(1), S_EDGES)
+        check(got, want, last_quad)
+
+
+def test_radial_integral_with_both_tails_searched(dps30, last_quad):
+    # integral of r^0.5 e^(-r - 1/r) dr over (0, inf): both slopes unknown
+    res = _quad.radial_integral(lambda s: 1.5 * s - np.exp(s) - np.exp(-s), 0.0, math.inf)
+    assert res.divergence is None
+    assert math.isfinite(res.s_lo) and math.isfinite(res.s_hi)
+    want = mp.quad(lambda r: mp.sqrt(r) * mp.exp(-r - 1 / r), [0, 1, 10, mp.inf])
+    check(res.value, want, last_quad, sigma=1.0)
+    assert (res.log_value, res.log_error) == last_quad[0]

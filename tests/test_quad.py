@@ -9,7 +9,8 @@ from conftest import seeded
 
 
 def power_log_integrand(coef, beta):
-    """ln of coef * r**beta * r at r = e^s: the power integrand in log-radius."""
+    """ln of coef * r**beta * r at r = e^s: the power integrand in log-radius,
+    for a float s or an array of nodes."""
     return lambda s: math.log(coef) + (beta + 1.0) * s
 
 
@@ -28,7 +29,7 @@ class TestRadialIntegral:
     def test_both_ends_singular(self):
         # r^0.5 below r = 1 and r^-3 above it: integral 1/1.5 + 1/2
         def log_integrand(s):
-            return (1.5 if s < 0.0 else -2.0) * s
+            return np.where(s < 0.0, 1.5, -2.0) * s
 
         res = radial_integral(log_integrand, 0.0, math.inf, 0.5, -3.0, breaks=(1.0,))
         assert res.divergence is None
@@ -48,22 +49,30 @@ class TestRadialIntegral:
 
     def test_unknown_slopes_search_both_tails(self):
         # integral of r e^-r dr over (0, inf) is Gamma(2) = 1
-        res = radial_integral(lambda s: 2.0 * s - math.exp(s), 0.0, math.inf)
+        res = radial_integral(lambda s: 2.0 * s - np.exp(s), 0.0, math.inf)
         assert res.divergence is None
         assert math.isfinite(res.s_lo) and math.isfinite(res.s_hi)
         assert res.value == pytest.approx(1.0, rel=1e-9)
 
     def test_unknown_slope_without_decay_is_a_cutoff_divergence(self):
-        res = radial_integral(lambda s: 0.0, 1.0, math.inf)
+        res = radial_integral(lambda s: 0.0 * s, 1.0, math.inf)
         assert res.divergence == "cutoff"
         assert res.value == math.inf
+
+    def test_narrow_peak_is_refined(self):
+        # a Gaussian of width 1e-2 in s, far narrower than its panel-grid cell
+        w = 1e-2
+        res = radial_integral(lambda s: -(((s - 0.3) / w) ** 2), 0.1, 100.0)
+        exact = math.sqrt(math.pi) * w
+        assert res.value == pytest.approx(exact, rel=1e-9)
+        assert abs(res.value - exact) <= math.exp(res.log_error)
 
     def test_breaks_honoured_for_step(self):
         # 1 on the narrow window [2, 2.0001] of [1, 1e6], 0 elsewhere
         lo_w, hi_w = math.log(2.0), math.log(2.0001)
 
         def log_integrand(s):
-            return 0.0 if lo_w <= s < hi_w else -math.inf
+            return np.where((lo_w <= s) & (s < hi_w), 0.0, -math.inf)
 
         res = radial_integral(log_integrand, 1.0, 1e6, breaks=(2.0, 2.0001))
         assert res.value == pytest.approx(hi_w - lo_w, rel=1e-9)
