@@ -27,6 +27,7 @@ from .luxemburg import (
 )
 from .matrices import (
     DiagonalEqualModulus,
+    Dilation,
     OrthogonalTimesScalar,
     PowerMap,
     ScalarDilation,

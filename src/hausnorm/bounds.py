@@ -28,7 +28,7 @@ from .exponents import (
 )
 from .hausdorff import OperatorSpec
 from .luxemburg import Region, norm_of_one
-from .matrices import family_power_data as _family_power_data, theta_star
+from .matrices import theta_star
 
 __all__ = [
     "SlotParams",
@@ -194,13 +194,23 @@ class NodeFactor:
 
 
 def _inv_norm_piece(fam):
-    c, a = _family_power_data(fam)
-    return math.sqrt(fam.n) / c, -a
+    return math.sqrt(fam.n) / abs(fam.s.c), -fam.s.a
 
 
 def _norm_piece(fam):
-    c, a = _family_power_data(fam)
-    return math.sqrt(fam.n) * c, a
+    return math.sqrt(fam.n) * abs(fam.s.c), fam.s.a
+
+
+def _inv_norm_powers(cfg: BoundConfig, exps_fn, check=None):
+    """One factor ||A_i(t)^-1||^e_i per slot, with e_i = exps_fn(slot_i)."""
+    factors = []
+    for slot, fam in zip(cfg.slots, cfg.operator.families):
+        if check:
+            check(slot)
+        ic, ie = _inv_norm_piece(fam)
+        e = exps_fn(slot)
+        factors.append(_power_factor(ic ** e, ie * e, "inv-norm"))
+    return factors, []
 
 
 def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
@@ -209,7 +219,7 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
     The pair max(||A||^-g, ||A^-1||^g) shares the radius power, so only the
     determinant max needs a split.
     """
-    c, a = _family_power_data(fam)
+    c, a = abs(fam.s.c), fam.s.a
     n = fam.n
     weight_coef = n ** (abs(gamma) / 2.0) * c ** (-gamma)
     weight_expo = -a * gamma
@@ -596,30 +606,20 @@ def constparam_constants(cfg: BoundConfig, rel_tol: float | None = None,
         _require(slot.q.is_constant, "constant integrability exponents")
         _require(slot.alpha.is_constant, "constant smoothness indices")
 
-    def powers_of(exps_fn, check=None):
-        factors = []
-        for slot, fam in zip(cfg.slots, cfg.operator.families):
-            if check:
-                check(slot)
-            ic, ie = _inv_norm_piece(fam)
-            e = exps_fn(slot)
-            factors.append(_power_factor(ic ** e, ie * e, "inv-norm"))
-        return factors, []
-
     def build_c9():
         factors = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
-            c, a = _family_power_data(fam)
+            c, a = abs(fam.s.c), fam.s.a
             e = -(slot.alpha(1.0) + n / slot.p)
             factors.append(_power_factor(c ** e, a * e, "dilation-scale"))
         return factors, []
 
     builders = {
-        "C7": lambda: powers_of(
-            lambda s: -s.lam + s.alpha(1.0) + (n + s.gamma) / s.q(1.0),
+        "C7": lambda: _inv_norm_powers(
+            cfg, lambda s: -s.lam + s.alpha(1.0) + (n + s.gamma) / s.q(1.0),
             check=lambda s: _require(s.lam >= 0, "lam_i >= 0"),
         ),
-        "C8": lambda: powers_of(lambda s: s.alpha(1.0) + (n + s.gamma) / s.q(1.0)),
+        "C8": lambda: _inv_norm_powers(cfg, lambda s: s.alpha(1.0) + (n + s.gamma) / s.q(1.0)),
         "C9": build_c9,
     }
     return _run_builders(cfg, builders, which, rel_tol)
@@ -648,20 +648,12 @@ def central_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 nodes.append(node)
         return factors, nodes
 
-    def powers_of(exps_fn):
-        factors = []
-        for slot, fam in zip(cfg.slots, cfg.operator.families):
-            ic, ie = _inv_norm_piece(fam)
-            e = exps_fn(slot)
-            factors.append(_power_factor(ic ** e, ie * e, "inv-norm"))
-        return factors, []
-
     builders = {
         "C10": build_c10,
-        "C11": lambda: powers_of(
-            lambda s: s.alpha(1.0) - s.gamma / s.q.p_infty - s.lam * (n + s.gamma)
+        "C11": lambda: _inv_norm_powers(
+            cfg, lambda s: s.alpha(1.0) - s.gamma / s.q.p_infty - s.lam * (n + s.gamma)
         ),
-        "C12": lambda: powers_of(lambda s: -(n + s.gamma) * s.lam),
+        "C12": lambda: _inv_norm_powers(cfg, lambda s: -(n + s.gamma) * s.lam),
     }
     return _run_builders(cfg, builders, which, rel_tol)
 

@@ -168,7 +168,6 @@ def _invariant_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 def cmd_verify(cfg: ExperimentConfig, args) -> int:
     st = cfg.settings
     seed = args.seed if args.seed is not None else st.seed
-    workers = args.workers if args.workers else st.workers
 
     if args.suite == "invariants":
         checks = _invariant_checks(cfg)
@@ -182,7 +181,6 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         try:
             suite = upper_bound_suite(
                 cfg.operator(), bc, cid, args.n or st.n_samples, seed,
-                workers=workers,
                 k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
                 grid_octaves=st.grid_octaves,
                 points_per_octave=st.points_per_octave,
@@ -255,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output path (.csv for CSV)")
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--rel-tol", type=float, default=None, dest="rel_tol")
-        p.add_argument("--workers", type=int, default=None)
+        p.add_argument("--workers", type=int, default=None,
+                       help="accepted for compatibility; suites run serially")
 
     p = sub.add_parser("norm", help="norm of the configured function")
     common(p)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Any
 
+import numpy as np
+
 from .bounds import BoundConfig, SlotParams
 from .exponents import (
     Constant,
@@ -22,13 +24,7 @@ from .exponents import (
 )
 from .hausdorff import OperatorSpec, RadialKernel
 from .luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
-from .matrices import (
-    DiagonalEqualModulus,
-    MatrixFamily,
-    OrthogonalTimesScalar,
-    PowerMap,
-    ScalarDilation,
-)
+from .matrices import Dilation, PowerMap
 from .spaces import SPACE_KINDS, SpaceSpec
 
 __all__ = [
@@ -61,7 +57,7 @@ class QuadratureSettings:
     eps_list: tuple[float, ...] = (0.1, 0.03, 0.01)
     seed: int = 42
     n_samples: int = 100
-    workers: int = 1
+    workers: int = 1  # accepted and round-tripped; suites run serially
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadratureSettings":
@@ -133,32 +129,38 @@ def _power_map_from_json(obj: dict) -> PowerMap:
     return PowerMap(float(obj["c"]), float(obj["a"]))
 
 
-def family_from_json(obj: dict, n: int) -> MatrixFamily:
+def family_from_json(obj: dict, n: int) -> Dilation:
+    """One Dilation A(t) = s(t) Q; the type says how Q is given: the
+    identity (scalar_dilation), diag(signs) (diag_equal) or q_matrix
+    (orth_scalar)."""
     try:
         kind = obj["type"]
         if kind == "scalar_dilation":
-            return ScalarDilation(_power_map_from_json(obj["s"]), n)
-        if kind == "diag_equal":
-            return DiagonalEqualModulus(
-                _power_map_from_json(obj["s"]), tuple(int(x) for x in obj["signs"])
-            )
-        if kind == "orth_scalar":
-            return OrthogonalTimesScalar(
-                tuple(tuple(float(x) for x in row) for row in obj["q_matrix"]),
-                _power_map_from_json(obj["s"]),
-            )
+            q = None
+        elif kind == "diag_equal":
+            q = np.diag([int(x) for x in obj["signs"]])
+        elif kind == "orth_scalar":
+            q = obj["q_matrix"]
+        else:
+            raise ConfigError(f"unknown family type {kind!r}")
+        s = _power_map_from_json(obj["s"])
+        fam = Dilation(s, n if q is None else len(q), q)
+    except ConfigError:
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad family fragment {obj!r}: {exc}") from exc
-    raise ConfigError(f"unknown family type {obj.get('type')!r}")
+    if not (s.c != 0.0 and math.isfinite(s.c) and math.isfinite(s.a)):
+        raise ConfigError(f"family map s(t) = {s.c} t^{s.a} needs finite c != 0 and finite a")
+    if fam.n != n:
+        raise ConfigError(f"family dimension {fam.n} does not match n = {n}")
+    return fam
 
 
-def family_to_json(fam: MatrixFamily) -> dict:
-    s = {"c": fam.s.c, "a": fam.s.a}
-    if isinstance(fam, ScalarDilation):
-        return {"type": "scalar_dilation", "s": s}
-    if isinstance(fam, DiagonalEqualModulus):
-        return {"type": "diag_equal", "s": s, "signs": list(fam.signs)}
-    return {"type": "orth_scalar", "s": s, "q_matrix": [list(r) for r in fam.q_matrix]}
+def family_to_json(fam: Dilation) -> dict:
+    out = {"type": "scalar_dilation", "s": {"c": fam.s.c, "a": fam.s.a}}
+    if fam.q is not None:
+        out.update(type="orth_scalar", q_matrix=[list(r) for r in fam.q])
+    return out
 
 
 def kernel_from_json(obj: dict) -> RadialKernel:
@@ -241,7 +243,7 @@ class ExperimentConfig:
     n: int
     m: int
     kernel: RadialKernel
-    families: tuple[MatrixFamily, ...]
+    families: tuple[Dilation, ...]
     slots: tuple[SlotParams, ...]
     zeta: float = 1.0
     space_kind: str = "lebesgue"
@@ -329,6 +331,9 @@ class ExperimentConfig:
                 )
                 for s in obj["slots"]
             )
+            if len(families) != m or len(slots) != m:
+                raise ConfigError("families and slots must both have m entries")
+            OperatorSpec(n, m, kernel, families)  # dimension and kernel couplings
         except ConfigError:
             raise
         except (KeyError, TypeError, ValueError) as exc:
@@ -336,8 +341,6 @@ class ExperimentConfig:
         space_kind = obj.get("space_kind", "lebesgue")
         if space_kind not in SPACE_KINDS:
             raise ConfigError(f"unknown space kind {space_kind!r}")
-        if len(families) != m or len(slots) != m:
-            raise ConfigError("families and slots must both have m entries")
         cfg = cls(
             n=n, m=m, kernel=kernel, families=families, slots=slots,
             zeta=float(obj.get("zeta", 1.0)),

@@ -15,6 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .matrices import Dilation
+
 __all__ = [
     "RadialExponent",
     "Constant",
@@ -624,13 +626,13 @@ def difference_reciprocal(a: RadialExponent, b: RadialExponent, zeta: float) -> 
     return out
 
 
-def pullback_exponent(q: RadialExponent, family, t_radius: float) -> RadialExponent:
+def pullback_exponent(q: RadialExponent, family: Dilation, t_radius: float) -> RadialExponent:
     """The exponent x -> q(A(t)^{-1} x) for a radially dilating family.
 
-    Supported families expose radial_isometry == True and a scale map with
-    |A(t) x| = scale * |x|, so the pullback sees radius |x| / scale.
+    A Dilation has |A(t) x| = scale * |x|, so the pullback sees radius
+    |x| / scale.
     """
-    if not getattr(family, "radial_isometry", False):
+    if not isinstance(family, Dilation):
         raise UnsupportedFamilyError(
             f"family {family!r} does not act by radial dilation"
         )

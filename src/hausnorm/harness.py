@@ -2,16 +2,14 @@
 
 The extremal families are the near-maximizing power functions with the
 structured exponents that drive the necessity arguments; each is verified
-to have a finite nonzero source norm on construction.  Suites are fully
-deterministic from their seed, and the parallel path collects results in
-submission order so worker count never changes the output.
+to have a finite nonzero source norm on construction.  Suites run
+serially and are fully deterministic from their seed.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -19,7 +17,7 @@ from .bounds import BoundConfig, HypothesisError, evaluate_constant
 from .exponents import Constant, scale_exponent
 from .hausdorff import OperatorSpec, operator_ratio
 from .luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
-from .matrices import ScalarDilation, frobenius_norm, inverse_stats
+from .matrices import rho_bound
 from .spaces import SpaceSpec, space_norm
 
 __all__ = [
@@ -54,17 +52,10 @@ class ExtremalError(ValueError):
     of the admissible range)."""
 
 
-def _rho_cutoff(cfg: BoundConfig) -> float:
-    k = cfg.operator.kernel
+def _rho_samples(k) -> list[float]:
     lo = k.r_lo if k.r_lo > 0 else (k.r_hi / 16 if math.isfinite(k.r_hi) else 1e-3)
     hi = k.r_hi if math.isfinite(k.r_hi) else lo * 16
-    ts = [lo * (hi / lo) ** (i / (_RHO_SAMPLES - 1)) for i in range(_RHO_SAMPLES)]
-    rho = 0.0
-    for fam in cfg.operator.families:
-        for t in ts:
-            inv_norm, _ = inverse_stats(fam, t)
-            rho = max(rho, frobenius_norm(fam, t) * inv_norm)
-    return rho
+    return [lo * (hi / lo) ** (i / (_RHO_SAMPLES - 1)) for i in range(_RHO_SAMPLES)]
 
 
 def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], SpaceSpec]:
@@ -177,7 +168,9 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
         raise ValueError("epsilon variants need eps > 0")
 
     n = cfg.operator.n
-    cutoff = 1.0 / _rho_cutoff(cfg) if needs_eps else 0.0
+    cutoff = 0.0
+    if needs_eps:
+        cutoff = 1.0 / rho_bound(cfg.operator.families, _rho_samples(cfg.operator.kernel))
 
     out = []
     for slot in cfg.slots:
@@ -287,7 +280,7 @@ def is_exact_configuration(cfg: BoundConfig, cid: str) -> bool:
     """Configurations where the constant equals the operator norm exactly."""
     if cfg.operator.n != 1:
         return False
-    if not all(isinstance(f, ScalarDilation) for f in cfg.operator.families):
+    if not all(f.is_scalar for f in cfg.operator.families):
         return False
     if not all(s.q.is_constant and s.alpha.is_constant for s in cfg.slots):
         return False
@@ -308,7 +301,8 @@ def upper_bound_suite(op_spec: OperatorSpec, cfg: BoundConfig, constant_id: str,
 
     In exact configurations a ratio above constant * (1 + ratio_tol) counts
     as a violation; otherwise violations stay empty and max_ratio is the
-    empirical comparability constant.
+    empirical comparability constant.  The tuples run serially; workers is
+    accepted for compatibility and changes nothing.
     """
     res = evaluate_constant(cfg, constant_id)
     if not res.finite:
@@ -323,17 +317,13 @@ def upper_bound_suite(op_spec: OperatorSpec, cfg: BoundConfig, constant_id: str,
     ]
     tuples = [tuple(per_slot[i][j] for i in range(op_spec.m)) for j in range(n_samples)]
 
-    def ratio_of(fs):
-        return operator_ratio(
+    ratios = [
+        operator_ratio(
             op_spec, fs, sources, target,
             k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol,
         )
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(ratio_of, tuples))
-    else:
-        ratios = [ratio_of(fs) for fs in tuples]
+        for fs in tuples
+    ]
 
     exact = is_exact_configuration(cfg, constant_id)
     violations = tuple(
@@ -359,7 +349,7 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
         raise ValueError("eps_list must be positive")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
-    if not all(isinstance(f, ScalarDilation) for f in cfg.operator.families):
+    if not all(f.is_scalar for f in cfg.operator.families):
         raise HypothesisError(
             "sharpness sweeps run only under scalar dilations; "
             "use the upper-bound suite for other families"

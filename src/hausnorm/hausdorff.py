@@ -21,7 +21,7 @@ import numpy as np
 from . import _quad
 from .exponents import sphere_area
 from .luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
-from .matrices import MatrixFamily, PowerMap, ScalarDilation, SingularFamilyError
+from .matrices import Dilation, PowerMap, SingularFamilyError
 from .spaces import SpaceSpec, space_norm
 
 __all__ = [
@@ -82,7 +82,7 @@ class OperatorSpec:
     n: int
     m: int
     kernel: RadialKernel
-    families: tuple[MatrixFamily, ...]
+    families: tuple[Dilation, ...]
 
     def __post_init__(self):
         if len(self.families) != self.m:
@@ -342,7 +342,7 @@ def from_multilinear_hardy_cesaro(psi: PowerMap, ss: Sequence[PowerMap],
     if psi.c < 0:
         raise ValueError("psi must be nonnegative")
     kernel = RadialKernel(psi.c, psi.a + 1.0, 0.0, 1.0, one_sided=True)
-    fams = tuple(ScalarDilation(s, 1) for s in ss)
+    fams = tuple(Dilation(s) for s in ss)
     return OperatorSpec(1, len(fams), kernel, fams)
 
 

@@ -1,31 +1,32 @@
 """Matrix dilation families, their Frobenius norms, and dyadic locators.
 
-Three families are supported, all acting on radii as pure dilations
-|A(t) x| = |s(t)| |x|: scalar multiples of the identity, diagonal matrices
-with entries of equal modulus, and a fixed orthogonal matrix times a scalar
-map.  The scalar map is always a PowerMap s(t) = c t^a, so image radii,
-norms and determinants are powers of t and the radial integrals built on
-them have known endpoint slopes.  Under the Frobenius norm each family
-satisfies ||A|| ||A^-1|| = n exactly, which is the conditioning bound
-every boundedness estimate relies on.
+Every supported family is one type, A(t) = s(t) Q: a PowerMap s(t) = c t^a
+times a fixed real orthogonal n x n matrix Q (the identity when Q is not
+given, diag(signs) for equal-modulus diagonals).  Each acts on radii as a
+pure dilation |A(t) x| = |s(t)| |x|, so image radii, norms and determinants
+are powers of t and the radial integrals built on them have known endpoint
+slopes.  Under the Frobenius norm every family satisfies
+||A|| ||A^-1|| = n exactly, which is the conditioning bound every
+boundedness estimate relies on.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .exponents import RadialExponent
+if TYPE_CHECKING:
+    from .exponents import RadialExponent
 
 __all__ = [
     "PowerMap",
+    "Dilation",
     "ScalarDilation",
     "DiagonalEqualModulus",
     "OrthogonalTimesScalar",
-    "MatrixFamily",
     "SingularFamilyError",
     "frobenius_norm",
     "inverse_stats",
@@ -34,7 +35,6 @@ __all__ = [
     "dyadic_exponent",
     "theta_star",
     "c_factor",
-    "family_power_data",
 ]
 
 
@@ -55,117 +55,74 @@ class PowerMap:
         return self.c * r ** self.a
 
 
-def _scale_of(s, t: float) -> float:
-    val = abs(s(t))
-    if val == 0.0 or not math.isfinite(val):
-        raise SingularFamilyError(f"family scale |s({t:.6g})| = {val} is not invertible")
-    return val
+@dataclass(frozen=True)
+class Dilation:
+    """A(t) = s(t) * Q in dimension n, with Q = I_n when q is None.
 
+    Only s and n enter the numerics; q shapes the explicit matrix and marks
+    a family as a scalar dilation (q is None) or not.
+    """
 
-class _RadialFamily:
-    """Shared behaviour: dilation scale, Frobenius norms, explicit matrices."""
-
-    radial_isometry = True
+    s: PowerMap
+    n: int = 1
+    q: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if not isinstance(self.s, PowerMap):
             raise TypeError(f"the scalar map must be a PowerMap, got {self.s!r}")
+        if self.n < 1:
+            raise ValueError("dimension must be >= 1")
+        if self.q is None:
+            return
+        q = np.asarray(self.q, dtype=float)
+        if q.shape != (self.n, self.n):
+            raise ValueError(f"q must be a square {self.n} x {self.n} matrix")
+        if not np.allclose(q @ q.T, np.eye(self.n), atol=1e-10):
+            raise ValueError("q is not orthogonal")
+        object.__setattr__(self, "q", tuple(map(tuple, q.tolist())))
 
     @property
-    def n(self) -> int:
-        raise NotImplementedError
-
-    def scalar(self, t: float) -> float:
-        raise NotImplementedError
+    def is_scalar(self) -> bool:
+        """A(t) = s(t) I_n; a diagonal or orthogonal Q never counts."""
+        return self.q is None
 
     def dilation_scale(self, t: float) -> float:
-        return _scale_of(self.scalar, t)
+        val = abs(self.s(t))
+        if val == 0.0 or not math.isfinite(val):
+            raise SingularFamilyError(f"family scale |s({t:.6g})| = {val} is not invertible")
+        return val
 
     def matrix(self, t: float) -> np.ndarray:
-        raise NotImplementedError
+        return self.s(t) * (np.eye(self.n) if self.q is None else np.asarray(self.q))
 
 
-@dataclass(frozen=True)
-class ScalarDilation(_RadialFamily):
+def ScalarDilation(s: PowerMap, n_dim: int = 1) -> Dilation:
     """A(t) = s(t) * I_n."""
-
-    s: PowerMap
-    n_dim: int = 1
-
-    @property
-    def n(self):
-        return self.n_dim
-
-    def scalar(self, t):
-        return self.s(t)
-
-    def matrix(self, t):
-        return self.s(t) * np.eye(self.n_dim)
+    return Dilation(s, n_dim)
 
 
-@dataclass(frozen=True)
-class DiagonalEqualModulus(_RadialFamily):
+def DiagonalEqualModulus(s: PowerMap, signs: tuple[int, ...]) -> Dilation:
     """A(t) = diag(sign_1 s(t), ..., sign_n s(t)) with signs in {-1, +1}."""
-
-    s: PowerMap
-    signs: tuple[int, ...]
-
-    def __post_init__(self):
-        super().__post_init__()
-        if not self.signs or any(x not in (-1, 1) for x in self.signs):
-            raise ValueError("signs must be a nonempty vector of +-1")
-
-    @property
-    def n(self):
-        return len(self.signs)
-
-    def scalar(self, t):
-        return self.s(t)
-
-    def matrix(self, t):
-        return np.diag([sg * self.s(t) for sg in self.signs])
+    if not signs or any(x not in (-1, 1) for x in signs):
+        raise ValueError("signs must be a nonempty vector of +-1")
+    return Dilation(s, len(signs), np.diag(signs))
 
 
-@dataclass(frozen=True)
-class OrthogonalTimesScalar(_RadialFamily):
+def OrthogonalTimesScalar(q_matrix: tuple[tuple[float, ...], ...], s: PowerMap) -> Dilation:
     """A(t) = s(t) * Q with Q a fixed real orthogonal matrix."""
-
-    q_matrix: tuple[tuple[float, ...], ...]
-    s: PowerMap
-
-    def __post_init__(self):
-        super().__post_init__()
-        q = np.asarray(self.q_matrix, dtype=float)
-        if q.ndim != 2 or q.shape[0] != q.shape[1]:
-            raise ValueError("q_matrix must be square")
-        if not np.allclose(q @ q.T, np.eye(q.shape[0]), atol=1e-10):
-            raise ValueError("q_matrix is not orthogonal")
-        object.__setattr__(self, "q_matrix", tuple(tuple(row) for row in q))
-
-    @property
-    def n(self):
-        return len(self.q_matrix)
-
-    def scalar(self, t):
-        return self.s(t)
-
-    def matrix(self, t):
-        return self.s(t) * np.asarray(self.q_matrix)
-
-
-MatrixFamily = ScalarDilation | DiagonalEqualModulus | OrthogonalTimesScalar
+    return Dilation(s, len(q_matrix), q_matrix)
 
 
 # ---------------------------------------------------------------------------
 # operations
 
 
-def frobenius_norm(fam: MatrixFamily, t_radius: float) -> float:
+def frobenius_norm(fam: Dilation, t_radius: float) -> float:
     """||A(t)|| = sqrt(n) * |s(t)| for every supported family."""
-    return math.sqrt(fam.n) * abs(fam.scalar(t_radius))
+    return math.sqrt(fam.n) * abs(fam.s(t_radius))
 
 
-def inverse_stats(fam: MatrixFamily, t_radius: float) -> tuple[float, float]:
+def inverse_stats(fam: Dilation, t_radius: float) -> tuple[float, float]:
     """(||A(t)^-1||, |det A(t)^-1|), with the determinant sandwich asserted.
 
     The sandwich ||A||^-n <= |det A^-1| <= ||A^-1||^n holds exactly for
@@ -181,7 +138,7 @@ def inverse_stats(fam: MatrixFamily, t_radius: float) -> tuple[float, float]:
     return inv_norm, det_inv
 
 
-def rho_bound(fams: Sequence[MatrixFamily], t_samples: Sequence[float]) -> float:
+def rho_bound(fams: Sequence[Dilation], t_samples: Sequence[float]) -> float:
     """max over slots and sampled t of ||A(t)|| ||A(t)^-1||.
 
     Identically n for the supported families, so the sampled maximum is the
@@ -205,12 +162,12 @@ def dyadic_index(x: float) -> int:
     return e - 1 if m == 0.5 else e
 
 
-def dyadic_exponent(fam: MatrixFamily, t_radius: float) -> int:
+def dyadic_exponent(fam: Dilation, t_radius: float) -> int:
     """Dyadic locator of ||A(t)||."""
     return dyadic_index(frobenius_norm(fam, t_radius))
 
 
-def theta_star(fams: Sequence[MatrixFamily], t_radius: float) -> int:
+def theta_star(fams: Sequence[Dilation], t_radius: float) -> int:
     """Greatest integer T with max_i ||A_i(t)|| ||A_i(t)^-1|| < 2^(-T)."""
     rho = rho_bound(fams, [t_radius])
     _m, e = math.frexp(rho)
@@ -218,7 +175,7 @@ def theta_star(fams: Sequence[MatrixFamily], t_radius: float) -> int:
     return -(e - 1) - 1
 
 
-def c_factor(fam: MatrixFamily, q: RadialExponent, gamma: float, t_radius: float) -> float:
+def c_factor(fam: Dilation, q: RadialExponent, gamma: float, t_radius: float) -> float:
     """Change-of-variables constant: weight distortion times determinant powers.
 
     max(||A||^-gamma, ||A^-1||^gamma) * max(|det A^-1|^(1/q+), |det A^-1|^(1/q-)).
@@ -229,8 +186,3 @@ def c_factor(fam: MatrixFamily, q: RadialExponent, gamma: float, t_radius: float
     q_lo, q_hi = q.p_minus, q.p_plus
     det_part = max(det_inv ** (1.0 / q_hi), det_inv ** (1.0 / q_lo))
     return weight_part * det_part
-
-
-def family_power_data(fam: MatrixFamily) -> tuple[float, float]:
-    """(|c|, a) of the family's scalar map s(t) = c t^a."""
-    return abs(fam.s.c), fam.s.a

@@ -1,9 +1,11 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from hausnorm import _quad
+from hausnorm import bounds
 from hausnorm.bounds import (
     BoundConfig,
     HypothesisError,
@@ -19,7 +21,15 @@ from hausnorm.bounds import (
 from hausnorm.config import load_config
 from hausnorm.exponents import Constant, LogInterp, pullback_exponent
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
-from hausnorm.matrices import PowerMap, ScalarDilation
+from hausnorm.matrices import (
+    DiagonalEqualModulus,
+    OrthogonalTimesScalar,
+    PowerMap,
+    ScalarDilation,
+    c_factor,
+    frobenius_norm,
+    inverse_stats,
+)
 
 from conftest import seeded
 
@@ -36,6 +46,45 @@ def scaled_kernel_cfg(scale):
     kern = RadialKernel(scale, 0.0, 1.0, 2.0, one_sided=False)
     op = OperatorSpec(1, 1, kern, (ScalarDilation(PowerMap(1.0, 1.0), 1),))
     return BoundConfig(op, (SlotParams(q=Constant(2.0), lam=-0.1),))
+
+
+def dilation_shapes(n, seed):
+    """A scalar, a signed-diagonal and an orthogonal family in dimension n,
+    each under a different power map."""
+    rng = np.random.default_rng(seed)
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    signs = tuple(int(x) for x in rng.choice((-1, 1), size=n))
+    return [
+        ScalarDilation(PowerMap(1.7, 0.6), n),
+        DiagonalEqualModulus(PowerMap(-0.4, -1.3), signs),
+        OrthogonalTimesScalar(q.tolist(), PowerMap(2.5, 0.0)),
+    ]
+
+
+def piece_value(pieces, t):
+    (piece,) = [p for p in pieces if p.lo <= t < p.hi]
+    return piece.value(t)
+
+
+class TestFactorAlgebra:
+    """The piecewise-power factors the constants integrate equal the
+    pointwise matrix functions they stand for."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_pieces_match_matrix_functions(self, n):
+        rng = seeded(100 + n)
+        for fam in dilation_shapes(n, seed=n):
+            nc, ne = bounds._norm_piece(fam)
+            ic, ie = bounds._inv_norm_piece(fam)
+            for _ in range(50):
+                t = 10.0 ** rng.uniform(-3.0, 3.0)
+                assert nc * t ** ne == pytest.approx(frobenius_norm(fam, t), rel=1e-12)
+                assert ic * t ** ie == pytest.approx(inverse_stats(fam, t)[0], rel=1e-12)
+                for q in (Constant(2.5), LogInterp(3.0, 1.5)):
+                    gamma = rng.uniform(-2.0, 2.0)
+                    pieces, _ = bounds._c_factor_pieces(fam, q, gamma, "c")
+                    assert piece_value(pieces, t) == pytest.approx(
+                        c_factor(fam, q, gamma, t), rel=1e-12)
 
 
 class TestLebesgueConstants:

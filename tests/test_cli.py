@@ -6,7 +6,8 @@ from pathlib import Path
 import pytest
 
 from hausnorm.cli import main
-from hausnorm.config import ExperimentConfig, load_config
+from hausnorm.config import ConfigError, ExperimentConfig, family_from_json, load_config
+from hausnorm.matrices import DiagonalEqualModulus, OrthogonalTimesScalar, PowerMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -77,6 +78,23 @@ class TestConstants:
         code = main(["constants", "--config", str(FIXTURES / "hardy_p2.json"), "--which", "C13"])
         capsys.readouterr()
         assert code == 2
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"families": [{"type": "diag_equal", "s": {"c": 1, "a": 1}, "signs": [1, -1]}]},
+            {"n": 2},  # the one-sided kernel exists only at n = 1
+            {"families": [{"type": "scalar_dilation", "s": {"c": 0, "a": 1}}]},
+        ],
+        ids=["family-dimension", "one-sided-kernel", "vanishing-map"],
+    )
+    def test_config_errors_exit_2(self, change, tmp_path, capsys):
+        obj = json.loads((FIXTURES / "hardy_p2.json").read_text())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**obj, **change}))
+        code = main(["constants", "--config", str(path), "--which", "C9"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error:")
 
 
 class TestApply:
@@ -203,6 +221,31 @@ class TestConfigRoundTrip:
         cfg = load_config(str(FIXTURES / name))
         again = ExperimentConfig.from_json(cfg.to_json())
         assert again == cfg
+
+    @pytest.mark.parametrize(
+        "family, expected",
+        [
+            ({"type": "diag_equal", "s": {"c": -0.5, "a": 1.5}, "signs": [1, -1]},
+             DiagonalEqualModulus(PowerMap(-0.5, 1.5), (1, -1))),
+            ({"type": "orth_scalar", "s": {"c": 2.0, "a": -0.5},
+              "q_matrix": [[0.0, -1.0], [1.0, 0.0]]},
+             OrthogonalTimesScalar(((0.0, -1.0), (1.0, 0.0)), PowerMap(2.0, -0.5))),
+        ],
+        ids=["diag_equal", "orth_scalar"],
+    )
+    def test_matrix_family_round_trips(self, family, expected):
+        obj = json.loads((FIXTURES / "central_morrey_m1.json").read_text())
+        obj.update(n=2, families=[family])
+        cfg = ExperimentConfig.from_json(obj)
+        assert cfg.families == (expected,)
+        assert not expected.is_scalar
+        assert ExperimentConfig.from_json(cfg.to_json()) == cfg
+
+    def test_family_checked_against_n(self):
+        fam = {"type": "diag_equal", "s": {"c": 1.0, "a": 1.0}, "signs": [1, -1]}
+        assert family_from_json(fam, 2) == DiagonalEqualModulus(PowerMap(1.0, 1.0), (1, -1))
+        with pytest.raises(ConfigError, match="dimension 2 does not match n = 1"):
+            family_from_json(fam, 1)
 
     def test_schema_errors_named(self):
         with pytest.raises(Exception) as err:

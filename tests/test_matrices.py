@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from hausnorm.exponents import Constant, LogInterp
 from hausnorm.matrices import (
     DiagonalEqualModulus,
+    Dilation,
     OrthogonalTimesScalar,
     PowerMap,
     ScalarDilation,
@@ -54,6 +55,43 @@ class TestScalarMap:
         assert make(PowerMap(1.0, 1.0)).dilation_scale(2.0) == 2.0
         with pytest.raises(TypeError):
             make(lambda t: t)
+
+
+class TestDilation:
+    def test_factories_build_one_type(self):
+        s = PowerMap(-1.5, 0.5)
+        flip = ((1.0, 0.0), (0.0, -1.0))
+        assert ScalarDilation(s, 2) == Dilation(s, 2)
+        assert DiagonalEqualModulus(s, (1, -1)) == OrthogonalTimesScalar(flip, s)
+        assert OrthogonalTimesScalar([[1, 0], [0, -1]], s) == Dilation(s, 2, flip)
+        assert len({Dilation(s, 2, flip), DiagonalEqualModulus(s, (1, -1))}) == 1
+
+    def test_only_the_identity_is_scalar(self):
+        s = PowerMap(1.0, 1.0)
+        assert ScalarDilation(s, 3).is_scalar
+        assert not DiagonalEqualModulus(s, (1, 1)).is_scalar
+        assert not OrthogonalTimesScalar(ROT, s).is_scalar
+
+    def test_signed_diagonal_matrix(self):
+        s = PowerMap(-0.7, 1.1)
+        fam = DiagonalEqualModulus(s, (1, -1, 1))
+        for t in (0.3, 1.0, 4.0):
+            np.testing.assert_array_equal(fam.matrix(t), np.diag([sg * s(t) for sg in (1, -1, 1)]))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda s: Dilation(s, 0),
+            lambda s: Dilation(s, 3, ROT),
+            lambda s: Dilation(s, 1, ((1.0, 0.0),)),
+            lambda s: Dilation(s, 2, ((1.0, 0.5), (0.0, 1.0))),
+            lambda s: DiagonalEqualModulus(s, ()),
+            lambda s: DiagonalEqualModulus(s, (1, 2)),
+        ],
+    )
+    def test_invalid_shapes_rejected(self, make):
+        with pytest.raises(ValueError):
+            make(PowerMap(1.0, 1.0))
 
 
 class TestFrobenius:
