@@ -3,17 +3,17 @@
 Every constant is a 1-D radial integral of the kernel against per-slot
 factors built from the matrix families (norm powers, determinant powers,
 dyadic locator sums) and, for the variable-exponent constants, the norm of
-the constant function 1 against a per-radius residual exponent.  Factors
-that are piecewise powers of the kernel radius integrate exactly; anything
-else falls back to adaptive quadrature with per-node memoisation, and
-divergence is decided before integrating.
+the constant function 1 against a per-radius residual exponent.  The
+kernel times the matrix factors is one PiecewisePowerFunction of the
+kernel radius and integrates exactly; with a norm-of-one node factor it
+falls back to adaptive quadrature whose node-factor logs live in a
+_quad.NodeCache, and divergence is decided before integrating.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -27,7 +27,7 @@ from .exponents import (
     pullback_exponent,
 )
 from .hausdorff import OperatorSpec
-from .luxemburg import Region, norm_of_one
+from .luxemburg import ExponentExpr, PiecewisePowerFunction, Region, Segment, norm_of_one
 from .matrices import theta_star
 
 __all__ = [
@@ -83,6 +83,8 @@ class BoundConfig:
             raise ValueError("need one slot of parameters per operator slot")
         if self.zeta <= 0:
             raise ValueError("zeta must be positive")
+        if not all(s.p > 0 for s in self.slots):
+            raise ValueError("outer indices p_i must be positive")
 
     # --- derived couplings -------------------------------------------------
 
@@ -137,26 +139,11 @@ class BoundResult:
 
 
 # ---------------------------------------------------------------------------
-# factor algebra: piecewise powers of the kernel radius, plus opaque callables
-
-
-@dataclass(frozen=True)
-class PowerPiece:
-    lo: float
-    hi: float
-    coef: float
-    expo: float
-
-    def value(self, r):
-        return self.coef * r ** self.expo
-
-
-def _const_factor(value: float, label: str):
-    return [PowerPiece(0.0, _INF, value, 0.0)], label
+# factors: piecewise powers of the kernel radius, plus node factors
 
 
 def _power_factor(coef: float, expo: float, label: str):
-    return [PowerPiece(0.0, _INF, coef, expo)], label
+    return PiecewisePowerFunction.single_power(coef, expo), label
 
 
 def _extreme_factor(base_coef: float, base_expo: float, e1: float, e2: float,
@@ -164,33 +151,18 @@ def _extreme_factor(base_coef: float, base_expo: float, e1: float, e2: float,
     """max or min of (K r^b)^e1 and (K r^b)^e2 as piecewise powers."""
     pick = max if want_max else min
     if base_expo == 0.0:
-        return [PowerPiece(0.0, _INF, pick(base_coef ** e1, base_coef ** e2), 0.0)], label
+        return _power_factor(pick(base_coef ** e1, base_coef ** e2), 0.0, label)
     if e1 == e2:
-        return [PowerPiece(0.0, _INF, base_coef ** e1, base_expo * e1)], label
+        return _power_factor(base_coef ** e1, base_expo * e1, label)
     hi_e, lo_e = (max(e1, e2), min(e1, e2)) if want_max else (min(e1, e2), max(e1, e2))
     r_star = base_coef ** (-1.0 / base_expo)  # where K r^b crosses 1
     # the winner above the crossing is hi_e; which side that is depends on b
     lo_side, hi_side = (lo_e, hi_e) if base_expo > 0 else (hi_e, lo_e)
-    return [
-        PowerPiece(0.0, r_star, base_coef ** lo_side, base_expo * lo_side),
-        PowerPiece(r_star, _INF, base_coef ** hi_side, base_expo * hi_side),
-    ], label
-
-
-@dataclass
-class NodeFactor:
-    """Opaque per-radius factor evaluated at quadrature nodes (memoised)."""
-
-    fn: Callable[[float], float]
-    label: str
-
-    def __post_init__(self):
-        self._cache: dict[float, float] = {}
-
-    def value(self, t: float) -> float:
-        if t not in self._cache:
-            self._cache[t] = self.fn(t)
-        return self._cache[t]
+    sides = ((0.0, r_star, lo_side), (r_star, _INF, hi_side))
+    return PiecewisePowerFunction(tuple(
+        Segment(lo, hi, base_coef ** e, ExponentExpr(base_expo * e))
+        for lo, hi, e in sides if lo < hi
+    )), label
 
 
 def _inv_norm_piece(fam):
@@ -213,6 +185,13 @@ def _inv_norm_powers(cfg: BoundConfig, exps_fn, check=None):
     return factors, []
 
 
+def _inv_norm_weight(n: int, slot: SlotParams, fam, want_max: bool):
+    """max (or min) of ||A^-1||^(n/q+ + gamma) and ||A^-1||^(n/q- + gamma)."""
+    ic, ie = _inv_norm_piece(fam)
+    return _extreme_factor(ic, ie, n / slot.q.p_plus + slot.gamma,
+                           n / slot.q.p_minus + slot.gamma, want_max, "inv-norm-weight")
+
+
 def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
     """Weight-distortion times determinant-power factor, split where |s|=1.
 
@@ -221,25 +200,16 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
     """
     c, a = abs(fam.s.c), fam.s.a
     n = fam.n
-    weight_coef = n ** (abs(gamma) / 2.0) * c ** (-gamma)
-    weight_expo = -a * gamma
-    det_pieces, _ = _extreme_factor(
-        c ** (-n), -a * n, 1.0 / q.p_plus, 1.0 / q.p_minus, True, "det"
-    )
-    out = [
-        PowerPiece(p.lo, p.hi, weight_coef * p.coef, weight_expo + p.expo)
-        for p in det_pieces
-    ]
-    return out, label
+    det, _ = _extreme_factor(c ** (-n), -a * n, 1.0 / q.p_plus, 1.0 / q.p_minus, True, "det")
+    return det.scaled(n ** (abs(gamma) / 2.0) * c ** (-gamma)).weighted(-a * gamma), label
 
 
-def _norm_one_node(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> NodeFactor | None:
-    """The per-radius factor ||1|| for the residual exponent, or None if it
-    is identically 1 (degenerate everywhere-infinite residual)."""
-    n = cfg.operator.n
-
+def _norm_one_nodes(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> list:
+    """[t -> ||1|| for the residual exponent at t], or [] where that factor
+    is identically 1 (constant q and zeta = 1)."""
     if slot.q.is_constant and zeta == 1.0:
-        return None
+        return []
+    n = cfg.operator.n
 
     def fn(t: float) -> float:
         pulled = pullback_exponent(slot.q, fam, t)
@@ -248,51 +218,37 @@ def _norm_one_node(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> Node
             return 1.0
         return norm_of_one(resid, Region.all(), n, rel_tol=max(cfg.rel_tol, 1e-7))
 
-    return NodeFactor(fn, "norm-of-one")
+    return [fn]
 
 
-def _kernel_piece(spec: OperatorSpec):
+def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
+    """Integrate the kernel against the product of all factors; (value,
+    diagnostics).  The node factors' log-product at each quadrature node
+    lives in one NodeCache."""
     k = spec.kernel
-    return PowerPiece(k.r_lo, k.r_hi, spec.sigma * k.c, k.a - 1.0)
-
-
-def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
-                       rel_tol: float):
-    """Integrate the kernel piece against all factors; (value, diagnostics)."""
-    base = _kernel_piece(spec)
-    cuts = {base.lo, base.hi}
-    for pieces, _label in power_factors:
-        for p in pieces:
-            for edge in (p.lo, p.hi):
-                if base.lo < edge < base.hi:
-                    cuts.add(edge)
-    edges = sorted(cuts)
+    product = PiecewisePowerFunction.single_power(spec.sigma * k.c, k.a - 1.0, k.r_lo, k.r_hi)
+    for factor, _label in factors:
+        product = product.multiply(factor)
+    segs = product.segments
+    if not segs or (segs[0].r_lo, segs[-1].r_hi) != (k.r_lo, k.r_hi) or any(
+            a.r_hi != b.r_lo for a, b in zip(segs, segs[1:])):
+        raise RuntimeError("factor pieces do not cover the support")
 
     diag: dict = {
-        "factors": [label for _p, label in power_factors]
-        + [nf.label for nf in node_factors],
+        "factors": [label for _f, label in factors] + ["norm-of-one"] * len(node_fns),
         "pieces": [],
     }
 
-    def local_power(lo, hi):
-        mid = math.sqrt(lo * hi) if lo > 0 else (hi / 2 if math.isfinite(hi) else 1.0)
-        coef, expo = base.coef, base.expo
-        for pieces, _label in power_factors:
-            for p in pieces:
-                if p.lo <= mid < p.hi:
-                    coef *= p.coef
-                    expo += p.expo
-                    break
-            else:
-                raise RuntimeError("factor pieces do not cover the support")
-        return coef, expo
+    def node_logs(s):
+        r = _quad.radius(s).ravel().tolist()
+        return (np.reshape([_log_node_factors(node_fns, ri) for ri in r], s.shape),)
+
+    cache = _quad.NodeCache(node_logs)
 
     total = []
-    for lo, hi in zip(edges, edges[1:]):
-        if hi <= lo:
-            continue
-        coef, expo = local_power(lo, hi)
-        if not node_factors:
+    for seg in segs:
+        lo, hi, coef, expo = seg.r_lo, seg.r_hi, seg.coef, seg.expr.const
+        if not node_fns:
             val = coef * _quad.power_integral(lo, hi, expo)
             diag["pieces"].append({"lo": lo, "hi": hi, "coef": coef, "expo": expo})
             if math.isinf(val):
@@ -301,23 +257,22 @@ def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
             total.append(val)
             continue
 
-        def log_integrand(s, coef=coef, expo=expo):
+        def log_integrand(s, logs=None, coef=coef, expo=expo):
             out = math.log(coef) + (expo + 1.0) * s
-            r = _quad.radius(s)
-            if isinstance(s, np.ndarray):
-                logs = [_log_node_factors(node_factors, ri) for ri in r.ravel().tolist()]
-                return out + np.reshape(logs, s.shape)
-            return out + _log_node_factors(node_factors, r)
+            if logs is None:
+                return out + _log_node_factors(node_fns, _quad.radius(s))
+            return out + logs
 
         slope = expo_eff = None
         if lo == 0.0 or math.isinf(hi):
             probe_at = hi / 8.0 if lo == 0.0 else lo * 8.0
             expo_eff = expo + math.fsum(
-                _probe_slope(nf, probe_at, lo == 0.0) for nf in node_factors
+                _probe_slope(fn, probe_at, lo == 0.0) for fn in node_fns
             )
             # a probed slope this close to -1 cannot be told from it
             slope = -1.0 if -1.0 - 1e-6 <= expo_eff <= -1.0 + 1e-6 else expo_eff
-        res = _quad.radial_integral(log_integrand, lo, hi, slope, slope, rel_tol=rel_tol)
+        res = _quad.radial_integral(log_integrand, lo, hi, slope, slope,
+                                    rel_tol=rel_tol, cache=cache)
         if res.divergence is not None:
             diag["divergent_at"] = [lo, hi]
             if res.divergence == "power":
@@ -329,14 +284,14 @@ def _integrate_factors(spec: OperatorSpec, power_factors, node_factors,
     return math.fsum(total), diag
 
 
-def _log_node_factors(node_factors, r: float) -> float:
-    """Sum of ln nf(r) over the node factors; the first factor that is 0 or
+def _log_node_factors(node_fns, r: float) -> float:
+    """Sum of ln fn(r) over the node factors; the first factor that is 0 or
     +inf at r makes it -inf or +inf."""
     if r == 0.0:
         r = 5e-324
     out = 0.0
-    for nf in node_factors:
-        nv = nf.value(r)
+    for fn in node_fns:
+        nv = fn(r)
         if nv <= 0.0:
             return -_INF
         if math.isinf(nv):
@@ -345,15 +300,15 @@ def _log_node_factors(node_factors, r: float) -> float:
     return out
 
 
-def _probe_slope(nf: NodeFactor, r0: float, towards_zero: bool) -> float:
-    """Empirical log-log slope of an opaque factor near a singular endpoint.
+def _probe_slope(fn, r0: float, towards_zero: bool) -> float:
+    """Empirical log-log slope of a node factor near a singular endpoint.
 
     An infinite probed value gives the slope that diverges at that end:
     -inf toward 0, +inf toward infinity.
     """
     step = 1 / 8.0 if towards_zero else 8.0
     rs = [r0, r0 * step, r0 * step ** 2]
-    vs = [nf.value(r) for r in rs]
+    vs = [fn(r) for r in rs]
     if any(math.isinf(v) for v in vs):
         return -_INF if towards_zero else _INF
     if any(v <= 0 for v in vs):
@@ -432,29 +387,16 @@ def lebesgue_constants(cfg: BoundConfig, rel_tol: float | None = None,
         factors, nodes = [], []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             factors.append(_c_factor_pieces(fam, slot.q, slot.gamma, "c-factor"))
-            node = _norm_one_node(cfg, slot, fam, cfg.zeta)
-            if node is not None:
-                nodes.append(node)
+            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
         return factors, nodes
 
     def build_c2(want_max: bool):
         _check_pullback_hypothesis(cfg, 1.0)
         factors, nodes = [], []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
-            ic, ie = _inv_norm_piece(fam)
-            factors.append(
-                _extreme_factor(
-                    ic, ie,
-                    n / slot.q.p_plus + slot.gamma,
-                    n / slot.q.p_minus + slot.gamma,
-                    want_max,
-                    "inv-norm-weight",
-                )
-            )
+            factors.append(_inv_norm_weight(n, slot, fam, want_max))
             if want_max:
-                node = _norm_one_node(cfg, slot, fam, 1.0)
-                if node is not None:
-                    nodes.append(node)
+                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
         return factors, nodes
 
     builders = {
@@ -492,16 +434,14 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 _extreme_factor(nc, ne, slot.lam - a0, slot.lam - ainf, True, "norm-shift")
             )
             tsum = max(_theta_sum(theta, slot.lam - a0), _theta_sum(theta, slot.lam - ainf))
-            factors.append(_const_factor(tsum, "dyadic-sum"))
-            node = _norm_one_node(cfg, slot, fam, cfg.zeta)
-            if node is not None:
-                nodes.append(node)
+            factors.append(_power_factor(tsum, 0.0, "dyadic-sum"))
+            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
         return factors, nodes
 
     def build_c4():
         _check_pullback_hypothesis(cfg, cfg.zeta)
         p = cfg.p_combined()
-        factors = [_const_factor((2.0 - theta) ** (cfg.operator.m - 1.0 / p), "theta-count")]
+        factors = [_power_factor((2.0 - theta) ** (cfg.operator.m - 1.0 / p), 0.0, "theta-count")]
         nodes = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             a0, ainf = a0_ainf(slot)
@@ -509,10 +449,8 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             factors.append(_c_factor_pieces(fam, slot.q, slot.gamma, "c-factor"))
             nc, ne = _norm_piece(fam)
             factors.append(_power_factor(nc ** (-a0), -ne * a0, "norm-alpha0"))
-            factors.append(_const_factor(_theta_sum(theta, -a0), "dyadic-sum"))
-            node = _norm_one_node(cfg, slot, fam, cfg.zeta)
-            if node is not None:
-                nodes.append(node)
+            factors.append(_power_factor(_theta_sum(theta, -a0), 0.0, "dyadic-sum"))
+            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
         return factors, nodes
 
     def build_c5(star: bool):
@@ -524,15 +462,7 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 _require(a0 - ainf >= 0, "alpha(0) >= alpha(inf)")
             _require(slot.lam >= 0, "lam_i >= 0")
             ic, ie = _inv_norm_piece(fam)
-            factors.append(
-                _extreme_factor(
-                    ic, ie,
-                    n / slot.q.p_plus + slot.gamma,
-                    n / slot.q.p_minus + slot.gamma,
-                    not star,
-                    "inv-norm-weight",
-                )
-            )
+            factors.append(_inv_norm_weight(n, slot, fam, not star))
             factors.append(_power_factor(ic ** (-slot.lam), -ie * slot.lam, "inv-norm-lam"))
             if star:
                 if not slot.alpha.log_holder_certified:
@@ -547,9 +477,7 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 factors.append(
                     _extreme_factor(ic, ie, a0, ainf, True, "inv-norm-alpha")
                 )
-                node = _norm_one_node(cfg, slot, fam, 1.0)
-                if node is not None:
-                    nodes.append(node)
+                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
         return factors, nodes
 
     def build_c6(star: bool):
@@ -563,15 +491,7 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 e = a0 + n / slot.q(1.0) + slot.gamma
                 factors.append(_power_factor(ic ** e, ie * e, "inv-norm-herz"))
                 continue
-            factors.append(
-                _extreme_factor(
-                    ic, ie,
-                    n / slot.q.p_plus + slot.gamma,
-                    n / slot.q.p_minus + slot.gamma,
-                    not star,
-                    "inv-norm-weight",
-                )
-            )
+            factors.append(_inv_norm_weight(n, slot, fam, not star))
             if star:
                 lo, hi = slot.alpha.range_on(0.0, _INF)
                 sup_alpha = max(abs(lo), abs(hi))
@@ -581,9 +501,7 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             else:
                 _require(abs(a0 - ainf) <= 1e-12, "alpha(0) == alpha(inf)")
                 factors.append(_power_factor(ic ** a0, ie * a0, "inv-norm-alpha0"))
-                node = _norm_one_node(cfg, slot, fam, 1.0)
-                if node is not None:
-                    nodes.append(node)
+                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
         return factors, nodes
 
     builders = {
@@ -643,9 +561,7 @@ def central_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             e = (n + slot.gamma) * (1.0 / slot.q.p_infty + slot.lam)
             factors.append(_power_factor(nc ** e, ne * e, "norm-ball-growth"))
             factors.append(_c_factor_pieces(fam, slot.q, slot.alpha(1.0), "c-factor"))
-            node = _norm_one_node(cfg, slot, fam, 1.0)
-            if node is not None:
-                nodes.append(node)
+            nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
         return factors, nodes
 
     builders = {

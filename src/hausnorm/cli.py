@@ -13,10 +13,16 @@ import sys
 from dataclasses import replace
 
 from .bounds import CONSTANT_IDS, HypothesisError, evaluate_constant
-from .config import ConfigError, ExperimentConfig, function_from_json, load_config
+from .config import (
+    ConfigError,
+    ExperimentConfig,
+    eps_list_from_json,
+    function_from_json,
+    load_config,
+)
 from .exponents import Constant
-from .harness import ExtremalError, sharpness_sweep, upper_bound_suite
-from .hausdorff import apply_pointwise
+from .harness import ExtremalError, SweepResult, sharpness_sweep, upper_bound_suite
+from .hausdorff import RatioUndefinedError, apply_pointwise
 from .matrices import dyadic_index, inverse_stats
 from .spaces import space_norm
 
@@ -88,25 +94,47 @@ def cmd_constants(cfg: ExperimentConfig, args) -> int:
     return EXIT_OK
 
 
-def cmd_sweep(cfg: ExperimentConfig, args) -> int:
-    bc = cfg.bound_config()
+def _failed_check(path: str | None, check: str, exc: Exception, what: str) -> int:
+    """Write one failed check,status,detail row; EXIT_FAIL."""
+    _write_rows(path, "check,status,detail", [f"{check},fail,{exc}"])
+    sys.stderr.write(f"{what}: {exc}\n")
+    return EXIT_FAIL
+
+
+def _sharpness(cfg: ExperimentConfig, kind: str, eps, cid: str | None,
+               path: str | None) -> SweepResult | None:
+    """Run the sharpness sweep and write its CSV; on a failed check write
+    that check's row instead and return None."""
     st = cfg.settings
-    eps = tuple(float(e) for e in args.eps.split(",")) if args.eps else st.eps_list
-    kind = args.kind
-    result = sharpness_sweep(
-        cfg.operator(), bc, kind, eps,
-        constant_id=args.which,
-        k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
-        grid_octaves=(st.grid_octaves[0], max(st.grid_octaves[1], 64)),
-        points_per_octave=max(st.points_per_octave, 32),
-        rel_tol=st.rel_tol,
-    )
+    try:
+        result = sharpness_sweep(
+            cfg.operator(), cfg.bound_config(), kind, eps, constant_id=cid,
+            k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
+            grid_octaves=(st.grid_octaves[0], max(st.grid_octaves[1], 64)),
+            points_per_octave=max(st.points_per_octave, 32),
+            rel_tol=st.rel_tol,
+        )
+    except HypothesisError as exc:
+        _failed_check(path, "constant_finite", exc, "constant not usable")
+        return None
+    except ExtremalError as exc:
+        _failed_check(path, "extremal_admissible", exc, "extremal family not admissible")
+        return None
+    except RatioUndefinedError as exc:
+        _failed_check(path, "ratio_defined", exc, "operator ratio undefined")
+        return None
     rows = [
         ",".join((_fmt(e), _fmt(r), _fmt(c), _fmt(rc)))
         for e, r, c, rc in result.rows
     ]
-    _write_rows(args.out, "epsilon,ratio,constant,ratio_over_constant", rows)
-    return EXIT_OK
+    _write_rows(path, "epsilon,ratio,constant,ratio_over_constant", rows)
+    return result
+
+
+def cmd_sweep(cfg: ExperimentConfig, args) -> int:
+    eps = eps_list_from_json(args.eps.split(",")) if args.eps else cfg.settings.eps_list
+    result = _sharpness(cfg, args.kind, eps, args.which, args.out)
+    return EXIT_OK if result is not None else EXIT_FAIL
 
 
 def _invariant_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
@@ -175,51 +203,26 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
         _write_rows(args.out, "check,status,detail", rows)
         return EXIT_OK if all(ok for _n, ok, _d in checks) else EXIT_FAIL
 
-    bc = cfg.bound_config()
     if args.suite == "upper":
         cid = args.which or _default_constant(cfg)
         try:
             suite = upper_bound_suite(
-                cfg.operator(), bc, cid, args.n or st.n_samples, seed,
+                cfg.operator(), cfg.bound_config(), cid, args.n or st.n_samples, seed,
                 k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
                 grid_octaves=st.grid_octaves,
                 points_per_octave=st.points_per_octave,
                 rel_tol=st.rel_tol,
             )
         except HypothesisError as exc:
-            _write_rows(args.out, "check,status,detail",
-                        [f"constant_finite,fail,{exc}"])
-            sys.stderr.write(f"constant not finite: {exc}\n")
-            return EXIT_FAIL
+            return _failed_check(args.out, "constant_finite", exc, "constant not usable")
         rows = [f"{s},{i},{_fmt(r)}" for s, i, r in suite.rows]
         _write_rows(args.out, "seed,index,ratio", rows)
         return EXIT_OK if not suite.violations else EXIT_FAIL
 
     # sharpness
-    cid = args.which or _default_constant(cfg)
-    kind = args.kind or _default_kind(cfg)
-    try:
-        result = sharpness_sweep(
-            cfg.operator(), bc, kind, st.eps_list, constant_id=cid,
-            k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
-            grid_octaves=(st.grid_octaves[0], max(st.grid_octaves[1], 64)),
-            points_per_octave=max(st.points_per_octave, 32),
-            rel_tol=st.rel_tol,
-        )
-    except HypothesisError as exc:
-        _write_rows(args.out, "check,status,detail", [f"constant_finite,fail,{exc}"])
-        sys.stderr.write(f"constant not finite: {exc}\n")
-        return EXIT_FAIL
-    except ExtremalError as exc:
-        _write_rows(args.out, "check,status,detail", [f"extremal_admissible,fail,{exc}"])
-        sys.stderr.write(f"extremal family not admissible: {exc}\n")
-        return EXIT_FAIL
-    rows = [
-        ",".join((_fmt(e), _fmt(r), _fmt(c), _fmt(rc)))
-        for e, r, c, rc in result.rows
-    ]
-    _write_rows(args.out, "epsilon,ratio,constant,ratio_over_constant", rows)
-    ok = result.monotone and result.final_within_10pct
+    result = _sharpness(cfg, args.kind or _default_kind(cfg), st.eps_list,
+                        args.which or _default_constant(cfg), args.out)
+    ok = result is not None and result.monotone and result.final_within_10pct
     return EXIT_OK if ok else EXIT_FAIL
 
 

@@ -31,6 +31,7 @@ __all__ = [
     "ConfigError",
     "QuadratureSettings",
     "ExperimentConfig",
+    "eps_list_from_json",
     "exponent_from_json",
     "exponent_to_json",
     "family_from_json",
@@ -71,7 +72,7 @@ class QuadratureSettings:
             if key in obj:
                 kw[key] = tuple(int(v) for v in obj[key])
         if "eps_list" in obj:
-            kw["eps_list"] = tuple(float(v) for v in obj["eps_list"])
+            kw["eps_list"] = eps_list_from_json(obj["eps_list"])
         return cls(**kw)
 
     def to_json(self) -> dict:
@@ -87,6 +88,17 @@ class QuadratureSettings:
             "N": self.n_samples,
             "workers": self.workers,
         }
+
+
+def eps_list_from_json(values) -> tuple[float, ...]:
+    """The epsilons of a sharpness sweep: positive and strictly decreasing."""
+    try:
+        eps = tuple(float(v) for v in values)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad eps_list {values!r}: {exc}") from exc
+    if not eps or not all(e > 0 for e in eps) or not all(b < a for a, b in zip(eps, eps[1:])):
+        raise ConfigError(f"eps_list {list(eps)} must be positive and strictly decreasing")
+    return eps
 
 
 # ---------------------------------------------------------------------------
@@ -334,23 +346,23 @@ class ExperimentConfig:
             if len(families) != m or len(slots) != m:
                 raise ConfigError("families and slots must both have m entries")
             OperatorSpec(n, m, kernel, families)  # dimension and kernel couplings
+            space_kind = obj.get("space_kind", "lebesgue")
+            if space_kind not in SPACE_KINDS:
+                raise ConfigError(f"unknown space kind {space_kind!r}")
+            cfg = cls(
+                n=n, m=m, kernel=kernel, families=families, slots=slots,
+                zeta=float(obj.get("zeta", 1.0)),
+                space_kind=space_kind,
+                function=obj.get("function"),
+                space=obj.get("space"),
+                settings=QuadratureSettings.from_json(obj.get("quadrature", {})),
+                raw=obj,
+            )
+            cfg.derived_report()  # validates the couplings eagerly
         except ConfigError:
             raise
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, ArithmeticError) as exc:
             raise ConfigError(f"malformed config: {exc}") from exc
-        space_kind = obj.get("space_kind", "lebesgue")
-        if space_kind not in SPACE_KINDS:
-            raise ConfigError(f"unknown space kind {space_kind!r}")
-        cfg = cls(
-            n=n, m=m, kernel=kernel, families=families, slots=slots,
-            zeta=float(obj.get("zeta", 1.0)),
-            space_kind=space_kind,
-            function=obj.get("function"),
-            space=obj.get("space"),
-            settings=QuadratureSettings.from_json(obj.get("quadrature", {})),
-            raw=obj,
-        )
-        cfg.derived_report()  # validates the couplings eagerly
         return cfg
 
 

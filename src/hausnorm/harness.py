@@ -72,39 +72,25 @@ def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], Sp
         target = SpaceSpec("lebesgue", n, cfg.combined_q(), gamma=cfg.gamma_sum())
         return sources, target
 
-    if cid in ("C3", "C5", "C5*", "C7"):
-        zeta = cfg.zeta if cid == "C3" else 1.0
-        gamma_of = (lambda s: s.gamma / s.q(1.0)) if cid == "C7" else (lambda s: s.gamma)
+    if cid in ("C3", "C4", "C5", "C5*", "C6", "C6*", "C7", "C8"):
+        # Morrey-Herz (C3, C5, C5*, C7) or Herz, which is Morrey-Herz at lam = 0
+        herz = cid in ("C4", "C6", "C6*", "C8")
+        kind = "herz" if herz else "morrey_herz"
+        zeta = cfg.zeta if cid in ("C3", "C4") else 1.0
+        weighted = cid in ("C7", "C8")  # gamma/q couplings
+        gamma_of = (lambda s: s.gamma / s.q(1.0)) if weighted else (lambda s: s.gamma)
         sources = [
             SpaceSpec(
-                "morrey_herz", n, scale_exponent(s.q, zeta),
-                gamma=gamma_of(s), alpha=s.alpha, lam=s.lam, p_outer=s.p,
+                kind, n, scale_exponent(s.q, zeta),
+                gamma=gamma_of(s), alpha=s.alpha, lam=0.0 if herz else s.lam, p_outer=s.p,
             )
             for s in slots
         ]
-        tgt_gamma = cfg.gamma_weighted() / cfg.combined_q()(1.0) if cid == "C7" else cfg.gamma_sum()
+        tgt_gamma = cfg.gamma_weighted() / cfg.combined_q()(1.0) if weighted else cfg.gamma_sum()
         target = SpaceSpec(
-            "morrey_herz", n, cfg.combined_q(),
+            kind, n, cfg.combined_q(),
             gamma=tgt_gamma, alpha=cfg.alpha_sum(),
-            lam=cfg.lam_sum(), p_outer=cfg.p_combined(),
-        )
-        return sources, target
-
-    if cid in ("C4", "C6", "C6*", "C8"):
-        zeta = cfg.zeta if cid == "C4" else 1.0
-        gamma_of = (lambda s: s.gamma / s.q(1.0)) if cid == "C8" else (lambda s: s.gamma)
-        sources = [
-            SpaceSpec(
-                "herz", n, scale_exponent(s.q, zeta),
-                gamma=gamma_of(s), alpha=s.alpha, lam=0.0, p_outer=s.p,
-            )
-            for s in slots
-        ]
-        tgt_gamma = cfg.gamma_weighted() / cfg.combined_q()(1.0) if cid == "C8" else cfg.gamma_sum()
-        target = SpaceSpec(
-            "herz", n, cfg.combined_q(),
-            gamma=tgt_gamma, alpha=cfg.alpha_sum(),
-            lam=0.0, p_outer=cfg.p_combined(),
+            lam=0.0 if herz else cfg.lam_sum(), p_outer=cfg.p_combined(),
         )
         return sources, target
 
@@ -342,7 +328,8 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
     """Ratio of the extremal family against the matching sharp constant.
 
     eps_list must be strictly decreasing and positive; the epsilon-free
-    power families simply repeat their (epsilon-independent) row.
+    power families simply repeat their (epsilon-independent) row.  A
+    constant outside (0, inf) raises HypothesisError.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -374,8 +361,8 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
             )
 
     res = evaluate_constant(cfg, constant_id)
-    if not res.finite:
-        raise HypothesisError(f"constant {constant_id} is not finite")
+    if not 0.0 < res.value < _INF:
+        raise HypothesisError(f"constant {constant_id} = {res.value} is not in (0, inf)")
     sources, target = spaces_for_constant(cfg, constant_id)
 
     rows = []

@@ -61,9 +61,9 @@ def dilation_shapes(n, seed):
     ]
 
 
-def piece_value(pieces, t):
-    (piece,) = [p for p in pieces if p.lo <= t < p.hi]
-    return piece.value(t)
+def piece_value(factor, t):
+    (seg,) = [s for s in factor.segments if s.r_lo <= t < s.r_hi]
+    return seg.value(t)
 
 
 class TestFactorAlgebra:
@@ -82,8 +82,8 @@ class TestFactorAlgebra:
                 assert ic * t ** ie == pytest.approx(inverse_stats(fam, t)[0], rel=1e-12)
                 for q in (Constant(2.5), LogInterp(3.0, 1.5)):
                     gamma = rng.uniform(-2.0, 2.0)
-                    pieces, _ = bounds._c_factor_pieces(fam, q, gamma, "c")
-                    assert piece_value(pieces, t) == pytest.approx(
+                    factor, _ = bounds._c_factor_pieces(fam, q, gamma, "c")
+                    assert piece_value(factor, t) == pytest.approx(
                         c_factor(fam, q, gamma, t), rel=1e-12)
 
 
@@ -121,6 +121,27 @@ class TestLebesgueConstants:
         assert set(piece) == {"s_lo", "s_hi", "quadrature"}
         assert piece["quadrature"] is True
         assert piece["s_lo"] < piece["s_hi"] == 0.0
+
+    def test_node_factor_evaluated_once_per_radius(self, monkeypatch):
+        # each node factor value pulls the exponent back once at its radius;
+        # the hypothesis check samples pullbacks at radii of its own
+        cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
+        monkeypatch.setattr(bounds, "_check_pullback_hypothesis", lambda cfg, zeta: None)
+        radii = []
+
+        def recording(q, fam, t):
+            radii.append(t)
+            return pullback_exponent(q, fam, t)
+
+        monkeypatch.setattr(bounds, "pullback_exponent", recording)
+        res = evaluate_constant(cfg, "C1")
+        assert res.finite
+        assert len(radii) > 100  # the quadrature path ran
+        assert len(set(radii)) == len(radii)
+
+    def test_outer_index_must_be_positive(self, hardy_op):
+        with pytest.raises(ValueError, match="outer indices p_i must be positive"):
+            BoundConfig(hardy_op, (SlotParams(q=Constant(2.0), p=0.0),))
 
     def test_zeta_two_divergence_reported(self, hardy_op):
         cfg = BoundConfig(hardy_op, (SlotParams(q=Constant(2.0)),), zeta=2.0)

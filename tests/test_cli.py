@@ -16,6 +16,30 @@ def reject_non_finite(token):
     raise ValueError(f"non-finite JSON number {token}")
 
 
+HARDY_SLOT = {"q": {"type": "constant", "value": 2.0}, "gamma": 0.0,
+              "alpha": {"type": "constant", "value": 0.0}, "lambda": 0.0, "p": 2.0}
+
+# Morrey-Herz with alpha = 0.3, lambda = 0.1: the power family's source
+# norm is flagged as truncated
+MORREY_HERZ_A03_L01 = {
+    "n": 1,
+    "m": 1,
+    "kernel": {"c": 1.0, "a": 1.0, "support": [0.0, 1.0], "one_sided": True},
+    "families": [{"type": "scalar_dilation", "s": {"c": 1.0, "a": 1.0}}],
+    "slots": [
+        {"q": {"type": "constant", "value": 2.0}, "gamma": 0.0,
+         "alpha": {"type": "constant", "value": 0.3}, "lambda": 0.1, "p": 2.0}
+    ],
+    "zeta": 1.0,
+    "space_kind": "morrey_herz",
+    "quadrature": {"rel_tol": 1e-9, "seed": 42},
+}
+
+
+def hardy_with(**change):
+    return {**json.loads((FIXTURES / "hardy_p2.json").read_text()), **change}
+
+
 def run_cli(*args):
     proc = subprocess.run(
         [sys.executable, "-m", "hausnorm.cli", *args],
@@ -85,8 +109,10 @@ class TestConstants:
             {"families": [{"type": "diag_equal", "s": {"c": 1, "a": 1}, "signs": [1, -1]}]},
             {"n": 2},  # the one-sided kernel exists only at n = 1
             {"families": [{"type": "scalar_dilation", "s": {"c": 0, "a": 1}}]},
+            {"slots": [{**HARDY_SLOT, "p": 0}]},
+            {"zeta": 0},
         ],
-        ids=["family-dimension", "one-sided-kernel", "vanishing-map"],
+        ids=["family-dimension", "one-sided-kernel", "vanishing-map", "zero-p", "zero-zeta"],
     )
     def test_config_errors_exit_2(self, change, tmp_path, capsys):
         obj = json.loads((FIXTURES / "hardy_p2.json").read_text())
@@ -123,6 +149,52 @@ class TestSweep:
         final = lines[-1].split(",")
         assert float(final[0]) == pytest.approx(0.01)
         assert float(final[3]) >= 0.9
+
+    def test_bad_eps_flag_exits_2(self, capsys):
+        code = main(["sweep", "--config", str(FIXTURES / "hardy_p2.json"), "--eps", "0.01,0.1"])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: eps_list [0.01, 0.1]")
+
+
+class TestSharpnessFailures:
+    """sweep and verify --suite sharpness share one front end: a bad eps
+    list is a config error, and a failing sweep writes one failed check."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [["sweep"], ["verify", "--suite", "sharpness"]],
+        ids=["sweep", "verify"],
+    )
+    @pytest.mark.parametrize(
+        "config, kind, code, expected",
+        [
+            (hardy_with(slots=[{**HARDY_SLOT, "gamma": -5}]), "lebesgue_eps", 1,
+             "ratio_defined,fail,source norm is inf"),
+            (hardy_with(kernel={"c": 0.0, "a": 1.0, "support": [0.0, 1.0], "one_sided": True}),
+             "lebesgue_eps", 1, "constant_finite,fail,constant C9 = 0.0 is not in (0, inf)"),
+            (hardy_with(quadrature={"eps_list": [0.01, 0.1]}), "lebesgue_eps", 2,
+             "config error: eps_list [0.01, 0.1] must be positive and strictly decreasing"),
+            (MORREY_HERZ_A03_L01, "morrey_herz_power", 1,
+             "extremal_admissible,fail,extremal member has source norm"),
+        ],
+        ids=["source-norm-inf", "zero-constant", "eps-increasing", "inadmissible-family"],
+    )
+    def test_failures_are_reported(self, command, config, kind, code, expected,
+                                   tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config), encoding="utf-8")
+        out = tmp_path / "out.csv"
+        got = main([*command, "--config", str(path), "--kind", kind, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert got == code
+        if code == 2:
+            assert err.startswith(expected)
+            assert not out.exists()
+        else:
+            rows = out.read_text().splitlines()
+            assert rows[0] == "check,status,detail"
+            assert rows[1].startswith(expected)
+            assert len(rows) == 2
 
 
 class TestVerify:
@@ -170,23 +242,8 @@ class TestVerify:
         assert float(rows[-1].split(",")[3]) >= 0.9
 
     def test_inadmissible_extremal_family_is_a_failed_check(self, tmp_path, capsys):
-        # Morrey-Herz with alpha = 0.3, lambda = 0.1: the power family's
-        # source norm is flagged as truncated
-        cfg = {
-            "n": 1,
-            "m": 1,
-            "kernel": {"c": 1.0, "a": 1.0, "support": [0.0, 1.0], "one_sided": True},
-            "families": [{"type": "scalar_dilation", "s": {"c": 1.0, "a": 1.0}}],
-            "slots": [
-                {"q": {"type": "constant", "value": 2.0}, "gamma": 0.0,
-                 "alpha": {"type": "constant", "value": 0.3}, "lambda": 0.1, "p": 2.0}
-            ],
-            "zeta": 1.0,
-            "space_kind": "morrey_herz",
-            "quadrature": {"rel_tol": 1e-9, "seed": 42},
-        }
         path = tmp_path / "morrey_herz.json"
-        path.write_text(json.dumps(cfg), encoding="utf-8")
+        path.write_text(json.dumps(MORREY_HERZ_A03_L01), encoding="utf-8")
         out = tmp_path / "sharp.csv"
         code = main(["verify", "--config", str(path), "--suite", "sharpness",
                      "--out", str(out)])

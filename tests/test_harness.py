@@ -96,6 +96,36 @@ class TestRandomFunctions:
         assert found
 
 
+class TestSpacesForConstant:
+    @pytest.mark.parametrize(
+        "cid, kind, dilated, gamma_over_q",
+        [
+            ("C3", "morrey_herz", True, False),
+            ("C4", "herz", True, False),
+            ("C5", "morrey_herz", False, False),
+            ("C5*", "morrey_herz", False, False),
+            ("C6", "herz", False, False),
+            ("C6*", "herz", False, False),
+            ("C7", "morrey_herz", False, True),
+            ("C8", "herz", False, True),
+        ],
+    )
+    def test_herz_type_spaces(self, hardy_op, cid, kind, dilated, gamma_over_q):
+        # Herz is Morrey-Herz at lam = 0; only C3/C4 take the zeta-dilated
+        # exponent and only C7/C8 couple gamma through q
+        cfg = BoundConfig(
+            hardy_op, (SlotParams(q=Constant(2.0), gamma=0.3, lam=0.2, p=3.0),), zeta=1.5)
+        (src,), tgt = spaces_for_constant(cfg, cid)
+        lam = 0.2 if kind == "morrey_herz" else 0.0
+        gamma = 0.15 if gamma_over_q else 0.3
+        assert (src.kind, tgt.kind) == (kind, kind)
+        assert (src.lam, tgt.lam) == (lam, lam)
+        assert src.q(1.0) == pytest.approx(3.0 if dilated else 2.0)
+        assert tgt.q(1.0) == pytest.approx(2.0)
+        assert (src.gamma, tgt.gamma) == (pytest.approx(gamma), pytest.approx(gamma))
+        assert (src.p_outer, tgt.p_outer) == (3.0, pytest.approx(3.0))
+
+
 class TestUpperBoundSuite:
     def test_hardy_no_violations(self, hardy_op, hardy_cfg):
         suite = upper_bound_suite(hardy_op, hardy_cfg, "C9", 20, 42)
