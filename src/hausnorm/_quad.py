@@ -77,7 +77,8 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     if v <= u:
         return -_INF
     if math.isinf(v):
-        if b >= -DIV_TOL:
+        # on (0, inf) one end or the other diverges
+        if b >= -DIV_TOL or u == 0.0:
             return _INF
         return b * math.log(u) - math.log(-b)
     if u == 0.0:
@@ -89,8 +90,27 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     if abs(scaled) < 1e-10:
         return b * math.log(u) + math.log(span)
     if b > 0:
-        return b * math.log(v) + math.log1p(-math.exp(-scaled)) - math.log(b)
-    return b * math.log(u) + math.log1p(-math.exp(scaled)) - math.log(-b)
+        return b * math.log(v) + math.log(-math.expm1(-scaled)) - math.log(b)
+    return b * math.log(u) + math.log(-math.expm1(scaled)) - math.log(-b)
+
+
+def log_power_integrals(u: np.ndarray, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """log_power_integral over arrays of intervals (u < v) and exponents.
+
+    Rows with a finite |b ln(v/u)| >= 1e-10 take the closed form as arrays,
+    whose numpy log and expm1 may differ from libm's by an ulp; the rest,
+    singular ends included, take log_power_integral itself.
+    """
+    b = beta + 1.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        x = np.abs(b * np.log(v / u))
+        # b ln v + ln(1 - e^(-b span)) - ln b for a rising power, and
+        # b ln u + ln(1 - e^(b span)) - ln(-b) for a falling one
+        out = b * np.log(np.where(b > 0.0, v, u)) + np.log(-np.expm1(-x)) - np.log(np.abs(b))
+        special = np.flatnonzero(~((x >= 1e-10) & (x < _INF)))
+    for i in special.tolist():
+        out[i] = log_power_integral(float(u[i]), float(v[i]), float(beta[i]))
+    return out
 
 
 # QUADPACK's 7-point Gauss / 15-point Kronrod pair (qk15) on [-1, 1]: the

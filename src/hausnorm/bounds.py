@@ -326,7 +326,7 @@ def _probe_slope(fn, r0: float, towards_zero: bool) -> float:
 def _check_pullback_hypothesis(cfg: BoundConfig, zeta: float) -> None:
     """Sampled check of q_i(A_i^{-1}(t) .) <= zeta q_i(.) over the support."""
     k = cfg.operator.kernel
-    lo = k.r_lo if k.r_lo > 0 else k.r_hi * 1e-6
+    lo = k.r_lo if k.r_lo > 0 else (k.r_hi if math.isfinite(k.r_hi) else 1.0) * 1e-6
     ts = [lo * (k.r_hi / lo) ** (i / 8.0) for i in range(9) if math.isfinite(k.r_hi)]
     if not ts:
         ts = [lo * 4.0 ** i for i in range(9)]

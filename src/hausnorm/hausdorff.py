@@ -20,7 +20,7 @@ import numpy as np
 
 from . import _quad
 from .exponents import sphere_area
-from .luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
+from .luxemburg import PiecewisePowerFunction
 from .matrices import Dilation, PowerMap, SingularFamilyError
 from .spaces import SpaceSpec, space_norm
 
@@ -255,10 +255,7 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
         x0, x1 = np.append(x0, xs[-1]), np.append(x1, _INF)
         coef = np.append(coef, vals[-1] / xs[-1] ** tail)
         slope = np.append(slope, tail)
-    return PiecewisePowerFunction(tuple(
-        Segment(lo, hi, c, ExponentExpr(b))
-        for lo, hi, c, b in zip(x0.tolist(), x1.tolist(), coef.tolist(), slope.tolist())
-    ))
+    return PiecewisePowerFunction.from_columns(x0, x1, coef, slope)
 
 
 def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],

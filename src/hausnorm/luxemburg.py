@@ -21,8 +21,7 @@ once per norm.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -234,29 +233,47 @@ class Segment:
         return tuple(sorted(set(out)))
 
 
-def _fold_pow2(pow2, m, alpha):
-    if alpha.is_constant:
-        return pow2, 2.0 ** (m * alpha.p_zero)
-    return pow2 + ((m, alpha),), 1.0
-
-
-@dataclass(frozen=True)
 class PiecewisePowerFunction:
-    """Nonnegative radial function assembled from power segments."""
+    """Nonnegative radial function assembled from power segments.
 
-    segments: tuple[Segment, ...]
-    # sorted segment starts, for bisection
-    starts: tuple[float, ...] = field(init=False, repr=False, compare=False)
+    Stored as float columns over its rows, sorted by start: lo, hi and coef
+    for every row, and expo for the plain rows, coef * r^expo with a bare
+    constant exponent.  A row with exponent terms or pow2 factors keeps its
+    Segment in side, keyed by row, and has expo NaN.  segments is derived
+    from these on first use.
+    """
 
-    def __post_init__(self):
-        segs = tuple(sorted(self.segments, key=lambda s: s.r_lo))
+    __slots__ = ("lo", "hi", "coef", "expo", "side", "_segments")
+
+    def __init__(self, segments=()):
+        segs = tuple(sorted(segments, key=lambda s: s.r_lo))
         for a, b in zip(segs, segs[1:]):
             if b.r_lo < a.r_hi * (1 - _SNAP):
                 raise ValueError("segments overlap")
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "starts", tuple(s.r_lo for s in segs))
+        side = {i: s for i, s in enumerate(segs) if s.expr.terms or s.pow2}
+        self.lo, self.hi, self.coef, self.expo = np.array(
+            [(s.r_lo, s.r_hi, s.coef, math.nan if i in side else s.expr.const)
+             for i, s in enumerate(segs)], dtype=float,
+        ).reshape(-1, 4).T
+        self.side, self._segments = side, segs
+
+    @classmethod
+    def _of(cls, lo, hi, coef, expo, side, segments=None):
+        """A function over rows already sorted and disjoint, unchecked."""
+        out = object.__new__(cls)
+        out.lo, out.hi, out.coef, out.expo = lo, hi, coef, expo
+        out.side, out._segments = side, segments
+        return out
 
     # -- constructors -------------------------------------------------------
+
+    @classmethod
+    def from_columns(cls, lo, hi, coef, expo) -> "PiecewisePowerFunction":
+        """Plain rows coef * r^expo on [lo, hi), from float arrays sorted by lo."""
+        if not (np.all((0 <= lo) & (lo < hi) & (coef >= 0))
+                and np.all(lo[1:] >= hi[:-1] * (1 - _SNAP))):
+            raise ValueError("need 0 <= lo < hi, coef >= 0 and rows sorted without overlap")
+        return cls._of(lo, hi, coef, expo, {})
 
     @classmethod
     def single_power(cls, coef, expo, r_lo=0.0, r_hi=_INF):
@@ -274,11 +291,35 @@ class PiecewisePowerFunction:
     def zero(cls):
         return cls(())
 
+    @property
+    def segments(self) -> tuple[Segment, ...]:
+        """The rows as Segments, built on first use."""
+        if self._segments is None:
+            cols = zip(self.lo.tolist(), self.hi.tolist(), self.coef.tolist(), self.expo.tolist())
+            self._segments = tuple(self.side.get(i) or Segment(lo, hi, c, ExponentExpr(b))
+                                   for i, (lo, hi, c, b) in enumerate(cols))
+        return self._segments
+
+    @property
+    def starts(self) -> tuple[float, ...]:
+        return tuple(self.lo.tolist())
+
+    def __eq__(self, other):
+        if not isinstance(other, PiecewisePowerFunction):
+            return NotImplemented
+        return self.segments == other.segments
+
+    def __hash__(self):
+        return hash(self.segments)
+
+    def __repr__(self):
+        return f"PiecewisePowerFunction(segments={self.segments!r})"
+
     # -- evaluation ---------------------------------------------------------
 
     def segment_at(self, r: float) -> Segment | None:
-        i = bisect_right(self.starts, r) - 1
-        if i >= 0 and self.segments[i].r_lo <= r < self.segments[i].r_hi:
+        i = int(np.searchsorted(self.lo, r, side="right")) - 1
+        if i >= 0 and self.lo[i] <= r < self.hi[i]:
             return self.segments[i]
         return None
 
@@ -290,41 +331,37 @@ class PiecewisePowerFunction:
 
     @property
     def is_zero(self) -> bool:
-        return all(s.coef == 0.0 for s in self.segments)
+        return not self.coef.any()
 
     def support(self) -> tuple[float, float]:
-        live = [s for s in self.segments if s.coef > 0.0]
-        if not live:
+        live = np.flatnonzero(self.coef > 0.0)
+        if not len(live):
             return (0.0, 0.0)
-        return (live[0].r_lo, live[-1].r_hi)
+        return (float(self.lo[live[0]]), float(self.hi[live[-1]]))
 
     # -- algebra ------------------------------------------------------------
 
     def scaled(self, c: float) -> "PiecewisePowerFunction":
         if c < 0:
             raise ValueError("only nonnegative scalings are representable")
-        return PiecewisePowerFunction(
-            tuple(Segment(s.r_lo, s.r_hi, c * s.coef, s.expr, s.pow2) for s in self.segments)
-        )
+        side = {i: replace(s, coef=c * s.coef) for i, s in self.side.items()}
+        return self._of(self.lo, self.hi, c * self.coef, self.expo, side)
 
     def weighted(self, gamma: float) -> "PiecewisePowerFunction":
         """Multiply by |x|^gamma (power weights fold into the exponents)."""
         if gamma == 0.0:
             return self
-        return PiecewisePowerFunction(
-            tuple(
-                Segment(s.r_lo, s.r_hi, s.coef, s.expr.shifted(gamma), s.pow2)
-                for s in self.segments
-            )
-        )
+        side = {i: replace(s, expr=s.expr.shifted(gamma)) for i, s in self.side.items()}
+        return self._of(self.lo, self.hi, self.coef, self.expo + gamma, side)
 
     def times_pow2(self, m: float, alpha: RadialExponent) -> "PiecewisePowerFunction":
         """Multiply by 2^{m * alpha(|x|)}; constant alpha folds into coefficients."""
-        out = []
-        for s in self.segments:
-            pow2, fold = _fold_pow2(s.pow2, m, alpha)
-            out.append(Segment(s.r_lo, s.r_hi, s.coef * fold, s.expr, pow2))
-        return PiecewisePowerFunction(tuple(out))
+        if alpha.is_constant:
+            fold = 2.0 ** (m * alpha.p_zero)
+            side = {i: replace(s, coef=s.coef * fold) for i, s in self.side.items()}
+            return self._of(self.lo, self.hi, self.coef * fold, self.expo, side)
+        side = {i: replace(s, pow2=s.pow2 + ((m, alpha),)) for i, s in enumerate(self.segments)}
+        return self._of(self.lo, self.hi, self.coef, np.full(len(self.lo), math.nan), side)
 
     def multiply(self, other: "PiecewisePowerFunction") -> "PiecewisePowerFunction":
         out = []
@@ -346,25 +383,30 @@ class PiecewisePowerFunction:
         before the one holding r_lo (1 - 4 _SNAP) end below r_lo even with
         the overlap the constructor tolerates.
         """
-        i = max(bisect_right(self.starts, region.r_lo * (1 - 4 * _SNAP)) - 1, 0)
-        j = bisect_left(self.starts, region.r_hi)
-        return PiecewisePowerFunction(self.segments[i:j])
+        i = max(int(np.searchsorted(self.lo, region.r_lo * (1 - 4 * _SNAP), side="right")) - 1, 0)
+        j = int(np.searchsorted(self.lo, region.r_hi, side="left"))
+        side = {k - i: s for k, s in self.side.items() if i <= k < j}
+        segs = self._segments[i:j] if self._segments is not None else None
+        return self._of(self.lo[i:j], self.hi[i:j], self.coef[i:j], self.expo[i:j], side, segs)
+
+    def _clip(self, region: Region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, lo, hi) of the nonzero rows that meet the region, clipped
+        to it and snapped to its ends (snapping only widens a piece)."""
+        lo = np.maximum(self.lo, region.r_lo)
+        hi = np.minimum(self.hi, region.r_hi)
+        rows = np.flatnonzero((hi > lo * (1 + _SNAP)) & (self.coef != 0.0))
+        lo, hi = lo[rows], hi[rows]
+        if region.r_lo > 0:
+            lo[lo - region.r_lo <= _SNAP * region.r_lo] = region.r_lo
+        if math.isfinite(region.r_hi):
+            hi[region.r_hi - hi <= _SNAP * region.r_hi] = region.r_hi
+        return rows, lo, hi
 
     def pieces_in(self, region: Region):
         """Yield (segment, lo, hi) clipped to the region, snapped at boundaries."""
-        for s in self.segments:
-            if s.coef == 0.0:
-                continue
-            lo, hi = max(s.r_lo, region.r_lo), min(s.r_hi, region.r_hi)
-            if hi <= lo * (1 + _SNAP) and not (lo == 0.0 and hi > 0.0):
-                continue
-            if lo > 0 and abs(lo - region.r_lo) <= _SNAP * region.r_lo:
-                lo = region.r_lo
-            if math.isfinite(hi) and region.r_hi > 0 and math.isfinite(region.r_hi):
-                if abs(hi - region.r_hi) <= _SNAP * region.r_hi:
-                    hi = region.r_hi
-            if hi > lo:
-                yield s, lo, hi
+        rows, lo, hi = self._clip(region)
+        for i, u, v in zip(rows.tolist(), lo.tolist(), hi.tolist()):
+            yield self.segments[i], u, v
 
 
 # ---------------------------------------------------------------------------
@@ -378,11 +420,7 @@ def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
     divergence.  None for any other piece."""
     if not seg.plain_power:
         return None
-    if p.is_constant:
-        # equal to range_on(u, v) for a constant p, without its cost per piece
-        p_lo = p_hi = p.p_zero
-    else:
-        p_lo, p_hi = p.range_on(u, v)
+    p_lo, p_hi = p.range_on(u, v)
     if not (p_lo == p_hi and math.isfinite(p_lo)):
         return None
     a = seg.expr(1.0)
@@ -551,12 +589,11 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     trials share one set of pieces, so each quadrature node is evaluated
     once per norm.
     """
+    if p.is_constant and math.isfinite(p.p_zero):
+        return _constant_p_norm(g, region, p, n, rel_tol)
     clipped = list(g.pieces_in(region))
     if not clipped:
         return 0.0
-
-    if p.is_constant and math.isfinite(p.p_zero):
-        return _constant_p_norm(clipped, p, n, rel_tol)
 
     pieces = [_Piece(seg, u, v, p, n, rel_tol) for seg, u, v in clipped]
     evals = 0
@@ -577,25 +614,28 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
         return _INF
 
 
-def _constant_p_norm(pieces, p, n, rel_tol):
-    """F_p(g)^(1/p) for a constant finite p, from the clipped pieces of g.
+def _constant_p_norm(g, region, p, n, rel_tol):
+    """F_p(g)^(1/p) on the region for a constant finite p.
 
-    The piece modulars are summed as floats while every one is within
-    e^(+-_LN_RANGE), and from their logs otherwise (_log_sum), so that
-    norms far outside the float range neither saturate nor flush to 0.
+    The plain rows of g take the closed form as arrays, the side rows a
+    _Piece each.  The piece modulars are summed as floats while every one
+    is within e^(+-_LN_RANGE), and from their logs otherwise (_log_sum), so
+    that norms far outside the float range neither saturate nor flush to 0.
     """
-    logs = []
-    for seg, u, v in pieces:
-        closed = _closed_form_log(seg, u, v, p, n)
-        if closed is None:
-            ln_val = _Piece(seg, u, v, p, n, rel_tol).log_value(1.0, 0.0)[0]
-        else:
-            ln_val = closed[0]
-        if ln_val == _INF:
-            return _INF
-        logs.append(ln_val)
-    m, ln_m = _log_sum(logs, sphere_area(n))
+    rows, u, v = g._clip(region)
+    if not len(rows):
+        return 0.0
     pbar = p.p_zero
+    # NaN at the side rows, replaced below
+    logs = (pbar * np.log(g.coef[rows])
+            + _quad.log_power_integrals(u, v, n - 1 + g.expo[rows] * pbar)).tolist()
+    if g.side:
+        for k, (i, a, b) in enumerate(zip(rows.tolist(), u.tolist(), v.tolist())):
+            if i in g.side:
+                logs[k] = _Piece(g.side[i], a, b, p, n, rel_tol).log_value(1.0, 0.0)[0]
+    if _INF in logs:
+        return _INF
+    m, ln_m = _log_sum(logs, sphere_area(n))
     if m is not None:
         return m ** (1.0 / pbar) if m > 0.0 else 0.0
     return _exp(ln_m / pbar)

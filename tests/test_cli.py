@@ -268,11 +268,21 @@ class TestVerify:
         assert outs[0] == outs[1] == outs[2]
 
 
+    @pytest.mark.parametrize("which", ["C1", "C2", "C3", "C5", "C9"])
+    def test_unbounded_kernel_diverges_without_traceback(self, which, capsys):
+        # phi(r) = 1/r on [0, inf): the pullback check samples finite radii
+        config = str(FIXTURES / "hardy_unbounded_kernel.json")
+        code = main(["constants", "--config", config, "--which", which])
+        out = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert out["value"] is None and out["finite"] is False
+
+
 class TestConfigRoundTrip:
     @pytest.mark.parametrize(
         "name",
         ["hardy_p2.json", "bilinear_p4.json", "central_morrey_m1.json",
-         "loginterp_norm.json", "divergent_c1.json"],
+         "loginterp_norm.json", "divergent_c1.json", "hardy_unbounded_kernel.json"],
     )
     def test_fixture_round_trips(self, name):
         cfg = load_config(str(FIXTURES / name))

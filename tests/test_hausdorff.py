@@ -4,10 +4,10 @@ from pathlib import Path
 import pytest
 from scipy import integrate
 
-from hausnorm import _quad, hausdorff
+from hausnorm import _quad, hausdorff, luxemburg
 from hausnorm.config import load_config
-from hausnorm.exponents import Constant, LogInterp
-from hausnorm.harness import upper_bound_suite
+from hausnorm.exponents import Constant, LogInterp, sphere_area
+from hausnorm.harness import spaces_for_constant, upper_bound_suite
 from hausnorm.hausdorff import (
     DivergentImageError,
     OperatorSpec,
@@ -20,7 +20,14 @@ from hausnorm.hausdorff import (
     from_multilinear_hardy_cesaro,
     operator_ratio,
 )
-from hausnorm.luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
+from hausnorm.luxemburg import (
+    ExponentExpr,
+    ExprTerm,
+    PiecewisePowerFunction,
+    Region,
+    Segment,
+    luxemburg_norm,
+)
 from hausnorm.matrices import PowerMap, ScalarDilation, SingularFamilyError
 from hausnorm.spaces import SpaceSpec
 
@@ -347,17 +354,34 @@ def scalar_interpolant(xs, vals):
 
 
 def assert_matches_scalar_interpolant(xs, vals):
+    """The columns of the interpolant against the oracle's rows; every row
+    is plain, and the segments are those rows."""
     xs, vals = [float(x) for x in xs], [float(v) for v in vals]
     img = hausdorff._loglog_interpolant(xs, vals)
     ref = scalar_interpolant(xs, vals)
-    assert len(img.segments) == len(ref)
-    for seg, (lo, hi, x0, v0, slope) in zip(img.segments, ref):
-        assert (seg.r_lo, seg.r_hi) == (lo, hi)
-        assert abs(seg.expr.const - slope) <= 2 * math.ulp(slope)
+    assert len(img.lo) == len(ref) and not img.side
+    rows = zip(img.lo.tolist(), img.hi.tolist(), img.coef.tolist(), img.expo.tolist())
+    for (lo, hi, coef, expo), (r_lo, r_hi, x0, v0, slope) in zip(rows, ref):
+        assert (lo, hi) == (r_lo, r_hi)
+        assert abs(expo - slope) <= 2 * math.ulp(slope)
         # an ulp of slope moves v0 / x0**slope by about |slope ln x0| ulp, so
         # the coefficient is checked at the slope the piece carries
-        assert abs(seg.coef - v0 / x0 ** seg.expr.const) <= 2 * math.ulp(seg.coef)
+        assert abs(coef - v0 / x0 ** expo) <= 2 * math.ulp(coef)
+    assert img.segments == tuple(
+        Segment(lo, hi, coef, ExponentExpr(expo))
+        for lo, hi, coef, expo in zip(img.lo, img.hi, img.coef, img.expo)
+    )
     return img
+
+
+def segment_norm_oracle(g, p, n):
+    """Constant-p Luxemburg norm of g over all radii, one Segment at a time:
+    _closed_form_log per clipped segment, summed by _log_sum.  Oracle for
+    the column path of luxemburg_norm."""
+    logs = [luxemburg._closed_form_log(seg, u, v, p, n)[0]
+            for seg, u, v in g.pieces_in(Region.all())]
+    m, ln_m = luxemburg._log_sum(logs, sphere_area(n))
+    return m ** (1.0 / p.p_zero) if m is not None else math.exp(ln_m / p.p_zero)
 
 
 class TestScalarOracles:
@@ -371,7 +395,7 @@ class TestScalarOracles:
         assert hausdorff._image_support(spec, fs) == scalar_support(spec, fs)
         assert_matches_scalar_interpolant(*grid_samples(spec, fs, monkeypatch))
 
-    @pytest.mark.parametrize("seed", [3, 10])
+    @pytest.mark.parametrize("seed", [3, 10, 15])
     @pytest.mark.parametrize("fixture", ["hardy_p2.json", "bilinear_p4.json"])
     def test_seeded_suite_images(self, fixture, seed, monkeypatch):
         supports, samples = [], []
@@ -396,8 +420,12 @@ class TestScalarOracles:
         assert len(supports) == 40 and len(samples) == len(live) >= 35
         for spec, fs, out in supports:
             assert out == scalar_support(spec, fs)
+        target = spaces_for_constant(cfg.bound_config(), "C9")[1]
         for xs, vals in samples:
-            assert_matches_scalar_interpolant(xs, vals)
+            img = assert_matches_scalar_interpolant(xs, vals).weighted(target.gamma)
+            got = luxemburg_norm(img, target.q, Region.all(), target.n)
+            assert got == pytest.approx(segment_norm_oracle(img, target.q, target.n),
+                                        rel=1e-13)
 
     def test_broken_chains_and_lone_last_sample(self):
         xs = [2.0 ** (j / 4.0) for j in range(13)]

@@ -1,7 +1,9 @@
 import math
 import statistics
+from bisect import bisect_left, bisect_right
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,6 +21,7 @@ from hausnorm.exponents import (
 )
 from hausnorm.luxemburg import (
     ExponentExpr,
+    ExprTerm,
     PiecewisePowerFunction,
     Region,
     Segment,
@@ -283,6 +286,195 @@ class TestWindow:
         for r in (0.01, 2.0 ** -6 * (1 + 2e-13), 0.75, 1.0, 3.0, 100.0):
             hits = [s for s in f.segments if s.r_lo <= r < s.r_hi]
             assert f.segment_at(r) in (hits or [None])
+
+
+# ---------------------------------------------------------------------------
+# the column storage against the per-segment definitions
+
+SNAP = luxemburg._SNAP
+LOG_Q = LogInterp(3.0, 2.0)
+
+
+def row_segment(kind, lo, hi, coef, expo):
+    """A plain row, or a side row: exponent terms (variable or constant) or
+    a pow2 factor."""
+    if kind == "terms":
+        return Segment(lo, hi, coef, ExponentExpr(expo, (ExprTerm(-1.0, LOG_Q, True),)))
+    if kind == "constant_term":
+        return Segment(lo, hi, coef, ExponentExpr(expo, (ExprTerm(0.5, Constant(2.0)),)))
+    if kind == "pow2":
+        return Segment(lo, hi, coef, ExponentExpr(expo), ((1.0, LOG_Q),))
+    return Segment(lo, hi, coef, ExponentExpr(expo))
+
+
+@st.composite
+def mixed_segments(draw):
+    """2-7 disjoint rows on dyadic-ish edges, some touching, some with gaps,
+    the first possibly from 0 and the last possibly to infinity, each plain
+    or a side row, with a zero coefficient now and then; shuffled."""
+    quarters = sorted(draw(st.lists(st.integers(-24, 24), min_size=3, max_size=8, unique=True)))
+    edges = [2.0 ** (j / 4) for j in quarters]
+    if draw(st.booleans()):
+        edges[0] = 0.0
+    if draw(st.booleans()):
+        edges[-1] = math.inf
+    segs = []
+    for lo, hi in zip(edges, edges[1:]):
+        if segs and draw(st.integers(0, 3)) == 0:
+            continue  # a gap
+        kind = draw(st.sampled_from(["plain", "plain", "terms", "constant_term", "pow2"]))
+        coef = draw(st.sampled_from([0.0, 0.3, 1.0, 2.5]))
+        segs.append(row_segment(kind, lo, hi, coef, draw(st.floats(-1.5, 1.5))))
+    return draw(st.permutations(segs))
+
+
+def regions_of(segs):
+    """Shells, balls and annuli, some with ends within the snap tolerance of
+    a segment edge."""
+    out = [Region.all(), Region.shell(0), Region.shell(3), Region.ball(0.7),
+           Region.annulus(0.05, 20.0)]
+    for s in segs[:3]:
+        if 0.0 < s.r_lo and math.isfinite(s.r_hi):
+            out.append(Region.annulus(s.r_lo * (1 + 3e-13), s.r_hi * (1 - 3e-13)))
+            out.append(Region.annulus(s.r_lo * (1 - 3e-13), s.r_hi * (1 + 3e-13)))
+            out.append(Region.ball(s.r_hi * (1 + 3e-13)))
+    return out
+
+
+def pieces_oracle(segs, region):
+    """pieces_in as the per-segment loop it replaced."""
+    for s in segs:
+        if s.coef == 0.0:
+            continue
+        lo, hi = max(s.r_lo, region.r_lo), min(s.r_hi, region.r_hi)
+        if hi <= lo * (1 + SNAP) and not (lo == 0.0 and hi > 0.0):
+            continue
+        if lo > 0 and abs(lo - region.r_lo) <= SNAP * region.r_lo:
+            lo = region.r_lo
+        if math.isfinite(hi) and region.r_hi > 0 and math.isfinite(region.r_hi):
+            if abs(hi - region.r_hi) <= SNAP * region.r_hi:
+                hi = region.r_hi
+        if hi > lo:
+            yield s, lo, hi
+
+
+def window_oracle(segs, region):
+    starts = [s.r_lo for s in segs]
+    i = max(bisect_right(starts, region.r_lo * (1 - 4 * SNAP)) - 1, 0)
+    return segs[i:bisect_left(starts, region.r_hi)]
+
+
+def constant_p_oracle(segs, region, p, n=1):
+    """The constant-p norm summed one Segment at a time: the closed form
+    where it applies, a _Piece otherwise."""
+    logs = []
+    for seg, u, v in pieces_oracle(segs, region):
+        closed = luxemburg._closed_form_log(seg, u, v, p, n)
+        logs.append(closed[0] if closed is not None
+                    else luxemburg._Piece(seg, u, v, p, n, 1e-9).log_value(1.0, 0.0)[0])
+    if not logs:
+        return 0.0
+    if math.inf in logs:
+        return math.inf
+    m, ln_m = luxemburg._log_sum(logs, 2.0)
+    return m ** (1.0 / p.p_zero) if m is not None else math.exp(ln_m / p.p_zero)
+
+
+class TestColumns:
+    @settings(max_examples=150, deadline=None)
+    @given(segs=mixed_segments())
+    def test_segments_round_trip(self, segs):
+        f = PiecewisePowerFunction(segs)
+        ordered = tuple(sorted(segs, key=lambda s: s.r_lo))
+        assert f.segments == ordered and f.starts == tuple(s.r_lo for s in ordered)
+        assert set(f.side) == {i for i, s in enumerate(ordered) if s.expr.terms or s.pow2}
+        assert all(math.isnan(f.expo[i]) for i in f.side)
+        # rebuilt from the columns and side rows
+        again = f.scaled(1.0)
+        assert again.segments == ordered and again == f and hash(again) == hash(f)
+        for r in (0.0, 0.3, 1.0, 7.0, 1e3):
+            hits = [s for s in ordered if s.r_lo <= r < s.r_hi]
+            assert again.segment_at(r) in (hits or [None])
+            assert again.value(r) == f.value(r)
+
+    @settings(max_examples=150, deadline=None)
+    @given(segs=mixed_segments(), c=st.sampled_from([0.0, 0.5, 3.0, 1e150]),
+           gamma=st.sampled_from([0.0, -0.7, 0.25]), m=st.sampled_from([-2.0, 0.0, 3.0]),
+           a=st.floats(-1.0, 1.0))
+    def test_algebra_matches_segment_definitions(self, segs, c, gamma, m, a):
+        f = PiecewisePowerFunction(segs)
+        rows = f.segments
+
+        def per_segment(fn):
+            return PiecewisePowerFunction(tuple(fn(s) for s in rows))
+
+        assert f.scaled(c) == per_segment(
+            lambda s: Segment(s.r_lo, s.r_hi, c * s.coef, s.expr, s.pow2))
+        assert f.weighted(gamma) == per_segment(
+            lambda s: Segment(s.r_lo, s.r_hi, s.coef, s.expr.shifted(gamma), s.pow2))
+        fold = 2.0 ** (m * a)
+        assert f.times_pow2(m, Constant(a, signed=True)) == per_segment(
+            lambda s: Segment(s.r_lo, s.r_hi, s.coef * fold, s.expr, s.pow2))
+        assert f.times_pow2(m, LOG_Q) == per_segment(
+            lambda s: Segment(s.r_lo, s.r_hi, s.coef, s.expr, s.pow2 + ((m, LOG_Q),)))
+        # the columns agree with the segments they derive
+        for g in (f.scaled(c), f.weighted(gamma), f.times_pow2(m, LOG_Q)):
+            assert g.coef.tolist() == [s.coef for s in g.segments]
+            assert g.lo.tolist() == [s.r_lo for s in g.segments]
+            plain = [i for i in range(len(g.lo)) if i not in g.side]
+            assert [g.expo[i] for i in plain] == [g.segments[i].expr.const for i in plain]
+
+    @settings(max_examples=150, deadline=None)
+    @given(segs=mixed_segments(), k=st.integers(-3, 3))
+    def test_window_and_pieces_match_segment_loops(self, segs, k):
+        f = PiecewisePowerFunction(segs)
+        rows = f.segments
+        for region in regions_of(rows):
+            win = f.window(region)
+            assert win.segments == window_oracle(rows, region)
+            want = list(pieces_oracle(rows, region))
+            assert list(f.pieces_in(region)) == want
+            assert list(win.pieces_in(region)) == want
+            # side rows keep their place through window, times_pow2 and weighted
+            chained = win.times_pow2(float(k), Constant(0.3, signed=True)).weighted(0.2)
+            assert chained.segments == tuple(
+                Segment(s.r_lo, s.r_hi, s.coef * 2.0 ** (k * 0.3), s.expr.shifted(0.2), s.pow2)
+                for s in window_oracle(rows, region)
+            )
+
+    @settings(max_examples=40, deadline=None)
+    @given(segs=mixed_segments(), q=st.sampled_from([1.5, 2.0, 3.0]))
+    def test_constant_p_norm_matches_segment_sum(self, segs, q):
+        f = PiecewisePowerFunction(segs)
+        for region in (Region.all(), Region.annulus(0.05, 20.0)):
+            want = constant_p_oracle(f.segments, region, Constant(q))
+            got = luxemburg_norm(f, Constant(q), region, 1)
+            assert got == pytest.approx(want, rel=1e-13)
+
+    @settings(max_examples=60, deadline=None)
+    @given(segs=mixed_segments(), shift=st.floats(0.05, 0.95))
+    def test_errors_unchanged(self, segs, shift):
+        f = PiecewisePowerFunction(segs)
+        rows = f.segments
+        s = rows[0]
+        hi = s.r_hi if math.isfinite(s.r_hi) else s.r_lo + 1.0
+        intruder = Segment(s.r_lo + shift * (hi - s.r_lo), hi + 1.0, 1.0)
+        with pytest.raises(ValueError, match="segments overlap"):
+            PiecewisePowerFunction(rows + (intruder,))
+        with pytest.raises(ValueError, match="nonnegative scalings"):
+            f.scaled(-shift)
+        with pytest.raises(ValueError, match="coefficient must be nonnegative"):
+            Segment(s.r_lo, s.r_hi, -shift, s.expr, s.pow2)
+
+    @pytest.mark.parametrize("lo, hi, coef", [
+        ([2.0, 1.0], [3.0, 2.0], [1.0, 1.0]),  # unsorted
+        ([1.0, 1.5], [2.0, 3.0], [1.0, 1.0]),  # overlapping
+        ([1.0, 2.0], [2.0, 2.0], [1.0, 1.0]),  # empty row
+        ([1.0, 2.0], [2.0, 3.0], [1.0, -1.0]),  # negative coefficient
+    ])
+    def test_from_columns_checks_rows(self, lo, hi, coef):
+        with pytest.raises(ValueError, match="sorted without overlap"):
+            PiecewisePowerFunction.from_columns(*map(np.array, (lo, hi, coef, [0.0, 0.0])))
 
 
 class TestConstantExponentRange:

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hausnorm._quad import power_integral, power_integrals, radial_integral
+from hausnorm._quad import (
+    DIV_TOL,
+    log_power_integral,
+    log_power_integrals,
+    power_integral,
+    power_integrals,
+    radial_integral,
+)
 
 from conftest import seeded
 
@@ -100,3 +109,61 @@ class TestPowerIntegrals:
         # a power diverges at one end of (0, inf) or the other
         assert power_integral(0.0, math.inf, beta) == math.inf
         assert power_integrals(np.array([0.0]), np.array([math.inf]), beta)[0] == math.inf
+
+
+def assert_logs_agree(u, v, beta):
+    """log_power_integrals against log_power_integral row by row: the same
+    +-inf verdicts, and finite values within 4 ulp of the largest term of
+    the closed form (b ln(end), ln(1 - e^-|b span|), ln|b| or ln span)."""
+    u, v, beta = (np.array(col, dtype=float) for col in (u, v, beta))
+    got = log_power_integrals(u, v, beta)
+    for ui, vi, bi, gi in zip(u.tolist(), v.tolist(), beta.tolist(), got.tolist()):
+        want = log_power_integral(ui, vi, bi)
+        if math.isinf(want):
+            assert gi == want, (ui, vi, bi)
+            continue
+        b = bi + 1.0
+        terms = [abs(want), abs(math.log(abs(b))) if b else 0.0]
+        terms += [abs(b * math.log(end)) for end in (ui, vi) if 0.0 < end < math.inf]
+        if 0.0 < ui and vi < math.inf:
+            span = math.log(vi / ui)
+            x = abs(b * span)
+            terms += [abs(math.log(span))] + ([abs(math.log(-math.expm1(-x)))] if x else [])
+        assert abs(gi - want) <= 4 * math.ulp(max(terms)), (ui, vi, bi, gi, want)
+
+
+class TestLogPowerIntegrals:
+    @pytest.mark.parametrize("u, v", [(0.0, 2.0), (0.0, 1e-3), (0.5, math.inf),
+                                      (1e-3, math.inf), (0.0, math.inf)])
+    def test_singular_ends(self, u, v):
+        # b on either side of the divergence boundary, at it and within DIV_TOL
+        betas = [-1.0 + d for d in (-3.0, -0.5, -2 * DIV_TOL, -0.5 * DIV_TOL, 0.0,
+                                    0.5 * DIV_TOL, 2 * DIV_TOL, 0.5, 3.0)]
+        assert_logs_agree([u] * len(betas), [v] * len(betas), betas)
+
+    def test_small_scaled_exponent(self):
+        # |b ln(v/u)| below, at and just above 1e-10, and b = 0 exactly
+        u, v = [0.5, 0.5, 0.5, 0.5, 2.0, 2.0], [1.5, 1.5, 1.5, 1.5, 2.0 * (1 + 1e-9), 8.0]
+        span = math.log(3.0)
+        betas = [-1.0, -1.0 + 1e-11 / span, -1.0 + 1e-10 / span, -1.0 - 3e-10 / span,
+                 -0.5, -1.0 + 1e-12]
+        assert_logs_agree(u, v, betas)
+
+    @pytest.mark.parametrize("beta", [-1e3, -250.0, -3.5, 0.7, 250.0, 1e3])
+    def test_large_exponents(self, beta):
+        rng = seeded(int(abs(beta)) + 11)
+        u = [2.0 ** rng.uniform(-8, 8) for _ in range(30)]
+        v = [x * 2.0 ** rng.uniform(1e-6, 4) for x in u]
+        assert_logs_agree(u, v, [beta] * len(u))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(st.floats(-40, 40), st.floats(1e-12, 40), st.floats(-40, 40)),
+            min_size=1, max_size=12,
+        )
+    )
+    def test_random_rows(self, rows):
+        u = [2.0 ** a for a, _w, _b in rows]
+        v = [2.0 ** (a + w) for a, w, _b in rows]
+        assert_logs_agree(u, v, [b for _a, _w, b in rows])
