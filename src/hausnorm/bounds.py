@@ -351,18 +351,6 @@ def _theta_sum(theta: int, c: float) -> float:
     return math.fsum(2.0 ** (r * c) for r in range(theta - 1, 1))
 
 
-def _theta_of(cfg: BoundConfig) -> int:
-    """Dyadic conditioning locator; constant in t for the supported families."""
-    k = cfg.operator.kernel
-    lo = k.r_lo if k.r_lo > 0 else (k.r_hi / 2 if math.isfinite(k.r_hi) else 1.0)
-    hi = k.r_hi if math.isfinite(k.r_hi) else 2 * lo
-    samples = [lo, math.sqrt(lo * hi), hi]
-    thetas = {theta_star(cfg.operator.families, t) for t in samples}
-    if len(thetas) != 1:
-        raise HypothesisError("dyadic conditioning locator varies over the support")
-    return thetas.pop()
-
-
 # ---------------------------------------------------------------------------
 # the constants
 
@@ -416,7 +404,7 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
     evaluate there, so only negative lam raises.
     """
     n = cfg.operator.n
-    theta = _theta_of(cfg)
+    theta = theta_star(cfg.operator.families, 1.0)
 
     def a0_ainf(slot):
         return slot.alpha.p_zero, slot.alpha.p_infty

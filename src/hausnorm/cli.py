@@ -23,7 +23,7 @@ from .config import (
 from .exponents import Constant
 from .harness import ExtremalError, SweepResult, sharpness_sweep, upper_bound_suite
 from .hausdorff import RatioUndefinedError, apply_pointwise
-from .matrices import dyadic_index, inverse_stats
+from .matrices import Dilation, PowerMap, dyadic_index, inverse_stats, theta_star
 from .spaces import space_norm
 
 EXIT_OK = 0
@@ -44,8 +44,20 @@ def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
         sys.stdout.write(text)
 
 
+def _finite_or_null(obj):
+    """obj with every non-finite float replaced by None (JSON null)."""
+    if isinstance(obj, float):
+        return obj if math.isfinite(obj) else None
+    if isinstance(obj, dict):
+        return {k: _finite_or_null(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite_or_null(v) for v in obj]
+    return obj
+
+
 def _emit_json(obj: dict) -> None:
-    sys.stdout.write(json.dumps(obj, sort_keys=True) + "\n")
+    """Strict JSON: infinities and NaNs are written as null."""
+    sys.stdout.write(json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_norm(cfg: ExperimentConfig, args) -> int:
@@ -58,7 +70,7 @@ def cmd_norm(cfg: ExperimentConfig, args) -> int:
     _emit_json(
         {
             "space": spec.kind,
-            "norm": None if math.isinf(report.value) else report.value,
+            "norm": report.value,
             "diagnostics": {
                 "flags": list(report.flags),
                 "argmax": report.argmax,
@@ -80,7 +92,7 @@ def cmd_apply(cfg: ExperimentConfig, args) -> int:
     xs = sorted(args.x) if args.x else [2.0 ** k for k in range(-4, 5)]
     for x in xs:
         val = apply_pointwise(op, fs, x, cfg.settings.rel_tol)
-        _emit_json({"x": x, "value": None if math.isinf(val) else val})
+        _emit_json({"x": x, "value": val})
     return EXIT_OK
 
 
@@ -183,12 +195,12 @@ def _invariant_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     )
     checks.append(("dyadic_index_powers_of_two", ok, "scan -10..10"))
 
-    ok = True
-    for rho_exp in range(0, 8):
-        rho = 2.0 ** (rho_exp / 3.0)
-        theta = -(math.frexp(rho)[1] - 1) - 1
-        scan = max(t for t in range(-10, 11) if rho < 2.0 ** (-t))
-        ok = ok and theta == scan
+    ok = all(
+        theta_star([Dilation(PowerMap(1.0, 1.0), n)], t)
+        == max(k for k in range(-10, 11) if n < 2.0 ** (-k))
+        for n in range(1, 9)
+        for t in (0.3, 1.0, 12.25, 49.0)
+    )
     checks.append(("theta_star_matches_scan", ok, "scan grid"))
     return checks
 

@@ -43,19 +43,10 @@ EXTREMAL_KINDS = (
     "central_morrey_power",
 )
 
-# sampled kernel radii used to locate the conditioning constant
-_RHO_SAMPLES = 9
-
 
 class ExtremalError(ValueError):
     """An extremal function falls outside its space (configuration is out
     of the admissible range)."""
-
-
-def _rho_samples(k) -> list[float]:
-    lo = k.r_lo if k.r_lo > 0 else (k.r_hi / 16 if math.isfinite(k.r_hi) else 1e-3)
-    hi = k.r_hi if math.isfinite(k.r_hi) else lo * 16
-    return [lo * (hi / lo) ** (i / (_RHO_SAMPLES - 1)) for i in range(_RHO_SAMPLES)]
 
 
 def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], SpaceSpec]:
@@ -156,7 +147,7 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
     n = cfg.operator.n
     cutoff = 0.0
     if needs_eps:
-        cutoff = 1.0 / rho_bound(cfg.operator.families, _rho_samples(cfg.operator.kernel))
+        cutoff = 1.0 / rho_bound(cfg.operator.families, [1.0])
 
     out = []
     for slot in cfg.slots:

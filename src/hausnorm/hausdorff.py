@@ -258,6 +258,16 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
     return PiecewisePowerFunction.from_columns(x0, x1, coef, slope)
 
 
+def _geometric_grid(lo: float, hi: float, points_per_octave: int) -> np.ndarray:
+    """The radii lo * step, (lo * step) * step, ... below hi (1 + 1e-12), with
+    step = 2^(1/points_per_octave), multiplied up one step at a time."""
+    step = 2.0 ** (1.0 / points_per_octave)
+    factors = np.full(int(max(math.log2(hi / lo), 0.0) * points_per_octave) + 3, step)
+    factors[0] = lo * step
+    grid = np.multiply.accumulate(factors)
+    return grid[: np.searchsorted(grid, hi * (1 + 1e-12))]
+
+
 def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                   r_grid: Sequence[float] | None = None,
                   grid_octaves: tuple[int, int] = (-40, 48),
@@ -295,12 +305,7 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             return PiecewisePowerFunction.zero()
         lo = max(x_lo, 2.0 ** grid_octaves[0])
         hi = min(x_hi, 2.0 ** grid_octaves[1])
-        step = 2.0 ** (1.0 / points_per_octave)
-        grid = []
-        x = lo * step
-        while x < hi * (1 + 1e-12):
-            grid.append(x)
-            x *= step
+        grid = _geometric_grid(lo, hi, points_per_octave)
     else:
         grid = sorted(r_grid)
         if len(grid) < 2:

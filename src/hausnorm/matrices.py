@@ -139,19 +139,19 @@ def inverse_stats(fam: Dilation, t_radius: float) -> tuple[float, float]:
 
 
 def rho_bound(fams: Sequence[Dilation], t_samples: Sequence[float]) -> float:
-    """max over slots and sampled t of ||A(t)|| ||A(t)^-1||.
+    """max over slots of ||A(t)|| ||A(t)^-1||, which is exactly n.
 
-    Identically n for the supported families, so the sampled maximum is the
-    exact conditioning constant.
+    Every sampled A(t) is checked for invertibility and the determinant
+    sandwich; the value itself is the largest dimension, not a rounded
+    float product.
     """
-    if not fams or not list(t_samples):
+    t_samples = list(t_samples)
+    if not fams or not t_samples:
         raise ValueError("need at least one family and one sample")
-    best = 0.0
     for fam in fams:
         for t in t_samples:
-            inv_norm, _ = inverse_stats(fam, t)
-            best = max(best, frobenius_norm(fam, t) * inv_norm)
-    return best
+            inverse_stats(fam, t)
+    return float(max(fam.n for fam in fams))
 
 
 def dyadic_index(x: float) -> int:
@@ -168,11 +168,11 @@ def dyadic_exponent(fam: Dilation, t_radius: float) -> int:
 
 
 def theta_star(fams: Sequence[Dilation], t_radius: float) -> int:
-    """Greatest integer T with max_i ||A_i(t)|| ||A_i(t)^-1|| < 2^(-T)."""
-    rho = rho_bound(fams, [t_radius])
-    _m, e = math.frexp(rho)
-    # floor(log2 rho) = e - 1 for every rho > 0
-    return -(e - 1) - 1
+    """Greatest integer T with max_i ||A_i(t)|| ||A_i(t)^-1|| < 2^(-T).
+
+    The product is n, so T = -floor(log2 n) - 1 = -n.bit_length() at every t.
+    """
+    return -int(rho_bound(fams, [t_radius])).bit_length()
 
 
 def c_factor(fam: Dilation, q: RadialExponent, gamma: float, t_radius: float) -> float:

@@ -116,17 +116,15 @@ def _tail_flags(values: list[float], low_only: bool = False) -> tuple[str, ...]:
 
 
 def _shell_values(f, spec, k_range, rel_tol):
-    k_lo, k_hi = k_range
-    return list(range(k_lo, k_hi + 1)), [
-        shell_norm(f, spec, k, rel_tol) for k in range(k_lo, k_hi + 1)
-    ]
+    """The shell norms for k = k_range[0], ..., k_range[1], in that order."""
+    return [shell_norm(f, spec, k, rel_tol) for k in range(k_range[0], k_range[1] + 1)]
 
 
 def herz_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
               k_range: tuple[int, int] = (-40, 40),
               rel_tol: float = 1e-9) -> NormReport:
     """Truncated l^p sum over shells of the weighted shell norms."""
-    _ks, vals = _shell_values(f, spec, k_range, rel_tol)
+    vals = _shell_values(f, spec, k_range, rel_tol)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("shell-norm-infinite",))
     p = spec.p_outer
@@ -139,16 +137,15 @@ def morrey_herz_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
                      k_range: tuple[int, int] = (-40, 40),
                      rel_tol: float = 1e-9) -> NormReport:
     """sup over k0 of 2^{-k0 lam} (sum_{k <= k0} shell^p)^{1/p}, truncated."""
-    ks, vals = _shell_values(f, spec, k_range, rel_tol)
+    vals = _shell_values(f, spec, k_range, rel_tol)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("shell-norm-infinite",))
     p = spec.p_outer
     powered = [v ** p for v in vals]
     best, arg = 0.0, None
-    for k0 in range(k0_range[0], k0_range[1] + 1):
-        upto = [pv for k, pv in zip(ks, powered) if k <= k0]
-        if not upto:
-            continue
+    # the shells k <= k0 are a prefix of the ascending k_range
+    for k0 in range(max(k0_range[0], k_range[0]), k0_range[1] + 1):
+        upto = powered[: k0 - k_range[0] + 1]
         cand = 2.0 ** (-k0 * spec.lam) * math.fsum(upto) ** (1.0 / p)
         if cand > best:
             best, arg = cand, k0

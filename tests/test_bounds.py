@@ -1,3 +1,4 @@
+import json
 import math
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from hausnorm.bounds import (
     sharpness_region_check,
     slot_region_values,
 )
-from hausnorm.config import load_config
+from hausnorm.config import ExperimentConfig, load_config
 from hausnorm.exponents import Constant, LogInterp, pullback_exponent
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
 from hausnorm.matrices import (
@@ -181,6 +182,25 @@ class TestHerzMorreyConstants:
         assert res["C6"].value == pytest.approx(2.0, abs=1e-12)
         # lam = 0 and matching endpoint values make the two integrands equal
         assert res["C5"].value == pytest.approx(res["C6"].value, abs=1e-12)
+
+    @pytest.mark.parametrize("support", [(1.0, 49.0), (12.25, 49.0)])
+    def test_exact_conditioning_closed_forms(self, support):
+        # hardy_p2 on a kernel support [a, b] away from 0: n = 1, so
+        # theta* = -1 and the dyadic sums count 2 - theta* = 3 terms; the
+        # kernel integral is int_a^b t^(-1/2) dt = 2 (sqrt(b) - sqrt(a)),
+        # C3 = 3 * that and C4 = 3^(1/2) * 3 * that
+        obj = json.loads((FIXTURES / "hardy_p2.json").read_text())
+        obj["kernel"]["support"] = list(support)
+        cfg = ExperimentConfig.from_json(obj).bound_config()
+        base = 2.0 * (math.sqrt(support[1]) - math.sqrt(support[0]))
+        res = herz_morrey_constants(cfg)
+        assert res["C3"].value == pytest.approx(3.0 * base, rel=1e-12)
+        assert res["C4"].value == pytest.approx(3.0 ** 1.5 * base, rel=1e-12)
+        expected = {(1.0, 49.0): (36.0, 62.353829072479584),
+                    (12.25, 49.0): (21.0, 36.373066958946424)}[support]
+        assert (res["C3"].value, res["C4"].value) == pytest.approx(expected, rel=1e-12)
+        for cid in ("C5", "C5*", "C6", "C6*"):
+            assert res[cid].value == pytest.approx(base, rel=1e-12)
 
     def test_alpha_order_hypothesis(self, hardy_op):
         cfg = BoundConfig(

@@ -5,11 +5,13 @@ from pathlib import Path
 
 import pytest
 
+from hausnorm.bounds import CONSTANT_IDS
 from hausnorm.cli import main
 from hausnorm.config import ConfigError, ExperimentConfig, family_from_json, load_config
 from hausnorm.matrices import DiagonalEqualModulus, OrthogonalTimesScalar, PowerMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
+FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
 
 
 def reject_non_finite(token):
@@ -97,6 +99,27 @@ class TestConstants:
             "factors": ["c-factor", "norm-of-one"],
             "pieces": [],
         }
+
+    @pytest.mark.parametrize("which", ["C3", "C4", "C5", "C5*", "C6", "C6*"])
+    def test_kernel_away_from_zero_exits_0(self, which, capsys):
+        code = main(["constants", "--config", str(FIXTURES / "hardy_kernel_1_49.json"),
+                     "--which", which])
+        out = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)
+        assert code == 0
+        assert out["finite"] is True
+        expected = {"C3": 36.0, "C4": 62.353829072479584}.get(which, 12.0)
+        assert out["value"] == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
+    def test_every_constant_is_strict_json(self, name, capsys):
+        for cid in CONSTANT_IDS:
+            code = main(["constants", "--config", str(FIXTURES / name), "--which", cid])
+            out = capsys.readouterr().out
+            if code == 0:
+                obj = json.loads(out, parse_constant=reject_non_finite)
+                assert obj["id"] == cid
+            else:
+                assert code == 1 and out == ""
 
     def test_unknown_id_exits_2(self, capsys):
         code = main(["constants", "--config", str(FIXTURES / "hardy_p2.json"), "--which", "C13"])
@@ -279,11 +302,7 @@ class TestVerify:
 
 
 class TestConfigRoundTrip:
-    @pytest.mark.parametrize(
-        "name",
-        ["hardy_p2.json", "bilinear_p4.json", "central_morrey_m1.json",
-         "loginterp_norm.json", "divergent_c1.json", "hardy_unbounded_kernel.json"],
-    )
+    @pytest.mark.parametrize("name", FIXTURE_NAMES)
     def test_fixture_round_trips(self, name):
         cfg = load_config(str(FIXTURES / name))
         again = ExperimentConfig.from_json(cfg.to_json())

@@ -483,6 +483,35 @@ class TestLogLogInterpolant:
         assert all(0.0 < r < math.inf for _s, _i, r in suite.rows)
 
 
+def loop_grid(lo, hi, points_per_octave):
+    """The image grid built one multiplication at a time; test oracle."""
+    step = 2.0 ** (1.0 / points_per_octave)
+    grid = []
+    x = lo * step
+    while x < hi * (1 + 1e-12):
+        grid.append(x)
+        x *= step
+    return grid
+
+
+class TestGeometricGrid:
+    def test_bit_identical_to_loop(self):
+        rng = seeded(2024)
+        for _ in range(2000):
+            lo = 2.0 ** rng.uniform(-45.0, 45.0)
+            hi = lo * 2.0 ** rng.choice([rng.uniform(-1.0, 90.0), rng.uniform(0.0, 0.05), 0.0])
+            ppo = rng.randint(1, 256)
+            assert hausdorff._geometric_grid(lo, hi, ppo).tolist() == loop_grid(lo, hi, ppo)
+
+    def test_hardy_image_grid(self, monkeypatch):
+        spec = from_hardy_littlewood(PowerMap(1.0, 0.0))
+        f = PiecewisePowerFunction.single_power(1.0, -0.3, 0.25, 8.0)
+        xs, _vals = grid_samples(spec, [f], monkeypatch)
+        x_lo, x_hi = hausdorff._image_support(spec, [f])
+        assert xs == loop_grid(max(x_lo, 2.0 ** -40), min(x_hi, 2.0 ** 48), 24)
+        assert len(xs) > 100
+
+
 class TestApplyOnGrid:
     def test_exact_power_image(self, hardy_op):
         img = apply_on_grid(hardy_op, [LINEAR])

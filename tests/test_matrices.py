@@ -176,6 +176,41 @@ class TestRhoAndTheta:
         assert theta_star([ScalarDilation(PowerMap(1.0, 1.0), 1)], 0.7) == -1
         assert theta_star([ScalarDilation(PowerMap(1.0, 1.0), 3)], 0.7) == -2
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_exact_for_every_dimension(self, n):
+        # the float product ||A|| ||A^-1|| rounds off n (at n = 1, t = 49 it
+        # is 1 - 2^-53, whose locator is 0), so rho and theta* must come
+        # from the integer n
+        rng = np.random.default_rng(n)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        signs = tuple(int(x) for x in rng.choice((-1, 1), size=n))
+        fams = [
+            ScalarDilation(PowerMap(1.0, 1.0), n),
+            ScalarDilation(PowerMap(0.3, -1.7), n),
+            DiagonalEqualModulus(PowerMap(-2.5, 0.6), signs),
+            OrthogonalTimesScalar(q.tolist(), PowerMap(1.3, 2.0)),
+        ]
+        radii = [12.25, 49.0] + list(10.0 ** rng.uniform(-4.0, 4.0, size=20))
+        for fam in fams:
+            assert rho_bound([fam], radii) == float(n)
+            for t in radii:
+                assert rho_bound([fam], [t]) == float(n)
+                assert theta_star([fam], t) == scan_theta(n)
+
+    def test_mixed_dimensions_take_the_largest(self):
+        fams = [ScalarDilation(PowerMap(1.0, 1.0), 5), ScalarDilation(PowerMap(2.0, 0.5), 2)]
+        assert rho_bound(fams, [0.5, 49.0]) == 5.0
+        assert theta_star(fams, 49.0) == scan_theta(5) == -3
+
+    def test_singular_sample_still_raises(self):
+        fam = ScalarDilation(PowerMap(1.0, 1.0), 2)
+        with pytest.raises(SingularFamilyError):
+            rho_bound([fam], [1.0, 0.0])
+        with pytest.raises(SingularFamilyError):
+            rho_bound([fam], (t for t in (1.0, 0.0)))
+        with pytest.raises(SingularFamilyError):
+            theta_star([fam], 0.0)
+
 
 class TestDyadic:
     @pytest.mark.parametrize("x,expected", [(1.0, 0), (3.0, 2), (0.5, -1)])

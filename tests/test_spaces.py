@@ -127,6 +127,22 @@ class TestMorreyHerz:
         spec = SpaceSpec("morrey_herz", 1, Constant(2.0), alpha=ALPHA0, lam=0.5, p_outer=2.0)
         assert morrey_herz_norm(PiecewisePowerFunction.zero(), spec).value == 0.0
 
+    @pytest.mark.parametrize("k0_range", [(-10, 10), (-14, 6), (-6, 14), (-3, 2), (12, 15)])
+    def test_prefix_sums_match_scan(self, k0_range):
+        # the sum over k <= k0 of the k_range shells, scanned k by k
+        rng = seeded(59)
+        f = random_compact(rng)
+        spec = SpaceSpec("morrey_herz", 1, Constant(2.0), alpha=ALPHA1, lam=0.2, p_outer=1.5)
+        k_range = (-10, 10)
+        ks = range(k_range[0], k_range[1] + 1)
+        powered = [shell_norm(f, spec, k) ** 1.5 for k in ks]
+        scan = [
+            2.0 ** (-k0 * spec.lam) * math.fsum(pv for k, pv in zip(ks, powered) if k <= k0) ** (1 / 1.5)
+            for k0 in range(k0_range[0], k0_range[1] + 1)
+            if k0 >= ks[0]
+        ]
+        assert morrey_herz_norm(f, spec, k0_range, k_range).value == max(scan, default=0.0)
+
     def test_monotone_in_window(self):
         rng = seeded(53)
         f = random_compact(rng)
