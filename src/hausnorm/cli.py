@@ -8,11 +8,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import replace
 
-from .bounds import CONSTANT_IDS, HypothesisError, evaluate_constant
+from .bounds import CONSTANT_IDS, HypothesisError, evaluate_constant, finite_or_null
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -44,20 +43,9 @@ def _write_rows(path: str | None, header: str, rows: list[str]) -> None:
         sys.stdout.write(text)
 
 
-def _finite_or_null(obj):
-    """obj with every non-finite float replaced by None (JSON null)."""
-    if isinstance(obj, float):
-        return obj if math.isfinite(obj) else None
-    if isinstance(obj, dict):
-        return {k: _finite_or_null(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_finite_or_null(v) for v in obj]
-    return obj
-
-
 def _emit_json(obj: dict) -> None:
     """Strict JSON: infinities and NaNs are written as null."""
-    sys.stdout.write(json.dumps(_finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n")
+    sys.stdout.write(json.dumps(finite_or_null(obj), sort_keys=True, allow_nan=False) + "\n")
 
 
 def cmd_norm(cfg: ExperimentConfig, args) -> int:

@@ -494,8 +494,11 @@ class Infinite(RadialExponent):
 class ReciprocalDifference(RadialExponent):
     """r(x) with 1/r(x) = 1/a(x) - 1/(zeta * b(x)); infinity where that is ~0.
 
-    The difference must be nonnegative; construction samples a radius grid
-    and raises ReciprocalSignError with the first witness radius otherwise.
+    The difference must be nonnegative; construction samples a radius grid,
+    every discontinuity of a and b and the geometric midpoints between
+    neighbouring ones, so that step exponents are checked on every step
+    whatever their scale, and raises ReciprocalSignError with the first
+    witness radius otherwise.
     """
 
     a: RadialExponent
@@ -505,7 +508,11 @@ class ReciprocalDifference(RadialExponent):
     def __post_init__(self):
         if not (self.zeta > 0):
             raise ExponentDomainError("zeta must be positive")
-        self._diff(_CHECK_WITH_ZERO, check=True)
+        radii = _CHECK_WITH_ZERO
+        breaks = np.array(self.discontinuities())
+        if len(breaks):
+            radii = np.sort(np.concatenate((radii, breaks, np.sqrt(breaks[1:] * breaks[:-1]))))
+        self._diff(radii, check=True)
         # limits must be nonnegative as well
         for d in (self._limit_diff_zero(), self._limit_diff_infty()):
             if d < -RECIP_ZERO_TOL:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .bounds import BoundConfig, HypothesisError, evaluate_constant
-from .exponents import Constant, scale_exponent
+from .exponents import Constant, ExponentDomainError, scale_exponent
 from .hausdorff import OperatorSpec, operator_ratio
 from .luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
 from .matrices import rho_bound
@@ -185,7 +185,10 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
         "morrey_herz_power": "C5",
         "central_morrey_power": "C12",
     }[kind]
-    sources, _ = spaces_for_constant(cfg, cid)
+    try:
+        sources, _ = spaces_for_constant(cfg, cid)
+    except ExponentDomainError as exc:
+        raise ExtremalError(f"the {cid} spaces of this family are undefined: {exc}") from None
     for f, src in zip(out, sources):
         nr = space_norm(f, src, k_range, k0_range, j_range, rel_tol)
         hidden_mass = {"shell-norm-infinite", "truncation-suspect-low"} & set(nr.flags)

@@ -7,8 +7,9 @@ a region is
 
     F_p(g) = |S^{n-1}| * integral of r^{n-1} g(r)^{p(r)} dr,
 
-computed in closed form whenever p and the segment exponent are constant on
-the piece and by adaptive quadrature otherwise, in log space either way.
+computed in closed form, as one array over the rows where p and the segment
+exponent are constant, and by adaptive quadrature on every other row, in log
+space either way.
 Divergence is decided analytically first (power test at the singular
 endpoints), so infinite norms are reported instead of silently truncated.
 A Luxemburg norm is the root of ln F_p(g/eta) = 0 in ln eta, found by a
@@ -22,7 +23,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import NamedTuple
 
 import numpy as np
 
@@ -54,8 +54,8 @@ _LN_ETA_MAX = math.log(1e280)
 # certificate width in ln eta
 _TOL = math.log1p(CERT_DELTA)
 
-# constant-p norms sum their piece modulars in log space once a closed-form
-# piece is further than this from 0 in ln
+# a modular is summed in log space once a piece is further than this from 0
+# in ln
 _LN_RANGE = 700.0
 
 # snap tolerance for segment ends landing on region boundaries
@@ -413,23 +413,6 @@ class PiecewisePowerFunction:
 # the modular
 
 
-def _closed_form_log(seg: Segment, u: float, v: float, p: RadialExponent,
-                     n: int) -> tuple[float, float] | None:
-    """(ln of the piece modular at eta = 1, the exponent on the piece) when
-    p and the segment exponent are constant on [u, v]; a log of +inf marks
-    divergence.  None for any other piece."""
-    if not seg.plain_power:
-        return None
-    p_lo, p_hi = p.range_on(u, v)
-    if not (p_lo == p_hi and math.isfinite(p_lo)):
-        return None
-    a = seg.expr(1.0)
-    ln_integral = _quad.log_power_integral(u, v, n - 1 + a * p_lo)
-    if ln_integral == _INF:
-        return _INF, p_lo
-    return p_lo * math.log(seg.coef) + ln_integral, p_lo
-
-
 def _log_power(ns, pv, l):
     """n s + p (ln g - ln eta), the ln of r^n (g/eta)^p at r = e^s, for
     floats or arrays.  An infinite p gives -inf, n s or +inf as g/eta is
@@ -445,18 +428,15 @@ def _log_power(ns, pv, l):
 class _Piece:
     """ln of the modular of one clipped segment as a function of eta.
 
-    A closed-form piece keeps its log at eta = 1.  A quadrature piece keeps
-    its divergence verdicts and power slopes, the p(r) and log-amplitude of
-    every node of its panels (a NodeCache) and of every tail-search probe,
-    so that a new eta costs one reduction over known nodes, plus the nodes
-    of panels that fail the error test or are clipped by a moved cutoff.
+    A quadrature piece keeps its divergence verdicts and power slopes, the
+    p(r) and log-amplitude of every node of its panels (a NodeCache) and of
+    every tail-search probe, so that a new eta costs one reduction over
+    known nodes, plus the nodes of panels that fail the error test or are
+    clipped by a moved cutoff.
     """
 
     def __init__(self, seg: Segment, u: float, v: float, p: RadialExponent,
                  n: int, rel_tol: float):
-        self.closed = _closed_form_log(seg, u, v, p, n)
-        if self.closed is not None:
-            return
         self.seg, self.u, self.v, self.p, self.n, self.rel_tol = seg, u, v, p, n, rel_tol
         # an exponent infinite at a singular end gives no power slope there
         a0, a_inf = seg.exponent_limits()
@@ -494,11 +474,6 @@ class _Piece:
         """(ln of the piece modular of g/eta, eta_independent), where the
         flag marks divergence that no choice of eta can repair (a power
         tail at or past the critical slope)."""
-        if self.closed is not None:
-            ln_val, p_val = self.closed
-            if ln_val == _INF:
-                return _INF, True
-            return ln_val - p_val * ln_eta, False
         if self.tail_coef is not None and self.tail_coef >= eta * (1 - 1e-12):
             return _INF, False
         if self.diverges:
@@ -542,37 +517,81 @@ def _exp(x: float) -> float:
         return _INF
 
 
+class _Modular:
+    """F_p(g/eta) on a region as a function of eta, for one (g, p, region, n).
+
+    The closed-form rows, where p is constant and finite and g is a plain
+    power c r^b, are one array of logs at eta = 1,
+    p ln c + ln of the integral of r^(n-1+b p), shifted by -p ln eta per
+    trial.  Every other row is a quadrature _Piece, whose nodes serve every
+    trial.
+    """
+
+    def __init__(self, g: PiecewisePowerFunction, p: RadialExponent, region: Region,
+                 n: int, rel_tol: float):
+        self.pieces: list[_Piece] = []
+        self.logs = None
+        rows, u, v = g._clip(region)
+        self.empty = not len(rows)
+        if self.empty:
+            return
+        self.sigma = sphere_area(n)
+        if p.is_constant and math.isfinite(p.p_zero) and not g.side:
+            self.p = p.p_zero
+            expo = g.expo[rows]
+        else:
+            closed, ps, side_expo = [], [], {}
+            for k, (i, lo, hi) in enumerate(zip(rows.tolist(), u.tolist(), v.tolist())):
+                seg = g.side.get(i)
+                if seg is None or seg.plain_power:
+                    p_lo, p_hi = p.range_on(lo, hi)
+                    if p_lo == p_hi and math.isfinite(p_lo):
+                        if seg is not None:
+                            side_expo[len(closed)] = seg.expr(1.0)
+                        closed.append(k)
+                        ps.append(p_lo)
+                        continue
+                self.pieces.append(_Piece(seg or g.segments[i], lo, hi, p, n, rel_tol))
+            if not closed:
+                return
+            rows, u, v = rows[closed], u[closed], v[closed]
+            expo = g.expo[rows]
+            for k, e in side_expo.items():
+                expo[k] = e
+            self.p = np.array(ps)
+        self.logs = (self.p * np.log(g.coef[rows])
+                     + _quad.log_power_integrals(u, v, n - 1 + expo * self.p))
+
+    def trial(self, eta: float) -> tuple[float | None, float | None]:
+        """F_p(g/eta) as _log_sum gives it, (F, None) or (None, ln F), and
+        (inf, None) when it diverges at this eta.  Raises _EtaIndependent
+        when it diverges at every eta."""
+        ln_eta = math.log(eta)
+        logs = []
+        if self.logs is not None:
+            logs = (self.logs if ln_eta == 0.0 else self.logs - self.p * ln_eta).tolist()
+            if _INF in logs:
+                raise _EtaIndependent
+        for piece in self.pieces:
+            ln_val, indep = piece.log_value(eta, ln_eta)
+            if ln_val == _INF:
+                if indep:
+                    raise _EtaIndependent
+                return _INF, None
+            logs.append(ln_val)
+        if not logs:
+            return 0.0, None
+        return _log_sum(logs, self.sigma)
+
+
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
             n: int, rel_tol: float = 1e-9) -> float:
     """F_p(g * chi_region); may be +inf, never raises on divergence."""
-    return _modular_scaled(g, p, region, n, 1.0, rel_tol).value
-
-
-class _ModularValue(NamedTuple):
-    value: float
-    eta_independent: bool
-    log_value: float
-
-
-def _modular_scaled(g, p, region, n, eta, rel_tol, pieces=None) -> _ModularValue:
-    """F_p(g/eta) on the region, whether its divergence is eta-independent,
-    and ln F.  pieces are the _Piece objects of (g, p, region, n) from an
-    earlier call, whose nodes are then reused."""
-    if pieces is None:
-        pieces = [_Piece(seg, u, v, p, n, rel_tol) for seg, u, v in g.pieces_in(region)]
-    ln_eta = math.log(eta)
-    logs = []
-    for piece in pieces:
-        ln_val, indep = piece.log_value(eta, ln_eta)
-        if ln_val == _INF:
-            return _ModularValue(_INF, indep, _INF)
-        logs.append(ln_val)
-    if not logs:
-        return _ModularValue(0.0, False, -_INF)
-    m, ln_m = _log_sum(logs, sphere_area(n))
-    if m is None:
-        return _ModularValue(_exp(ln_m), False, ln_m)
-    return _ModularValue(m, False, math.log(m) if m > 0.0 else -_INF)
+    try:
+        m, ln_m = _Modular(g, p, region, n, rel_tol).trial(1.0)
+    except _EtaIndependent:
+        return _INF
+    return m if m is not None else _exp(ln_m)
 
 
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
@@ -586,59 +605,33 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     bracketed from eta = 1 and refined by secant steps until the bracket is
     one certificate width wide: the returned eta has F_p(g/eta) <= 1 and
     F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).  All
-    trials share one set of pieces, so each quadrature node is evaluated
-    once per norm.
+    trials share one _Modular, so each quadrature node is evaluated once
+    per norm.
     """
-    if p.is_constant and math.isfinite(p.p_zero):
-        return _constant_p_norm(g, region, p, n, rel_tol)
-    clipped = list(g.pieces_in(region))
-    if not clipped:
+    mod = _Modular(g, p, region, n, rel_tol)
+    if mod.empty:
         return 0.0
-
-    pieces = [_Piece(seg, u, v, p, n, rel_tol) for seg, u, v in clipped]
-    evals = 0
-
-    def h(x):
-        nonlocal evals
-        evals += 1
-        if evals > max_iter:
-            raise BracketError("norm root-find exceeded the iteration cap")
-        res = _modular_scaled(g, p, region, n, math.exp(x), rel_tol, pieces)
-        if res.eta_independent:
-            raise _EtaIndependent
-        return res.log_value
-
     try:
+        if p.is_constant and math.isfinite(p.p_zero):
+            m, ln_m = mod.trial(1.0)
+            if m is not None:
+                return m ** (1.0 / p.p_zero) if m > 0.0 else 0.0
+            return _exp(ln_m / p.p_zero)
+        evals = 0
+
+        def h(x):
+            nonlocal evals
+            evals += 1
+            if evals > max_iter:
+                raise BracketError("norm root-find exceeded the iteration cap")
+            m, ln_m = mod.trial(math.exp(x))
+            if m is None:
+                return ln_m
+            return math.log(m) if m > 0.0 else -_INF
+
         return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0]))
     except _EtaIndependent:
         return _INF
-
-
-def _constant_p_norm(g, region, p, n, rel_tol):
-    """F_p(g)^(1/p) on the region for a constant finite p.
-
-    The plain rows of g take the closed form as arrays, the side rows a
-    _Piece each.  The piece modulars are summed as floats while every one
-    is within e^(+-_LN_RANGE), and from their logs otherwise (_log_sum), so
-    that norms far outside the float range neither saturate nor flush to 0.
-    """
-    rows, u, v = g._clip(region)
-    if not len(rows):
-        return 0.0
-    pbar = p.p_zero
-    # NaN at the side rows, replaced below
-    logs = (pbar * np.log(g.coef[rows])
-            + _quad.log_power_integrals(u, v, n - 1 + g.expo[rows] * pbar)).tolist()
-    if g.side:
-        for k, (i, a, b) in enumerate(zip(rows.tolist(), u.tolist(), v.tolist())):
-            if i in g.side:
-                logs[k] = _Piece(g.side[i], a, b, p, n, rel_tol).log_value(1.0, 0.0)[0]
-    if _INF in logs:
-        return _INF
-    m, ln_m = _log_sum(logs, sphere_area(n))
-    if m is not None:
-        return m ** (1.0 / pbar) if m > 0.0 else 0.0
-    return _exp(ln_m / pbar)
 
 
 def _log_root(h, p_minus):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from hausnorm import PowerMap, from_hardy_littlewood
+from hausnorm import PowerMap, _quad, from_hardy_littlewood
 from hausnorm.bounds import BoundConfig, SlotParams
 from hausnorm.exponents import Constant
 from hausnorm.luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
@@ -23,6 +23,20 @@ def midpoint_radial(fn, r_lo, r_hi, n_steps=20000):
     """Midpoint rule for integral of fn(r) dr on [r_lo, r_hi]; test oracle."""
     h = (r_hi - r_lo) / n_steps
     return h * math.fsum(fn(r_lo + (i + 0.5) * h) for i in range(n_steps))
+
+
+def closed_form_log(seg, u, v, p, n):
+    """ln of the modular of one segment on [u, v] at eta = 1 by the scalar
+    closed form, _quad.log_power_integral, when the segment is a plain power
+    and p is constant and finite there; +inf marks divergence, None any
+    other piece.  Oracle for the closed-form rows of a modular."""
+    if not seg.plain_power:
+        return None
+    p_lo, p_hi = p.range_on(u, v)
+    if not (p_lo == p_hi and math.isfinite(p_lo)):
+        return None
+    ln_integral = _quad.log_power_integral(u, v, n - 1 + seg.expr(1.0) * p_lo)
+    return ln_integral if ln_integral == math.inf else p_lo * math.log(seg.coef) + ln_integral
 
 
 def seeded(seed):

@@ -8,6 +8,7 @@ import pytest
 from hausnorm import _quad
 from hausnorm import bounds
 from hausnorm.bounds import (
+    CONSTANT_IDS,
     BoundConfig,
     HypothesisError,
     SlotParams,
@@ -20,7 +21,14 @@ from hausnorm.bounds import (
     slot_region_values,
 )
 from hausnorm.config import ExperimentConfig, load_config
-from hausnorm.exponents import Constant, LogInterp, pullback_exponent
+from hausnorm.exponents import (
+    _CHECK_RADII,
+    RECIP_ZERO_TOL,
+    Constant,
+    LogInterp,
+    PiecewiseRadial,
+    pullback_exponent,
+)
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
 from hausnorm.matrices import (
     DiagonalEqualModulus,
@@ -156,21 +164,45 @@ class TestLebesgueConstants:
             evaluate_constant(cfg, "C2")
 
     def test_pullback_witness_is_the_first_failure(self):
-        # kernel radii 1e-6 ... 1 and |x| = 1e-6 ... 1e6, as the check samples them
+        # kernel radii 1e-6 ... 1, each decided by its residual exponent's
+        # sign test at 0 and the check radii 1e-8 ... 1e8
         q = LogInterp(2.0, 3.0)
         op = from_multilinear_hardy_cesaro(PowerMap(1.0, 0.0), [PowerMap(1.0, 1.0)])
         cfg = BoundConfig(op, (SlotParams(q=q),))
         fam, k = op.families[0], op.kernel
         lo = k.r_lo if k.r_lo > 0 else k.r_hi * 1e-6
         ts = [lo * (k.r_hi / lo) ** (i / 8.0) for i in range(9)]
-        radii = [10.0 ** (-6 + 12 * i / 40) for i in range(41)]
         t, r = next(
-            (t, r) for t in ts for r in radii
-            if pullback_exponent(q, fam, t)(r) > q(r) * (1 + 1e-12)
+            (t, r) for t in ts for r in (0.0,) + _CHECK_RADII
+            if 1.0 / pullback_exponent(q, fam, t)(r) - 1.0 / q(r) < -RECIP_ZERO_TOL
         )
         with pytest.raises(HypothesisError) as err:
             evaluate_constant(cfg, "C2")
         assert f"t={t:.4g}, |x|={r:.4g}" in str(err.value)
+
+    @pytest.mark.parametrize("brk", [1e-7, 1e-3])
+    @pytest.mark.parametrize("cid", ["C1", "C2", "C2*"])
+    def test_step_exponent_fails_at_any_scale(self, hardy_op, brk, cid):
+        # q rises from 2 to 3 at brk, so q(x/t) > q(x) on [t brk, brk) for
+        # every kernel radius t < 1, whether or not brk is on the check grid
+        q = PiecewiseRadial((brk,), (2.0, 3.0))
+        cfg = BoundConfig(hardy_op, (SlotParams(q=q),))
+        with pytest.raises(HypothesisError) as err:
+            evaluate_constant(cfg, cid)
+        # the first failure: the smallest kernel radius, at the pulled break
+        assert f"t=1e-06, |x|={1e-6 * brk:.4g}" in str(err.value)
+
+    @pytest.mark.parametrize("name", sorted(p.name for p in FIXTURES.glob("*.json")))
+    def test_every_result_is_strict_json(self, name):
+        cfg = load_config(str(FIXTURES / name)).bound_config()
+        for cid in CONSTANT_IDS:
+            try:
+                res = evaluate_constant(cfg, cid)
+            except HypothesisError:
+                continue
+            data = json.loads(json.dumps(res.to_json(), allow_nan=False))
+            assert data["id"] == cid and data["finite"] is res.finite
+            assert data["value"] == (res.value if res.finite else None)
 
 
 class TestHerzMorreyConstants:

@@ -121,6 +121,19 @@ class TestConstants:
             else:
                 assert code == 1 and out == ""
 
+    @pytest.mark.parametrize("brk", [1e-7, 1e-3])
+    @pytest.mark.parametrize("which", ["C1", "C2", "C2*"])
+    def test_step_exponent_is_a_hypothesis_error(self, which, brk, tmp_path, capsys):
+        path = FIXTURES / "hardy_step_q_1e-7.json"
+        if brk != 1e-7:
+            step = {"type": "piecewise", "breaks": [brk], "values": [2.0, 3.0]}
+            path = tmp_path / "step.json"
+            path.write_text(json.dumps(hardy_with(slots=[{**HARDY_SLOT, "q": step}])))
+        code = main(["constants", "--config", str(path), "--which", which])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("hypothesis error: pullback bound")
+
     def test_unknown_id_exits_2(self, capsys):
         code = main(["constants", "--config", str(FIXTURES / "hardy_p2.json"), "--which", "C13"])
         capsys.readouterr()
@@ -199,8 +212,12 @@ class TestSharpnessFailures:
              "config error: eps_list [0.01, 0.1] must be positive and strictly decreasing"),
             (MORREY_HERZ_A03_L01, "morrey_herz_power", 1,
              "extremal_admissible,fail,extremal member has source norm"),
+            # two q = 2 slots combine to q = 1, outside the Lebesgue range
+            (json.loads((FIXTURES / "bilinear_p4.json").read_text()), "lebesgue_eps", 1,
+             "extremal_admissible,fail,the C2 spaces of this family are undefined"),
         ],
-        ids=["source-norm-inf", "zero-constant", "eps-increasing", "inadmissible-family"],
+        ids=["source-norm-inf", "zero-constant", "eps-increasing", "inadmissible-family",
+             "combined-q-one"],
     )
     def test_failures_are_reported(self, command, config, kind, code, expected,
                                    tmp_path, capsys):

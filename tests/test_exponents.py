@@ -105,6 +105,18 @@ class TestArrayEvaluation:
         assert err.value.radius == first
         assert err.value.value == 1.0 / pulled(first) - 1.0 / q(first)
 
+    @pytest.mark.parametrize("lo, hi", [(1e-12, 1e-11), (1e9, 1e10), (1.0, 1.0 + 1e-9)])
+    def test_sign_check_sees_every_step(self, lo, hi):
+        # a = 3 > b = 2 only on [lo, hi): off the check grid, or narrower
+        # than its spacing
+        a = PiecewiseRadial((lo, hi), (2.0, 3.0, 3.0))
+        b = PiecewiseRadial((hi,), (2.0, 3.0))
+        with pytest.raises(ReciprocalSignError) as err:
+            ReciprocalDifference(a, b, 1.0)
+        assert err.value.radius == lo
+        # the same steps in the admissible order pass
+        assert ReciprocalDifference(b, a, 1.0)(lo) == pytest.approx(6.0)
+
 
 class TestRange:
     def test_constant_any_annulus(self):

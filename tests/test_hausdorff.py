@@ -31,7 +31,7 @@ from hausnorm.luxemburg import (
 from hausnorm.matrices import PowerMap, ScalarDilation, SingularFamilyError
 from hausnorm.spaces import SpaceSpec
 
-from conftest import seeded, snapped_edges
+from conftest import closed_form_log, seeded, snapped_edges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ONE = PiecewisePowerFunction.one()
@@ -376,9 +376,9 @@ def assert_matches_scalar_interpolant(xs, vals):
 
 def segment_norm_oracle(g, p, n):
     """Constant-p Luxemburg norm of g over all radii, one Segment at a time:
-    _closed_form_log per clipped segment, summed by _log_sum.  Oracle for
-    the column path of luxemburg_norm."""
-    logs = [luxemburg._closed_form_log(seg, u, v, p, n)[0]
+    the scalar closed form per clipped segment, summed by _log_sum.  Oracle
+    for the column path of luxemburg_norm."""
+    logs = [closed_form_log(seg, u, v, p, n)
             for seg, u, v in g.pieces_in(Region.all())]
     m, ln_m = luxemburg._log_sum(logs, sphere_area(n))
     return m ** (1.0 / p.p_zero) if m is not None else math.exp(ln_m / p.p_zero)

@@ -19,6 +19,7 @@ from hausnorm.exponents import (
     difference_reciprocal,
     pullback_exponent,
 )
+from hausnorm.harness import random_test_functions
 from hausnorm.luxemburg import (
     ExponentExpr,
     ExprTerm,
@@ -30,8 +31,9 @@ from hausnorm.luxemburg import (
     norm_of_one,
     weighted_vexp_norm,
 )
+from hausnorm.spaces import SpaceSpec
 
-from conftest import midpoint_radial, seeded, snapped_edges
+from conftest import closed_form_log, midpoint_radial, seeded, snapped_edges
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -365,12 +367,12 @@ def window_oracle(segs, region):
 
 
 def constant_p_oracle(segs, region, p, n=1):
-    """The constant-p norm summed one Segment at a time: the closed form
-    where it applies, a _Piece otherwise."""
+    """The constant-p norm summed one Segment at a time: the scalar closed
+    form where it applies, a _Piece otherwise."""
     logs = []
     for seg, u, v in pieces_oracle(segs, region):
-        closed = luxemburg._closed_form_log(seg, u, v, p, n)
-        logs.append(closed[0] if closed is not None
+        closed = closed_form_log(seg, u, v, p, n)
+        logs.append(closed if closed is not None
                     else luxemburg._Piece(seg, u, v, p, n, 1e-9).log_value(1.0, 0.0)[0])
     if not logs:
         return 0.0
@@ -450,6 +452,14 @@ class TestColumns:
             want = constant_p_oracle(f.segments, region, Constant(q))
             got = luxemburg_norm(f, Constant(q), region, 1)
             assert got == pytest.approx(want, rel=1e-13)
+
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    def test_constant_p_norm_is_the_root_of_the_modular(self, q):
+        # one modular path: the closed-form norm is the modular's own p-th
+        # root, bit for bit
+        p, region = Constant(q), Region.all()
+        for f in random_test_functions(3, 200, SpaceSpec("lebesgue", 1, Constant(2.0))):
+            assert luxemburg_norm(f, p, region, 1) == modular(f, p, region, 1) ** (1.0 / q)
 
     @settings(max_examples=60, deadline=None)
     @given(segs=mixed_segments(), shift=st.floats(0.05, 0.95))
@@ -582,7 +592,8 @@ class TestLogRootFind:
             assert 0.0 < eta < math.inf
             # the certificate as the root-find evaluated it, then the
             # public modular just below the returned eta
-            assert luxemburg._modular_scaled(g, p, region, 1, eta, 1e-9)[0] <= 1.0
+            m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
+            assert m <= 1.0 if m is not None else ln_m <= 0.0
             shrunk = eta * (1 - 1e-9)
             assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
             assert eta == pytest.approx(bisection_oracle(g, p, region), rel=1e-9)
@@ -610,13 +621,13 @@ class TestLogRootFind:
 
     def test_evaluation_budget(self, monkeypatch):
         calls = []
-        inner = luxemburg._modular_scaled
+        inner = luxemburg._Modular.trial
 
-        def counted(*args):
+        def counted(self, eta):
             calls.append(1)
-            return inner(*args)
+            return inner(self, eta)
 
-        monkeypatch.setattr(luxemburg, "_modular_scaled", counted)
+        monkeypatch.setattr(luxemburg._Modular, "trial", counted)
 
         def evals(fn):
             calls.clear()
