@@ -26,6 +26,10 @@ DIV_TOL = 1e-12
 # stop a tail once the log-integrand drops below this
 _LOG_FLOOR = -720.0
 
+# a tail is cut where the log-integrand has dropped this far below its
+# level at the search start
+_DROP = 80.0
+
 
 def power_integral(u: float, v: float, beta: float) -> float:
     """Exact integral of r**beta over [u, v]; +inf when it diverges.
@@ -156,7 +160,9 @@ class NodeCache:
     that quad_s calls the log-integrand as log_g(s, *data) and evaluates
     data once per node.  One cache serves a family of integrands that share
     their node data, such as the eta trials of one Luxemburg norm: each
-    integral starts from the panels its cells ended with last time.
+    integral starts from the panels its cells ended with last time, and
+    radial_integral reuses the tail cutoffs it last searched while they
+    pass the search's drop test.
     """
 
     def __init__(self, data=None):
@@ -165,6 +171,9 @@ class NodeCache:
         self.cells: dict[tuple[float, float], tuple[np.ndarray, ...]] = {}
         # the interval of the last call, its cells, and their panels joined
         self.last: tuple | None = None
+        # direction (+1 towards r = inf, -1 towards r = 0) -> the last
+        # cutoff search_cutoff found that way
+        self.cutoffs: dict[int, float] = {}
 
     def panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
         """The panels [lo, hi) with their nodes and node data."""
@@ -260,7 +269,7 @@ def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
 
 
 def search_cutoff(log_integrand, s_start: float, direction: int,
-                  drop: float = 80.0, step0: float = 8.0,
+                  drop: float = _DROP, step0: float = 8.0,
                   s_limit: float = 3e5) -> float | None:
     """First s past s_start where the log-integrand has dropped far enough
     below its reference level that the remaining tail is negligible.
@@ -282,7 +291,7 @@ def search_cutoff(log_integrand, s_start: float, direction: int,
 
 
 def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
-                  drop: float = 80.0) -> float | None:
+                  drop: float = _DROP) -> float | None:
     """Cutoff for a tail whose log-integrand decays ~ rate * |s - s_ref|.
 
     Starts from the analytic estimate and extends until the drop below the
@@ -299,6 +308,22 @@ def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
         if abs(s) > 1e7:
             return None
     return None
+
+
+def _searched_cutoff(log_integrand, s_start: float, direction: int,
+                     cache: NodeCache | None) -> float | None:
+    """search_cutoff, or the cache's last cutoff that way when it lies
+    beyond s_start and the log-integrand there is below the search's
+    target: the test the search itself stops on."""
+    if cache is not None:
+        s = cache.cutoffs.get(direction)
+        if (s is not None and direction * (s - s_start) >= 0.0
+                and log_integrand(s) < _cut_target(log_integrand, s_start, _DROP)):
+            return s
+    s = search_cutoff(log_integrand, s_start, direction)
+    if cache is not None and s is not None:
+        cache.cutoffs[direction] = s
+    return s
 
 
 class RadialIntegral(NamedTuple):
@@ -340,14 +365,17 @@ def radial_integral(log_integrand, lo: float, hi: float,
     slope is unknown and the tail is cut by search.  breaks lists radii
     where the integrand may be non-smooth.  The tail searches call
     log_integrand on floats, the quadrature on arrays of nodes (followed by
-    their node data when a cache with data is given; see quad_s).
+    their node data when a cache with data is given; see quad_s).  With a
+    cache, a searched tail keeps the cutoff of an earlier call while that
+    cutoff passes the search's drop test, so the interval, and the cache's
+    last panels, stay fixed across a family of integrands.
     """
     s_lo = -_INF if lo == 0.0 else math.log(lo)
     s_hi = _INF if math.isinf(hi) else math.log(hi)
 
     if math.isinf(hi):
         if slope_at_inf is None:
-            s_hi = search_cutoff(log_integrand, max(s_lo, 1.0), +1)
+            s_hi = _searched_cutoff(log_integrand, max(s_lo, 1.0), +1, cache)
         elif slope_at_inf >= -1.0 - DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:
@@ -357,7 +385,7 @@ def radial_integral(log_integrand, lo: float, hi: float,
 
     if lo == 0.0:
         if slope_at_0 is None:
-            s_lo = search_cutoff(log_integrand, min(s_hi - 1.0, -1.0), -1)
+            s_lo = _searched_cutoff(log_integrand, min(s_hi - 1.0, -1.0), -1, cache)
         elif slope_at_0 <= -1.0 + DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:

@@ -219,16 +219,24 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
 
 def _norm_one_nodes(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> list:
     """[t -> ||1|| for the residual exponent at t], or [] where that factor
-    is identically 1 (constant q and zeta = 1)."""
+    is identically 1 (constant q and zeta = 1).  Each norm's root-find
+    starts from the last finite, positive norm of one the factor returned:
+    the quadrature visits neighbouring radii in turn, and their norms are
+    close."""
     if slot.q.is_constant and zeta == 1.0:
         return []
     n = cfg.operator.n
+    guess = 1.0
 
     def fn(t: float) -> float:
+        nonlocal guess
         resid = _residual_exponent(slot.q, fam, t, zeta)
         if resid.infinite_everywhere:
             return 1.0
-        return norm_of_one(resid, Region.all(), n, rel_tol=max(cfg.rel_tol, 1e-7))
+        eta = norm_of_one(resid, Region.all(), n, rel_tol=max(cfg.rel_tol, 1e-7), guess=guess)
+        if 0.0 < eta < _INF:
+            guess = eta
+        return eta
 
     return [fn]
 

@@ -430,9 +430,10 @@ class _Piece:
 
     A quadrature piece keeps its divergence verdicts and power slopes, the
     p(r) and log-amplitude of every node of its panels (a NodeCache) and of
-    every tail-search probe, so that a new eta costs one reduction over
-    known nodes, plus the nodes of panels that fail the error test or are
-    clipped by a moved cutoff.
+    every tail-search probe, and the last cutoff of each tail search (in
+    the NodeCache, reused while it passes the search's test), so that a new
+    eta costs one reduction over known nodes, plus the nodes of panels that
+    fail the error test or are clipped by a moved cutoff.
     """
 
     def __init__(self, seg: Segment, u: float, v: float, p: RadialExponent,
@@ -595,18 +596,20 @@ def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 
 
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
-                   n: int, rel_tol: float = 1e-9, max_iter: int = 200) -> float:
+                   n: int, rel_tol: float = 1e-9, max_iter: int = 200, *,
+                   guess: float = 1.0) -> float:
     """inf{eta > 0 : F_p(g/eta) <= 1}, certified by a log-space root-find.
 
     Returns 0 for the zero function and +inf when no finite eta brackets
     the unit level.  For constant p the norm has the closed form
     F_p(g)^(1/p), which is used directly.  Otherwise the root of
     h(x) = ln F_p(g/e^x), decreasing and convex in x = ln eta, is
-    bracketed from eta = 1 and refined by secant steps until the bracket is
-    one certificate width wide: the returned eta has F_p(g/eta) <= 1 and
-    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA).  All
-    trials share one _Modular, so each quadrature node is evaluated once
-    per norm.
+    bracketed from eta = guess (eta = 1 for a guess that is not finite and
+    positive) and refined by secant steps until the bracket is one
+    certificate width wide: the returned eta has F_p(g/eta) <= 1 and
+    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA), whatever
+    the guess.  All trials share one _Modular, so each quadrature node is
+    evaluated once per norm.
     """
     mod = _Modular(g, p, region, n, rel_tol)
     if mod.empty:
@@ -629,18 +632,20 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
                 return ln_m
             return math.log(m) if m > 0.0 else -_INF
 
-        return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0]))
+        x0 = math.log(guess) if 0.0 < guess < _INF else 0.0
+        return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0], x0))
     except _EtaIndependent:
         return _INF
 
 
-def _log_root(h, p_minus):
+def _log_root(h, p_minus, x0=0.0):
     """Upper end b of a bracket [a, b] of the root of h with b - a <= _TOL.
 
     h is decreasing, h(a) > 0 >= h(b) at evaluated points, and the search
-    starts at x = 0.  Bracketing: from a finite h(x) the next point is
-    x + h(x)/p_minus, which reaches the other sign because h falls at least
-    p_minus per unit of x; from an infinite one the step doubles.
+    starts at x0, clamped to +-_LN_ETA_MAX.  Bracketing: from a finite
+    h(x) the next point is x + h(x)/p_minus, which reaches the other sign
+    because h falls at least p_minus per unit of x; from an infinite one
+    the step doubles.
     Refining: regula falsi with the Anderson-Bjorck scaling of the end kept
     twice in a row (the Illinois method scales it by 1/2), with every trial
     point at least _TOL/2 inside the bracket, and the midpoint while an end
@@ -648,7 +653,7 @@ def _log_root(h, p_minus):
     """
     jump = 0.0 < p_minus < _INF
     a, ha, b, hb = -_INF, _INF, _INF, -_INF
-    x, step = 0.0, 1.0
+    x, step = min(max(x0, -_LN_ETA_MAX), _LN_ETA_MAX), 1.0
     while True:
         hx = h(x)
         if jump and math.isfinite(hx):
@@ -701,12 +706,14 @@ def weighted_vexp_norm(f: PiecewisePowerFunction, p: RadialExponent,
 
 
 def norm_of_one(r_exp: RadialExponent, region: Region, n: int,
-                rel_tol: float = 1e-9) -> float:
+                rel_tol: float = 1e-9, *, guess: float = 1.0) -> float:
     """Luxemburg norm of the constant function 1 against the exponent r_exp.
 
     The everywhere-infinite exponent gives exactly 1 (essential-sup branch);
     exponents with a finite limit at infinity give +inf on unbounded regions.
+    The root-find starts from guess, as in luxemburg_norm.
     """
     if r_exp.infinite_everywhere:
         return 1.0
-    return luxemburg_norm(PiecewisePowerFunction.one(), r_exp, region, n, rel_tol)
+    return luxemburg_norm(PiecewisePowerFunction.one(), r_exp, region, n, rel_tol,
+                          guess=guess)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from hausnorm import _quad
-from hausnorm import bounds
+from hausnorm import bounds, luxemburg
 from hausnorm.bounds import (
     CONSTANT_IDS,
     BoundConfig,
@@ -147,6 +147,31 @@ class TestLebesgueConstants:
         assert res.finite
         assert len(radii) > 100  # the quadrature path ran
         assert len(set(radii)) == len(radii)
+
+    def test_node_factor_work(self, monkeypatch):
+        # each node's root-find starts from its neighbour's norm, and each
+        # quadrature piece keeps its tail cutoff across the eta trials
+        cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
+        calls = {"norm_of_one": 0, "trial": 0, "search_cutoff": 0}
+
+        def counted(owner, name):
+            inner = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(bounds, "norm_of_one")
+        counted(luxemburg._Modular, "trial")
+        counted(_quad, "search_cutoff")
+        res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
+        nodes = calls["norm_of_one"]
+        assert nodes == 139
+        assert calls["trial"] <= 8 * nodes
+        assert calls["search_cutoff"] <= 3 * nodes
+        assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
 
     def test_outer_index_must_be_positive(self, hardy_op):
         with pytest.raises(ValueError, match="outer indices p_i must be positive"):

@@ -577,17 +577,22 @@ ROOT_EXPONENTS = {
 }
 
 
+def root_find_cases(name):
+    """(g, p) pairs of the root-find checks: 30 seeded functions, and for the
+    C1 residual the node factor itself (F(1) = inf, so the search from
+    eta = 1 runs upward)."""
+    rng = seeded(41)
+    gs = [random_piecewise(rng) for _ in range(30)]
+    if name == "c1_residual":
+        gs.append(PiecewisePowerFunction.one())
+    return [(g, ROOT_EXPONENTS[name]) for g in gs]
+
+
 class TestLogRootFind:
     @pytest.mark.parametrize("name", sorted(ROOT_EXPONENTS))
     def test_certificate_and_oracle(self, name):
-        p = ROOT_EXPONENTS[name]
-        rng = seeded(41)
-        gs = [random_piecewise(rng) for _ in range(30)]
-        if name == "c1_residual":
-            # the node factor itself: F(1) = inf, so the search runs upward
-            gs.append(PiecewisePowerFunction.one())
         region = Region.all()
-        for g in gs:
+        for g, p in root_find_cases(name):
             eta = luxemburg_norm(g, p, region, 1)
             assert 0.0 < eta < math.inf
             # the certificate as the root-find evaluated it, then the
@@ -597,6 +602,60 @@ class TestLogRootFind:
             shrunk = eta * (1 - 1e-9)
             assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
             assert eta == pytest.approx(bisection_oracle(g, p, region), rel=1e-9)
+
+    @pytest.mark.parametrize("name", sorted(ROOT_EXPONENTS))
+    def test_far_guesses(self, name, monkeypatch):
+        # the bracket search may start anywhere: the certificate and the
+        # root do not depend on where
+        trials = []
+        inner = luxemburg._Modular.trial
+
+        def recording(self, eta):
+            m, ln_m = inner(self, eta)
+            trials.append((eta, m > 1.0 if m is not None else ln_m > 0.0))
+            return m, ln_m
+
+        monkeypatch.setattr(luxemburg._Modular, "trial", recording)
+        region = Region.all()
+        for g, p in root_find_cases(name):
+            oracle = bisection_oracle(g, p, region)
+            for guess in (1e-25, 1e-2, 1e2, 1e25):
+                trials.clear()
+                eta = luxemburg_norm(g, p, region, 1, guess=guess)
+                assert 0.0 < eta < math.inf
+                # the certificate as the root-find evaluated it: F <= 1 at
+                # eta, F > 1 at some eta' in [eta / (1 + CERT_DELTA), eta)
+                assert (eta, False) in trials
+                assert any(above and eta / (1 + luxemburg.CERT_DELTA) <= e < eta
+                           for e, above in trials)
+                # a fresh modular at eta starts from other panels than the
+                # root-find's, which refined them along its own trials; the
+                # two estimates differ far below rel_tol
+                m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
+                assert m <= 1.0 + 1e-12
+                shrunk = eta * (1 - 1e-9)
+                assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
+                assert eta == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("guess", [math.inf, math.nan, 0.0])
+    def test_unusable_guess_starts_at_one(self, guess):
+        for name in sorted(ROOT_EXPONENTS):
+            cases = root_find_cases(name)
+            for g, p in cases[:5] + cases[-1:]:
+                assert luxemburg_norm(g, p, Region.all(), 1, guess=guess) == luxemburg_norm(
+                    g, p, Region.all(), 1
+                )
+
+    def test_guess_beyond_search_range_is_clamped(self):
+        p = LogInterp(3.0, 2.0)
+        base = luxemburg_norm(CHI_UNIT, p, Region.all(), 1)
+        for guess in (1e-300, 1e300):
+            assert luxemburg_norm(CHI_UNIT, p, Region.all(), 1, guess=guess) == pytest.approx(
+                base, rel=1e-9
+            )
+            # a norm above the search range stays infinite from a guess at it
+            assert luxemburg_norm(CHI_UNIT.scaled(1e290), p, Region.all(), 1,
+                                  guess=guess) == math.inf
 
     def test_c1_residual_modular_infinite_at_one(self):
         one = PiecewisePowerFunction.one()

@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hausnorm import _quad
 from hausnorm._quad import (
     DIV_TOL,
+    NodeCache,
     log_power_integral,
     log_power_integrals,
     power_integral,
@@ -85,6 +87,34 @@ class TestRadialIntegral:
 
         res = radial_integral(log_integrand, 1.0, 1e6, breaks=(2.0, 2.0001))
         assert res.value == pytest.approx(hi_w - lo_w, rel=1e-9)
+
+    def test_cached_cutoffs_are_reused_while_they_pass(self, monkeypatch):
+        # Gaussians exp(-(s/w)^2) over (0, inf), searched at both tails from
+        # s = +-1 with the target 80 below the start: a cutoff of 17 holds
+        # while (17/w)^2 > 80 + 1/w^2, and a wider w makes the search walk
+        # on to 49
+        searches = []
+        inner = _quad.search_cutoff
+
+        def counted(*args, **kwargs):
+            searches.append(args[2])
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(_quad, "search_cutoff", counted)
+        cache = NodeCache()
+        # (w, searches in this call, cutoff)
+        steps = [(1.0, 2, 17.0), (1.5, 0, 17.0), (3.0, 2, 49.0), (2.0, 0, 49.0), (1.0, 0, 49.0)]
+        for w, n_searches, cut in steps:
+            def log_integrand(s, w=w):
+                return -((s / w) ** 2)
+
+            searches.clear()
+            res = radial_integral(log_integrand, 0.0, math.inf, cache=cache)
+            assert len(searches) == n_searches
+            assert (res.s_lo, res.s_hi) == (-cut, cut)
+            cold = radial_integral(log_integrand, 0.0, math.inf)
+            assert res.value == pytest.approx(cold.value, rel=1e-9)
+            assert res.value == pytest.approx(w * math.sqrt(math.pi), rel=1e-9)
 
 
 class TestPowerIntegrals:
