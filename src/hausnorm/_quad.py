@@ -56,22 +56,6 @@ def power_integral(u: float, v: float, beta: float) -> float:
     return (u ** b) * math.expm1(b * math.log(v / u)) / b if b != 0.0 else math.log(v / u)
 
 
-def power_integrals(u: np.ndarray, v: np.ndarray, beta: float) -> np.ndarray:
-    """power_integral over arrays of intervals, each with u < v.
-
-    Same closed forms and power test; numpy's pow and expm1 may differ
-    from the scalar libm results by an ulp.
-    """
-    b = beta + 1.0
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        out = u ** b * np.expm1(b * np.log(v / u)) / b if b != 0.0 else np.log(v / u)
-        at_inf = np.isinf(v)
-        out[at_inf] = _INF if b >= -DIV_TOL else -(u[at_inf] ** b) / b
-        at_zero = (u == 0.0) & ~at_inf
-        out[at_zero] = _INF if b <= DIV_TOL else v[at_zero] ** b / b
-    return out
-
-
 def log_power_integral(u: float, v: float, beta: float) -> float:
     """ln of the integral of r**beta over [u, v]; +inf marks divergence.
 
@@ -92,7 +76,8 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     span = math.log(v / u)
     scaled = b * span
     if abs(scaled) < 1e-10:
-        return b * math.log(u) + math.log(span)
+        # ln((e^x - 1)/x) = x/2 + O(x^2) at x = b span
+        return b * math.log(u) + math.log(span) + 0.5 * scaled
     if b > 0:
         return b * math.log(v) + math.log(-math.expm1(-scaled)) - math.log(b)
     return b * math.log(u) + math.log(-math.expm1(scaled)) - math.log(-b)

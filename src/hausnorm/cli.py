@@ -1,17 +1,25 @@
 """Batch front end: norm | apply | constants | sweep | verify.
 
 All numeric output is emitted as JSON lines on stdout or as CSV when --out
-ends in .csv.  Exit codes: 0 success, 1 check failures, 2 config errors.
+ends in .csv.  Exit codes: 0 success, 1 check failures, 2 config errors
+and bad arguments.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 
-from .bounds import CONSTANT_IDS, HypothesisError, evaluate_constant, finite_or_null
+from .bounds import (
+    CONSTANT_IDS,
+    HypothesisError,
+    evaluate_constant,
+    finite_or_null,
+    lebesgue_constants,
+)
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -20,10 +28,17 @@ from .config import (
     load_config,
 )
 from .exponents import Constant
-from .harness import ExtremalError, SweepResult, sharpness_sweep, upper_bound_suite
+from .harness import (
+    EXTREMAL_KINDS,
+    ExtremalError,
+    SweepResult,
+    random_test_functions,
+    sharpness_sweep,
+    upper_bound_suite,
+)
 from .hausdorff import RatioUndefinedError, apply_pointwise
 from .matrices import Dilation, PowerMap, dyadic_index, inverse_stats, theta_star
-from .spaces import space_norm
+from .spaces import SpaceSpec, herz_norm, morrey_herz_norm, space_norm
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -85,9 +100,6 @@ def cmd_apply(cfg: ExperimentConfig, args) -> int:
 
 
 def cmd_constants(cfg: ExperimentConfig, args) -> int:
-    if args.which not in CONSTANT_IDS:
-        sys.stderr.write(f"unknown constant id {args.which!r}\n")
-        return EXIT_CONFIG
     bc = cfg.bound_config()
     res = evaluate_constant(bc, args.which)
     _emit_json(res.to_json())
@@ -139,9 +151,6 @@ def cmd_sweep(cfg: ExperimentConfig, args) -> int:
 
 def _invariant_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
     """Quick definitional checks that ship green on the bundled fixtures."""
-    from .harness import random_test_functions
-    from .spaces import SpaceSpec, herz_norm, morrey_herz_norm
-
     st = cfg.settings
     checks: list[tuple[str, bool, str]] = []
 
@@ -157,8 +166,6 @@ def _invariant_checks(cfg: ExperimentConfig) -> list[tuple[str, bool, str]]:
 
     bc = cfg.bound_config()
     try:
-        from .bounds import lebesgue_constants
-
         cs = lebesgue_constants(bc)
         if all(s.q.is_constant for s in bc.slots):
             ok = (
@@ -205,9 +212,10 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
 
     if args.suite == "upper":
         cid = args.which or _default_constant(cfg)
+        n = st.n_samples if args.n is None else args.n
         try:
             suite = upper_bound_suite(
-                cfg.operator(), cfg.bound_config(), cid, args.n or st.n_samples, seed,
+                cfg.operator(), cfg.bound_config(), cid, n, seed,
                 k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
                 grid_octaves=st.grid_octaves,
                 points_per_octave=st.points_per_octave,
@@ -244,6 +252,22 @@ def _default_kind(cfg: ExperimentConfig) -> str:
     }[cfg.space_kind]
 
 
+def _count(text: str) -> int:
+    """An argparse type: an integer >= 1."""
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"{text} is not an integer >= 1")
+    return n
+
+
+def _radius(text: str) -> float:
+    """An argparse type: a finite float > 0."""
+    x = float(text)
+    if not 0.0 < x < math.inf:
+        raise argparse.ArgumentTypeError(f"{text} is not a finite radius > 0")
+    return x
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hausnorm",
@@ -265,35 +289,39 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("apply", help="operator image values")
     common(p)
-    p.add_argument("--x", type=float, nargs="*", default=None)
+    p.add_argument("--x", type=_radius, nargs="*", default=None)
     p.set_defaults(fn=cmd_apply)
 
     p = sub.add_parser("constants", help="evaluate a bound constant")
     common(p)
-    p.add_argument("--which", required=True, help="constant id, e.g. C9")
+    p.add_argument("--which", required=True, choices=CONSTANT_IDS)
     p.set_defaults(fn=cmd_constants)
 
     p = sub.add_parser("sweep", help="sharpness sweep over epsilon")
     common(p)
     p.add_argument("--eps", default=None, help="comma-separated, decreasing")
-    p.add_argument("--kind", default="lebesgue_eps")
-    p.add_argument("--which", default=None)
+    p.add_argument("--kind", default="lebesgue_eps", choices=EXTREMAL_KINDS)
+    p.add_argument("--which", default=None, choices=CONSTANT_IDS)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("verify", help="run a verification suite")
     common(p)
     p.add_argument("--suite", choices=("invariants", "upper", "sharpness"),
                    required=True)
-    p.add_argument("--which", default=None)
-    p.add_argument("--kind", default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--which", default=None, choices=CONSTANT_IDS)
+    p.add_argument("--kind", default=None, choices=EXTREMAL_KINDS)
+    p.add_argument("--n", type=_count, default=None)
     p.set_defaults(fn=cmd_verify)
     return parser
 
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has written the usage and the error (exit 2), or the help
+        return exc.code
     try:
         cfg = load_config(args.config)
         overrides = {}

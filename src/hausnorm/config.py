@@ -60,6 +60,18 @@ class QuadratureSettings:
     n_samples: int = 100
     workers: int = 1  # accepted and round-tripped; suites run serially
 
+    def __post_init__(self):
+        if not 0.0 < self.rel_tol < 1.0:
+            raise ConfigError(f"rel_tol {self.rel_tol} must lie in (0, 1)")
+        if self.points_per_octave < 1:
+            raise ConfigError(f"points_per_octave {self.points_per_octave} must be >= 1")
+        if self.n_samples < 1:
+            raise ConfigError(f"N {self.n_samples} must be >= 1")
+        for key in ("k_range", "k0_range", "r_grid_range", "grid_octaves"):
+            lo, hi = getattr(self, key)
+            if not (lo < hi if key == "grid_octaves" else lo <= hi):
+                raise ConfigError(f"{key} {[lo, hi]} is reversed")
+
     @classmethod
     def from_json(cls, obj: dict) -> "QuadratureSettings":
         kw: dict[str, Any] = {}

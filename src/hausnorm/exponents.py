@@ -689,9 +689,6 @@ class PowerWeight:
             return _INF
         return r ** self.gamma
 
-    def ball_measure(self, radius: float) -> float:
-        return ball_measure(self, radius)
-
 
 def ball_measure(w: PowerWeight, radius: float) -> float:
     """Integral of |x|^gamma over the ball of the given radius.

@@ -13,7 +13,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .bounds import BoundConfig, HypothesisError, evaluate_constant
+from .bounds import BoundConfig, HypothesisError, evaluate_constant, sharpness_region_check
 from .exponents import Constant, ExponentDomainError, scale_exponent
 from .hausdorff import OperatorSpec, operator_ratio
 from .luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
@@ -346,8 +346,6 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
             "central_morrey_power": "C12",
         }[kind]
     if constant_id == "C2*" and not all(s.q.is_constant for s in cfg.slots):
-        from .bounds import sharpness_region_check
-
         if not sharpness_region_check(cfg).reciprocal_identity:
             raise HypothesisError(
                 "variable-exponent necessity needs sum 1/q_i- == 1/q+; "

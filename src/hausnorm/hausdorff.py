@@ -4,9 +4,9 @@ The operator integrates a kernel phi(|t|)/|t|^n against a product of
 dilated factors f_i(A_i(t) x).  For radial kernels and radially dilating
 families the whole thing collapses to a 1-D integral over the kernel
 radius.  It is evaluated at a whole grid of radii at once, one segment
-combination at a time: exactly (power antiderivatives, vectorized with
-numpy) where the segments are powers with constant exponents, and by
-adaptive quadrature otherwise.
+combination at a time: in log closed form over the grid where the segments
+are powers with constant exponents, and by adaptive quadrature otherwise.
+The support of a sampled image is closed form at the kernel ends.
 """
 
 from __future__ import annotations
@@ -106,8 +106,8 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     """
     if len(fs) != spec.m:
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
-    if x_radius <= 0:
-        raise ValueError("evaluation radius must be positive")
+    if not 0.0 < x_radius < _INF:
+        raise ValueError("evaluation radius must be positive and finite")
     return float(_image_values(spec, fs, np.array([float(x_radius)]), rel_tol)[0])
 
 
@@ -137,8 +137,11 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     segment is a plain power, by radial_integral per radius otherwise."""
     k = spec.kernel
     total = np.zeros(len(xs))
+    if k.c == 0.0:
+        return total
     with np.errstate(all="ignore"):
         windows = [_pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+        log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
         for combo in itertools.product(*windows):
             segs, los, his = zip(*combo)
             u = np.maximum(k.r_lo, np.max(los, axis=0))
@@ -148,14 +151,14 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                 for i in idx:
                     total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
                 continue
-            coef, expo = k.c, k.a - 1.0
-            for seg, fam in zip(segs, spec.families):
+            # in log space, so a divergent piece is +inf whatever its coefficient
+            log_coef, expo = math.log(k.c), k.a - 1.0
+            for seg, fam, ln_cx in zip(segs, spec.families, log_cx):
                 b = seg.expr.constant_value()
-                coef = coef * (seg.coef * (abs(fam.s.c) * xs[idx]) ** b)
+                log_coef += math.log(seg.coef) + b * ln_cx[idx]
                 expo += fam.s.a * b
-            piece = _quad.power_integrals(u[idx], v[idx], expo)
-            # a divergent piece is +inf even where its coefficient underflows
-            total[idx] += np.where(np.isinf(piece), _INF, coef * piece)
+            beta = np.full(len(idx), expo)
+            total[idx] += np.exp(log_coef + _quad.log_power_integrals(u[idx], v[idx], beta))
     return spec.sigma * total
 
 
@@ -190,27 +193,31 @@ def _quadrature_piece(spec, segs, x, u, v, rel_tol):
     ).value
 
 
-def _image_support(spec, fs, samples=600):
-    """(x_lo, x_hi) outside which the image vanishes, by kernel-radius scan."""
+def _image_support(spec, fs):
+    """(x_lo, x_hi) outside which the image vanishes, (inf, 0) if empty:
+    max_i lo_i / M_i and min_i hi_i / m_i, with [lo_i, hi_i] the hull of f_i
+    and [m_i, M_i] the range of the monotone |s_i| over the kernel ends.
+    Exact for one input or maps that share one exponent, else an outer bound.
+    """
     k = spec.kernel
-    lo_k = k.r_lo if k.r_lo > 0 else min(k.r_hi * 1e-18, 1e-18)
-    hi_k = k.r_hi if math.isfinite(k.r_hi) else max(k.r_lo, 1.0) * 1e18
-    radii = [lo_k * (hi_k / lo_k) ** (i / samples) for i in range(samples + 1)]
-    lo_req, hi_req = np.zeros(len(radii)), np.full(len(radii), _INF)
+    x_lo, x_hi = 0.0, _INF
+    lo_c, hi_c = 0.0, _INF
     for f, fam in zip(fs, spec.families):
-        # |s(r)| with the scalar pow of PowerMap, so the support and the grid
-        # are those of the per-radius scan bit for bit
-        c, a = abs(fam.s.c), fam.s.a
-        su = np.array([c * r ** a for r in radii])
-        if not np.all((0.0 < su) & (su < _INF)):
-            raise SingularFamilyError("family scale is 0 or inf on the kernel support")
+        c = abs(fam.s.c)
+        m, big = sorted(abs(fam.s(r)) for r in (k.r_lo, k.r_hi))
+        if not (0.0 < c < _INF and big > 0.0 and m < _INF):
+            raise SingularFamilyError(
+                f"family scale {c} r^{fam.s.a} is 0 or inf on the kernel support")
         f_lo, f_hi = f.support()
-        lo_req = np.maximum(lo_req, f_lo / su)
-        hi_req = np.minimum(hi_req, f_hi / su)
-    live = lo_req < hi_req
-    if not live.any():
+        if not f_lo < f_hi:
+            return _INF, 0.0
+        x_lo = max(x_lo, f_lo / big)
+        x_hi = min(x_hi, f_hi / m if m > 0.0 else _INF)
+        lo_c, hi_c = max(lo_c, f_lo / c), min(hi_c, f_hi / c)
+    shared = len({fam.s.a for fam in spec.families}) == 1
+    if not x_lo < x_hi or (shared and not lo_c < hi_c):
         return _INF, 0.0
-    return float(lo_req[live].min()), float(hi_req[live].max())
+    return x_lo, x_hi
 
 
 # ln of the largest coefficient, and of the largest x0^slope, that a sampled

@@ -159,6 +159,60 @@ class TestConstants:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+class TestArgumentErrors:
+    """Bad arguments exit 2 with argparse's usage error, never a traceback,
+    and never fall back to the config's value."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify", "--suite", "upper", "--which", "C99"],
+            ["verify", "--suite", "sharpness", "--kind", "bogus"],
+            ["sweep", "--which", "C99"],
+            ["sweep", "--kind", "bogus"],
+            ["verify", "--suite", "upper", "--n", "0"],
+            ["verify", "--suite", "upper", "--n", "-2"],
+            ["apply", "--x", "0"],
+            ["apply", "--x", "-1"],
+            ["apply", "--x", "nan"],
+            ["apply", "--x", "inf"],
+        ],
+        ids=lambda argv: " ".join(argv),
+    )
+    def test_exit_2(self, argv, capsys):
+        hardy = str(FIXTURES / "hardy_p2.json")
+        assert main([argv[0], "--config", hardy, *argv[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "error: argument" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "quadrature, message",
+        [
+            ({"points_per_octave": 0}, "points_per_octave 0 must be >= 1"),
+            ({"grid_octaves": [48, -40]}, "grid_octaves [48, -40] is reversed"),
+            ({"k_range": [40, -40]}, "k_range [40, -40] is reversed"),
+            ({"rel_tol": -1}, "rel_tol -1 must lie in (0, 1)"),
+            ({"rel_tol": 1.0}, "rel_tol 1.0 must lie in (0, 1)"),
+            ({"N": 0}, "N 0 must be >= 1"),
+        ],
+        ids=["points-per-octave", "grid-octaves", "k-range", "rel-tol", "rel-tol-one", "N"],
+    )
+    def test_quadrature_settings_are_config_errors(self, quadrature, message, tmp_path,
+                                                   capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(hardy_with(quadrature=quadrature)))
+        code = main(["verify", "--config", str(path), "--suite", "upper", "--n", "2"])
+        assert code == 2
+        assert capsys.readouterr().err == f"config error: {message}\n"
+
+    @pytest.mark.parametrize("rel_tol", ["-1", "0", "1", "nan"])
+    def test_rel_tol_flag_is_a_config_error(self, rel_tol, capsys):
+        code = main(["constants", "--config", str(FIXTURES / "hardy_p2.json"),
+                     "--which", "C9", "--rel-tol", rel_tol])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("config error: rel_tol")
+
+
 class TestApply:
     def test_values_emitted(self, capsys):
         code = main(

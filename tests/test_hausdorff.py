@@ -61,6 +61,11 @@ class TestApplyPointwise:
         with pytest.raises(ValueError):
             apply_pointwise(hardy_op, [ONE, ONE], 1.0)
 
+    @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
+    def test_radius_must_be_positive_and_finite(self, hardy_op, x):
+        with pytest.raises(ValueError, match="positive and finite"):
+            apply_pointwise(hardy_op, [ONE], x)
+
     def test_cutoff_sampled_value(self, hardy_op):
         f = PiecewisePowerFunction.single_power(1.0, -0.51, 1.0, math.inf)
         val = apply_pointwise(hardy_op, [f], 4.0)
@@ -298,25 +303,50 @@ class TestImageKernel:
         assert apply_pointwise(spec, fs, 1e-10) == math.inf
 
 
-def scalar_support(spec, fs, samples=600):
-    """(x_lo, x_hi) by the per-radius scan of the kernel radii; oracle for
-    hausdorff._image_support."""
+def _requirement(bound, scale):
+    """bound / scale with the limits of the support edges at a kernel end:
+    0 for a zero bound, inf for an infinite bound or a zero scale."""
+    if bound == 0.0:
+        return 0.0
+    return math.inf if scale == 0.0 or math.isinf(bound) else bound / scale
+
+
+def dense_support(spec, fs, samples=2000):
+    """(x_lo, x_hi): the hull of the windows of x that keep every
+    |s_i(r)| x in the hull of f_i, over `samples` kernel radii r geometric
+    between the ends (from 1e-18 or to 1e18 at an end at 0 or inf) and the
+    ends themselves, whose windows are limits and count where their
+    neighbour's window is live; oracle for hausdorff._image_support."""
     k = spec.kernel
     lo_k = k.r_lo if k.r_lo > 0 else min(k.r_hi * 1e-18, 1e-18)
     hi_k = k.r_hi if math.isfinite(k.r_hi) else max(k.r_lo, 1.0) * 1e18
-    x_lo, x_hi = math.inf, 0.0
-    for i in range(samples + 1):
-        r = lo_k * (hi_k / lo_k) ** (i / samples)
+    radii = [lo_k * (hi_k / lo_k) ** (i / samples) for i in range(samples + 1)]
+    windows = []
+    for r in [k.r_lo, *radii, k.r_hi]:
         lo_req, hi_req = 0.0, math.inf
         for f, fam in zip(fs, spec.families):
-            su = fam.dilation_scale(r)
+            su = abs(fam.s(r))
             f_lo, f_hi = f.support()
-            lo_req = max(lo_req, f_lo / su)
-            hi_req = min(hi_req, f_hi / su)
-        if lo_req < hi_req:
-            x_lo = min(x_lo, lo_req)
-            x_hi = max(x_hi, hi_req)
-    return x_lo, x_hi
+            lo_req = max(lo_req, _requirement(f_lo, su))
+            hi_req = min(hi_req, _requirement(f_hi, su))
+        windows.append((lo_req, hi_req))
+    live = [lo < hi for lo, hi in windows]
+    live[0], live[-1] = live[1], live[-2]
+    counted = [w for w, on in zip(windows, live) if on]
+    if not counted:
+        return math.inf, 0.0
+    return min(lo for lo, _hi in counted), max(hi for _lo, hi in counted)
+
+
+def assert_support_covers(spec, fs, support):
+    """The closed-form support is never narrower than the oracle's, and it
+    is equal for one input or maps that share one exponent."""
+    x_lo, x_hi = dense_support(spec, fs)
+    if len({fam.s.a for fam in spec.families}) == 1:
+        assert support == (x_lo, x_hi)
+    elif x_lo < x_hi:
+        assert support[0] <= x_lo and support[1] >= x_hi
+    return support
 
 
 def scalar_representable_slope(x0, v0, slope):
@@ -385,14 +415,15 @@ def segment_norm_oracle(g, p, n):
 
 
 class TestScalarOracles:
-    """The array forms of the support scan and the interpolant against the
-    scalar loops they replaced: the same support, the same pieces through
-    the same samples, slopes within 2 ulp (numpy's log against libm's)."""
+    """The closed-form support against a dense kernel-radius scan, and the
+    array interpolant against the scalar loop it replaced: the same pieces
+    through the same samples, slopes within 2 ulp (numpy's log against
+    libm's)."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_kernel_cases(self, case, monkeypatch):
         spec, fs = KERNEL_CASES[case]
-        assert hausdorff._image_support(spec, fs) == scalar_support(spec, fs)
+        assert_support_covers(spec, fs, hausdorff._image_support(spec, fs))
         assert_matches_scalar_interpolant(*grid_samples(spec, fs, monkeypatch))
 
     @pytest.mark.parametrize("seed", [3, 10, 15])
@@ -419,7 +450,7 @@ class TestScalarOracles:
         live = [out for _spec, _fs, out in supports if out[0] < out[1]]
         assert len(supports) == 40 and len(samples) == len(live) >= 35
         for spec, fs, out in supports:
-            assert out == scalar_support(spec, fs)
+            assert_support_covers(spec, fs, out)
         target = spaces_for_constant(cfg.bound_config(), "C9")[1]
         for xs, vals in samples:
             img = assert_matches_scalar_interpolant(xs, vals).weighted(target.gamma)
@@ -557,6 +588,32 @@ class TestApplyOnGrid:
         f = PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0)
         with pytest.raises(SingularFamilyError):
             apply_on_grid(spec, [f])
+
+    def test_support_reaches_the_kernel_end_limit(self):
+        # s(t) = t^0.1 on [0, 1] and f = chi[1, 2): the image is
+        # (2^10 - 1) x^-10 for every x >= 2, however small t must get; a
+        # kernel scan from t = 1e-18 ends at x = 2 / 1e-1.8 = 126.19
+        spec = from_hardy_cesaro(PowerMap(1.0, 0.0), PowerMap(1.0, 0.1))
+        f = PiecewisePowerFunction.single_power(1.0, 0.0, 1.0, 2.0)
+        assert hausdorff._image_support(spec, [f]) == (1.0, math.inf)
+        img = apply_on_grid(spec, [f])
+        assert img.lo[-1] == pytest.approx(2.0 ** 48, rel=0.03)
+        for x in (4.0, 1e3, 1e9):
+            assert apply_pointwise(spec, [f], x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-12)
+            assert img.value(x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("f", [
+        PiecewisePowerFunction.single_power(1.0, -1.2),  # divergent at c != 0
+        PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0),
+        MIXED,  # a LogInterp segment takes the quadrature path
+    ], ids=["divergent", "plain", "quadrature"])
+    def test_zero_kernel_gives_the_zero_image(self, f):
+        spec = from_hardy_littlewood(PowerMap(0.0, 0.0))
+        assert spec.kernel.c == 0.0
+        for x in (0.3, 1.0, 4.0):
+            assert apply_pointwise(spec, [f], x) == 0.0
+        img = apply_on_grid(spec, [f])
+        assert all(img.value(x) == 0.0 for x in (0.3, 1.0, 4.0))
 
 
 class TestConstructors:

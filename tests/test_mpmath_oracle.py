@@ -155,7 +155,7 @@ def test_radial_integral_with_both_tails_searched(dps30, last_quad):
 GRID_STEP = (7.075804468189565, 7.075804468189565 * 2.0 ** (1 / 24))
 
 
-@pytest.mark.parametrize("x", [2e-10, 1e-9, 1e-7, 1e-4, 7.6e-3, 0.03, 1.0, 30.0])
+@pytest.mark.parametrize("x", [1e-12, 5e-11, 2e-10, 1e-9, 1e-7, 1e-4, 7.6e-3, 0.03, 1.0, 30.0])
 @pytest.mark.parametrize("sign", [1, -1])
 def test_closed_form_power_integral_near_critical_slope(dps30, x, sign):
     """ln of the integral of r^beta over one grid step, at |b ln(v/u)| = x,

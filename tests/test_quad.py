@@ -12,7 +12,6 @@ from hausnorm._quad import (
     log_power_integral,
     log_power_integrals,
     power_integral,
-    power_integrals,
     radial_integral,
 )
 
@@ -118,6 +117,11 @@ class TestRadialIntegral:
 
 
 class TestPowerIntegrals:
+    """The operator image integrates its plain pieces as
+    exp(log_power_integrals): that against the scalar power_integral.  The
+    same +inf verdicts, and finite values within a few ulp of the exponent,
+    the rounding of both closed forms."""
+
     @pytest.mark.parametrize("beta", [-2.5, -1.0, -1.0 + 1e-13, -0.4, 0.0, -1.0 - 1e-13, 1.7])
     def test_matches_scalar_power_integral(self, beta):
         rng = seeded(int(1e3 * abs(beta)) + 5)
@@ -126,19 +130,21 @@ class TestPowerIntegrals:
             u = 2.0 ** rng.uniform(-30, 30)
             pairs.append((u, u * 2.0 ** rng.uniform(1e-6, 20)))
         u, v = (np.array(col) for col in zip(*pairs))
-        got = power_integrals(u, v, beta)
-        for ui, vi, gi in zip(u.tolist(), v.tolist(), got.tolist()):
+        logs = log_power_integrals(u, v, np.full(len(u), beta))
+        for ui, vi, li in zip(u.tolist(), v.tolist(), logs.tolist()):
             want = power_integral(ui, vi, beta)
             if math.isinf(want):
-                assert gi == math.inf
+                assert li == math.inf
             else:
-                assert gi == pytest.approx(want, rel=1e-14, abs=0.0)
+                rel = 8 * 2.0 ** -52 * (1.0 + abs(li))
+                assert math.exp(li) == pytest.approx(want, rel=rel, abs=0.0)
 
     @pytest.mark.parametrize("beta", [-2.5, -1.0, -0.4, 1.7])
     def test_whole_half_line_diverges(self, beta):
         # a power diverges at one end of (0, inf) or the other
         assert power_integral(0.0, math.inf, beta) == math.inf
-        assert power_integrals(np.array([0.0]), np.array([math.inf]), beta)[0] == math.inf
+        whole = log_power_integrals(np.array([0.0]), np.array([math.inf]), np.array([beta]))
+        assert whole[0] == math.inf
 
 
 def assert_logs_agree(u, v, beta):
