@@ -138,85 +138,45 @@ def radius(s):
     return math.exp(s) if s < 700.0 else _INF
 
 
-class NodeCache:
-    """Panels that earlier integrals ended with, kept per grid cell.
-
-    data maps an array of nodes to a tuple of arrays of per-node data, so
-    that quad_s calls the log-integrand as log_g(s, *data) and evaluates
-    data once per node.  One cache serves a family of integrands that share
-    their node data, such as the eta trials of one Luxemburg norm: each
-    integral starts from the panels its cells ended with last time, and
-    radial_integral reuses the tail cutoffs it last searched while they
-    pass the search's drop test.
-    """
-
-    def __init__(self, data=None):
-        self.data = data
-        # (cell start, cell end) -> (panel starts, panel ends, nodes, *data)
-        self.cells: dict[tuple[float, float], tuple[np.ndarray, ...]] = {}
-        # the interval of the last call, its cells, and their panels joined
-        self.last: tuple | None = None
-        # direction (+1 towards r = inf, -1 towards r = 0) -> the last
-        # cutoff search_cutoff found that way
-        self.cutoffs: dict[int, float] = {}
-
-    def panels(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, ...]:
-        """The panels [lo, hi) with their nodes and node data."""
-        s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
-        return (lo, hi, s, *(self.data(s) if self.data else ()))
-
-
-def _cells(s_lo: float, s_hi: float, points) -> list[tuple[float, float]]:
-    """The grid cells of [s_lo, s_hi], split at the points inside it."""
-    inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
-    inner.update(p for p in points if s_lo < p < s_hi)
-    edges = [s_lo, *sorted(inner), s_hi]
-    return list(zip(edges, edges[1:]))
+def _panels(lo: np.ndarray, hi: np.ndarray, data=None) -> tuple[np.ndarray, ...]:
+    """The panels [lo, hi) as (lo, hi, nodes, *data(nodes))."""
+    s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
+    return (lo, hi, s, *(data(s) if data else ()))
 
 
 def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
-           points: tuple[float, ...] = (), cache: NodeCache | None = None,
-           ) -> tuple[float, float]:
-    """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi], and ln of
-    its error estimate.
+           points: tuple[float, ...] = (), data=None, panels=None,
+           ) -> tuple[float, float, tuple | None]:
+    """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi], ln of its
+    error estimate, and the panels it ended with.
 
     Adaptive Gauss-Kronrod 7-15 on panels of a fixed grid: the cells between
     0, +-1, +-2, +-4, ... and the points, bisected while the sum of |G - K|
     over the panels exceeds rel_tol times the integral.  Each round calls
     log_g once, on the nodes of every panel as an array of shape
-    (panels, 15), and bisects the panels with the largest |G - K| until
-    those left hold at most half the allowed error.  The sums are taken
-    over exp(log_g - M), M the largest node value, and returned as logs, so
-    an integral beyond the float range keeps its size.  The error estimate
-    is the sum of |G - K|, the error of the Gauss rule.  With a cache the
-    panels of each cell start from those it ended with in an earlier call.
+    (panels, 15) followed by their node data (see _panels), evaluated once
+    per node, and bisects the panels with the largest |G - K| until those
+    left hold at most half the allowed error.  The sums are taken over
+    exp(log_g - M), M the largest node value, and returned as logs, so an
+    integral beyond the float range keeps its size.  The error estimate is
+    the sum of |G - K|, the error of the Gauss rule.  Given the panels of
+    an earlier call, it starts from them, and returns them as they are if
+    they pass.
     """
-    if not s_hi > s_lo:
-        return -_INF, -_INF
-    keep = cache is not None
-    cache = cache if keep else NodeCache()
-    interval = (s_lo, s_hi, points)
-    if cache.last is not None and cache.last[0] == interval:
-        _interval, cells, leaves, cell_of = cache.last
-    else:
-        cells = _cells(s_lo, s_hi, points)
-        missing = [c for c in cells if c not in cache.cells]
-        if missing:
-            lo, hi = np.array(missing).T
-            new = cache.panels(lo, hi)
-            for i, c in enumerate(missing):
-                cache.cells[c] = tuple(col[i:i + 1] for col in new)
-        parts = [cache.cells[c] for c in cells]
-        leaves = [np.concatenate(col) for col in zip(*parts)]
-        cell_of = np.repeat(np.arange(len(cells)), [len(part[0]) for part in parts])
-    refined: set[int] = set()
+    if panels is None:
+        if not s_hi > s_lo:
+            return -_INF, -_INF, None
+        inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
+        inner.update(p for p in points if s_lo < p < s_hi)
+        edges = np.array([s_lo, *sorted(inner), s_hi])
+        panels = _panels(edges[:-1], edges[1:], data)
     for _round in range(_MAX_ROUNDS):
-        lo, hi, s, *data = leaves
-        f = log_g(s, *data)
+        lo, hi, s, *node_data = panels
+        f = log_g(s, *node_data)
         top = float(f.max())
         if top == _INF or not top > -_INF:
             # an infinite node value, or no mass at any node
-            return top, top
+            return top, top, panels
         e = np.exp(f - top)
         half = 0.5 * (hi - lo)
         total = float(half @ (e @ _K_WEIGHTS))
@@ -230,20 +190,14 @@ def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
         rest = err_total - np.cumsum(err[order])
         split = order[:int(np.argmax(rest <= 0.5 * budget)) + 1]
         mid = 0.5 * (lo[split] + hi[split])
-        children = cache.panels(np.concatenate((lo[split], mid)),
-                                np.concatenate((mid, hi[split])))
+        children = _panels(np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])),
+                           data)
         whole = np.ones(len(lo), dtype=bool)
         whole[split] = False
-        leaves = [np.concatenate((col[whole], child)) for col, child in zip(leaves, children)]
-        cell_of = np.concatenate((cell_of[whole], np.tile(cell_of[split], 2)))
-        refined.update(cell_of[-2 * len(split):].tolist())
-    if keep:
-        for i in refined:
-            mine = cell_of == i
-            cache.cells[cells[i]] = tuple(col[mine] for col in leaves)
-        cache.last = (interval, cells, leaves, cell_of)
+        panels = tuple(np.concatenate((col[whole], child))
+                       for col, child in zip(panels, children))
     ln_err = top + math.log(err_total) if err_total > 0.0 else -_INF
-    return top + math.log(total), ln_err
+    return top + math.log(total), ln_err, panels
 
 
 def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
@@ -295,20 +249,10 @@ def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
     return None
 
 
-def _searched_cutoff(log_integrand, s_start: float, direction: int,
-                     cache: NodeCache | None) -> float | None:
-    """search_cutoff, or the cache's last cutoff that way when it lies
-    beyond s_start and the log-integrand there is below the search's
-    target: the test the search itself stops on."""
-    if cache is not None:
-        s = cache.cutoffs.get(direction)
-        if (s is not None and direction * (s - s_start) >= 0.0
-                and log_integrand(s) < _cut_target(log_integrand, s_start, _DROP)):
-            return s
-    s = search_cutoff(log_integrand, s_start, direction)
-    if cache is not None and s is not None:
-        cache.cutoffs[direction] = s
-    return s
+def tail_holds(log_integrand, s_ref: float, s_cut: float) -> bool:
+    """Whether the log-integrand at the cutoff s_cut is below the target
+    that a search from s_ref stops on: the test a tail cut there passes."""
+    return log_integrand(s_cut) < _cut_target(log_integrand, s_ref, _DROP)
 
 
 class RadialIntegral(NamedTuple):
@@ -319,7 +263,8 @@ class RadialIntegral(NamedTuple):
     s_hi bound the log-radius interval handed to the quadrature, with tail
     cutoffs in place of singular ends.  divergence is None for a finite
     value, "power" when the power test at an end fails, and "cutoff" when
-    no tail cutoff is found; the value is +inf in both cases.
+    no tail cutoff is found; the value is +inf in both cases.  panels are
+    the quadrature's (see quad_s), and tails the (s_ref, s_cut) of each cut.
     """
 
     log_value: float
@@ -327,6 +272,8 @@ class RadialIntegral(NamedTuple):
     s_hi: float
     divergence: str | None
     log_error: float = -_INF
+    panels: tuple | None = None
+    tails: tuple[tuple[float, float], ...] = ()
 
     @property
     def value(self) -> float:
@@ -340,8 +287,7 @@ class RadialIntegral(NamedTuple):
 def radial_integral(log_integrand, lo: float, hi: float,
                     slope_at_0: float | None = None,
                     slope_at_inf: float | None = None,
-                    breaks=(), rel_tol: float = 1e-9,
-                    cache: NodeCache | None = None) -> RadialIntegral:
+                    breaks=(), rel_tol: float = 1e-9, data=None) -> RadialIntegral:
     """Integral of exp(log_integrand(s)) ds over s in [ln lo, ln hi].
 
     In radius terms this is the integral of r**beta(r) dr over [lo, hi]
@@ -349,38 +295,40 @@ def radial_integral(log_integrand, lo: float, hi: float,
     the limit of beta at a singular end (lo = 0, hi = inf); None means the
     slope is unknown and the tail is cut by search.  breaks lists radii
     where the integrand may be non-smooth.  The tail searches call
-    log_integrand on floats, the quadrature on arrays of nodes (followed by
-    their node data when a cache with data is given; see quad_s).  With a
-    cache, a searched tail keeps the cutoff of an earlier call while that
-    cutoff passes the search's drop test, so the interval, and the cache's
-    last panels, stay fixed across a family of integrands.
+    log_integrand on floats, the quadrature on arrays of nodes followed by
+    their node data, when data is given (see quad_s).
     """
     s_lo = -_INF if lo == 0.0 else math.log(lo)
     s_hi = _INF if math.isinf(hi) else math.log(hi)
+    tails = []
 
     if math.isinf(hi):
+        s_ref = max(s_lo, 1.0 if slope_at_inf is None else 0.0)
         if slope_at_inf is None:
-            s_hi = _searched_cutoff(log_integrand, max(s_lo, 1.0), +1, cache)
+            s_hi = search_cutoff(log_integrand, s_ref, +1)
         elif slope_at_inf >= -1.0 - DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:
-            s_hi = linear_cutoff(log_integrand, max(s_lo, 0.0), abs(slope_at_inf + 1.0), +1)
+            s_hi = linear_cutoff(log_integrand, s_ref, abs(slope_at_inf + 1.0), +1)
         if s_hi is None:
             return RadialIntegral(_INF, s_lo, _INF, "cutoff")
+        tails.append((s_ref, s_hi))
 
     if lo == 0.0:
+        s_ref = min(s_hi - 1.0, -1.0) if slope_at_0 is None else min(s_hi, 0.0)
         if slope_at_0 is None:
-            s_lo = _searched_cutoff(log_integrand, min(s_hi - 1.0, -1.0), -1, cache)
+            s_lo = search_cutoff(log_integrand, s_ref, -1)
         elif slope_at_0 <= -1.0 + DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:
-            s_lo = linear_cutoff(log_integrand, min(s_hi, 0.0), slope_at_0 + 1.0, -1)
+            s_lo = linear_cutoff(log_integrand, s_ref, slope_at_0 + 1.0, -1)
         if s_lo is None:
             return RadialIntegral(_INF, -_INF, s_hi, "cutoff")
+        tails.append((s_ref, s_lo))
 
     if s_hi <= s_lo:
-        return RadialIntegral(-_INF, s_lo, s_hi, None)
+        return RadialIntegral(-_INF, s_lo, s_hi, None, tails=tuple(tails))
     pts = tuple(math.log(b) for b in breaks if b > 0)
     # positional, so that a wrapper bound over quad_s sees every argument
-    log_value, log_error = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, cache)
-    return RadialIntegral(log_value, s_lo, s_hi, None, log_error)
+    log_value, log_error, panels = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, data)
+    return RadialIntegral(log_value, s_lo, s_hi, None, log_error, panels, tuple(tails))

@@ -6,8 +6,8 @@ dyadic locator sums) and, for the variable-exponent constants, the norm of
 the constant function 1 against a per-radius residual exponent.  The
 kernel times the matrix factors is one PiecewisePowerFunction of the
 kernel radius and integrates exactly; with a norm-of-one node factor it
-falls back to adaptive quadrature whose node-factor logs live in a
-_quad.NodeCache, and divergence is decided before integrating.
+falls back to adaptive quadrature that evaluates the node factors once per
+quadrature node, and divergence is decided before integrating.
 """
 
 from __future__ import annotations
@@ -243,8 +243,8 @@ def _norm_one_nodes(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> lis
 
 def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
     """Integrate the kernel against the product of all factors; (value,
-    diagnostics).  The node factors' log-product at each quadrature node
-    lives in one NodeCache."""
+    diagnostics).  The quadrature takes the node factors' log-product as
+    node data, evaluated once per node."""
     k = spec.kernel
     product = PiecewisePowerFunction.single_power(spec.sigma * k.c, k.a - 1.0, k.r_lo, k.r_hi)
     for factor, _label in factors:
@@ -262,8 +262,6 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
     def node_logs(s):
         r = _quad.radius(s).ravel().tolist()
         return (np.reshape([_log_node_factors(node_fns, ri) for ri in r], s.shape),)
-
-    cache = _quad.NodeCache(node_logs)
 
     total = []
     for seg in segs:
@@ -292,7 +290,7 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
             # a probed slope this close to -1 cannot be told from it
             slope = -1.0 if -1.0 - 1e-6 <= expo_eff <= -1.0 + 1e-6 else expo_eff
         res = _quad.radial_integral(log_integrand, lo, hi, slope, slope,
-                                    rel_tol=rel_tol, cache=cache)
+                                    rel_tol=rel_tol, data=node_logs)
         if res.divergence is not None:
             diag["divergent_at"] = [lo, hi]
             if res.divergence == "power":

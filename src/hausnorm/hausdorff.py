@@ -102,7 +102,8 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                     x_radius: float, rel_tol: float = 1e-9) -> float:
     """Image value at radius x: sigma * int phi(r)/r * prod f_i(|s_i(r)| x) dr.
 
-    Divergent integrals return +inf.
+    Divergent integrals return +inf; a family scale that is 0 or inf on the
+    whole kernel support raises SingularFamilyError.
     """
     if len(fs) != spec.m:
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
@@ -136,6 +137,8 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     each input) at a time: in closed form over the whole grid when every
     segment is a plain power, by radial_integral per radius otherwise."""
     k = spec.kernel
+    for fam in spec.families:
+        _scale_range(fam, k)
     total = np.zeros(len(xs))
     if k.c == 0.0:
         return total
@@ -193,6 +196,17 @@ def _quadrature_piece(spec, segs, x, u, v, rel_tol):
     ).value
 
 
+def _scale_range(fam, k) -> tuple[float, float]:
+    """(min, max) of the monotone |s(r)| over the kernel ends; raises
+    SingularFamilyError where the scale is 0 or inf on the whole support."""
+    c = abs(fam.s.c)
+    m, big = sorted(abs(fam.s(r)) for r in (k.r_lo, k.r_hi))
+    if not (0.0 < c < _INF and big > 0.0 and m < _INF):
+        raise SingularFamilyError(
+            f"family scale {c} r^{fam.s.a} is 0 or inf on the kernel support")
+    return m, big
+
+
 def _image_support(spec, fs):
     """(x_lo, x_hi) outside which the image vanishes, (inf, 0) if empty:
     max_i lo_i / M_i and min_i hi_i / m_i, with [lo_i, hi_i] the hull of f_i
@@ -204,10 +218,7 @@ def _image_support(spec, fs):
     lo_c, hi_c = 0.0, _INF
     for f, fam in zip(fs, spec.families):
         c = abs(fam.s.c)
-        m, big = sorted(abs(fam.s(r)) for r in (k.r_lo, k.r_hi))
-        if not (0.0 < c < _INF and big > 0.0 and m < _INF):
-            raise SingularFamilyError(
-                f"family scale {c} r^{fam.s.a} is 0 or inf on the kernel support")
+        m, big = _scale_range(fam, k)
         f_lo, f_hi = f.support()
         if not f_lo < f_hi:
             return _INF, 0.0

@@ -12,11 +12,14 @@ exponent are constant, and by adaptive quadrature on every other row, in log
 space either way.
 Divergence is decided analytically first (power test at the singular
 endpoints), so infinite norms are reported instead of silently truncated.
-A Luxemburg norm is the root of ln F_p(g/eta) = 0 in ln eta, found by a
-safeguarded secant search and certified from both sides to a relative
-width of CERT_DELTA.  Only ln eta changes between the trials of one norm,
-so every quadrature node, with its p(r) and log-amplitude, is evaluated
-once per norm.
+A Luxemburg norm is the root of ln F_p(g/eta) = 0 in x = ln eta.  Only x
+changes between the etas of one norm, so its quadrature rule is built
+once and frozen: on it the modular is one log-sum-exp, logsumexp(A - P x)
+over the closed-form rows and the quadrature nodes, which safeguarded
+Newton steps solve with its exact derivative.  The root is certified on
+that rule from both sides to a relative width of CERT_DELTA, and the rule
+is re-checked at the root (tail cutoffs and G-K error) and refined there
+only where it fails.
 """
 
 from __future__ import annotations
@@ -413,27 +416,22 @@ class PiecewisePowerFunction:
 # the modular
 
 
-def _log_power(ns, pv, l):
-    """n s + p (ln g - ln eta), the ln of r^n (g/eta)^p at r = e^s, for
-    floats or arrays.  An infinite p gives -inf, n s or +inf as g/eta is
-    below, at or above 1."""
-    if isinstance(pv, np.ndarray):
-        with np.errstate(invalid="ignore"):
-            return np.where(np.isinf(pv) & (l == 0.0), ns, ns + pv * l)
-    if math.isinf(pv) and l == 0.0:
-        return ns
-    return ns + pv * l
+# ln of the Kronrod weights of a quadrature panel
+_LN_WK = np.log(_quad._K_WEIGHTS)
+
+
+class _InfiniteAt(Exception):
+    """The modular is infinite at this eta: no tail cutoff exists there."""
 
 
 class _Piece:
-    """ln of the modular of one clipped segment as a function of eta.
+    """One clipped segment whose modular takes quadrature, on a frozen rule.
 
-    A quadrature piece keeps its divergence verdicts and power slopes, the
-    p(r) and log-amplitude of every node of its panels (a NodeCache) and of
-    every tail-search probe, and the last cutoff of each tail search (in
-    the NodeCache, reused while it passes the search's test), so that a new
-    eta costs one reduction over known nodes, plus the nodes of panels that
-    fail the error test or are clipped by a moved cutoff.
+    fit(x) cuts the tails and refines the panels at x = ln eta, or, fitted
+    before, re-checks each tail's drop test and the G-K error test at x on
+    the same nodes, and re-cuts or refines only a rule that fails.  Its
+    panels carry, per node, p, n s + p ln g and, where p is infinite,
+    cap = ln g: such a node adds no term, and F is infinite for x below it.
     """
 
     def __init__(self, seg: Segment, u: float, v: float, p: RadialExponent,
@@ -442,58 +440,76 @@ class _Piece:
         # an exponent infinite at a singular end gives no power slope there
         a0, a_inf = seg.exponent_limits()
         self.slope_at_0 = self.slope_at_inf = None
-        # divergent whatever eta is; divergent once eta is at most tail_coef
-        self.diverges = False
-        self.tail_coef = None
+        # divergent whatever eta is, or once eta is at most the limit of g at
+        # infinity, for x below tail_floor
+        self.tail_floor = -_INF
         if math.isinf(v):
             if math.isfinite(p.p_infty):
                 self.slope_at_inf = n - 1 + a_inf * p.p_infty
             elif a_inf > _quad.DIV_TOL:
-                self.diverges = True
+                raise _EtaIndependent
             elif abs(a_inf) <= _quad.DIV_TOL:
-                self.tail_coef = seg.coef_limits()[1]
+                self.tail_floor = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
         if u == 0.0:
             if math.isfinite(p.p_zero):
                 self.slope_at_0 = n - 1 + a0 * p.p_zero
             elif a0 < -_quad.DIV_TOL:
-                self.diverges = True
+                raise _EtaIndependent
         self.breaks = set(seg.discontinuities()) | set(p.discontinuities())
-        # p(r) * 0 is NaN where p is infinite; a finite p skips that case
-        self.finite_p = math.isfinite(p.range_on(u, v)[1])
-        self.nodes = _quad.NodeCache(self._node_data)
         self.probes: dict[float, tuple[float, float]] = {}
+        self.tails = self.panels = None
 
     def _node_data(self, s):
-        return self.p(_quad.radius(s)), self.seg.log_amplitude_s(s)
+        """(P, n s + P ln g, cap) at the nodes s: P = p where p is finite,
+        and cap = ln g where p is infinite (0, -inf and ln g there)."""
+        pv = self.p(_quad.radius(s))
+        la = self.seg.log_amplitude_s(s)
+        inf = np.isinf(pv)
+        pv = np.where(inf, 0.0, pv)
+        return pv, np.where(inf, -_INF, self.n * s + pv * la), np.where(inf, la, -_INF)
 
-    def _probe(self, s: float) -> tuple[float, float]:
-        if s not in self.probes:
-            self.probes[s] = self._node_data(s)
-        return self.probes[s]
-
-    def log_value(self, eta: float, ln_eta: float) -> tuple[float, bool]:
-        """(ln of the piece modular of g/eta, eta_independent), where the
-        flag marks divergence that no choice of eta can repair (a power
-        tail at or past the critical slope)."""
-        if self.tail_coef is not None and self.tail_coef >= eta * (1 - 1e-12):
-            return _INF, False
-        if self.diverges:
-            return _INF, True
+    def _log_integrand(self, x: float):
+        """ln of r^n (g/eta)^p(r) at r = e^s and x = ln eta: at a float s for
+        the tail searches, and at nodes with their data for the quadrature."""
         n = self.n
 
-        def log_integrand(s, pv=None, la=None):
-            if pv is None:
-                pv, la = self._probe(s)
-            elif self.finite_p:
-                return n * s + pv * (la - ln_eta)
-            return _log_power(n * s, pv, la - ln_eta)
+        def log_integrand(s, pv=None, base=None, _cap=None):
+            if pv is not None:
+                return base - pv * x
+            if s not in self.probes:
+                self.probes[s] = (self.p(_quad.radius(s)), self.seg.log_amplitude_s(s))
+            pv, la = self.probes[s]
+            if math.isinf(pv):
+                return _INF if la > x else -_INF
+            return n * s + pv * (la - x)
 
-        res = _quad.radial_integral(log_integrand, self.u, self.v, self.slope_at_0,
-                                    self.slope_at_inf, self.breaks, self.rel_tol,
-                                    self.nodes)
-        if res.divergence is not None:
-            return _INF, res.divergence == "power"
-        return res.log_value, False
+        return log_integrand
+
+    def fit(self, x: float) -> bool:
+        """Fit the rule at x, or re-check it there; True when it changed.
+        Sets log_value, ln of the piece's modular at x.  Raises
+        _EtaIndependent for a power tail that diverges whatever eta is, and
+        _InfiniteAt where no tail cutoff exists at x."""
+        if x < self.tail_floor:
+            raise _InfiniteAt
+        log_integrand = self._log_integrand(x)
+        if self.tails is not None and all(_quad.tail_holds(log_integrand, *t)
+                                          for t in self.tails):
+            if self.panels is None:
+                return False
+            self.log_value, _err, panels = _quad.quad_s(
+                log_integrand, -_INF, _INF, self.rel_tol, (), self._node_data, self.panels)
+            if panels is self.panels:
+                return False
+        else:
+            res = _quad.radial_integral(log_integrand, self.u, self.v, self.slope_at_0,
+                                        self.slope_at_inf, self.breaks, self.rel_tol,
+                                        self._node_data)
+            if res.divergence is not None:
+                raise _EtaIndependent if res.divergence == "power" else _InfiniteAt
+            self.log_value, self.tails, panels = res.log_value, res.tails, res.panels
+        self.panels = panels
+        return True
 
 
 def _log_sum(logs: list[float], sigma: float) -> tuple[float | None, float | None]:
@@ -519,19 +535,23 @@ def _exp(x: float) -> float:
 
 
 class _Modular:
-    """F_p(g/eta) on a region as a function of eta, for one (g, p, region, n).
+    """F_p(g/eta) on a region, for one (g, p, region, n), in x = ln eta.
 
     The closed-form rows, where p is constant and finite and g is a plain
     power c r^b, are one array of logs at eta = 1,
-    p ln c + ln of the integral of r^(n-1+b p), shifted by -p ln eta per
-    trial.  Every other row is a quadrature _Piece, whose nodes serve every
-    trial.
+    p ln c + ln of the integral of r^(n-1+b p), less p x at x = ln eta.
+    Every other row is a quadrature _Piece.  fit(x) freezes the pieces'
+    rules at x, and on that rule the whole modular is one log-sum-exp,
+    ln F(x) = logsumexp(A - P x): a closed row has A = its log + ln sigma
+    and P = p, a node A = ln(panel half-width * Kronrod weight) + n s +
+    p ln g + ln sigma and P = p(r).  Below floor, the largest cap or
+    tail_floor, F is +inf.
     """
 
     def __init__(self, g: PiecewisePowerFunction, p: RadialExponent, region: Region,
                  n: int, rel_tol: float):
         self.pieces: list[_Piece] = []
-        self.logs = None
+        self.A = None
         rows, u, v = g._clip(region)
         self.empty = not len(rows)
         if self.empty:
@@ -553,36 +573,135 @@ class _Modular:
                         ps.append(p_lo)
                         continue
                 self.pieces.append(_Piece(seg or g.segments[i], lo, hi, p, n, rel_tol))
+            self.p = np.array(ps)
             if not closed:
+                self.logs = np.empty(0)
                 return
             rows, u, v = rows[closed], u[closed], v[closed]
             expo = g.expo[rows]
             for k, e in side_expo.items():
                 expo[k] = e
-            self.p = np.array(ps)
         self.logs = (self.p * np.log(g.coef[rows])
                      + _quad.log_power_integrals(u, v, n - 1 + expo * self.p))
 
     def trial(self, eta: float) -> tuple[float | None, float | None]:
-        """F_p(g/eta) as _log_sum gives it, (F, None) or (None, ln F), and
-        (inf, None) when it diverges at this eta.  Raises _EtaIndependent
-        when it diverges at every eta."""
-        ln_eta = math.log(eta)
-        logs = []
-        if self.logs is not None:
-            logs = (self.logs if ln_eta == 0.0 else self.logs - self.p * ln_eta).tolist()
-            if _INF in logs:
-                raise _EtaIndependent
-        for piece in self.pieces:
-            ln_val, indep = piece.log_value(eta, ln_eta)
-            if ln_val == _INF:
-                if indep:
-                    raise _EtaIndependent
-                return _INF, None
-            logs.append(ln_val)
-        if not logs:
+        """F_p(g/eta) as _log_sum gives it, (F, None) or (None, ln F), with
+        every piece fitted at eta, and (inf, None) when it diverges at this
+        eta.  Raises _EtaIndependent when it diverges at every eta."""
+        if self.empty:
             return 0.0, None
+        x = math.log(eta)
+        logs = (self.logs if x == 0.0 else self.logs - self.p * x).tolist()
+        if _INF in logs:
+            raise _EtaIndependent
+        if self.pieces:
+            try:
+                self.fit(x)
+            except _InfiniteAt:
+                return _INF, None
+            if x < self.floor:
+                return _INF, None
+            logs += [piece.log_value for piece in self.pieces]
         return _log_sum(logs, self.sigma)
+
+    def fit(self, x: float) -> bool:
+        """Fit every piece's rule at x or re-check it there, and lay the
+        rule out as A, P and floor; True when the rule changed."""
+        stale = self.A is None
+        for piece in self.pieces:
+            if piece.fit(x):
+                # rebuilt below, or at the next fit if a later piece raises
+                stale, self.A = True, None
+        if not stale:
+            return False
+        if _INF in self.logs:
+            raise _EtaIndependent
+        A, P = [self.logs], [np.broadcast_to(self.p, self.logs.shape)]
+        self.floor = max([piece.tail_floor for piece in self.pieces], default=-_INF)
+        panels = [piece.panels for piece in self.pieces if piece.panels is not None]
+        if panels:
+            lo, hi, _s, pv, base, cap = map(np.concatenate, zip(*panels))
+            A.append((np.log(0.5 * (hi - lo))[:, None] + _LN_WK + base).ravel())
+            P.append(pv.ravel())
+            self.floor = max(self.floor, float(cap.max()))
+        A, P = np.concatenate(A) + math.log(self.sigma), np.concatenate(P)
+        live = A > -_INF
+        self.A, self.P = A[live], P[live]
+        return True
+
+    def log_f(self, x: float) -> tuple[float, float]:
+        """(ln F, d ln F / dx) on the frozen rule at x: +inf below floor and
+        -inf where the rule has no term."""
+        if x < self.floor:
+            return _INF, 0.0
+        if not len(self.A):
+            return -_INF, 0.0
+        z = self.A - self.P * x
+        top = z.max()
+        w = np.exp(z - top)
+        total = w.sum()
+        return float(top + math.log(total)), -float(self.P @ w) / float(total)
+
+    def norm(self, x: float, max_iter: int) -> float:
+        """inf{eta : F_p(g/eta) <= 1} from a rule fitted at x, clamped to
+        +-_LN_ETA_MAX: the root on the frozen rule, at which the rule is
+        re-checked, and solved again from there if it changed.  Where the
+        modular is infinite at a fit, the fit moves up by a doubling step.
+        max_iter caps the evaluations of ln F over all solves."""
+        self.budget = max_iter
+        x, step, eta = min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX), 1.0, None
+        while True:
+            try:
+                changed = self.fit(x)
+            except _InfiniteAt:
+                if x >= _LN_ETA_MAX:
+                    return _INF
+                x, step, eta = min(x + step, _LN_ETA_MAX), 2.0 * step, None
+                continue
+            if eta is not None and not changed:
+                return eta
+            eta = self._root(x)
+            if eta == _INF:
+                return _INF
+            x = math.log(eta)
+
+    def _h(self, x: float) -> tuple[float, float]:
+        self.budget -= 1
+        if self.budget < 0:
+            raise BracketError("norm root-find exceeded the iteration cap")
+        return self.log_f(x)
+
+    def _root(self, x: float) -> float:
+        """eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
+        frozen rule, from x; +inf when ln F > 0 up to _LN_ETA_MAX.  ln F is
+        convex and decreasing, so Newton steps land at or below the root and
+        climb to it from there; they stay in the bracket [a, b] of evaluated
+        points and in [floor, _LN_ETA_MAX].  A step below _TOL/4 ends at r,
+        and the certificate is checked at eta = e^(r + _TOL/4)."""
+        lo = max(self.floor, -_LN_ETA_MAX)
+        a, b = -_INF, _INF
+        x = min(max(x, lo), _LN_ETA_MAX)
+        while True:
+            hx, dh = self._h(x)
+            if hx > 0.0 and x >= _LN_ETA_MAX:
+                return _INF
+            if hx <= 0.0 and x <= -_LN_ETA_MAX:
+                raise BracketError("modular stays below 1 for arbitrarily small eta")
+            a, b = (x, b) if hx > 0.0 else (a, x)
+            # with ln F <= 0 at the floor (or no term at all) the root is the floor
+            r = max(lo, x - hx / dh if hx > -_INF else lo)
+            if abs(r - x) > 0.25 * _TOL:
+                if not a < r < b and -_INF < a and b < _INF:
+                    r = 0.5 * (a + b)
+                x = min(r, _LN_ETA_MAX)
+                continue
+            eta = math.exp(r + 0.25 * _TOL)
+            if self._h(math.log(eta))[0] > 0.0:
+                a = x = math.log(eta)
+            elif self._h(math.log(eta * (1.0 - CERT_DELTA)))[0] <= 0.0:
+                b = x = math.log(eta * (1.0 - CERT_DELTA))
+            else:
+                return eta
 
 
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
@@ -598,104 +717,33 @@ def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
                    n: int, rel_tol: float = 1e-9, max_iter: int = 200, *,
                    guess: float = 1.0) -> float:
-    """inf{eta > 0 : F_p(g/eta) <= 1}, certified by a log-space root-find.
+    """inf{eta > 0 : F_p(g/eta) <= 1}, certified on one quadrature rule.
 
-    Returns 0 for the zero function and +inf when no finite eta brackets
-    the unit level.  For constant p the norm has the closed form
-    F_p(g)^(1/p), which is used directly.  Otherwise the root of
-    h(x) = ln F_p(g/e^x), decreasing and convex in x = ln eta, is
-    bracketed from eta = guess (eta = 1 for a guess that is not finite and
-    positive) and refined by secant steps until the bracket is one
-    certificate width wide: the returned eta has F_p(g/eta) <= 1 and
-    F_p(g/eta') > 1 at an evaluated eta' >= eta/(1 + CERT_DELTA), whatever
-    the guess.  All trials share one _Modular, so each quadrature node is
-    evaluated once per norm.
+    Returns 0 for the zero function and +inf when no eta up to 1e280 has
+    F_p(g/eta) <= 1.  For constant p the norm has the closed form
+    F_p(g)^(1/p), which is used directly.  Otherwise the quadrature rule
+    of every piece is built once, at eta = guess (eta = 1 for a guess that
+    is not finite and positive).  On that frozen rule ln F_p(g/e^x) is one
+    log-sum-exp, convex and decreasing in x = ln eta, and safeguarded
+    Newton steps with its exact derivative find the root.  The returned eta
+    has F_p(g/eta) <= 1 < F_p(g/(eta (1 - CERT_DELTA))) on that rule,
+    whatever the guess.  At eta the rule is re-checked (each tail's drop
+    test and each piece's G-K error test); a piece that fails is re-cut or
+    refined and the root solved again.  max_iter caps the evaluations of
+    ln F on the frozen rules, over all solves; BracketError past it.
     """
-    mod = _Modular(g, p, region, n, rel_tol)
-    if mod.empty:
-        return 0.0
     try:
+        mod = _Modular(g, p, region, n, rel_tol)
+        if mod.empty:
+            return 0.0
         if p.is_constant and math.isfinite(p.p_zero):
             m, ln_m = mod.trial(1.0)
             if m is not None:
                 return m ** (1.0 / p.p_zero) if m > 0.0 else 0.0
             return _exp(ln_m / p.p_zero)
-        evals = 0
-
-        def h(x):
-            nonlocal evals
-            evals += 1
-            if evals > max_iter:
-                raise BracketError("norm root-find exceeded the iteration cap")
-            m, ln_m = mod.trial(math.exp(x))
-            if m is None:
-                return ln_m
-            return math.log(m) if m > 0.0 else -_INF
-
-        x0 = math.log(guess) if 0.0 < guess < _INF else 0.0
-        return math.exp(_log_root(h, p.range_on(region.r_lo, region.r_hi)[0], x0))
+        return mod.norm(math.log(guess) if 0.0 < guess < _INF else 0.0, max_iter)
     except _EtaIndependent:
         return _INF
-
-
-def _log_root(h, p_minus, x0=0.0):
-    """Upper end b of a bracket [a, b] of the root of h with b - a <= _TOL.
-
-    h is decreasing, h(a) > 0 >= h(b) at evaluated points, and the search
-    starts at x0, clamped to +-_LN_ETA_MAX.  Bracketing: from a finite
-    h(x) the next point is x + h(x)/p_minus, which reaches the other sign
-    because h falls at least p_minus per unit of x; from an infinite one
-    the step doubles.
-    Refining: regula falsi with the Anderson-Bjorck scaling of the end kept
-    twice in a row (the Illinois method scales it by 1/2), with every trial
-    point at least _TOL/2 inside the bracket, and the midpoint while an end
-    is infinite.  Returns +inf when h stays positive up to _LN_ETA_MAX.
-    """
-    jump = 0.0 < p_minus < _INF
-    a, ha, b, hb = -_INF, _INF, _INF, -_INF
-    x, step = min(max(x0, -_LN_ETA_MAX), _LN_ETA_MAX), 1.0
-    while True:
-        hx = h(x)
-        if jump and math.isfinite(hx):
-            d = max(abs(hx) / p_minus, _TOL)
-        else:
-            d, step = step, 2.0 * step
-        if hx > 0.0:
-            a, ha = x, hx
-            if b < _INF:
-                break
-            if x >= _LN_ETA_MAX:
-                return _INF
-            x = min(x + d, _LN_ETA_MAX)
-        else:
-            b, hb = x, hx
-            if a > -_INF:
-                break
-            if x <= -_LN_ETA_MAX:
-                raise BracketError("modular stays below 1 for arbitrarily small eta")
-            x = max(x - d, -_LN_ETA_MAX)
-
-    moved = 0  # -1 when the last step moved a, +1 when it moved b
-    while b - a > _TOL:
-        if math.isfinite(ha) and math.isfinite(hb):
-            x = b - hb * (b - a) / (hb - ha)
-        else:
-            x = 0.5 * (a + b)
-        x = min(max(x, a + 0.5 * _TOL), b - 0.5 * _TOL)
-        hx = h(x)
-        if hx > 0.0:
-            if moved < 0:
-                m = 1.0 - hx / ha
-                hb *= m if m > 0.0 else 0.5
-            a, ha = x, hx
-            moved = -1
-        else:
-            if moved > 0:
-                m = 1.0 - hx / hb if hb != 0.0 else 0.0
-                ha *= m if m > 0.0 else 0.5
-            b, hb = x, hx
-            moved = 1
-    return b
 
 
 def weighted_vexp_norm(f: PiecewisePowerFunction, p: RadialExponent,

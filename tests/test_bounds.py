@@ -149,27 +149,29 @@ class TestLebesgueConstants:
         assert len(set(radii)) == len(radii)
 
     def test_node_factor_work(self, monkeypatch):
-        # each node's root-find starts from its neighbour's norm, and each
-        # quadrature piece keeps its tail cutoff across the eta trials
+        # each node's norm builds one frozen rule from its neighbour's norm,
+        # and a second only where the re-check at the root fails
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
-        calls = {"norm_of_one": 0, "trial": 0, "search_cutoff": 0}
+        calls = {"norm_of_one": 0, "builds": 0, "search_cutoff": 0}
 
-        def counted(owner, name):
+        def counted(owner, name, key=None):
             inner = getattr(owner, name)
 
             def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return inner(*args, **kwargs)
+                out = inner(*args, **kwargs)
+                calls[key or name] += out if key else 1
+                return out
 
             monkeypatch.setattr(owner, name, wrapper)
 
         counted(bounds, "norm_of_one")
-        counted(luxemburg._Modular, "trial")
+        # fit returns True when it built or changed the rule
+        counted(luxemburg._Modular, "fit", "builds")
         counted(_quad, "search_cutoff")
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
         nodes = calls["norm_of_one"]
         assert nodes == 139
-        assert calls["trial"] <= 8 * nodes
+        assert calls["builds"] <= 1.25 * nodes
         assert calls["search_cutoff"] <= 3 * nodes
         assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
 

@@ -589,6 +589,16 @@ class TestApplyOnGrid:
         with pytest.raises(SingularFamilyError):
             apply_on_grid(spec, [f])
 
+    def test_vanishing_family_scale_raises_at_given_radii(self):
+        # s(t) = 0 maps every kernel radius to f(0) = 1; the image is not the
+        # 0.0 that the pullback windows give, so both paths refuse the family
+        spec = from_hardy_cesaro(PowerMap(1.0, 0.0), PowerMap(0.0, 1.0))
+        f = PiecewisePowerFunction.single_power(1.0, 0.0, 0.0, 2.0)
+        with pytest.raises(SingularFamilyError):
+            apply_pointwise(spec, [f], 1.0)
+        with pytest.raises(SingularFamilyError):
+            apply_on_grid(spec, [f], r_grid=[1.0, 2.0])
+
     def test_support_reaches_the_kernel_end_limit(self):
         # s(t) = t^0.1 on [0, 1] and f = chi[1, 2): the image is
         # (2^10 - 1) x^-10 for every x >= 2, however small t must get; a

@@ -1,11 +1,12 @@
 import math
 import statistics
+import warnings
 from bisect import bisect_left, bisect_right
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from hausnorm import luxemburg
@@ -366,14 +367,23 @@ def window_oracle(segs, region):
     return segs[i:bisect_left(starts, region.r_hi)]
 
 
+def piece_log_value(seg, u, v, p, n):
+    """ln of one quadrature piece's modular at eta = 1, +inf if it diverges."""
+    try:
+        piece = luxemburg._Piece(seg, u, v, p, n, 1e-9)
+        piece.fit(0.0)
+    except luxemburg._EtaIndependent:
+        return math.inf
+    return piece.log_value
+
+
 def constant_p_oracle(segs, region, p, n=1):
     """The constant-p norm summed one Segment at a time: the scalar closed
     form where it applies, a _Piece otherwise."""
     logs = []
     for seg, u, v in pieces_oracle(segs, region):
         closed = closed_form_log(seg, u, v, p, n)
-        logs.append(closed if closed is not None
-                    else luxemburg._Piece(seg, u, v, p, n, 1e-9).log_value(1.0, 0.0)[0])
+        logs.append(closed if closed is not None else piece_log_value(seg, u, v, p, n))
     if not logs:
         return 0.0
     if math.inf in logs:
@@ -588,54 +598,79 @@ def root_find_cases(name):
     return [(g, ROOT_EXPONENTS[name]) for g in gs]
 
 
+def certified_norm(g, p, guess=1.0, region=Region.all()):
+    """The norm luxemburg_norm returns from this guess, checked on the rule
+    it ends on: F <= 1 at eta and F > 1 at eta (1 - 1e-10) on that one
+    frozen rule, and a fresh modular fitted at eta within rel_tol of 1.
+    Any RuntimeWarning (an inf * 0 at a node where p is infinite, say)
+    fails the check."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        mod = luxemburg._Modular(g, p, region, 1, 1e-9)
+        eta = mod.norm(math.log(guess), 200)
+        assert eta == luxemburg_norm(g, p, region, 1, guess=guess)
+        assert 0.0 < eta < math.inf
+        assert mod.log_f(math.log(eta))[0] <= 0.0
+        assert mod.log_f(math.log(eta * (1 - 1e-10)))[0] > 0.0
+        m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
+        assert (m if m is not None else math.exp(ln_m)) <= 1.0 + 1e-9
+    return eta
+
+
 class TestLogRootFind:
     @pytest.mark.parametrize("name", sorted(ROOT_EXPONENTS))
     def test_certificate_and_oracle(self, name):
         region = Region.all()
         for g, p in root_find_cases(name):
-            eta = luxemburg_norm(g, p, region, 1)
-            assert 0.0 < eta < math.inf
-            # the certificate as the root-find evaluated it, then the
-            # public modular just below the returned eta
-            m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
-            assert m <= 1.0 if m is not None else ln_m <= 0.0
+            eta = certified_norm(g, p)
+            # the public modular just below the returned eta
             shrunk = eta * (1 - 1e-9)
             assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
             assert eta == pytest.approx(bisection_oracle(g, p, region), rel=1e-9)
 
     @pytest.mark.parametrize("name", sorted(ROOT_EXPONENTS))
-    def test_far_guesses(self, name, monkeypatch):
-        # the bracket search may start anywhere: the certificate and the
-        # root do not depend on where
-        trials = []
-        inner = luxemburg._Modular.trial
-
-        def recording(self, eta):
-            m, ln_m = inner(self, eta)
-            trials.append((eta, m > 1.0 if m is not None else ln_m > 0.0))
-            return m, ln_m
-
-        monkeypatch.setattr(luxemburg._Modular, "trial", recording)
+    def test_far_guesses(self, name):
+        # the rule may be fitted anywhere: the certificate on the rule the
+        # norm ends on, and the root, do not depend on where
         region = Region.all()
         for g, p in root_find_cases(name):
             oracle = bisection_oracle(g, p, region)
             for guess in (1e-25, 1e-2, 1e2, 1e25):
-                trials.clear()
-                eta = luxemburg_norm(g, p, region, 1, guess=guess)
-                assert 0.0 < eta < math.inf
-                # the certificate as the root-find evaluated it: F <= 1 at
-                # eta, F > 1 at some eta' in [eta / (1 + CERT_DELTA), eta)
-                assert (eta, False) in trials
-                assert any(above and eta / (1 + luxemburg.CERT_DELTA) <= e < eta
-                           for e, above in trials)
-                # a fresh modular at eta starts from other panels than the
-                # root-find's, which refined them along its own trials; the
-                # two estimates differ far below rel_tol
-                m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
-                assert m <= 1.0 + 1e-12
+                eta = certified_norm(g, p, guess)
                 shrunk = eta * (1 - 1e-9)
                 assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
                 assert eta == pytest.approx(oracle, rel=1e-9)
+
+    def test_failed_tail_is_searched_again_at_the_root(self, monkeypatch):
+        # fitted at eta = 1e25, both tails of the C1 node factor are cut at
+        # the search starts s = +-1, (1/eta)^p(r) having vanished there; at
+        # the root eta = 1.05 a cut fails the drop test, and the piece's
+        # tails are searched again, out to s = 49 and -17
+        verdicts, searches = [], []
+        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.search_cutoff
+
+        def recorded_holds(f, s_ref, s_cut):
+            verdicts.append(holds(f, s_ref, s_cut))
+            return verdicts[-1]
+
+        def recorded_search(f, s_start, direction, *args):
+            searches.append(search(f, s_start, direction, *args))
+            return searches[-1]
+
+        monkeypatch.setattr(luxemburg._quad, "tail_holds", recorded_holds)
+        monkeypatch.setattr(luxemburg._quad, "search_cutoff", recorded_search)
+        one = PiecewisePowerFunction.one()
+        p = ROOT_EXPONENTS["c1_residual"]
+        mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)
+        eta = mod.norm(math.log(1e25), 200)
+        (piece,) = mod.pieces
+        assert searches == [1.0, -1.0, 49.0, -17.0]
+        assert False in verdicts
+        assert piece.tails == ((1.0, 49.0), (-1.0, -17.0))
+        # the tails the rule ends with pass at the root
+        f = piece._log_integrand(math.log(eta))
+        assert all(holds(f, *t) for t in piece.tails)
+        assert eta == pytest.approx(certified_norm(one, p), rel=1e-9)
 
     @pytest.mark.parametrize("guess", [math.inf, math.nan, 0.0])
     def test_unusable_guess_starts_at_one(self, guess):
@@ -679,28 +714,75 @@ class TestLogRootFind:
         assert luxemburg_norm(CHI_UNIT.scaled(1e300), p, Region.all(), 1) == math.inf
 
     def test_evaluation_budget(self, monkeypatch):
-        calls = []
-        inner = luxemburg._Modular.trial
+        # one rule build per norm, and a second only where the re-check at
+        # the root fails; a handful of ln F evaluations on the frozen rule
+        builds, evals = [], []
+        fit, log_f = luxemburg._Modular.fit, luxemburg._Modular.log_f
 
-        def counted(self, eta):
-            calls.append(1)
-            return inner(self, eta)
+        def counted_fit(self, x):
+            changed = fit(self, x)
+            builds[-1] += changed
+            return changed
 
-        monkeypatch.setattr(luxemburg._Modular, "trial", counted)
+        def counted_log_f(self, x):
+            evals[-1] += 1
+            return log_f(self, x)
 
-        def evals(fn):
-            calls.clear()
+        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._Modular, "log_f", counted_log_f)
+
+        def count(fn):
+            builds.append(0)
+            evals.append(0)
             fn()
-            return len(calls)
 
         q = LogInterp(3.0, 2.0)
         rng = seeded(7)
-        counts = [
-            evals(lambda: luxemburg_norm(random_piecewise(rng), q, Region.all(), 1))
-            for _ in range(40)
-        ]
+        for _ in range(40):
+            count(lambda: luxemburg_norm(random_piecewise(rng), q, Region.all(), 1))
         for t in (1e-6, 1e-3, 0.1, 0.5, 0.9):
             resid = c1_residual(t)
-            counts.append(evals(lambda: norm_of_one(resid, Region.all(), 1, rel_tol=1e-7)))
-        assert statistics.median(counts) <= 12
-        assert max(counts) <= 20
+            count(lambda: norm_of_one(resid, Region.all(), 1, rel_tol=1e-7))
+        assert statistics.median(builds) <= 2 and max(builds) <= 3
+        assert statistics.median(builds[-5:]) <= 2
+        assert statistics.median(evals) <= 10 and max(evals) <= 20
+
+
+class TestNewtonProperty:
+    """The Newton norm against bisection on a dense fixed rule, for seeded
+    piecewise powers on bounded annuli and p = LogInterp(p0, p_inf)."""
+
+    @staticmethod
+    def dense_bisection(g, p, n=1):
+        # Gauss-Legendre, 40 nodes on every eighth of a unit in ln r
+        t, w = np.polynomial.legendre.leggauss(40)
+        A, P = [], []
+        for seg in g.segments:
+            cells = max(int(math.ceil(8 * math.log(seg.r_hi / seg.r_lo))), 1)
+            edges = np.linspace(math.log(seg.r_lo), math.log(seg.r_hi), cells + 1)
+            half = 0.5 * np.diff(edges)[:, None]
+            s = (0.5 * (edges[1:] + edges[:-1]))[:, None] + half * t
+            pv = p(np.exp(s))
+            A.append((np.log(half * w) + n * s + pv * seg.log_amplitude_s(s)).ravel())
+            P.append(pv.ravel())
+        A, P = np.concatenate(A) + math.log(2.0), np.concatenate(P)
+
+        def above_one(x):
+            z = A - P * x
+            return z.max() + math.log(np.exp(z - z.max()).sum()) > 0.0
+
+        lo, hi = -40.0, 40.0
+        while hi - lo > 1e-13:
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
+        return math.exp(hi)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6), p0=st.floats(1.2, 6.0), p_inf=st.floats(1.2, 6.0),
+           guess=st.sampled_from([1.0, 1e-8, 1e8]))
+    def test_newton_matches_dense_bisection(self, seed, p0, p_inf, guess):
+        # p0 = p_inf is a constant exponent, which takes the closed form
+        assume(p0 != p_inf)
+        g, p = random_piecewise(seeded(seed)), LogInterp(p0, p_inf)
+        eta = certified_norm(g, p, guess)
+        assert eta == pytest.approx(self.dense_bisection(g, p), rel=1e-9)

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from hausnorm import _quad
 from hausnorm._quad import (
     DIV_TOL,
-    NodeCache,
     log_power_integral,
     log_power_integrals,
     power_integral,
@@ -87,33 +86,43 @@ class TestRadialIntegral:
         res = radial_integral(log_integrand, 1.0, 1e6, breaks=(2.0, 2.0001))
         assert res.value == pytest.approx(hi_w - lo_w, rel=1e-9)
 
-    def test_cached_cutoffs_are_reused_while_they_pass(self, monkeypatch):
+    def test_cached_cutoffs_are_reused_while_they_pass(self):
         # Gaussians exp(-(s/w)^2) over (0, inf), searched at both tails from
         # s = +-1 with the target 80 below the start: a cutoff of 17 holds
         # while (17/w)^2 > 80 + 1/w^2, and a wider w makes the search walk
-        # on to 49
-        searches = []
-        inner = _quad.search_cutoff
-
-        def counted(*args, **kwargs):
-            searches.append(args[2])
-            return inner(*args, **kwargs)
-
-        monkeypatch.setattr(_quad, "search_cutoff", counted)
-        cache = NodeCache()
-        # (w, searches in this call, cutoff)
-        steps = [(1.0, 2, 17.0), (1.5, 0, 17.0), (3.0, 2, 49.0), (2.0, 0, 49.0), (1.0, 0, 49.0)]
-        for w, n_searches, cut in steps:
+        # on to 49.  A frozen rule keeps its tails while tail_holds passes
+        # the drop test on them, and searches them again otherwise.
+        tails = None
+        # (w, tails kept, cutoff)
+        steps = [(1.0, False, 17.0), (1.5, True, 17.0), (3.0, False, 49.0), (2.0, True, 49.0),
+                 (1.0, True, 49.0)]
+        for w, kept, cut in steps:
             def log_integrand(s, w=w):
                 return -((s / w) ** 2)
 
-            searches.clear()
-            res = radial_integral(log_integrand, 0.0, math.inf, cache=cache)
-            assert len(searches) == n_searches
-            assert (res.s_lo, res.s_hi) == (-cut, cut)
+            holds = tails is not None and all(_quad.tail_holds(log_integrand, *t) for t in tails)
+            assert holds == kept
+            if not holds:
+                tails = radial_integral(log_integrand, 0.0, math.inf).tails
+            assert tails == ((1.0, cut), (-1.0, -cut))
+            ln_value, _ln_err, _panels = _quad.quad_s(log_integrand, -cut, cut)
             cold = radial_integral(log_integrand, 0.0, math.inf)
-            assert res.value == pytest.approx(cold.value, rel=1e-9)
-            assert res.value == pytest.approx(w * math.sqrt(math.pi), rel=1e-9)
+            assert math.exp(ln_value) == pytest.approx(cold.value, rel=1e-9)
+            assert math.exp(ln_value) == pytest.approx(w * math.sqrt(math.pi), rel=1e-9)
+
+    def test_panels_that_pass_come_back_unchanged(self):
+        # a rule refined for one integrand is re-checked, not rebuilt, for
+        # another it integrates as well, and refined from where it stands
+        # for one it does not
+        def gaussian(w):
+            return lambda s: -(((s - 0.3) / w) ** 2)
+
+        ln_value, _err, panels = _quad.quad_s(gaussian(0.1), -1.0, 2.0)
+        again = _quad.quad_s(gaussian(0.1), -1.0, 2.0, panels=panels)
+        assert again[2] is panels and again[0] == ln_value
+        _value, _err, finer = _quad.quad_s(gaussian(0.01), -1.0, 2.0, panels=panels)
+        assert len(finer[0]) > len(panels[0])
+        assert set(panels[0].tolist()) <= set(finer[0].tolist())
 
 
 class TestPowerIntegrals:
