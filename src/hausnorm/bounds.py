@@ -7,7 +7,10 @@ the constant function 1 against a per-radius residual exponent.  The
 kernel times the matrix factors is one PiecewisePowerFunction of the
 kernel radius and integrates exactly; with a norm-of-one node factor it
 falls back to adaptive quadrature that evaluates the node factors once per
-quadrature node, and divergence is decided before integrating.
+quadrature node, and divergence is decided before integrating: at a
+singular kernel end the pullback of q tends to the constant q(inf) or q(0),
+which decides the pullback hypothesis there and each node factor's end
+slope in closed form.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from .exponents import (
     PointwiseSum,
     RadialExponent,
     ReciprocalSignError,
+    Rescaled,
     combine_reciprocal,
     difference_reciprocal,
     pullback_exponent,
@@ -217,34 +221,83 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
     return det.scaled(n ** (abs(gamma) / 2.0) * c ** (-gamma)).weighted(-a * gamma), label
 
 
-def _norm_one_nodes(cfg: BoundConfig, slot: SlotParams, fam, zeta: float) -> list:
-    """[t -> ||1|| for the residual exponent at t], or [] where that factor
-    is identically 1 (constant q and zeta = 1).  Each norm's root-find
-    starts from the last finite, positive norm of one the factor returned:
-    the quadrature visits neighbouring radii in turn, and their norms are
-    close."""
-    if slot.q.is_constant and zeta == 1.0:
-        return []
-    n = cfg.operator.n
-    guess = 1.0
+# a node factor takes its end behaviour past ln |s(t)| = -_LN_EDGE, and past
+# +_LN_EDGE or where ln N passes 600, inside the norms' range
+_LN_EDGE = 700.0
 
-    def fn(t: float) -> float:
-        nonlocal guess
-        resid = _residual_exponent(slot.q, fam, t, zeta)
+
+class _NormOne:
+    """ln N(t) at s = ln t, N(t) the norm of 1 for the residual exponent
+    1/r_t(x) = 1/q(x/|s(t)|) - 1/(zeta q(x)), |s(t)| = |c| t^a.  Each norm's
+    root-find starts from the last finite, positive norm: the quadrature
+    visits neighbouring radii in turn, and their norms are close."""
+
+    def __init__(self, n: int, q: RadialExponent, fam, zeta: float, rel_tol: float):
+        self.n, self.q, self.fam, self.zeta, self.rel_tol = n, q, fam, zeta, rel_tol
+        self.ln_c, self.a = math.log(abs(fam.s.c)), fam.s.a
+        # N grows like |s|^growth as |s| -> inf, d = 1/q(0) - 1/(zeta q(inf))
+        self.growth = n * max(0.0, 1.0 / q.p_zero - 1.0 / (zeta * q.p_infty))
+        self.ln_hi = min(_LN_EDGE, 600.0 / self.growth) if self.growth else _LN_EDGE
+        self.guess, self.ends = 1.0, {}
+
+    def _log_norm(self, pulled: RadialExponent, where: str) -> float:
+        resid = _residual(self.q, self.zeta, pulled, where)
         if resid.infinite_everywhere:
-            return 1.0
-        eta = norm_of_one(resid, Region.all(), n, rel_tol=max(cfg.rel_tol, 1e-7), guess=guess)
+            return 0.0
+        eta = norm_of_one(resid, Region.all(), self.n, rel_tol=self.rel_tol, guess=self.guess)
         if 0.0 < eta < _INF:
-            guess = eta
-        return eta
+            self.guess = eta
+        return math.log(eta) if eta > 0.0 else -_INF
 
-    return [fn]
+    def _at_scale(self, ln_scale: float) -> float:
+        pulled = Rescaled(self.q, math.exp(-ln_scale))
+        return self._log_norm(pulled, f"at ln |s(t)|={ln_scale:.4g}")
+
+    def __call__(self, s: float, t: float) -> float:
+        """ln N at s = ln t, with t = e^s as the quadrature rounded it."""
+        ln_scale = self.ln_c + self.a * s
+        if self.a != 0.0 and not -_LN_EDGE <= ln_scale <= self.ln_hi:
+            s_edge, ln_edge, kappa = self.end((ln_scale > 0.0) == (self.a < 0.0))
+            return ln_edge + kappa * (s - s_edge)
+        if 2.0 ** -1022 <= t < _INF:  # t is a normal float
+            return self._log_norm(pullback_exponent(self.q, self.fam, t), f"at t={t:.4g}")
+        return self._at_scale(ln_scale)  # t is past the float range, |s(t)| is not
+
+    def end(self, at_zero: bool) -> tuple[float, float, float]:
+        """(s_edge, ln N(t_edge), kappa) at the kernel end t -> 0 (at_zero) or
+        t -> inf, with ln N(t_edge) + kappa (s - s_edge) past s_edge: the
+        limit's norm where |s(t)| -> 0 and kappa = a growth where |s(t)| ->
+        inf, both upper bounds; kappa is -inf (+inf) where N is infinite."""
+        if at_zero not in self.ends:
+            if self.a == 0.0:  # N is the same at every t
+                s_edge, ln_n, kappa = 0.0, self(0.0, 1.0), 0.0
+            else:
+                grows = (self.a < 0.0) == at_zero  # |s(t)| -> inf
+                ln_s = self.ln_hi if grows else -_LN_EDGE
+                ln_n = self._at_scale(ln_s) if grows else self._log_norm(
+                    *_end_limit(self.q, self.fam, at_zero))
+                kappa = self.growth * self.a if grows else 0.0
+                s_edge = (ln_s - self.ln_c) / self.a
+            if ln_n == _INF:
+                kappa = -_INF if at_zero else _INF
+            self.ends[at_zero] = (s_edge, ln_n, kappa)
+        return self.ends[at_zero]
+
+
+def _norm_one_nodes(cfg: BoundConfig, zeta: float) -> list[_NormOne]:
+    """The slots' norm-of-one factors (none for constant q at zeta = 1), once
+    the pullback hypothesis holds."""
+    _check_pullback_hypothesis(cfg, zeta)
+    return [_NormOne(cfg.operator.n, slot.q, fam, zeta, max(cfg.rel_tol, 1e-7))
+            for slot, fam in zip(cfg.slots, cfg.operator.families)
+            if not (slot.q.is_constant and zeta == 1.0)]
 
 
 def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
     """Integrate the kernel against the product of all factors; (value,
     diagnostics).  The quadrature takes the node factors' log-product as
-    node data, evaluated once per node."""
+    node data, evaluated once per node; at a singular kernel end its power
+    slope adds each node factor's closed-form end slope."""
     k = spec.kernel
     product = PiecewisePowerFunction.single_power(spec.sigma * k.c, k.a - 1.0, k.r_lo, k.r_hi)
     for factor, _label in factors:
@@ -254,14 +307,13 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
             a.r_hi != b.r_lo for a, b in zip(segs, segs[1:])):
         raise RuntimeError("factor pieces do not cover the support")
 
-    diag: dict = {
-        "factors": [label for _f, label in factors] + ["norm-of-one"] * len(node_fns),
-        "pieces": [],
-    }
+    diag: dict = {"factors": [label for _f, label in factors] + ["norm-of-one"] * len(node_fns),
+                  "pieces": []}
 
     def node_logs(s):
         r = _quad.radius(s).ravel().tolist()
-        return (np.reshape([_log_node_factors(node_fns, ri) for ri in r], s.shape),)
+        return (np.reshape([sum(fn(si, ri) for fn in node_fns)
+                            for si, ri in zip(s.ravel().tolist(), r)], s.shape),)
 
     total = []
     for seg in segs:
@@ -276,94 +328,63 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
             continue
 
         def log_integrand(s, logs=None, coef=coef, expo=expo):
-            out = math.log(coef) + (expo + 1.0) * s
             if logs is None:
-                return out + _log_node_factors(node_fns, _quad.radius(s))
-            return out + logs
+                logs = sum(fn(s, _quad.radius(s)) for fn in node_fns)
+            return math.log(coef) + (expo + 1.0) * s + logs
 
-        slope = expo_eff = None
-        if lo == 0.0 or math.isinf(hi):
-            probe_at = hi / 8.0 if lo == 0.0 else lo * 8.0
-            expo_eff = expo + math.fsum(
-                _probe_slope(fn, probe_at, lo == 0.0) for fn in node_fns
-            )
-            # a probed slope this close to -1 cannot be told from it
-            slope = -1.0 if -1.0 - 1e-6 <= expo_eff <= -1.0 + 1e-6 else expo_eff
-        res = _quad.radial_integral(log_integrand, lo, hi, slope, slope,
+        slope_0 = expo + math.fsum(f.end(True)[2] for f in node_fns) if lo == 0.0 else None
+        slope_inf = expo + math.fsum(f.end(False)[2] for f in node_fns) if math.isinf(hi) else None
+        res = _quad.radial_integral(log_integrand, lo, hi, slope_0, slope_inf,
                                     rel_tol=rel_tol, data=node_logs)
         if res.divergence is not None:
             diag["divergent_at"] = [lo, hi]
             if res.divergence == "power":
-                # JSON has no infinities: a divergent probed slope is null
-                diag["endpoint_slope"] = expo_eff if math.isfinite(expo_eff) else None
+                # the end at inf is tested first and leaves s_hi infinite; JSON
+                # has no infinities, so the slope of an infinite factor is null
+                diag["endpoint_slope"] = finite_or_null(
+                    slope_inf if math.isinf(res.s_hi) else slope_0)
             return _INF, diag
         diag["pieces"].append({"s_lo": res.s_lo, "s_hi": res.s_hi, "quadrature": True})
         total.append(res.value)
     return math.fsum(total), diag
 
 
-def _log_node_factors(node_fns, r: float) -> float:
-    """Sum of ln fn(r) over the node factors; the first factor that is 0 or
-    +inf at r makes it -inf or +inf."""
-    if r == 0.0:
-        r = 5e-324
-    out = 0.0
-    for fn in node_fns:
-        nv = fn(r)
-        if nv <= 0.0:
-            return -_INF
-        if math.isinf(nv):
-            return _INF
-        out += math.log(nv)
-    return out
-
-
-def _probe_slope(fn, r0: float, towards_zero: bool) -> float:
-    """Empirical log-log slope of a node factor near a singular endpoint.
-
-    An infinite probed value gives the slope that diverges at that end:
-    -inf toward 0, +inf toward infinity.
-    """
-    step = 1 / 8.0 if towards_zero else 8.0
-    rs = [r0, r0 * step, r0 * step ** 2]
-    vs = [fn(r) for r in rs]
-    if any(math.isinf(v) for v in vs):
-        return -_INF if towards_zero else _INF
-    if any(v <= 0 for v in vs):
-        return 0.0
-    s1 = math.log(vs[1] / vs[0]) / math.log(rs[1] / rs[0])
-    s2 = math.log(vs[2] / vs[1]) / math.log(rs[2] / rs[1])
-    # conservative toward divergence at the relevant end
-    return min(s1, s2) if towards_zero else max(s1, s2)
-
-
 # ---------------------------------------------------------------------------
 # per-slot hypothesis checks
 
 
-def _residual_exponent(q: RadialExponent, fam, t: float, zeta: float) -> RadialExponent:
-    """r with 1/r = 1/q(A^-1(t) .) - 1/(zeta q(.)); HypothesisError with the
-    first failing radius where q(A^-1(t) x) <= zeta q(x) fails."""
+def _residual(q: RadialExponent, zeta: float, pulled, where: str) -> RadialExponent:
+    """r with 1/r = 1/pulled - 1/(zeta q); HypothesisError naming where the
+    pullback is taken and the first |x| at which pulled <= zeta q fails."""
     try:
-        return difference_reciprocal(pullback_exponent(q, fam, t), q, zeta)
+        return difference_reciprocal(pulled, q, zeta)
     except ReciprocalSignError as exc:
         raise HypothesisError(
-            "pullback bound q(A^-1(t) x) <= zeta q(x) fails at "
-            f"t={t:.4g}, |x|={exc.radius:.4g}"
+            f"pullback bound q(A^-1(t) x) <= zeta q(x) fails {where}, |x|={exc.radius:.4g}"
         ) from None
 
 
+def _end_limit(q: RadialExponent, fam, at_zero: bool) -> tuple[Constant, str]:
+    """The pullback's limit at the kernel end t -> 0 (at_zero) or t -> inf,
+    q(inf) where |s(t)| -> 0 and q(0) where |s(t)| -> inf, and the end."""
+    grows = (fam.s.a < 0.0) == at_zero
+    return Constant(q.p_zero if grows else q.p_infty), f"as t -> {0 if at_zero else 'inf'}"
+
+
 def _check_pullback_hypothesis(cfg: BoundConfig, zeta: float) -> None:
-    """q_i(A_i^{-1}(t) .) <= zeta q_i(.) at sampled kernel radii t, each
+    """q_i(A_i^{-1}(t) .) <= zeta q_i(.) at sampled kernel radii t, and in the
+    limit at each singular kernel end where the family's scale moves, each
     decided in x by the residual exponent's own sign test."""
     k = cfg.operator.kernel
     lo = k.r_lo if k.r_lo > 0 else (k.r_hi if math.isfinite(k.r_hi) else 1.0) * 1e-6
-    ts = [lo * (k.r_hi / lo) ** (i / 8.0) for i in range(9) if math.isfinite(k.r_hi)]
-    if not ts:
-        ts = [lo * 4.0 ** i for i in range(9)]
+    ts = [lo * (k.r_hi / lo) ** (i / 8.0) if math.isfinite(k.r_hi) else lo * 4.0 ** i
+          for i in range(9)]
+    ends = ([True] if k.r_lo == 0.0 else []) + ([False] if math.isinf(k.r_hi) else [])
     for slot, fam in zip(cfg.slots, cfg.operator.families):
         for t in ts:
-            _residual_exponent(slot.q, fam, t, zeta)
+            _residual(slot.q, zeta, pullback_exponent(slot.q, fam, t), f"at t={t:.4g}")
+        for at_zero in ends if fam.s.a != 0.0 else ():
+            _residual(slot.q, zeta, *_end_limit(slot.q, fam, at_zero))
 
 
 def _require(cond: bool, name: str) -> None:
@@ -395,27 +416,16 @@ def lebesgue_constants(cfg: BoundConfig, rel_tol: float | None = None,
     n = cfg.operator.n
 
     def build_c1():
-        _check_pullback_hypothesis(cfg, cfg.zeta)
-        factors, nodes = [], []
-        for slot, fam in zip(cfg.slots, cfg.operator.families):
-            factors.append(_c_factor_pieces(fam, slot.q, slot.gamma, "c-factor"))
-            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
-        return factors, nodes
+        nodes = _norm_one_nodes(cfg, cfg.zeta)
+        return [_c_factor_pieces(fam, slot.q, slot.gamma, "c-factor")
+                for slot, fam in zip(cfg.slots, cfg.operator.families)], nodes
 
     def build_c2(want_max: bool):
-        _check_pullback_hypothesis(cfg, 1.0)
-        factors, nodes = [], []
-        for slot, fam in zip(cfg.slots, cfg.operator.families):
-            factors.append(_inv_norm_weight(n, slot, fam, want_max))
-            if want_max:
-                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
-        return factors, nodes
+        nodes = _norm_one_nodes(cfg, 1.0)
+        return [_inv_norm_weight(n, slot, fam, want_max)
+                for slot, fam in zip(cfg.slots, cfg.operator.families)], nodes if want_max else []
 
-    builders = {
-        "C1": build_c1,
-        "C2": lambda: build_c2(True),
-        "C2*": lambda: build_c2(False),
-    }
+    builders = {"C1": build_c1, "C2": lambda: build_c2(True), "C2*": lambda: build_c2(False)}
     return _run_builders(cfg, builders, which, rel_tol)
 
 
@@ -434,8 +444,8 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
         return slot.alpha.p_zero, slot.alpha.p_infty
 
     def build_c3():
-        _check_pullback_hypothesis(cfg, cfg.zeta)
-        factors, nodes = [], []
+        nodes = _norm_one_nodes(cfg, cfg.zeta)
+        factors = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             a0, ainf = a0_ainf(slot)
             _require(a0 - ainf >= 0, "alpha(0) >= alpha(inf)")
@@ -447,14 +457,12 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             )
             tsum = max(_theta_sum(theta, slot.lam - a0), _theta_sum(theta, slot.lam - ainf))
             factors.append(_power_factor(tsum, 0.0, "dyadic-sum"))
-            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
         return factors, nodes
 
     def build_c4():
-        _check_pullback_hypothesis(cfg, cfg.zeta)
+        nodes = _norm_one_nodes(cfg, cfg.zeta)
         p = cfg.p_combined()
         factors = [_power_factor((2.0 - theta) ** (cfg.operator.m - 1.0 / p), 0.0, "theta-count")]
-        nodes = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             a0, ainf = a0_ainf(slot)
             _require(abs(a0 - ainf) <= 1e-12, "alpha(0) == alpha(inf)")
@@ -462,12 +470,11 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             nc, ne = _norm_piece(fam)
             factors.append(_power_factor(nc ** (-a0), -ne * a0, "norm-alpha0"))
             factors.append(_power_factor(_theta_sum(theta, -a0), 0.0, "dyadic-sum"))
-            nodes += _norm_one_nodes(cfg, slot, fam, cfg.zeta)
         return factors, nodes
 
     def build_c5(star: bool):
-        _check_pullback_hypothesis(cfg, 1.0)
-        factors, nodes = [], []
+        nodes = _norm_one_nodes(cfg, 1.0)
+        factors = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             a0, ainf = a0_ainf(slot)
             if not star:
@@ -489,12 +496,11 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
                 factors.append(
                     _extreme_factor(ic, ie, a0, ainf, True, "inv-norm-alpha")
                 )
-                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
-        return factors, nodes
+        return factors, [] if star else nodes
 
     def build_c6(star: bool):
-        _check_pullback_hypothesis(cfg, 1.0)
-        factors, nodes = [], []
+        nodes = _norm_one_nodes(cfg, 1.0)
+        factors = []
         all_const_q = all(s.q.is_constant for s in cfg.slots)
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             a0, ainf = a0_ainf(slot)
@@ -513,17 +519,11 @@ def herz_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
             else:
                 _require(abs(a0 - ainf) <= 1e-12, "alpha(0) == alpha(inf)")
                 factors.append(_power_factor(ic ** a0, ie * a0, "inv-norm-alpha0"))
-                nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
-        return factors, nodes
+        return factors, [] if star else nodes
 
-    builders = {
-        "C3": build_c3,
-        "C4": build_c4,
-        "C5": lambda: build_c5(False),
-        "C5*": lambda: build_c5(True),
-        "C6": lambda: build_c6(False),
-        "C6*": lambda: build_c6(True),
-    }
+    builders = {"C3": build_c3, "C4": build_c4,
+                "C5": lambda: build_c5(False), "C5*": lambda: build_c5(True),
+                "C6": lambda: build_c6(False), "C6*": lambda: build_c6(True)}
     return _run_builders(cfg, builders, which, rel_tol)
 
 
@@ -566,14 +566,13 @@ def central_morrey_constants(cfg: BoundConfig, rel_tol: float | None = None,
         _require(slot.alpha.is_constant, "constant inner weight powers")
 
     def build_c10():
-        _check_pullback_hypothesis(cfg, 1.0)
-        factors, nodes = [], []
+        nodes = _norm_one_nodes(cfg, 1.0)
+        factors = []
         for slot, fam in zip(cfg.slots, cfg.operator.families):
             nc, ne = _norm_piece(fam)
             e = (n + slot.gamma) * (1.0 / slot.q.p_infty + slot.lam)
             factors.append(_power_factor(nc ** e, ne * e, "norm-ball-growth"))
             factors.append(_c_factor_pieces(fam, slot.q, slot.alpha(1.0), "c-factor"))
-            nodes += _norm_one_nodes(cfg, slot, fam, 1.0)
         return factors, nodes
 
     builders = {

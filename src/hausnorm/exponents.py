@@ -297,7 +297,10 @@ class Rescaled(RadialExponent):
             raise ExponentDomainError("rescaling factor must be positive and finite")
 
     def __call__(self, r):
-        return self.base(self.scale * r)
+        # a radius past the float range is inf, where every exponent is defined
+        with np.errstate(over="ignore"):
+            r = self.scale * r
+        return self.base(r)
 
     def range_on(self, r_lo, r_hi):
         hi = r_hi if math.isinf(r_hi) else self.scale * r_hi
@@ -511,7 +514,8 @@ class ReciprocalDifference(RadialExponent):
         radii = _CHECK_WITH_ZERO
         breaks = np.array(self.discontinuities())
         if len(breaks):
-            radii = np.sort(np.concatenate((radii, breaks, np.sqrt(breaks[1:] * breaks[:-1]))))
+            mids = np.sqrt(breaks[1:]) * np.sqrt(breaks[:-1])  # no overflow near 1e308
+            radii = np.sort(np.concatenate((radii, breaks, mids)))
         self._diff(radii, check=True)
         # limits must be nonnegative as well
         for d in (self._limit_diff_zero(), self._limit_diff_infty()):

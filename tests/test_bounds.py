@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +28,8 @@ from hausnorm.exponents import (
     Constant,
     LogInterp,
     PiecewiseRadial,
+    Rescaled,
+    difference_reciprocal,
     pullback_exponent,
 )
 from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
@@ -150,7 +153,8 @@ class TestLebesgueConstants:
 
     def test_node_factor_work(self, monkeypatch):
         # each node's norm builds one frozen rule from its neighbour's norm,
-        # and a second only where the re-check at the root fails
+        # and a second only where the re-check at the root fails; the end
+        # t -> 0 takes one more norm, the limit's, and no probes
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         calls = {"norm_of_one": 0, "builds": 0, "search_cutoff": 0}
 
@@ -170,7 +174,7 @@ class TestLebesgueConstants:
         counted(_quad, "search_cutoff")
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
         nodes = calls["norm_of_one"]
-        assert nodes == 139
+        assert nodes == 136 + 1
         assert calls["builds"] <= 1.25 * nodes
         assert calls["search_cutoff"] <= 3 * nodes
         assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
@@ -357,6 +361,158 @@ def test_infinite_node_factor_diverges_by_power_test(monkeypatch):
     assert not res.finite
     assert res.breakdown["endpoint_slope"] is None
     assert calls == []
+
+
+def loginterp_cfg(kernel_a=1.0, s=(1.0, 1.0), q=(3.0, 2.0), zeta=1.0, support=(0.0, 1.0)):
+    """loginterp_norm.json with its kernel power, support, family map, q
+    and zeta replaced."""
+    obj = json.loads((FIXTURES / "loginterp_norm.json").read_text())
+    obj["kernel"].update(a=kernel_a, support=[support[0], None if math.isinf(support[1])
+                                              else support[1]])
+    obj["families"][0]["s"] = {"c": s[0], "a": s[1]}
+    obj["slots"][0]["q"] = {"type": "log_interp", "p0": q[0], "p_inf": q[1]}
+    obj["zeta"] = zeta
+    return ExperimentConfig.from_json(obj).bound_config()
+
+
+def gauss_legendre_s(integrand, s_lo: float) -> float:
+    """Integral of integrand(s) over [s_lo, 0]: 16-point Gauss-Legendre on
+    44 equal panels, a fixed rule."""
+    x, w = np.polynomial.legendre.leggauss(16)
+    edges = np.linspace(s_lo, 0.0, 45)
+    return math.fsum(0.5 * (hi - lo) * wi * integrand(0.5 * (lo + hi) + 0.5 * (hi - lo) * xi)
+                     for lo, hi in zip(edges[:-1], edges[1:]) for xi, wi in zip(x, w))
+
+
+def c1_oracle(kernel_a: float) -> float:
+    """C1 of loginterp_cfg(kernel_a): a fixed rule in s = ln t over [-709, 0],
+    each node one norm of one, and past s = -709 the closed form, with the
+    c-factor t^(-1/2) and the norm of one at its limit exponent
+    1/r = 1/2 - 1/q."""
+    cfg = loginterp_cfg(kernel_a)
+    op = cfg.operator
+    fam, q, k = op.families[0], cfg.slots[0].q, op.kernel
+
+    def integrand(s):
+        t = math.exp(s)
+        eta = luxemburg.norm_of_one(difference_reciprocal(pullback_exponent(q, fam, t), q, 1.0),
+                                    luxemburg.Region.all(), 1)
+        return op.sigma * k.c * t ** kernel_a * c_factor(fam, q, 0.0, t) * eta
+
+    limit = luxemburg.norm_of_one(difference_reciprocal(Constant(2.0), q, 1.0),
+                                  luxemburg.Region.all(), 1)
+    t_edge = math.exp(-709.0)
+    c_edge = c_factor(fam, q, 0.0, t_edge) * math.sqrt(t_edge)
+    rest = op.sigma * k.c * c_edge * limit * t_edge ** (kernel_a - 0.5) / (kernel_a - 0.5)
+    return gauss_legendre_s(integrand, -709.0) + rest
+
+
+class TestKernelEnds:
+    """A constant's power slope at a singular kernel end adds each
+    norm-of-one factor's closed-form end slope kappa: 0 where |s(t)| -> 0,
+    and n a max(0, 1/q(0) - 1/(zeta q(inf))) where |s(t)| -> inf."""
+
+    @pytest.mark.parametrize("q, n, s, at_zero, radii, kappa, measured, tol", [
+        (PiecewiseRadial((1.0,), (2.0, 3.0)), 1, PowerMap(1.0, -1.0), True,
+         (1e-128, 1e-256), -1.0 / 6.0, -0.16667, 1e-5),
+        (PiecewiseRadial((0.5, 2.0), (2.0, 2.5, 3.0)), 1, PowerMap(1.0, 2.0), False,
+         (1e128, 1e150), 1.0 / 3.0, 0.33333, 1e-5),
+        (LogInterp(2.0, 3.0), 2, PowerMap(1.0, -1.0), True,
+         (1e-128, 1e-256), -1.0 / 3.0, -0.33254, 1e-5),
+        (LogInterp(1.5, 4.0), 1, PowerMap(3.0, -0.5), True,
+         (1e-128, 1e-256), -0.5 * (1.0 / 1.5 - 1.0 / 4.0), -0.20735, 1e-5),
+    ], ids=["steps-1/t", "steps-t^2", "loginterp-n2", "loginterp-3t^-0.5"])
+    def test_end_slope_matches_the_measured_slope(self, q, n, s, at_zero, radii, kappa,
+                                                  measured, tol):
+        factor = bounds._NormOne(n, q, DiagonalEqualModulus(s, (1,) * n), 1.0, 1e-9)
+        assert factor.end(at_zero)[2] == pytest.approx(kappa, rel=1e-12)
+        (t1, t2) = radii
+        ln1, ln2 = (factor(math.log(t), t) for t in radii)
+        assert (ln2 - ln1) / math.log(t2 / t1) == pytest.approx(measured, abs=tol)
+
+    @pytest.mark.parametrize("kernel_a", [0.52, 0.54, 0.6, 0.7])
+    def test_slow_tails_are_finite(self, kernel_a):
+        # the node factor tends to a finite limit, so the end slope is the
+        # closed-form factors' a - 3/2 > -1; a probed slope read these as
+        # divergent, or sent the tail past the float range
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            res = evaluate_constant(loginterp_cfg(kernel_a), "C1")
+        assert res.finite
+        assert res.value == pytest.approx(c1_oracle(kernel_a), rel=1e-9)
+
+    def test_boundary_slope_is_exact(self):
+        res = evaluate_constant(loginterp_cfg(0.5), "C1")
+        assert not res.finite
+        assert res.breakdown["endpoint_slope"] == -1.0
+
+    @pytest.mark.parametrize("kernel_a", [0.06, 0.07, 0.08])
+    def test_growing_factor_diverges_by_its_closed_form_slope(self, kernel_a):
+        # s = 3 t^(-1/2): the c-factor is 3^(-1/4) t^(1/8) near 0, and kappa
+        # = -(1/2)(1/1.5 - 1/4), so the end slope is a - 1 + 1/8 + kappa
+        cfg = loginterp_cfg(kernel_a, s=(3.0, -0.5), q=(1.5, 4.0))
+        res = evaluate_constant(cfg, "C1")
+        assert not res.finite
+        expected = kernel_a - 1.0 + 0.125 - 0.5 * (1.0 / 1.5 - 0.25)
+        assert res.breakdown["endpoint_slope"] == pytest.approx(expected, rel=1e-12)
+
+    def test_growing_factor_past_the_float_range(self):
+        # s = 1/t, kernel a = -0.1: the tail runs past ln |s(t)| = 700, where
+        # the factor is N(t_edge) (t / t_edge)^kappa
+        res = evaluate_constant(loginterp_cfg(-0.1, s=(1.0, -1.0), q=(2.0, 3.0)), "C1")
+        assert res.finite and 0.0 < res.value < math.inf
+        assert res.breakdown["pieces"][0]["s_lo"] < -700.0
+
+    def test_growing_factor_against_oracle(self):
+        # s = 3 t^(-1/2), q = LogInterp(1.5, 4), kernel a = 0.1: t underflows
+        # from s = -745 on, but ln |s(t)| stays inside +-700 down to s = -1398.
+        # Oracle: a fixed rule in s over [-1398, 0], the norms of one from
+        # ln |s(t)| alone, the c-factor |s(t)|^(-1/4), and past the edge the
+        # tail of N(t_edge) (t/t_edge)^kappa
+        cfg = loginterp_cfg(0.1, s=(3.0, -0.5), q=(1.5, 4.0))
+        q, sigma = cfg.slots[0].q, cfg.operator.sigma
+
+        def integrand(s):
+            ln_s = math.log(3.0) - 0.5 * s
+            eta = luxemburg.norm_of_one(difference_reciprocal(Rescaled(q, math.exp(-ln_s)), q, 1.0),
+                                        luxemburg.Region.all(), 1)
+            return sigma * math.exp(0.1 * s - 0.25 * ln_s) * eta
+
+        s_edge = 2.0 * (math.log(3.0) - 700.0)
+        rate = 0.1 + 0.125 - 0.5 * (1.0 / 1.5 - 0.25)
+        oracle = gauss_legendre_s(integrand, s_edge) + integrand(s_edge) / rate
+        res = evaluate_constant(cfg, "C1")
+        assert res.breakdown["pieces"][0]["s_lo"] < s_edge
+        assert res.value == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("kernel_a, value", [(0.8, 10.059085995482503),
+                                                 (1.0, 6.9426805733164745)])
+    def test_growing_factor_stays_in_the_norms_range(self, kernel_a, value):
+        # n = 2, s = 1/t, q = LogInterp(1.2, 4): N grows like |s|^(7/6), so
+        # at ln |s| = 700 it would pass the largest norm; the edge moves in
+        # to ln N = 600, and C1 keeps its value
+        kern = RadialKernel(1.0, kernel_a, 0.0, 1.0)
+        op = OperatorSpec(2, 1, kern, (ScalarDilation(PowerMap(1.0, -1.0), 2),))
+        res = evaluate_constant(BoundConfig(op, (SlotParams(q=LogInterp(1.2, 4.0)),)), "C1")
+        assert res.value == pytest.approx(value, rel=1e-12)
+
+    def test_growing_factor_value(self):
+        res = evaluate_constant(loginterp_cfg(1.0, s=(1.0, -1.0), q=(2.0, 3.0)), "C1")
+        assert res.value == pytest.approx(0.8082265243661072, rel=1e-12)
+
+    def test_pullback_limit_at_zero(self, hardy_op):
+        # sup_x q(x/t)/q(x) -> q(inf)/q(0) = 3/2 as t -> 0, above zeta = 1.45,
+        # though every sampled kernel radius passes
+        cfg = BoundConfig(hardy_op, (SlotParams(q=LogInterp(2.0, 3.0)),), zeta=1.45)
+        with pytest.raises(HypothesisError, match="fails as t -> 0"):
+            evaluate_constant(cfg, "C1")
+
+    def test_pullback_limit_at_infinity(self):
+        # s = t^(1/2) on [0, inf): q(x/s(t)) -> q(0) = 3 > q(inf) = 2
+        cfg = loginterp_cfg(0.3, s=(1.0, 0.5), support=(0.0, math.inf))
+        for cid in ("C1", "C2", "C5"):
+            with pytest.raises(HypothesisError, match="fails as t -> inf"):
+                evaluate_constant(cfg, cid)
 
 
 class TestFinitenessConsistency:

@@ -100,6 +100,35 @@ class TestConstants:
             "pieces": [],
         }
 
+    def test_slow_tail_exits_0(self, capsys):
+        # kernel a = 0.6: the node factor's end slope is 0, so C1's
+        # integrand is like t^-0.9 at 0, and its tail runs past the float range
+        code = main(["constants", "--config", str(FIXTURES / "loginterp_c1_a06.json"),
+                     "--which", "C1"])
+        out = json.loads(capsys.readouterr().out, parse_constant=reject_non_finite)
+        assert code == 0 and out["finite"] is True
+        assert out["value"] == pytest.approx(12.633969055503831, rel=1e-9)
+
+    def test_pullback_limit_at_zero_exits_1(self, capsys):
+        # q = LogInterp(2, 3), zeta = 1.45: the bound fails only as t -> 0
+        code = main(["constants", "--config", str(FIXTURES / "loginterp_zeta_limit.json"),
+                     "--which", "C1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("hypothesis error: pullback bound") and "as t -> 0" in err
+
+    def test_pullback_limit_at_infinity_exits_1(self, tmp_path, capsys):
+        # s = t^(1/2) on [0, inf) with q = LogInterp(3, 2): it fails as t -> inf
+        obj = json.loads((FIXTURES / "loginterp_norm.json").read_text())
+        obj["kernel"].update(a=0.3, support=[0.0, None])
+        obj["families"][0]["s"]["a"] = 0.5
+        path = tmp_path / "unbounded.json"
+        path.write_text(json.dumps(obj))
+        code = main(["constants", "--config", str(path), "--which", "C1"])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert err.startswith("hypothesis error: pullback bound") and "as t -> inf" in err
+
     @pytest.mark.parametrize("which", ["C3", "C4", "C5", "C5*", "C6", "C6*"])
     def test_kernel_away_from_zero_exits_0(self, which, capsys):
         code = main(["constants", "--config", str(FIXTURES / "hardy_kernel_1_49.json"),

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,22 @@ class TestArrayEvaluation:
                 assert g == want
             else:
                 assert g == pytest.approx(want, rel=1e-14, abs=0.0)
+
+    def test_rescaled_radius_past_the_float_range_is_inf(self):
+        # 1e300 * 1e10 overflows to inf, where every exponent is defined
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = Rescaled(LogInterp(3.0, 2.0), 1e300)(np.array([1e10]))
+        assert got.tolist() == [2.0]
+
+    def test_steps_pulled_near_the_float_range(self):
+        # the pulled breaks are 0.5e304 and 2e304: the sign check's midpoint
+        # between them is their geometric mean, 1e304, without overflow
+        q = PiecewiseRadial((0.5, 2.0), (2.0, 2.5, 3.0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = difference_reciprocal(Rescaled(q, 1e-304), q, 1.0)
+        assert r(1e304) == pytest.approx(1.0 / (1.0 / 2.5 - 1.0 / 3.0))
 
     def test_reciprocal_difference_is_infinite_where_the_difference_vanishes(self):
         p = every_exponent_type()[-1]
