@@ -138,6 +138,22 @@ def radius(s):
     return math.exp(s) if s < 700.0 else _INF
 
 
+def grid_edges(s_lo: float, s_hi: float, points=()) -> np.ndarray:
+    """Panel edges over [s_lo, s_hi]: the grid's cell edges and the points
+    inside it, sorted."""
+    inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
+    inner.update(p for p in points if s_lo < p < s_hi)
+    return np.array([s_lo, *sorted(inner), s_hi])
+
+
+def worst_panels(err: np.ndarray, err_total: float, budget: float) -> np.ndarray:
+    """The panels to bisect: those with the largest |G - K|, as few as leave
+    the rest holding at most half the budget."""
+    order = np.argsort(err)[::-1]
+    rest = err_total - np.cumsum(err[order])
+    return order[:int(np.argmax(rest <= 0.5 * budget)) + 1]
+
+
 def _panels(lo: np.ndarray, hi: np.ndarray, data=None) -> tuple[np.ndarray, ...]:
     """The panels [lo, hi) as (lo, hi, nodes, *data(nodes))."""
     s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
@@ -166,9 +182,7 @@ def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
     if panels is None:
         if not s_hi > s_lo:
             return -_INF, -_INF, None
-        inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
-        inner.update(p for p in points if s_lo < p < s_hi)
-        edges = np.array([s_lo, *sorted(inner), s_hi])
+        edges = grid_edges(s_lo, s_hi, points)
         panels = _panels(edges[:-1], edges[1:], data)
     for _round in range(_MAX_ROUNDS):
         lo, hi, s, *node_data = panels
@@ -185,10 +199,7 @@ def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
         budget = rel_tol * total
         if err_total <= budget or len(lo) >= _MAX_PANELS:
             break
-        # bisect the worst panels until the rest hold half the budget
-        order = np.argsort(err)[::-1]
-        rest = err_total - np.cumsum(err[order])
-        split = order[:int(np.argmax(rest <= 0.5 * budget)) + 1]
+        split = worst_panels(err, err_total, budget)
         mid = 0.5 * (lo[split] + hi[split])
         children = _panels(np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])),
                            data)
@@ -207,6 +218,19 @@ def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
     return max(level - drop, _LOG_FLOOR)
 
 
+def search_points(s_start: float, direction: int, step0: float = 8.0,
+                  s_limit: float = 3e5):
+    """The points search_cutoff tests, in order: s_start, then steps
+    doubling from 2 step0 while |s| stays within s_limit."""
+    s, step = s_start, step0
+    for _ in range(80):
+        yield s
+        step *= 2.0
+        s += direction * step
+        if abs(s) > s_limit:
+            return
+
+
 def search_cutoff(log_integrand, s_start: float, direction: int,
                   drop: float = _DROP, step0: float = 8.0,
                   s_limit: float = 3e5) -> float | None:
@@ -217,16 +241,20 @@ def search_cutoff(log_integrand, s_start: float, direction: int,
     which callers treat as a non-integrable (or hopelessly slow) tail.
     """
     target = _cut_target(log_integrand, s_start, drop)
-    s = s_start
-    step = step0
-    for _ in range(80):
-        if log_integrand(s) < target:
-            return s
-        step *= 2.0
-        s += direction * step
-        if abs(s) > s_limit:
-            return None
-    return None
+    return next((s for s in search_points(s_start, direction, step0, s_limit)
+                 if log_integrand(s) < target), None)
+
+
+def linear_points(s_ref: float, rate: float, direction: int, drop: float = _DROP):
+    """The points linear_cutoff tests, in order: from the analytic estimate
+    (drop + 20) / rate past s_ref, in steps of drop / rate, while |s| stays
+    within 1e7."""
+    s = s_ref + direction * (drop + 20.0) / rate
+    for _ in range(50):
+        yield s
+        s += direction * drop / rate
+        if abs(s) > 1e7:
+            return
 
 
 def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
@@ -239,14 +267,8 @@ def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
     if rate <= 0:
         return None
     target = _cut_target(log_integrand, s_ref, drop)
-    s = s_ref + direction * (drop + 20.0) / rate
-    for _ in range(50):
-        if log_integrand(s) < target:
-            return s
-        s += direction * drop / rate
-        if abs(s) > 1e7:
-            return None
-    return None
+    return next((s for s in linear_points(s_ref, rate, direction, drop)
+                 if log_integrand(s) < target), None)
 
 
 def tail_holds(log_integrand, s_ref: float, s_cut: float) -> bool:

@@ -6,11 +6,11 @@ dyadic locator sums) and, for the variable-exponent constants, the norm of
 the constant function 1 against a per-radius residual exponent.  The
 kernel times the matrix factors is one PiecewisePowerFunction of the
 kernel radius and integrates exactly; with a norm-of-one node factor it
-falls back to adaptive quadrature that evaluates the node factors once per
-quadrature node, and divergence is decided before integrating: at a
-singular kernel end the pullback of q tends to the constant q(inf) or q(0),
-which decides the pullback hypothesis there and each node factor's end
-slope in closed form.
+falls back to adaptive quadrature, whose nodes of each round take their
+norms of one as one batch, solved on one shared quadrature rule.
+Divergence is decided before integrating: at a singular kernel end the
+pullback of q tends to the constant q(inf) or q(0), which decides the
+pullback hypothesis there and each node factor's end slope in closed form.
 """
 
 from __future__ import annotations
@@ -21,18 +21,17 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _quad
+from . import luxemburg
 from .exponents import (
+    _CHECK_ARRAY,
+    RECIP_ZERO_TOL,
     Constant,
     PointwiseSum,
     RadialExponent,
-    ReciprocalSignError,
-    Rescaled,
     combine_reciprocal,
-    difference_reciprocal,
-    pullback_exponent,
 )
 from .hausdorff import OperatorSpec
-from .luxemburg import ExponentExpr, PiecewisePowerFunction, Region, Segment, norm_of_one
+from .luxemburg import ExponentExpr, PiecewisePowerFunction, Segment
 from .matrices import theta_star
 
 __all__ = [
@@ -226,11 +225,83 @@ def _c_factor_pieces(fam, q: RadialExponent, gamma: float, label: str):
 _LN_EDGE = 700.0
 
 
+class _Residuals:
+    """The residual exponents r_i, 1/r_i(x) = 1/q(x pull_i) - 1/(zeta q(x)),
+    of a batch of rows, each the pullback of q by a factor pull_i = 1/|s(t_i)|.
+    pull = inf and 0 stand for the limits as |s(t)| -> 0 and -> inf, where
+    the pullback is the constant q(inf) or q(0).
+
+    Construction runs ReciprocalDifference's sign test on every row at once:
+    at 0, the check radii 1e-8 ... 1e8, every discontinuity of q and of its
+    pullback and the geometric midpoints between neighbouring ones, and in
+    the limits at 0 and at infinity.  The first failing row (where(i) names
+    it) raises HypothesisError with its first failing |x|; at() repeats the
+    test at its radii.  A row is flat, r = inf everywhere, where the
+    difference is at most RECIP_ZERO_TOL on the check radii and in both
+    limits.
+    """
+
+    def __init__(self, q: RadialExponent, zeta: float, pull: np.ndarray, where):
+        self.q, self.zeta, self.pull, self.where = q, zeta, pull[:, None], where
+        # the pullback's limits at 0 and at infinity
+        lim_0 = np.where(pull == _INF, q.p_infty, q.p_zero)
+        lim_inf = np.where(pull == 0.0, q.p_zero, q.p_infty)
+        d_0 = 1.0 / lim_0 - 1.0 / (zeta * q.p_zero)
+        d_inf = 1.0 / lim_inf - 1.0 / (zeta * q.p_infty)
+        breaks = np.array(q.discontinuities())
+        radii = np.concatenate((_CHECK_ARRAY, [0.0]))
+        self.points = ()
+        if len(breaks):
+            # a limit has no discontinuities of its own, so it repeats q's
+            with np.errstate(over="ignore"):
+                pulled = breaks / np.where((0.0 < pull) & (pull < _INF), pull, 1.0)[:, None]
+            both = np.sort(np.concatenate((np.broadcast_to(breaks, pulled.shape), pulled), axis=1))
+            mids = np.sqrt(both[:, 1:]) * np.sqrt(both[:, :-1])  # no overflow near 1e308
+            radii = np.concatenate((np.broadcast_to(radii, (len(pull), len(radii))), both, mids),
+                                   axis=1)
+            self.points = tuple(np.log(both[(both > 0.0) & (both < _INF)]).tolist())
+        every = np.arange(len(pull))
+        d = self._diff(radii, every)
+        self._check(d, radii, every, (d_0 < -RECIP_ZERO_TOL) | (d_inf < -RECIP_ZERO_TOL))
+        self.flat = ((d[:, :len(_CHECK_ARRAY)] <= RECIP_ZERO_TOL).all(axis=1)
+                     & (d_0 <= RECIP_ZERO_TOL) & (d_inf <= RECIP_ZERO_TOL))
+        self.finite_0, self.finite_inf = d_0 > RECIP_ZERO_TOL, d_inf > RECIP_ZERO_TOL
+
+    def _diff(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """1/q(pull r) - 1/(zeta q(r)), one line per row."""
+        pull = self.pull[rows]
+        with np.errstate(over="ignore", invalid="ignore"):
+            pulled = pull * r
+        # 0 * inf: at a limit the pullback is q(inf) or q(0) at every radius
+        pulled = np.where(np.isnan(pulled), np.where(pull == _INF, _INF, 0.0), pulled)
+        return 1.0 / self.q(pulled) - 1.0 / (self.zeta * self.q(r))
+
+    def _check(self, d: np.ndarray, r: np.ndarray, rows: np.ndarray,
+               fails_at_limit=False) -> None:
+        bad = d < -RECIP_ZERO_TOL
+        fails = bad.any(axis=1) | fails_at_limit
+        if fails.any():
+            i = int(np.argmax(fails))
+            witness = np.broadcast_to(r, d.shape)[i][bad[i]]
+            raise HypothesisError(
+                f"pullback bound q(A^-1(t) x) <= zeta q(x) fails {self.where(rows[i])}, "
+                f"|x|={witness.min() if len(witness) else _INF:.4g}"
+            )
+
+    def at(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """The rows' r_i at the radii r, (len(rows), len(r)), inf where the
+        difference is at most RECIP_ZERO_TOL."""
+        d = self._diff(r, rows)
+        self._check(d, r, rows)
+        with np.errstate(divide="ignore"):
+            return np.where(d > RECIP_ZERO_TOL, 1.0 / d, _INF)
+
+
 class _NormOne:
     """ln N(t) at s = ln t, N(t) the norm of 1 for the residual exponent
-    1/r_t(x) = 1/q(x/|s(t)|) - 1/(zeta q(x)), |s(t)| = |c| t^a.  Each norm's
-    root-find starts from the last finite, positive norm: the quadrature
-    visits neighbouring radii in turn, and their norms are close."""
+    1/r_t(x) = 1/q(x/|s(t)|) - 1/(zeta q(x)), |s(t)| = |c| t^a.  A call
+    takes an array of s, and solves their norms together on one shared
+    quadrature rule (luxemburg._log_norms_of_one)."""
 
     def __init__(self, n: int, q: RadialExponent, fam, zeta: float, rel_tol: float):
         self.n, self.q, self.fam, self.zeta, self.rel_tol = n, q, fam, zeta, rel_tol
@@ -238,30 +309,50 @@ class _NormOne:
         # N grows like |s|^growth as |s| -> inf, d = 1/q(0) - 1/(zeta q(inf))
         self.growth = n * max(0.0, 1.0 / q.p_zero - 1.0 / (zeta * q.p_infty))
         self.ln_hi = min(_LN_EDGE, 600.0 / self.growth) if self.growth else _LN_EDGE
-        self.guess, self.ends = 1.0, {}
+        self.ends = {}
 
-    def _log_norm(self, pulled: RadialExponent, where: str) -> float:
-        resid = _residual(self.q, self.zeta, pulled, where)
-        if resid.infinite_everywhere:
-            return 0.0
-        eta = norm_of_one(resid, Region.all(), self.n, rel_tol=self.rel_tol, guess=self.guess)
-        if 0.0 < eta < _INF:
-            self.guess = eta
-        return math.log(eta) if eta > 0.0 else -_INF
+    def _log_norms(self, s: np.ndarray, ln_scale: np.ndarray) -> np.ndarray:
+        """ln N of the rows ln |s(t)| = ln_scale at s = ln t, 0 where the
+        residual is flat.  A row pulls q back by 1/|s(t)| from the family
+        where t is a normal float, by e^(-ln |s(t)|) where it is not, and by
+        inf or 0 at a limit (ln |s(t)| = -inf or inf); a failing sign test
+        names t, ln |s(t)| or the end."""
+        t = _quad.radius(s)
+        normal = (2.0 ** -1022 <= t) & (t < _INF) & np.isfinite(ln_scale)
+        with np.errstate(over="ignore"):
+            pull = np.exp(-ln_scale)
+        for i in np.flatnonzero(normal).tolist():
+            pull[i] = 1.0 / self.fam.dilation_scale(float(t[i]))
 
-    def _at_scale(self, ln_scale: float) -> float:
-        pulled = Rescaled(self.q, math.exp(-ln_scale))
-        return self._log_norm(pulled, f"at ln |s(t)|={ln_scale:.4g}")
+        def where(i):
+            if math.isinf(ln_scale[i]):
+                return f"as t -> {0 if (ln_scale[i] < 0.0) == (self.a > 0.0) else 'inf'}"
+            return f"at t={t[i]:.4g}" if normal[i] else f"at ln |s(t)|={ln_scale[i]:.4g}"
 
-    def __call__(self, s: float, t: float) -> float:
-        """ln N at s = ln t, with t = e^s as the quadrature rounded it."""
-        ln_scale = self.ln_c + self.a * s
-        if self.a != 0.0 and not -_LN_EDGE <= ln_scale <= self.ln_hi:
-            s_edge, ln_edge, kappa = self.end((ln_scale > 0.0) == (self.a < 0.0))
-            return ln_edge + kappa * (s - s_edge)
-        if 2.0 ** -1022 <= t < _INF:  # t is a normal float
-            return self._log_norm(pullback_exponent(self.q, self.fam, t), f"at t={t:.4g}")
-        return self._at_scale(ln_scale)  # t is past the float range, |s(t)| is not
+        resid = _Residuals(self.q, self.zeta, pull, where)
+        out = np.zeros(len(s))
+        solve = np.flatnonzero(~resid.flat)
+        if len(solve):
+            out[solve] = luxemburg._log_norms_of_one(
+                lambda r: resid.at(r, solve), resid.finite_0[solve], resid.finite_inf[solve],
+                resid.points, self.n, self.rel_tol)
+        return out
+
+    def __call__(self, s):
+        """ln N at s = ln t, for a float s or an array of them."""
+        flat = np.ravel(s).astype(float)
+        ln_scale = self.ln_c + self.a * flat
+        out = np.empty(len(flat))
+        inside = np.ones(len(flat), dtype=bool) if self.a == 0.0 else (
+            (-_LN_EDGE <= ln_scale) & (ln_scale <= self.ln_hi))
+        for at_zero in (True, False):
+            past = ~inside & (((ln_scale > 0.0) == (self.a < 0.0)) == at_zero)
+            if past.any():
+                s_edge, ln_edge, kappa = self.end(at_zero)
+                with np.errstate(invalid="ignore"):
+                    out[past] = ln_edge + kappa * (flat[past] - s_edge)
+        out[inside] = self._log_norms(flat[inside], ln_scale[inside])
+        return out.reshape(np.shape(s)) if isinstance(s, np.ndarray) else float(out[0])
 
     def end(self, at_zero: bool) -> tuple[float, float, float]:
         """(s_edge, ln N(t_edge), kappa) at the kernel end t -> 0 (at_zero) or
@@ -270,14 +361,15 @@ class _NormOne:
         inf, both upper bounds; kappa is -inf (+inf) where N is infinite."""
         if at_zero not in self.ends:
             if self.a == 0.0:  # N is the same at every t
-                s_edge, ln_n, kappa = 0.0, self(0.0, 1.0), 0.0
+                s_edge, ln_n, kappa = 0.0, self(0.0), 0.0
             else:
                 grows = (self.a < 0.0) == at_zero  # |s(t)| -> inf
                 ln_s = self.ln_hi if grows else -_LN_EDGE
-                ln_n = self._at_scale(ln_s) if grows else self._log_norm(
-                    *_end_limit(self.q, self.fam, at_zero))
-                kappa = self.growth * self.a if grows else 0.0
                 s_edge = (ln_s - self.ln_c) / self.a
+                # N at the edge where |s(t)| grows, the limit's (-inf) where it shrinks
+                ln_n = float(self._log_norms(np.array([s_edge]),
+                                             np.array([ln_s if grows else -_INF]))[0])
+                kappa = self.growth * self.a if grows else 0.0
             if ln_n == _INF:
                 kappa = -_INF if at_zero else _INF
             self.ends[at_zero] = (s_edge, ln_n, kappa)
@@ -311,9 +403,7 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
                   "pieces": []}
 
     def node_logs(s):
-        r = _quad.radius(s).ravel().tolist()
-        return (np.reshape([sum(fn(si, ri) for fn in node_fns)
-                            for si, ri in zip(s.ravel().tolist(), r)], s.shape),)
+        return (sum(fn(s) for fn in node_fns),)
 
     total = []
     for seg in segs:
@@ -329,7 +419,7 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
 
         def log_integrand(s, logs=None, coef=coef, expo=expo):
             if logs is None:
-                logs = sum(fn(s, _quad.radius(s)) for fn in node_fns)
+                logs = sum(fn(s) for fn in node_fns)
             return math.log(coef) + (expo + 1.0) * s + logs
 
         slope_0 = expo + math.fsum(f.end(True)[2] for f in node_fns) if lo == 0.0 else None
@@ -353,38 +443,23 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
 # per-slot hypothesis checks
 
 
-def _residual(q: RadialExponent, zeta: float, pulled, where: str) -> RadialExponent:
-    """r with 1/r = 1/pulled - 1/(zeta q); HypothesisError naming where the
-    pullback is taken and the first |x| at which pulled <= zeta q fails."""
-    try:
-        return difference_reciprocal(pulled, q, zeta)
-    except ReciprocalSignError as exc:
-        raise HypothesisError(
-            f"pullback bound q(A^-1(t) x) <= zeta q(x) fails {where}, |x|={exc.radius:.4g}"
-        ) from None
-
-
-def _end_limit(q: RadialExponent, fam, at_zero: bool) -> tuple[Constant, str]:
-    """The pullback's limit at the kernel end t -> 0 (at_zero) or t -> inf,
-    q(inf) where |s(t)| -> 0 and q(0) where |s(t)| -> inf, and the end."""
-    grows = (fam.s.a < 0.0) == at_zero
-    return Constant(q.p_zero if grows else q.p_infty), f"as t -> {0 if at_zero else 'inf'}"
-
-
 def _check_pullback_hypothesis(cfg: BoundConfig, zeta: float) -> None:
     """q_i(A_i^{-1}(t) .) <= zeta q_i(.) at sampled kernel radii t, and in the
-    limit at each singular kernel end where the family's scale moves, each
-    decided in x by the residual exponent's own sign test."""
+    limit at each singular kernel end where the family's scale moves, all
+    decided in x by one batch of residual exponents' sign test."""
     k = cfg.operator.kernel
     lo = k.r_lo if k.r_lo > 0 else (k.r_hi if math.isfinite(k.r_hi) else 1.0) * 1e-6
     ts = [lo * (k.r_hi / lo) ** (i / 8.0) if math.isfinite(k.r_hi) else lo * 4.0 ** i
           for i in range(9)]
     ends = ([True] if k.r_lo == 0.0 else []) + ([False] if math.isinf(k.r_hi) else [])
     for slot, fam in zip(cfg.slots, cfg.operator.families):
-        for t in ts:
-            _residual(slot.q, zeta, pullback_exponent(slot.q, fam, t), f"at t={t:.4g}")
-        for at_zero in ends if fam.s.a != 0.0 else ():
-            _residual(slot.q, zeta, *_end_limit(slot.q, fam, at_zero))
+        ends_here = ends if fam.s.a != 0.0 else []
+        # the pullback tends to q(inf) where |s(t)| -> 0 and to q(0) where it grows
+        pull = [1.0 / fam.dilation_scale(t) for t in ts] + [
+            _INF if at_zero == (fam.s.a > 0.0) else 0.0 for at_zero in ends_here]
+        where = [f"at t={t:.4g}" for t in ts] + [
+            f"as t -> {0 if at_zero else 'inf'}" for at_zero in ends_here]
+        _Residuals(slot.q, zeta, np.array(pull), where.__getitem__)
 
 
 def _require(cond: bool, name: str) -> None:

@@ -418,6 +418,8 @@ class PiecewisePowerFunction:
 
 # ln of the Kronrod weights of a quadrature panel
 _LN_WK = np.log(_quad._K_WEIGHTS)
+# G - K and K weights side by side: a panel's error estimate and value
+_GK_WEIGHTS = np.stack((_quad._G_MINUS_K, _quad._K_WEIGHTS), axis=1)
 
 
 class _InfiniteAt(Exception):
@@ -702,6 +704,259 @@ class _Modular:
                 b = x = math.log(eta * (1.0 - CERT_DELTA))
             else:
                 return eta
+
+
+# ---------------------------------------------------------------------------
+# norms of 1 over R^n, a batch of exponents on one shared rule
+
+
+# F is infinite below x = ln eta = -ln(1 - 1e-12) for an exponent that is
+# infinite at infinity, where (1/eta)^p tends to 0 or inf, as for _Piece's
+# tail_floor; that also keeps x above 0, the bound of the infinite-p nodes
+_ONE_FLOOR = -math.log1p(-1e-12)
+
+
+class _OneRule:
+    """One frozen quadrature rule in s = ln r for the modulars of 1 over R^n
+    against a batch of exponent rows.
+
+    p_at(r) gives every row's exponent at the radii r as (rows, len(r)),
+    inf where it is infinite.  On the rule, row i's modular is one
+    log-sum-exp, ln F_i(x) = logsumexp_j(A_j - P_ij x), with A_j = ln(panel
+    half-width * Kronrod weight) + n s_j + ln sigma the same for every row
+    and P_ij = p_i(e^s_j); a node where p_i is infinite adds no term (p
+    keeps 0 there, and inf marks it).  Each row cuts its own tails among
+    the same candidate points: a cutoff search up from s = 1, and down from
+    s = -1 or, where p(0) is finite and the power slope at 0 is n - 1, from
+    s = 0 at rate n (_quad.search_cutoff and linear_cutoff).  The rule
+    spans every row's cuts, and is refined until every row passes its G-K
+    error test.
+    """
+
+    def __init__(self, p_at, finite_0: np.ndarray, points, n: int, rel_tol: float):
+        self.p_at, self.finite_0, self.points = p_at, finite_0, points
+        self.n, self.rel_tol = n, rel_tol
+        self.ln_sigma = math.log(sphere_area(n))
+        self.tails = [self._tail(1.0, _quad.search_points(1.0, +1)),
+                      self._tail(-1.0, _quad.search_points(-1.0, -1))]
+        if finite_0.any():
+            self.tails.append(self._tail(0.0, _quad.linear_points(0.0, n, -1)))
+        self.lo = self.A = None
+
+    def _tail(self, s_ref: float, points) -> tuple:
+        s = np.array([s_ref, *points])
+        p = self.p_at(_quad.radius(s))
+        return s_ref, s[1:], p[:, 0], p[:, 1:]
+
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every row but rows."""
+        p_at = self.p_at
+        self.p_at = lambda r: p_at(r)[rows]
+        self.finite_0 = self.finite_0[rows]
+        self.tails = [(s_ref, s, p_ref[rows], p[rows]) for s_ref, s, p_ref, p in self.tails]
+        if self.lo is not None:
+            self.p, self.inf = self.p[rows], self.inf[rows]
+
+    def _cut(self, tail: tuple, x: np.ndarray) -> np.ndarray:
+        """Each row's first candidate where its log-integrand n s - p x is
+        below the target _quad.search_cutoff sets at x; nan where none is."""
+        s_ref, s, p_ref, p = tail
+        level = self.n * s_ref - p_ref * x
+        target = np.maximum(np.where(np.isfinite(level), level, 0.0) - _quad._DROP,
+                            _quad._LOG_FLOOR)
+        below = self.n * s - p * x[:, None] < target[:, None]
+        return np.where(below.any(axis=1), s[np.argmax(below, axis=1)], np.nan)
+
+    def _add(self, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Add the panels [lo, hi), with every row's p at their nodes."""
+        _lo, _hi, s = _quad._panels(lo, hi)
+        p = self.p_at(_quad.radius(s.ravel())).reshape(-1, *s.shape)
+        inf = np.isinf(p)
+        p[inf] = 0.0
+        if self.lo is None:
+            self.lo, self.hi, self.s, self.p, self.inf = lo, hi, s, p, inf
+        else:
+            self.lo, self.hi = np.concatenate((self.lo, lo)), np.concatenate((self.hi, hi))
+            self.s = np.concatenate((self.s, s))
+            self.p = np.concatenate((self.p, p), axis=1)
+            self.inf = np.concatenate((self.inf, inf), axis=1)
+        self.A = None
+
+    def _cover(self, s_lo: float, s_hi: float) -> bool:
+        """Extend the rule over [s_lo, s_hi]; True when it grew."""
+        if self.lo is None:
+            spans = [(s_lo, s_hi)]
+        else:
+            spans = [(a, b) for a, b in ((s_lo, self.span[0]), (self.span[1], s_hi)) if a < b]
+            s_lo, s_hi = min(s_lo, self.span[0]), max(s_hi, self.span[1])
+        for a, b in spans:
+            edges = _quad.grid_edges(a, b, self.points)
+            self._add(edges[:-1], edges[1:])
+        self.span = (s_lo, s_hi)
+        return bool(spans)
+
+    def _refine(self, x: np.ndarray) -> bool:
+        """At x, bisect for each row that fails its G-K test the panels
+        _quad.quad_s would bisect for it; False when every row passes."""
+        if len(self.lo) >= _quad._MAX_PANELS:
+            return False
+        f = self.p * -x[:, None, None]
+        f += self.n * self.s
+        np.copyto(f, -_INF, where=self.inf)
+        top = f.max(axis=(1, 2))
+        with np.errstate(invalid="ignore"):
+            f -= top[:, None, None]
+        sums = np.exp(f, out=f) @ _GK_WEIGHTS
+        half = 0.5 * (self.hi - self.lo)
+        err = np.abs(sums[..., 0] * half)
+        err_total = err.sum(axis=1)
+        budget = self.rel_tol * (sums[..., 1] @ half)
+        # a row with no mass at any node has nothing to refine
+        fails = np.flatnonzero((err_total > budget) & (top > -_INF))
+        if not len(fails):
+            return False
+        split = np.unique(np.concatenate([_quad.worst_panels(err[i], err_total[i], budget[i])
+                                          for i in fails.tolist()]))
+        mid = 0.5 * (self.lo[split] + self.hi[split])
+        whole = np.ones(len(self.lo), dtype=bool)
+        whole[split] = False
+        lo, hi = np.concatenate((self.lo[split], mid)), np.concatenate((mid, self.hi[split]))
+        self.lo, self.hi, self.s = self.lo[whole], self.hi[whole], self.s[whole]
+        self.p, self.inf = self.p[:, whole], self.inf[:, whole]
+        self._add(lo, hi)
+        return True
+
+    def fit(self, x: np.ndarray) -> tuple[bool, np.ndarray]:
+        """Cut the rows' tails at x, extend the rule over the cuts and refine
+        it until every row passes its G-K test at x: (whether the rule
+        changed, which rows have no tail cut at x)."""
+        s_lo = self._cut(self.tails[1], x)
+        if len(self.tails) > 2:
+            s_lo = np.where(self.finite_0, self._cut(self.tails[2], x), s_lo)
+        s_hi = self._cut(self.tails[0], x)
+        stuck = np.isnan(s_lo) | np.isnan(s_hi)
+        if stuck.any():
+            return False, stuck
+        changed = self._cover(float(s_lo.min()), float(s_hi.max()))
+        for _round in range(_quad._MAX_ROUNDS):
+            if not self._refine(x):
+                break
+            changed = True
+        return changed, stuck
+
+    def log_f(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(ln F, d ln F / dx) at x of the rows on the frozen rule, one
+        log-sum-exp per row: +inf below _ONE_FLOOR, and -inf and 0 for a
+        row without a term."""
+        if self.A is None:
+            self.A = (np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.n * self.s
+                      + self.ln_sigma).ravel()
+        count = len(self.p)
+        P = self.p.reshape(count, -1)[rows]
+        z = P * x[:, None]
+        np.subtract(self.A, z, out=z)
+        np.copyto(z, -_INF, where=self.inf.reshape(count, -1)[rows])
+        top = z.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            z -= top[:, None]
+        w = np.exp(z, out=z)
+        total = w.sum(axis=1)
+        none = top == -_INF
+        if none.any():
+            top, total = np.where(none, -_INF, top), np.where(none, 1.0, total)
+            w[none] = 0.0
+        h = np.where(x < _ONE_FLOOR, _INF, top + np.log(total))
+        return h, -np.einsum("ij,ij->i", P, w) / total
+
+
+def _roots(log_f, x: np.ndarray, lo: float, evals: np.ndarray, max_iter: int) -> np.ndarray:
+    """_Modular._root for every row at once, above a floor lo > 0: per row,
+    ln eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
+    frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
+    log_f(x, rows) gives ln F and its derivative at x for the rows.  Each
+    row takes Newton steps until one is below _TOL/4, then checks eta and
+    eta (1 - CERT_DELTA), and goes back to Newton from the one that fails.
+    evals counts each row's evaluations of ln F; BracketError once one
+    passes max_iter."""
+    count = len(x)
+    out, rows = np.full(count, _INF), np.arange(count)
+    x = np.minimum(np.maximum(x, lo), _LN_ETA_MAX)
+    a, b, eta = np.full(count, -_INF), np.full(count, _INF), np.full(count, np.nan)
+    # 0: a Newton step, 1: checking eta, 2: checking eta (1 - CERT_DELTA)
+    stage = np.zeros(count, dtype=np.int8)
+    while len(rows):
+        evals[rows] += 1
+        if evals[rows].max() > max_iter:
+            raise BracketError("norm root-find exceeded the iteration cap")
+        h, dh = log_f(x, rows if len(rows) < count else slice(None))
+        above = h > 0.0
+        done = (stage == 2) & above
+        lower = (stage == 1) & ~above
+        newton = ~(done | lower)
+        gone = newton & above & (x >= _LN_ETA_MAX)
+        a, b = np.where(newton & above, x, a), np.where(newton & ~above, x, b)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            # with ln F <= 0 at the floor (or no term at all) the root is the floor
+            r = np.maximum(lo, np.where(h > -_INF, x - h / dh, lo))
+        far = np.abs(r - x) > 0.25 * _TOL
+        r = np.where(far & ((r <= a) | (r >= b)) & (a > -_INF) & (b < _INF), 0.5 * (a + b), r)
+        eta = np.where(newton & ~far, np.exp(r + 0.25 * _TOL), eta)
+        x = np.where(lower, np.log(eta * (1.0 - CERT_DELTA)),
+                     np.where(far, np.minimum(r, _LN_ETA_MAX), np.log(eta)))
+        stage = np.where(lower, 2, np.where(far, 0, 1))
+        out[rows[done]] = np.log(eta[done])
+        if np.any(done | gone):
+            keep = ~(done | gone)
+            rows, x, a, b, eta, stage = (v[keep] for v in (rows, x, a, b, eta, stage))
+    return out
+
+
+def _log_norms_of_one(p_at, finite_0: np.ndarray, finite_inf: np.ndarray, points,
+                      n: int, rel_tol: float, max_iter: int = 200) -> np.ndarray:
+    """ln of the Luxemburg norm of 1 over R^n against each of a batch of
+    exponent rows, as norm_of_one gives it, all solved on one shared rule.
+
+    p_at(r) gives every row's exponent at the radii r as (rows, len(r)), inf
+    where it is infinite; finite_0 and finite_inf mark the rows whose limit
+    at 0 or at infinity is finite, and points are the ln of every row's
+    discontinuities.  A row finite at infinity has an infinite modular at
+    every eta (its integrand tends to r^(n-1)), so its norm is +inf.  The
+    rest start at eta = e (as norm_of_one from eta = 1, below the floor)
+    and solve together by safeguarded Newton (_roots) on one frozen rule
+    (_OneRule): built at the start, re-checked at the roots (each row's
+    tails and G-K test), and, where some row fails, refined or extended and
+    solved again.  Every returned eta is certified on the final rule; a row
+    without a tail cutoff at its eta moves up by a doubling step, and is
+    infinite past _LN_ETA_MAX.  max_iter caps each row's evaluations of ln
+    F; BracketError past it.
+    """
+    out = np.full(len(finite_inf), _INF)
+    live = np.flatnonzero(~finite_inf)
+    if not len(live):
+        return out
+    rule = _OneRule(p_at if len(live) == len(out) else lambda r, rows=live: p_at(r)[rows],
+                    finite_0[live], points, n, rel_tol)
+    x, step = np.ones(len(live)), np.ones(len(live))
+    evals = np.zeros(len(live), dtype=int)
+    solved = False
+    while len(live):
+        changed, stuck = rule.fit(x)
+        if stuck.any():
+            # no tail cut at x: up by a doubling step, infinite past _LN_ETA_MAX
+            x[stuck] = np.where(x[stuck] >= _LN_ETA_MAX, _INF,
+                                np.minimum(x[stuck] + step[stuck], _LN_ETA_MAX))
+            step[stuck] *= 2.0
+            solved = False
+        elif solved and not changed:
+            break
+        else:
+            x, solved = _roots(rule.log_f, x, _ONE_FLOOR, evals, max_iter), True
+        if np.isinf(x).any():
+            keep = np.isfinite(x)
+            live, x, step, evals = (v[keep] for v in (live, x, step, evals))
+            rule.keep(np.flatnonzero(keep))
+    out[live] = x
+    return out
 
 
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,

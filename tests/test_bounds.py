@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hausnorm import _quad
 from hausnorm import bounds, luxemburg
@@ -28,6 +30,7 @@ from hausnorm.exponents import (
     Constant,
     LogInterp,
     PiecewiseRadial,
+    ReciprocalSignError,
     Rescaled,
     difference_reciprocal,
     pullback_exponent,
@@ -135,48 +138,56 @@ class TestLebesgueConstants:
         assert piece["s_lo"] < piece["s_hi"] == 0.0
 
     def test_node_factor_evaluated_once_per_radius(self, monkeypatch):
-        # each node factor value pulls the exponent back once at its radius;
-        # the hypothesis check samples pullbacks at radii of its own
+        # each node factor value is one row of a batch of residual
+        # exponents, pulled back once at its radius; the hypothesis check
+        # samples pullbacks at radii of its own
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         monkeypatch.setattr(bounds, "_check_pullback_hypothesis", lambda cfg, zeta: None)
         radii = []
+        log_norms = bounds._NormOne._log_norms
 
-        def recording(q, fam, t):
-            radii.append(t)
-            return pullback_exponent(q, fam, t)
+        def recording(self, s, ln_scale):
+            radii.extend(s.tolist())
+            return log_norms(self, s, ln_scale)
 
-        monkeypatch.setattr(bounds, "pullback_exponent", recording)
+        monkeypatch.setattr(bounds._NormOne, "_log_norms", recording)
         res = evaluate_constant(cfg, "C1")
         assert res.finite
         assert len(radii) > 100  # the quadrature path ran
         assert len(set(radii)) == len(radii)
 
     def test_node_factor_work(self, monkeypatch):
-        # each node's norm builds one frozen rule from its neighbour's norm,
-        # and a second only where the re-check at the root fails; the end
-        # t -> 0 takes one more norm, the limit's, and no probes
+        # each batch of nodes (a quad_s round, the end value, a cutoff
+        # probe) solves on one shared rule: built at the cold start, and
+        # changed at most once more where the re-check at the roots fails;
+        # every fit cuts each row's two tails (three for the end limit's
+        # finite p(0)) once.  The end t -> 0 takes one more row, the limit's
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
-        calls = {"norm_of_one": 0, "builds": 0, "search_cutoff": 0}
+        calls = {"rows": 0, "batches": 0, "builds": 0, "tail_searches": 0}
+        solve, fit, cut = luxemburg._log_norms_of_one, luxemburg._OneRule.fit, \
+            luxemburg._OneRule._cut
 
-        def counted(owner, name, key=None):
-            inner = getattr(owner, name)
+        def counted_solve(p_at, finite_0, finite_inf, *args):
+            calls["rows"] += len(finite_inf)
+            calls["batches"] += 1
+            return solve(p_at, finite_0, finite_inf, *args)
 
-            def wrapper(*args, **kwargs):
-                out = inner(*args, **kwargs)
-                calls[key or name] += out if key else 1
-                return out
+        def counted_fit(self, x):
+            changed, stuck = fit(self, x)
+            calls["builds"] += changed
+            return changed, stuck
 
-            monkeypatch.setattr(owner, name, wrapper)
+        def counted_cut(self, tail, x):
+            calls["tail_searches"] += len(x)
+            return cut(self, tail, x)
 
-        counted(bounds, "norm_of_one")
-        # fit returns True when it built or changed the rule
-        counted(luxemburg._Modular, "fit", "builds")
-        counted(_quad, "search_cutoff")
+        monkeypatch.setattr(luxemburg, "_log_norms_of_one", counted_solve)
+        monkeypatch.setattr(luxemburg._OneRule, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._OneRule, "_cut", counted_cut)
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
-        nodes = calls["norm_of_one"]
-        assert nodes == 136 + 1
-        assert calls["builds"] <= 1.25 * nodes
-        assert calls["search_cutoff"] <= 3 * nodes
+        assert calls["rows"] == 136 + 1
+        assert calls["builds"] <= 2 * calls["batches"]
+        assert calls["tail_searches"] <= 7 * calls["rows"]
         assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
 
     def test_outer_index_must_be_positive(self, hardy_op):
@@ -353,9 +364,11 @@ class TestScalingCovariance:
 
 def test_infinite_node_factor_diverges_by_power_test(monkeypatch):
     # the norm-of-one factor of divergent_c1.json is +inf at every radius:
-    # the endpoint slope is -inf, so no tail cutoff is attempted
+    # the endpoint slope is -inf, so no tail cutoff is attempted, and the
+    # residual's finite limit at infinity decides it without a rule
     calls = []
     monkeypatch.setattr(_quad, "linear_cutoff", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(luxemburg, "_OneRule", lambda *args: calls.append(args))
     cfg = load_config(FIXTURES / "divergent_c1.json").bound_config()
     res = evaluate_constant(cfg, "C1")
     assert not res.finite
@@ -427,7 +440,7 @@ class TestKernelEnds:
         factor = bounds._NormOne(n, q, DiagonalEqualModulus(s, (1,) * n), 1.0, 1e-9)
         assert factor.end(at_zero)[2] == pytest.approx(kappa, rel=1e-12)
         (t1, t2) = radii
-        ln1, ln2 = (factor(math.log(t), t) for t in radii)
+        ln1, ln2 = (factor(math.log(t)) for t in radii)
         assert (ln2 - ln1) / math.log(t2 / t1) == pytest.approx(measured, abs=tol)
 
     @pytest.mark.parametrize("kernel_a", [0.52, 0.54, 0.6, 0.7])
@@ -513,6 +526,86 @@ class TestKernelEnds:
         for cid in ("C1", "C2", "C5"):
             with pytest.raises(HypothesisError, match="fails as t -> inf"):
                 evaluate_constant(cfg, cid)
+
+
+def per_node_log_norm(q, fam, zeta, n, t):
+    """ln N(t) by the public per-node path, or the HypothesisError text the
+    constants give where the pullback bound fails at t."""
+    try:
+        resid = difference_reciprocal(pullback_exponent(q, fam, t), q, zeta)
+    except ReciprocalSignError as exc:
+        return f"pullback bound q(A^-1(t) x) <= zeta q(x) fails at t={t:.4g}, |x|={exc.radius:.4g}"
+    eta = luxemburg.norm_of_one(resid, luxemburg.Region.all(), n, rel_tol=1e-7)
+    return math.log(eta)
+
+
+class TestBatchedNormsOfOne:
+    """A node factor solves a whole array of kernel radii as one batch on
+    one shared rule; every row matches the per-node norm of one."""
+
+    QS = {
+        "loginterp-down": LogInterp(3.0, 2.0),
+        "loginterp-up": LogInterp(2.0, 3.0),
+        "steps-down": PiecewiseRadial((0.5, 2.0), (3.0, 2.5, 2.0)),
+        "steps-up": PiecewiseRadial((0.5, 2.0), (2.0, 2.5, 3.0)),
+    }
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 10**6), q=st.sampled_from(sorted(QS)),
+           a=st.sampled_from([1.0, -1.0, 0.5]), zeta=st.sampled_from([1.0, 1.3]),
+           n=st.sampled_from([1, 2]))
+    def test_rows_match_the_per_node_norms(self, seed, q, a, zeta, n):
+        q, rng = self.QS[q], seeded(seed)
+        fam = ScalarDilation(PowerMap(1.0, a), n)
+        s = np.array(sorted(rng.uniform(-6.0, 6.0) for _ in range(rng.randint(1, 8))))
+        expected = [per_node_log_norm(q, fam, zeta, n, t) for t in np.exp(s).tolist()]
+        failure = next((e for e in expected if isinstance(e, str)), None)
+        factor = bounds._NormOne(n, q, fam, zeta, 1e-7)
+        if failure is not None:
+            # the first failing t in order, with its first failing |x|
+            with pytest.raises(HypothesisError) as err:
+                factor(s)
+            assert str(err.value) == failure
+            return
+        rules, rule_type = [], luxemburg._OneRule
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(luxemburg, "_OneRule",
+                       lambda *args: rules.append(rule_type(*args)) or rules[-1])
+            got = factor(s)
+        for g, e in zip(got.tolist(), expected):
+            assert g == e if math.isinf(e) else abs(g - e) <= 1e-9
+        # each solved row's certificate holds on its batch's final rule
+        solved = [g for g in got.tolist() if 0.0 < g < math.inf]
+        assert len(rules) == (1 if solved else 0)
+        if solved:
+            x = np.array(solved)
+            rows = slice(None)
+            assert np.all(rules[0].log_f(x, rows)[0] <= 0.0)
+            below = np.log(np.exp(x) * (1.0 - luxemburg.CERT_DELTA))
+            assert np.all(rules[0].log_f(below, rows)[0] > 0.0)
+
+    def test_flat_rows_take_no_rule(self, monkeypatch):
+        # t at or next to 1 pulls q back to itself within RECIP_ZERO_TOL:
+        # the residual is flat and ln N is exactly 0, with no rule built
+        cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
+        fam, q = cfg.operator.families[0], cfg.slots[0].q
+        monkeypatch.setattr(luxemburg, "_OneRule", None)
+        factor = bounds._NormOne(1, q, fam, 1.0, 1e-7)
+        assert factor(np.array([-1e-13, 0.0, 1e-13])).tolist() == [0.0, 0.0, 0.0]
+
+    def test_row_without_tail_cutoff_is_infinite(self):
+        # p = 1 gives the integrand e^(s - x), which drops below the search
+        # target nowhere up to x = ln 1e280, so that row climbs to the end
+        # of the search range and is infinite; the other row solves on the
+        # rule all the same
+        def p_at(r):
+            return np.stack((np.ones(r.shape), 2.0 + np.log1p(r) ** 2))
+
+        no = np.array([False, False])
+        got = luxemburg._log_norms_of_one(p_at, no, no, (), 1, 1e-9)
+        alone = luxemburg._log_norms_of_one(lambda r: p_at(r)[1:], no[1:], no[1:], (), 1, 1e-9)
+        assert got[0] == math.inf
+        assert abs(got[1] - alone[0]) <= 1e-9
 
 
 class TestFinitenessConsistency:
