@@ -392,22 +392,27 @@ class PiecewisePowerFunction:
         segs = self._segments[i:j] if self._segments is not None else None
         return self._of(self.lo[i:j], self.hi[i:j], self.coef[i:j], self.expo[i:j], side, segs)
 
-    def _clip(self, region: Region) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(rows, lo, hi) of the nonzero rows that meet the region, clipped
-        to it and snapped to its ends (snapping only widens a piece)."""
-        lo = np.maximum(self.lo, region.r_lo)
-        hi = np.minimum(self.hi, region.r_hi)
+    def _clip(self, r_lo: float, r_hi) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(rows, lo, hi) of the nonzero rows that meet the region
+        r_lo < |x| <= r_hi, clipped to it and snapped to its ends (snapping
+        only widens a piece).  r_hi may also be an array of finite ends, one
+        per row, each row clipped to its own region."""
+        lo, hi = np.maximum(self.lo, r_lo), np.minimum(self.hi, r_hi)
         rows = np.flatnonzero((hi > lo * (1 + _SNAP)) & (self.coef != 0.0))
         lo, hi = lo[rows], hi[rows]
-        if region.r_lo > 0:
-            lo[lo - region.r_lo <= _SNAP * region.r_lo] = region.r_lo
-        if math.isfinite(region.r_hi):
-            hi[region.r_hi - hi <= _SNAP * region.r_hi] = region.r_hi
+        if r_lo > 0:
+            lo[lo - r_lo <= _SNAP * r_lo] = r_lo
+        if isinstance(r_hi, np.ndarray):
+            r_hi = r_hi[rows]
+            snap = r_hi - hi <= _SNAP * r_hi
+            hi[snap] = r_hi[snap]
+        elif math.isfinite(r_hi):
+            hi[r_hi - hi <= _SNAP * r_hi] = r_hi
         return rows, lo, hi
 
     def pieces_in(self, region: Region):
         """Yield (segment, lo, hi) clipped to the region, snapped at boundaries."""
-        rows, lo, hi = self._clip(region)
+        rows, lo, hi = self._clip(region.r_lo, region.r_hi)
         for i, u, v in zip(rows.tolist(), lo.tolist(), hi.tolist()):
             yield self.segments[i], u, v
 
@@ -536,6 +541,14 @@ def _exp(x: float) -> float:
         return _INF
 
 
+def _constant_p_root(m: float | None, ln_m: float | None, p: float) -> float:
+    """The norm F^(1/p) for a constant p, from the modular F at eta = 1 as
+    _log_sum gives it."""
+    if m is not None:
+        return m ** (1.0 / p) if m > 0.0 else 0.0
+    return _exp(ln_m / p)
+
+
 class _Modular:
     """F_p(g/eta) on a region, for one (g, p, region, n), in x = ln eta.
 
@@ -554,7 +567,7 @@ class _Modular:
                  n: int, rel_tol: float):
         self.pieces: list[_Piece] = []
         self.A = None
-        rows, u, v = g._clip(region)
+        rows, u, v = g._clip(region.r_lo, region.r_hi)
         self.empty = not len(rows)
         if self.empty:
             return
@@ -992,13 +1005,58 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
         if mod.empty:
             return 0.0
         if p.is_constant and math.isfinite(p.p_zero):
-            m, ln_m = mod.trial(1.0)
-            if m is not None:
-                return m ** (1.0 / p.p_zero) if m > 0.0 else 0.0
-            return _exp(ln_m / p.p_zero)
+            return _constant_p_root(*mod.trial(1.0), p.p_zero)
         return mod.norm(math.log(guess) if 0.0 < guess < _INF else 0.0, max_iter)
     except _EtaIndependent:
         return _INF
+
+
+def ball_norms(g: PiecewisePowerFunction, p: RadialExponent, radii, n: int,
+               rel_tol: float = 1e-9) -> list[float]:
+    """The Luxemburg norm of g on each ball B(0, R) of the radii, each as
+    luxemburg_norm(g.window(ball), p, ball, n, rel_tol) gives it, bit for bit.
+
+    For a constant, finite p and g without side rows the balls take one
+    pass.  A row that ends below R (1 - 2 _SNAP), like every row before it,
+    lies whole in the ball, so its closed form is the same in every ball
+    that holds it; only the rows from there up to R are clipped, per ball.
+    One log_power_integrals call takes the whole rows and the clipped ones,
+    and each ball's norm is the closed form of its logs.  Otherwise each
+    ball takes its own luxemburg_norm.
+    """
+    if not (p.is_constant and math.isfinite(p.p_zero)) or g.side:
+        return [luxemburg_norm(g.window(Region.ball(r)), p, Region.ball(r), n, rel_tol)
+                for r in radii]
+    q, radii = p.p_zero, np.array(radii, dtype=float)
+    # per ball, rows [0, first) lie whole in it and rows [first, meet) reach R
+    first = np.searchsorted(np.maximum.accumulate(g.hi), radii * (1 - 2 * _SNAP))
+    meet = np.searchsorted(g.lo, radii)
+    whole, u, v = g._clip(0.0, _INF)
+    # only the rows that some ball holds whole
+    cut = np.searchsorted(whole, first.max(initial=0))
+    whole, u, v = whole[:cut], u[:cut], v[:cut]
+    count = meet - first
+    at = np.repeat(np.arange(len(radii)), count)
+    # rows first, first + 1, ..., meet - 1 of each ball in turn
+    edge = first[at] + np.arange(len(at)) - (np.cumsum(count) - count)[at]
+    kept, cu, cv = PiecewisePowerFunction._of(
+        g.lo[edge], g.hi[edge], g.coef[edge], g.expo[edge], {})._clip(0.0, radii[at])
+    rows = np.concatenate((whole, edge[kept]))
+    logs = q * np.log(g.coef[rows]) + _quad.log_power_integrals(
+        np.concatenate((u, cu)), np.concatenate((v, cv)), n - 1 + g.expo[rows] * q)
+    whole_logs, edge_logs = logs[:len(whole)].tolist(), logs[len(whole):].tolist()
+    held = np.searchsorted(whole, first).tolist()
+    ends = np.searchsorted(at[kept], np.arange(len(radii) + 1)).tolist()
+    sigma, out = sphere_area(n), []
+    for k, start, end in zip(held, ends, ends[1:]):
+        ball = whole_logs[:k] + edge_logs[start:end]
+        if not ball:
+            out.append(0.0)
+        elif _INF in ball:
+            out.append(_INF)
+        else:
+            out.append(_constant_p_root(*_log_sum(ball, sigma), q))
+    return out
 
 
 def weighted_vexp_norm(f: PiecewisePowerFunction, p: RadialExponent,

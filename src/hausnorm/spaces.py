@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 
 from .exponents import PowerWeight, RadialExponent, ball_measure
-from .luxemburg import PiecewisePowerFunction, Region, luxemburg_norm, weighted_vexp_norm
+from .luxemburg import PiecewisePowerFunction, Region, ball_norms, weighted_vexp_norm
 
 __all__ = [
     "SpaceSpec",
@@ -115,8 +115,14 @@ def _tail_flags(values: list[float], low_only: bool = False) -> tuple[str, ...]:
     return tuple(flags)
 
 
+def _check_window(name: str, window: tuple[int, int]) -> None:
+    if window[0] > window[1]:
+        raise ValueError(f"reversed window {name}={tuple(window)}: need {name}[0] <= {name}[1]")
+
+
 def _shell_values(f, spec, k_range, rel_tol):
     """The shell norms for k = k_range[0], ..., k_range[1], in that order."""
+    _check_window("k_range", k_range)
     return [shell_norm(f, spec, k, rel_tol) for k in range(k_range[0], k_range[1] + 1)]
 
 
@@ -137,6 +143,7 @@ def morrey_herz_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
                      k_range: tuple[int, int] = (-40, 40),
                      rel_tol: float = 1e-9) -> NormReport:
     """sup over k0 of 2^{-k0 lam} (sum_{k <= k0} shell^p)^{1/p}, truncated."""
+    _check_window("k0_range", k0_range)
     vals = _shell_values(f, spec, k_range, rel_tol)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("shell-norm-infinite",))
@@ -165,18 +172,19 @@ def central_morrey_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
     lam + 1/q_infty.  The supremum over R > 0 is scanned on the dyadic
     grid only; an argmax at the window edge is flagged "sup-suspect"
     unless the scan is flat (scale-invariant fixtures).
+
+    The restricted norms come from luxemburg.ball_norms: for a constant q
+    and a function of plain powers, every ball's closed form in one array
+    pass; otherwise one Luxemburg norm per ball.
     """
     if spec.kind != "central_morrey":
         raise ValueError("central_morrey_norm needs a central_morrey spec")
+    _check_window("j_range", j_range)
     expo = spec.lam + 1.0 / spec.q.p_infty
     w_out = spec.outer_weight
-    g = f.weighted(spec.gamma)
-    vals = []
-    for j in range(j_range[0], j_range[1] + 1):
-        radius = 2.0 ** j
-        ball = Region.ball(radius)
-        restricted = luxemburg_norm(g.window(ball), spec.q, ball, spec.n, rel_tol)
-        vals.append(restricted / ball_measure(w_out, radius) ** expo)
+    radii = [2.0 ** j for j in range(j_range[0], j_range[1] + 1)]
+    restricted = ball_norms(f.weighted(spec.gamma), spec.q, radii, spec.n, rel_tol)
+    vals = [v / ball_measure(w_out, radius) ** expo for v, radius in zip(restricted, radii)]
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("restricted-norm-infinite",))
     best = max(vals)

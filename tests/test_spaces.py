@@ -3,11 +3,13 @@ from pathlib import Path
 
 import pytest
 
+from hausnorm import _quad, luxemburg, spaces
 from hausnorm.config import load_config
 from hausnorm.exponents import Constant, LogInterp, PowerWeight, ball_measure
 from hausnorm.harness import random_test_functions, spaces_for_constant
 from hausnorm.hausdorff import apply_on_grid
 from hausnorm.luxemburg import (
+    ExponentExpr,
     PiecewisePowerFunction,
     Region,
     Segment,
@@ -15,6 +17,7 @@ from hausnorm.luxemburg import (
     weighted_vexp_norm,
 )
 from hausnorm.spaces import (
+    NormReport,
     SpaceSpec,
     central_morrey_norm,
     herz_norm,
@@ -207,6 +210,18 @@ class TestCentralMorrey:
 
             assert lib == pytest.approx(direct(), rel=1e-4)
 
+    def test_reversed_windows_raise(self):
+        f = PiecewisePowerFunction.single_power(1.0, 0.1, 0.0, 8.0)
+        herz = SpaceSpec("herz", 1, Constant(2.0), alpha=ALPHA0, p_outer=2.0)
+        mh = SpaceSpec("morrey_herz", 1, Constant(2.0), alpha=ALPHA0, lam=0.2, p_outer=2.0)
+        cm = SpaceSpec("central_morrey", 1, Constant(2.0), lam=-0.2)
+        with pytest.raises(ValueError, match=r"reversed window k_range=\(5, -5\)"):
+            herz_norm(f, herz, (5, -5))
+        with pytest.raises(ValueError, match=r"reversed window k0_range=\(5, -5\)"):
+            morrey_herz_norm(f, mh, k0_range=(5, -5))
+        with pytest.raises(ValueError, match=r"reversed window j_range=\(5, -5\)"):
+            central_morrey_norm(f, cm, (5, -5))
+
     def test_monotone_in_grid(self):
         spec = SpaceSpec("central_morrey", 1, Constant(2.0), lam=-0.2)
         f = PiecewisePowerFunction.single_power(1.0, 0.1, 0.0, 8.0)
@@ -293,6 +308,30 @@ def full_copy_central_morrey(f, spec, js):
     )
 
 
+def full_copy_ball_norms(g, p, radii, n, rel_tol=1e-9):
+    """luxemburg.ball_norms as one full-copy Luxemburg norm per ball."""
+    copy = PiecewisePowerFunction(g.segments)
+    return [luxemburg_norm(copy, p, Region.ball(r), n, rel_tol) for r in radii]
+
+
+# functions for the central-Morrey matrix besides the herz_a03 image
+CM_SOURCES = {
+    "snapped_edges": snapped_edges,
+    # rows ending 9e-13 below each dyadic radius: inside the snap tolerance,
+    # but nine times further from the radius than snapped_edges' ends
+    "near_edges": lambda: PiecewisePowerFunction(tuple(
+        Segment(2.0 ** j * (1 - 9e-13), 2.0 ** (j + 1) * (1 - 9e-13), 1.0 + 0.1 * j,
+                ExponentExpr(0.05 * j))
+        for j in range(-6, 6)
+    )),
+    "zero": PiecewisePowerFunction.zero,
+    # every ball up to 2^2 is empty
+    "empty_balls": lambda: PiecewisePowerFunction.single_power(1.3, 0.2, 4.0, 8.0),
+    # |x|^-1 on (0, 1): every ball's restricted norm diverges at 0
+    "divergent": lambda: PiecewisePowerFunction.single_power(1.0, -1.0, 0.0, 1.0),
+}
+
+
 HERZ_SPECS = {
     "constant_alpha": dict(alpha=Constant(0.3, signed=True)),
     "loginterp_alpha": dict(alpha=LogInterp(0.6, 0.2, signed=True)),
@@ -322,6 +361,47 @@ class TestWindowedNormsBitIdentical:
         rep = central_morrey_norm(f, spec)
         assert 0.0 < rep.value < math.inf
         assert rep.value == full_copy_central_morrey(f, spec, range(-40, 41))
+
+    @pytest.mark.parametrize("window", [(-40, 40), (-5, 5)])
+    @pytest.mark.parametrize("gamma, gamma_outer", [(-0.2, None), (0.0, None), (0.3, 0.5)])
+    @pytest.mark.parametrize("q", [1.5, 2.0, 3.0])
+    @pytest.mark.parametrize("source", ["image", *CM_SOURCES])
+    def test_central_morrey_matrix(self, herz_image, monkeypatch, source, q, gamma,
+                                   gamma_outer, window):
+        f = herz_image[0] if source == "image" else CM_SOURCES[source]()
+        spec = SpaceSpec("central_morrey", 1, Constant(q), gamma=gamma, lam=-0.2,
+                         gamma_outer=gamma_outer)
+        rep = central_morrey_norm(f, spec, window)
+        assert rep.value == full_copy_central_morrey(f, spec, range(window[0], window[1] + 1))
+        if source == "divergent":
+            assert rep == NormReport(math.inf, ("restricted-norm-infinite",))
+        # flags and argmax as the per-ball values give them
+        monkeypatch.setattr(spaces, "ball_norms", full_copy_ball_norms)
+        assert central_morrey_norm(f, spec, window) == rep
+
+    def test_central_morrey_one_pass(self, herz_image, monkeypatch):
+        calls = {"luxemburg_norm": 0, "log_power_integrals": 0}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(luxemburg, "luxemburg_norm")
+        counted(_quad, "log_power_integrals")
+        spec = SpaceSpec("central_morrey", 1, Constant(2.0), gamma=0.3, lam=-0.2)
+        assert 0.0 < central_morrey_norm(herz_image[0], spec).value < math.inf
+        assert calls == {"luxemburg_norm": 0, "log_power_integrals": 1}
+        # a variable q keeps one Luxemburg norm per ball
+        f = snapped_edges()
+        spec = SpaceSpec("central_morrey", 1, LogInterp(3.0, 2.0), gamma=0.3, lam=-0.2)
+        value = central_morrey_norm(f, spec, (-10, 10)).value
+        assert calls["luxemburg_norm"] == 21
+        assert value == full_copy_central_morrey(f, spec, range(-10, 11))
 
     def test_herz_norm_builds_only_window_segments(self, herz_image, monkeypatch):
         g, spec = herz_image
