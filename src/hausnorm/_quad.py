@@ -131,11 +131,9 @@ _MAX_ROUNDS = 50
 _MAX_PANELS = 4000
 
 
-def radius(s):
-    """r = e^s for a float or an array of s; +inf from s = 700 on."""
-    if isinstance(s, np.ndarray):
-        return np.where(s < 700.0, np.exp(np.minimum(s, 700.0)), _INF)
-    return math.exp(s) if s < 700.0 else _INF
+def radius(s: np.ndarray) -> np.ndarray:
+    """r = e^s over an array of s; +inf from s = 700 on."""
+    return np.where(s < 700.0, np.exp(np.minimum(s, 700.0)), _INF)
 
 
 def grid_edges(s_lo: float, s_hi: float, points=()) -> np.ndarray:
@@ -211,70 +209,58 @@ def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
     return top + math.log(total), ln_err, panels
 
 
-def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
-    level = log_integrand(s_ref)
-    if not math.isfinite(level):
-        level = 0.0
-    return max(level - drop, _LOG_FLOOR)
+def cut(level_ref, s: np.ndarray, levels: np.ndarray):
+    """The stop rule of every tail cut: the first candidate s whose level is
+    below max(level_ref - _DROP, _LOG_FLOOR), a level_ref that is not finite
+    read as 0; nan where none is.  level_ref and levels may carry leading
+    row axes: one cut per row, over the candidates s on the last axis."""
+    target = np.maximum(np.where(np.isfinite(level_ref), level_ref, 0.0) - _DROP, _LOG_FLOOR)
+    below = levels < target[..., None]
+    return np.where(below.any(axis=-1), s[np.argmax(below, axis=-1)], np.nan)
 
 
-def search_points(s_start: float, direction: int, step0: float = 8.0,
-                  s_limit: float = 3e5):
-    """The points search_cutoff tests, in order: s_start, then steps
-    doubling from 2 step0 while |s| stays within s_limit."""
-    s, step = s_start, step0
-    for _ in range(80):
+def search_points(s_start: float, direction: int):
+    """The candidates of a cut on an unknown slope, in order: s_start, then
+    steps doubling from 16 while |s| stays within 3e5."""
+    s, step = s_start, 16.0
+    while abs(s) <= 3e5:
         yield s
-        step *= 2.0
         s += direction * step
-        if abs(s) > s_limit:
-            return
+        step *= 2.0
 
 
-def search_cutoff(log_integrand, s_start: float, direction: int,
-                  drop: float = _DROP, step0: float = 8.0,
-                  s_limit: float = 3e5) -> float | None:
-    """First s past s_start where the log-integrand has dropped far enough
-    below its reference level that the remaining tail is negligible.
-
-    Returns None when no such point appears before |s| exceeds s_limit,
-    which callers treat as a non-integrable (or hopelessly slow) tail.
-    """
-    target = _cut_target(log_integrand, s_start, drop)
-    return next((s for s in search_points(s_start, direction, step0, s_limit)
-                 if log_integrand(s) < target), None)
-
-
-def linear_points(s_ref: float, rate: float, direction: int, drop: float = _DROP):
-    """The points linear_cutoff tests, in order: from the analytic estimate
-    (drop + 20) / rate past s_ref, in steps of drop / rate, while |s| stays
-    within 1e7."""
-    s = s_ref + direction * (drop + 20.0) / rate
+def linear_points(s_ref: float, rate: float, direction: int):
+    """The candidates of a cut on a tail whose log-integrand decays ~ rate *
+    |s - s_ref|, in order: from the estimate (_DROP + 20) / rate past s_ref,
+    in steps of _DROP / rate, while |s| stays within 1e7."""
+    s = s_ref + direction * (_DROP + 20.0) / rate
     for _ in range(50):
         yield s
-        s += direction * drop / rate
+        s += direction * _DROP / rate
         if abs(s) > 1e7:
             return
 
 
-def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int,
-                  drop: float = _DROP) -> float | None:
-    """Cutoff for a tail whose log-integrand decays ~ rate * |s - s_ref|.
+def search_cutoff(log_integrand, s_ref: float, points) -> float | None:
+    """cut on log_integrand at [s_ref, *points], one array in which a level
+    may overflow to +-inf; None where no candidate passes, which callers
+    treat as a non-integrable (or hopelessly slow) tail."""
+    s = np.array([s_ref, *points])
+    with np.errstate(over="ignore"):
+        levels = log_integrand(s)
+    s_cut = float(cut(levels[0], s[1:], levels[1:]))
+    return None if math.isnan(s_cut) else s_cut
 
-    Starts from the analytic estimate and extends until the drop below the
-    reference level is truly reached; gives up (None) after a few tries.
-    """
-    if rate <= 0:
-        return None
-    target = _cut_target(log_integrand, s_ref, drop)
-    return next((s for s in linear_points(s_ref, rate, direction, drop)
-                 if log_integrand(s) < target), None)
+
+def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int) -> float | None:
+    """search_cutoff among linear_points; perfbench/spans.py binds this name."""
+    return search_cutoff(log_integrand, s_ref, linear_points(s_ref, rate, direction))
 
 
 def tail_holds(log_integrand, s_ref: float, s_cut: float) -> bool:
-    """Whether the log-integrand at the cutoff s_cut is below the target
-    that a search from s_ref stops on: the test a tail cut there passes."""
-    return log_integrand(s_cut) < _cut_target(log_integrand, s_ref, _DROP)
+    """Whether a tail cut at s_cut from s_ref still passes: search_cutoff on
+    the one candidate s_cut."""
+    return search_cutoff(log_integrand, s_ref, (s_cut,)) is not None
 
 
 class RadialIntegral(NamedTuple):
@@ -315,10 +301,10 @@ def radial_integral(log_integrand, lo: float, hi: float,
     In radius terms this is the integral of r**beta(r) dr over [lo, hi]
     with log_integrand(s) ~ (beta + 1) s.  slope_at_0 and slope_at_inf give
     the limit of beta at a singular end (lo = 0, hi = inf); None means the
-    slope is unknown and the tail is cut by search.  breaks lists radii
-    where the integrand may be non-smooth.  The tail searches call
-    log_integrand on floats, the quadrature on arrays of nodes followed by
-    their node data, when data is given (see quad_s).
+    slope is unknown and the tail is cut among search_points, a known one
+    among linear_points.  breaks lists radii where the integrand may be
+    non-smooth.  A tail cut calls log_integrand on one array of points, the
+    quadrature on arrays of nodes followed by their node data (see quad_s).
     """
     s_lo = -_INF if lo == 0.0 else math.log(lo)
     s_hi = _INF if math.isinf(hi) else math.log(hi)
@@ -327,11 +313,12 @@ def radial_integral(log_integrand, lo: float, hi: float,
     if math.isinf(hi):
         s_ref = max(s_lo, 1.0 if slope_at_inf is None else 0.0)
         if slope_at_inf is None:
-            s_hi = search_cutoff(log_integrand, s_ref, +1)
+            points = search_points(s_ref, +1)
         elif slope_at_inf >= -1.0 - DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:
-            s_hi = linear_cutoff(log_integrand, s_ref, abs(slope_at_inf + 1.0), +1)
+            points = linear_points(s_ref, abs(slope_at_inf + 1.0), +1)
+        s_hi = search_cutoff(log_integrand, s_ref, points)
         if s_hi is None:
             return RadialIntegral(_INF, s_lo, _INF, "cutoff")
         tails.append((s_ref, s_hi))
@@ -339,11 +326,12 @@ def radial_integral(log_integrand, lo: float, hi: float,
     if lo == 0.0:
         s_ref = min(s_hi - 1.0, -1.0) if slope_at_0 is None else min(s_hi, 0.0)
         if slope_at_0 is None:
-            s_lo = search_cutoff(log_integrand, s_ref, -1)
+            points = search_points(s_ref, -1)
         elif slope_at_0 <= -1.0 + DIV_TOL:
             return RadialIntegral(_INF, s_lo, s_hi, "power")
         else:
-            s_lo = linear_cutoff(log_integrand, s_ref, slope_at_0 + 1.0, -1)
+            points = linear_points(s_ref, slope_at_0 + 1.0, -1)
+        s_lo = search_cutoff(log_integrand, s_ref, points)
         if s_lo is None:
             return RadialIntegral(_INF, -_INF, s_hi, "cutoff")
         tails.append((s_ref, s_lo))

@@ -71,6 +71,9 @@ class QuadratureSettings:
             lo, hi = getattr(self, key)
             if not (lo < hi if key == "grid_octaves" else lo <= hi):
                 raise ConfigError(f"{key} {[lo, hi]} is reversed")
+        if self.k0_range[1] < self.k_range[0]:
+            raise ConfigError(f"k0_range {list(self.k0_range)} ends below "
+                              f"k_range {list(self.k_range)}")
 
     @classmethod
     def from_json(cls, obj: dict) -> "QuadratureSettings":

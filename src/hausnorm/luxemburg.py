@@ -205,9 +205,9 @@ class Segment:
             out *= 2.0 ** (m * alpha(r))
         return out
 
-    def log_amplitude_s(self, s):
-        """ln amplitude at r = e^s, for a float s or an array; safe even
-        when e^s under/overflows."""
+    def log_amplitude_s(self, s: np.ndarray) -> np.ndarray:
+        """ln amplitude at r = e^s over an array of s; safe even when e^s
+        under/overflows."""
         r = _quad.radius(s)
         out = math.log(self.coef) + self.expr(r) * s
         for m, alpha in self.pow2:
@@ -331,10 +331,6 @@ class PiecewisePowerFunction:
         return seg.value(r) if seg is not None else 0.0
 
     __call__ = value
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coef.any()
 
     def support(self) -> tuple[float, float]:
         live = np.flatnonzero(self.coef > 0.0)
@@ -463,7 +459,6 @@ class _Piece:
             elif a0 < -_quad.DIV_TOL:
                 raise _EtaIndependent
         self.breaks = set(seg.discontinuities()) | set(p.discontinuities())
-        self.probes: dict[float, tuple[float, float]] = {}
         self.tails = self.panels = None
 
     def _node_data(self, s):
@@ -476,19 +471,16 @@ class _Piece:
         return pv, np.where(inf, -_INF, self.n * s + pv * la), np.where(inf, la, -_INF)
 
     def _log_integrand(self, x: float):
-        """ln of r^n (g/eta)^p(r) at r = e^s and x = ln eta: at a float s for
-        the tail searches, and at nodes with their data for the quadrature."""
+        """ln of r^n (g/eta)^p(r) at r = e^s and x = ln eta: at an array of s
+        for the tail cuts, and at nodes with their data for the quadrature."""
         n = self.n
 
         def log_integrand(s, pv=None, base=None, _cap=None):
             if pv is not None:
                 return base - pv * x
-            if s not in self.probes:
-                self.probes[s] = (self.p(_quad.radius(s)), self.seg.log_amplitude_s(s))
-            pv, la = self.probes[s]
-            if math.isinf(pv):
-                return _INF if la > x else -_INF
-            return n * s + pv * (la - x)
+            pv, la = self.p(_quad.radius(s)), self.seg.log_amplitude_s(s)
+            with np.errstate(invalid="ignore"):
+                return np.where(np.isinf(pv), np.where(la > x, _INF, -_INF), n * s + pv * (la - x))
 
         return log_integrand
 
@@ -738,12 +730,12 @@ class _OneRule:
     log-sum-exp, ln F_i(x) = logsumexp_j(A_j - P_ij x), with A_j = ln(panel
     half-width * Kronrod weight) + n s_j + ln sigma the same for every row
     and P_ij = p_i(e^s_j); a node where p_i is infinite adds no term (p
-    keeps 0 there, and inf marks it).  Each row cuts its own tails among
-    the same candidate points: a cutoff search up from s = 1, and down from
-    s = -1 or, where p(0) is finite and the power slope at 0 is n - 1, from
-    s = 0 at rate n (_quad.search_cutoff and linear_cutoff).  The rule
-    spans every row's cuts, and is refined until every row passes its G-K
-    error test.
+    keeps 0 there, and inf marks it).  Each row cuts its own tails by
+    _quad.cut among the same candidates: _quad.search_points up from s = 1,
+    and down from s = -1 or, where p(0) is finite and the power slope at 0
+    is n - 1, linear_points down from s = 0 at rate n.  The rule spans
+    every row's cuts, and is refined until every row passes its G-K error
+    test.
     """
 
     def __init__(self, p_at, finite_0: np.ndarray, points, n: int, rel_tol: float):
@@ -771,14 +763,9 @@ class _OneRule:
             self.p, self.inf = self.p[rows], self.inf[rows]
 
     def _cut(self, tail: tuple, x: np.ndarray) -> np.ndarray:
-        """Each row's first candidate where its log-integrand n s - p x is
-        below the target _quad.search_cutoff sets at x; nan where none is."""
+        """Each row's _quad.cut of its log-integrand n s - p x at x."""
         s_ref, s, p_ref, p = tail
-        level = self.n * s_ref - p_ref * x
-        target = np.maximum(np.where(np.isfinite(level), level, 0.0) - _quad._DROP,
-                            _quad._LOG_FLOOR)
-        below = self.n * s - p * x[:, None] < target[:, None]
-        return np.where(below.any(axis=1), s[np.argmax(below, axis=1)], np.nan)
+        return _quad.cut(self.n * s_ref - p_ref * x, s, self.n * s - p * x[:, None])
 
     def _add(self, lo: np.ndarray, hi: np.ndarray) -> None:
         """Add the panels [lo, hi), with every row's p at their nodes."""

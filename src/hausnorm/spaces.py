@@ -144,6 +144,10 @@ def morrey_herz_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
                      rel_tol: float = 1e-9) -> NormReport:
     """sup over k0 of 2^{-k0 lam} (sum_{k <= k0} shell^p)^{1/p}, truncated."""
     _check_window("k0_range", k0_range)
+    if k0_range[1] < k_range[0]:
+        # no k0 in the window has a shell k <= k0 to sum
+        raise ValueError(f"window k0_range={tuple(k0_range)} ends below "
+                         f"k_range={tuple(k_range)}: need k0_range[1] >= k_range[0]")
     vals = _shell_values(f, spec, k_range, rel_tol)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("shell-norm-infinite",))

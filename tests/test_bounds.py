@@ -157,11 +157,15 @@ class TestLebesgueConstants:
         assert len(set(radii)) == len(radii)
 
     def test_node_factor_work(self, monkeypatch):
-        # each batch of nodes (a quad_s round, the end value, a cutoff
-        # probe) solves on one shared rule: built at the cold start, and
-        # changed at most once more where the re-check at the roots fails;
-        # every fit cuts each row's two tails (three for the end limit's
-        # finite p(0)) once.  The end t -> 0 takes one more row, the limit's
+        # each batch of nodes (a quad_s round, the end value, a tail cut's
+        # start and candidates) solves on one shared rule: built at the cold
+        # start, and changed at most once more where the re-check at the
+        # roots fails; every fit cuts each row's two tails (three for the
+        # end limit's finite p(0)) once.  The kernel's tail at t -> 0 is
+        # cut in one batch: its start s = 0, a flat row (t = 1) that takes
+        # no rule, and the 4 candidates -200, -360, -520 and -680 inside the
+        # end's edge.  The 135 nodes take one round, and the end t -> 0 one
+        # more row, the limit's
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         calls = {"rows": 0, "batches": 0, "builds": 0, "tail_searches": 0}
         solve, fit, cut = luxemburg._log_norms_of_one, luxemburg._OneRule.fit, \
@@ -185,7 +189,7 @@ class TestLebesgueConstants:
         monkeypatch.setattr(luxemburg._OneRule, "fit", counted_fit)
         monkeypatch.setattr(luxemburg._OneRule, "_cut", counted_cut)
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
-        assert calls["rows"] == 136 + 1
+        assert calls["rows"] == 4 + 135 + 1
         assert calls["builds"] <= 2 * calls["batches"]
         assert calls["tail_searches"] <= 7 * calls["rows"]
         assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
@@ -364,10 +368,11 @@ class TestScalingCovariance:
 
 def test_infinite_node_factor_diverges_by_power_test(monkeypatch):
     # the norm-of-one factor of divergent_c1.json is +inf at every radius:
-    # the endpoint slope is -inf, so no tail cutoff is attempted, and the
-    # residual's finite limit at infinity decides it without a rule
+    # the endpoint slope is -inf, so no tail is cut (the one stop rule,
+    # _quad.cut, never runs), and the residual's finite limit at infinity
+    # decides it without a rule
     calls = []
-    monkeypatch.setattr(_quad, "linear_cutoff", lambda *args, **kw: calls.append(args))
+    monkeypatch.setattr(_quad, "cut", lambda *args, **kw: calls.append(args))
     monkeypatch.setattr(luxemburg, "_OneRule", lambda *args: calls.append(args))
     cfg = load_config(FIXTURES / "divergent_c1.json").bound_config()
     res = evaluate_constant(cfg, "C1")

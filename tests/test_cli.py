@@ -220,11 +220,13 @@ class TestArgumentErrors:
             ({"points_per_octave": 0}, "points_per_octave 0 must be >= 1"),
             ({"grid_octaves": [48, -40]}, "grid_octaves [48, -40] is reversed"),
             ({"k_range": [40, -40]}, "k_range [40, -40] is reversed"),
+            ({"k0_range": [-60, -50]}, "k0_range [-60, -50] ends below k_range [-40, 40]"),
             ({"rel_tol": -1}, "rel_tol -1 must lie in (0, 1)"),
             ({"rel_tol": 1.0}, "rel_tol 1.0 must lie in (0, 1)"),
             ({"N": 0}, "N 0 must be >= 1"),
         ],
-        ids=["points-per-octave", "grid-octaves", "k-range", "rel-tol", "rel-tol-one", "N"],
+        ids=["points-per-octave", "grid-octaves", "k-range", "k0-below-k", "rel-tol",
+             "rel-tol-one", "N"],
     )
     def test_quadrature_settings_are_config_errors(self, quadrature, message, tmp_path,
                                                    capsys):

@@ -647,18 +647,19 @@ class TestLogRootFind:
         # the root eta = 1.05 a cut fails the drop test, and the piece's
         # tails are searched again, out to s = 49 and -17
         verdicts, searches = [], []
-        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.search_cutoff
+        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.radial_integral
 
         def recorded_holds(f, s_ref, s_cut):
             verdicts.append(holds(f, s_ref, s_cut))
             return verdicts[-1]
 
-        def recorded_search(f, s_start, direction, *args):
-            searches.append(search(f, s_start, direction, *args))
-            return searches[-1]
+        def recorded_search(*args):
+            res = search(*args)
+            searches.extend(s_cut for _s_ref, s_cut in res.tails)
+            return res
 
         monkeypatch.setattr(luxemburg._quad, "tail_holds", recorded_holds)
-        monkeypatch.setattr(luxemburg._quad, "search_cutoff", recorded_search)
+        monkeypatch.setattr(luxemburg._quad, "radial_integral", recorded_search)
         one = PiecewisePowerFunction.one()
         p = ROOT_EXPONENTS["c1_residual"]
         mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)

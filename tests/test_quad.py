@@ -125,6 +125,131 @@ class TestRadialIntegral:
         assert set(panels[0].tolist()) <= set(finer[0].tolist())
 
 
+# The one-point searches that the array cut replaced, kept as its oracles:
+# each evaluates the log-integrand at one float point at a time, stopping at
+# the first that is below the target.
+def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
+    level = log_integrand(s_ref)
+    if not math.isfinite(level):
+        level = 0.0
+    return max(level - drop, _quad._LOG_FLOOR)
+
+
+def lazy_search_points(s_start, direction, step0=8.0, s_limit=3e5):
+    s, step = s_start, step0
+    for _ in range(80):
+        yield s
+        step *= 2.0
+        s += direction * step
+        if abs(s) > s_limit:
+            return
+
+
+def lazy_search_cutoff(log_integrand, s_start, direction, drop=_quad._DROP, step0=8.0,
+                       s_limit=3e5):
+    target = _cut_target(log_integrand, s_start, drop)
+    return next((s for s in lazy_search_points(s_start, direction, step0, s_limit)
+                 if log_integrand(s) < target), None)
+
+
+def lazy_linear_points(s_ref, rate, direction, drop=_quad._DROP):
+    s = s_ref + direction * (drop + 20.0) / rate
+    for _ in range(50):
+        yield s
+        s += direction * drop / rate
+        if abs(s) > 1e7:
+            return
+
+
+def lazy_linear_cutoff(log_integrand, s_ref, rate, direction, drop=_quad._DROP):
+    if rate <= 0:
+        return None
+    target = _cut_target(log_integrand, s_ref, drop)
+    return next((s for s in lazy_linear_points(s_ref, rate, direction, drop)
+                 if log_integrand(s) < target), None)
+
+
+# log-integrands on a float s or an array of them, none of which overflows
+# on the points either search tests
+CUT_CASES = {
+    **{f"gaussian-{w}-{c}": (lambda s, w=w, c=c: -(((s - c) / w) ** 2))
+       for w in (0.5, 1.0, 3.0, 30.0, 300.0) for c in (-5.0, 0.0, 5.0)},
+    # power tails r^beta dr, log-integrand rate * -|s|, at several rates;
+    # at rate 5 the level at s = +-16 is the target of a search from 0
+    **{f"power-{rate}": (lambda s, rate=rate: 2.0 - rate * np.abs(s))
+       for rate in (1e-3, 0.05, 0.5, 1.0, 5.0, 7.0)},
+    "minus-inf-at-start": lambda s: np.where(np.abs(s) <= 1.0, -np.inf, -np.abs(s)),
+    "plus-inf-at-start": lambda s: np.where(np.abs(s) <= 1.0, np.inf, -0.5 * np.abs(s)),
+    "step": lambda s: np.where(np.abs(s) < 30.0, 0.0, -np.inf),
+    "no-cutoff": lambda s: 0.0 * s,
+    "rising": lambda s: 1e-3 * np.abs(s),
+}
+
+
+class TestCut:
+    """The array cut against the one-point searches it replaced: the same
+    cutoff, or None, on every case, from several starts, in both
+    directions."""
+
+    @pytest.mark.parametrize("name", sorted(CUT_CASES))
+    def test_search_matches_one_point_search(self, name):
+        f = CUT_CASES[name]
+        for s_ref in (-1.0, 0.0, 1.0, 4.0):
+            for direction in (+1, -1):
+                want = lazy_search_cutoff(f, s_ref, direction)
+                got = _quad.search_cutoff(f, s_ref, _quad.search_points(s_ref, direction))
+                assert got == want, (s_ref, direction)
+
+    @pytest.mark.parametrize("name", sorted(CUT_CASES))
+    def test_linear_search_matches_one_point_search(self, name):
+        f = CUT_CASES[name]
+        for s_ref in (-1.0, 0.0, 1.0):
+            for rate in (1e-3, 0.3, 1.0, 2.5, 40.0):
+                for direction in (+1, -1):
+                    want = lazy_linear_cutoff(f, s_ref, rate, direction)
+                    points = _quad.linear_points(s_ref, rate, direction)
+                    got = _quad.search_cutoff(f, s_ref, points)
+                    assert got == want, (s_ref, rate, direction)
+                    assert _quad.linear_cutoff(f, s_ref, rate, direction) == got
+
+    def test_cases_reach_every_outcome(self):
+        # a cut at the start, past it, and none at all
+        f = CUT_CASES
+        assert _quad.search_cutoff(f["minus-inf-at-start"], 1.0, _quad.search_points(1.0, 1)) == 1.0
+        assert _quad.search_cutoff(f["step"], 1.0, _quad.search_points(1.0, 1)) == 49.0
+        assert _quad.search_cutoff(f["step"], -1.0, _quad.search_points(-1.0, -1)) == -49.0
+        assert _quad.search_cutoff(f["no-cutoff"], 1.0, _quad.search_points(1.0, 1)) is None
+        assert _quad.search_cutoff(f["rising"], 0.0, _quad.linear_points(0.0, 1.0, -1)) is None
+        # a level at the target does not cut
+        assert _quad.search_cutoff(f["power-5.0"], 0.0, _quad.search_points(0.0, 1)) == 48.0
+
+    def test_tail_holds_is_the_cut_on_one_point(self):
+        for name, f in sorted(CUT_CASES.items()):
+            for s_ref, s_cut in ((1.0, 17.0), (1.0, 49.0), (-1.0, -17.0), (0.0, -200.0),
+                                 (1.0, 1.0)):
+                want = f(s_cut) < _cut_target(f, s_ref, _quad._DROP)
+                assert _quad.tail_holds(f, s_ref, s_cut) == want, (name, s_ref, s_cut)
+
+    def test_row_axes_match_one_call_per_row(self):
+        rng = np.random.default_rng(71)
+        s = np.cumsum(rng.uniform(0.5, 20.0, 12))
+        levels = rng.uniform(-900.0, 50.0, (2, 3, 12))
+        levels[0, 1, :4] = -np.inf
+        levels[1, 2] = np.inf
+        levels[1, 0, 5] = np.nan
+        level_ref = rng.uniform(-700.0, 50.0, (2, 3))
+        level_ref[0, 0], level_ref[0, 2], level_ref[1, 1] = -np.inf, np.inf, np.nan
+        got = _quad.cut(level_ref, s, levels)
+        assert got.shape == (2, 3)
+        want = [[_quad.cut(level_ref[i, j], s, levels[i, j]) for j in range(3)]
+                for i in range(2)]
+        np.testing.assert_array_equal(got, np.array(want))
+        # and the flattened rows give the same cuts
+        np.testing.assert_array_equal(_quad.cut(level_ref.ravel(), s, levels.reshape(6, 12)),
+                                      got.ravel())
+        assert np.isnan(got[1, 2])
+
+
 class TestPowerIntegrals:
     """The operator image integrates its plain pieces as
     exp(log_power_integrals): that against the scalar power_integral.  The

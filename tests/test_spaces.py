@@ -1,4 +1,5 @@
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -145,6 +146,19 @@ class TestMorreyHerz:
             if k0 >= ks[0]
         ]
         assert morrey_herz_norm(f, spec, k0_range, k_range).value == max(scan, default=0.0)
+
+    @pytest.mark.parametrize("k0_range", [(-60, -50), (-60, -41)])
+    def test_k0_window_below_the_shells_raises(self, k0_range):
+        # no k0 in the window has a shell k <= k0, so the scan would be
+        # empty and read 0 for a nonzero function
+        f = PiecewisePowerFunction.single_power(1.0, 0.1, 0.0, 2.0)
+        spec = SpaceSpec("morrey_herz", 1, Constant(2.0), alpha=Constant(0.3, signed=True),
+                         lam=0.1, p_outer=2.0)
+        message = f"k0_range={k0_range} ends below k_range=(-40, 40)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            morrey_herz_norm(f, spec, k0_range=k0_range)
+        # a window that reaches the lowest shell scans it
+        assert morrey_herz_norm(f, spec, k0_range=(-60, -40)).value > 0.0
 
     def test_monotone_in_window(self):
         rng = seeded(53)
