@@ -1,14 +1,14 @@
 """Shared 1-D radial integration helpers.
 
 Every radial integral in the package runs through here: exact
-antiderivatives for power integrands, and ``radial_integral`` for anything
-else.  The latter integrates in log-radius with an adaptive Gauss-Kronrod
-rule over numpy arrays of nodes, in log space, and decides each singular
-end (r = 0 or r = inf) on its own: a known power slope there is checked
-with the power test and its tail is cut where the integrand has decayed,
-and an unknown slope falls back to a cutoff search.  Callers read power
-slopes off their own data; the dilation families, for instance, take a
-``PowerMap`` so the image radius is a power of the kernel radius.
+antiderivatives for power integrands, and one adaptive Gauss-Kronrod engine,
+gk_step, that tests many integrals over one array of panels in log space.
+radial_integral integrates in log-radius and decides each singular end
+(r = 0 or r = inf) on its own (tail_cuts): a known power slope there is
+checked with the power test and its tail is cut where the integrand has
+decayed, and an unknown slope falls back to a cutoff search.  Callers read
+power slopes off their own data; the dilation families, for instance, take
+a ``PowerMap`` so the image radius is a power of the kernel radius.
 """
 
 from __future__ import annotations
@@ -136,77 +136,110 @@ def radius(s: np.ndarray) -> np.ndarray:
     return np.where(s < 700.0, np.exp(np.minimum(s, 700.0)), _INF)
 
 
-def grid_edges(s_lo: float, s_hi: float, points=()) -> np.ndarray:
-    """Panel edges over [s_lo, s_hi]: the grid's cell edges and the points
-    inside it, sorted."""
-    inner = set(_GRID[(_GRID > s_lo) & (_GRID < s_hi)].tolist())
-    inner.update(p for p in points if s_lo < p < s_hi)
-    return np.array([s_lo, *sorted(inner), s_hi])
+def grid_panels(s_lo: np.ndarray, s_hi: np.ndarray, points=(), own=()):
+    """The panels of every interval [s_lo[k], s_hi[k]] as arrays (lo, hi, k),
+    sorted by k and then s: the interval cut at the grid's cell edges and
+    the points inside it, and at the s of each pair (k, s) in own.  An
+    interval with s_hi[k] <= s_lo[k] has none."""
+    cells = np.union1d(_GRID, points) if len(points) else _GRID
+    k, at = np.nonzero((cells > s_lo[:, None]) & (cells < s_hi[:, None]))
+    own = np.array([(i, x) for i, x in own if s_lo[i] < x < s_hi[i]]).reshape(-1, 2)
+    ends = np.arange(len(s_lo))
+    k = np.concatenate((ends, k, own[:, 0].astype(np.intp), ends))
+    s = np.concatenate((s_lo, cells[at], own[:, 1], np.maximum(s_hi, s_lo)))
+    order = np.lexsort((s, k))
+    k, s = k[order], s[order]
+    # consecutive edges of one interval, an own point on a cell edge once
+    pair = (k[1:] == k[:-1]) & (s[1:] > s[:-1])
+    return s[:-1][pair], s[1:][pair], k[:-1][pair]
 
 
-def worst_panels(err: np.ndarray, err_total: float, budget: float) -> np.ndarray:
-    """The panels to bisect: those with the largest |G - K|, as few as leave
-    the rest holding at most half the budget."""
-    order = np.argsort(err)[::-1]
-    rest = err_total - np.cumsum(err[order])
-    return order[:int(np.argmax(rest <= 0.5 * budget)) + 1]
+def nodes(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The 15 Kronrod nodes of each panel [lo, hi), as (panels, 15)."""
+    return 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
 
 
-def _panels(lo: np.ndarray, hi: np.ndarray, data=None) -> tuple[np.ndarray, ...]:
-    """The panels [lo, hi) as (lo, hi, nodes, *data(nodes))."""
-    s = 0.5 * (lo + hi)[:, None] + 0.5 * (hi - lo)[:, None] * _NODES
-    return (lo, hi, s, *(data(s) if data else ()))
+def halve(lo: np.ndarray, hi: np.ndarray, split: np.ndarray):
+    """Bisect the panels split: (whole, lo, hi), whole the mask of the
+    panels left as they are, and lo, hi those panels followed by the left
+    and then the right halves."""
+    mid, whole = 0.5 * (lo[split] + hi[split]), np.bincount(split, minlength=len(lo)) == 0
+    return (whole, np.concatenate((lo[whole], lo[split], mid)),
+            np.concatenate((hi[whole], mid, hi[split])))
+
+
+def gk_step(f: np.ndarray, half: np.ndarray, rel_tol: float, group=None, groups: int = 1):
+    """One Gauss-Kronrod 7-15 test of the integrals over a set of panels.
+
+    f holds ln of the integrand at each panel's 15 nodes, (rows..., panels,
+    15), half the panel's half-width and group its integral, in
+    range(groups) (None: one), in each row.  Returns, row after row, ln of
+    each integral's Kronrod value and of its sum of |G - K| (both M, the
+    largest node value, where M is +-inf), summed over exp(f - M), and the
+    panels to bisect: where that sum exceeds rel_tol times the value, and
+    the integral has fewer than _MAX_PANELS panels, those with the largest
+    |G - K|, as few as leave the rest at most half the allowed error.
+    """
+    *rows, count, _ = f.shape
+    size = math.prod(rows) * groups
+    gid = (np.zeros(count, dtype=np.intp) if group is None else group) \
+        + groups * np.arange(size // groups).reshape(*rows, 1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        if group is None:
+            top = f.max(axis=(-2, -1), keepdims=True)
+            e = f - top
+        else:
+            top = np.full(size, -_INF)
+            np.maximum.at(top, gid, f.max(axis=-1))
+            e = f - top[gid][..., None]
+        top, gid = top.ravel(), gid.ravel()
+        np.exp(e, out=e)
+        # einsum, not matmul: a panel's sums do not depend on the other panels
+        total = np.bincount(gid, (half * np.einsum("...j,j->...", e, _K_WEIGHTS)).ravel(), size)
+        err = np.abs(half * np.einsum("...j,j->...", e, _G_MINUS_K)).ravel()
+        err_total = np.bincount(gid, err, size)
+        finite = np.isfinite(top)
+        ln_value = np.where(finite, top + np.log(total), top)
+        ln_err = np.where(finite, top + np.log(err_total), top)
+    budget = rel_tol * total
+    fails = np.flatnonzero(finite & (err_total > budget))
+    if not len(fails):
+        return ln_value, ln_err, fails
+    order = np.argsort(gid, kind="stable")
+    ends = np.searchsorted(gid[order], np.stack((fails, fails + 1))).T.tolist()
+    split = [fails[:0]]
+    for g, (a, b) in zip(fails.tolist(), ends):
+        if b - a < _MAX_PANELS:
+            worst = order[a:b][np.argsort(err[order[a:b]])[::-1]]
+            rest = err_total[g] - np.cumsum(err[worst])
+            split.append(worst[:int(np.argmax(rest <= 0.5 * budget[g])) + 1])
+    return ln_value, ln_err, np.unique(np.concatenate(split) % count)
 
 
 def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
-           points: tuple[float, ...] = (), data=None, panels=None,
-           ) -> tuple[float, float, tuple | None]:
-    """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi], ln of its
-    error estimate, and the panels it ended with.
+           points: tuple[float, ...] = (), data=None) -> tuple[float, float]:
+    """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi] and ln of
+    its error estimate, the sum of |G - K|.
 
-    Adaptive Gauss-Kronrod 7-15 on panels of a fixed grid: the cells between
-    0, +-1, +-2, +-4, ... and the points, bisected while the sum of |G - K|
-    over the panels exceeds rel_tol times the integral.  Each round calls
-    log_g once, on the nodes of every panel as an array of shape
-    (panels, 15) followed by their node data (see _panels), evaluated once
-    per node, and bisects the panels with the largest |G - K| until those
-    left hold at most half the allowed error.  The sums are taken over
-    exp(log_g - M), M the largest node value, and returned as logs, so an
-    integral beyond the float range keeps its size.  The error estimate is
-    the sum of |G - K|, the error of the Gauss rule.  Given the panels of
-    an earlier call, it starts from them, and returns them as they are if
-    they pass.
+    gk_step on the panels of grid_panels, bisected until it passes.  Each
+    round calls log_g once, on the nodes of every panel as an array of
+    shape (panels, 15) followed by their node data, the tuple data(nodes)
+    evaluated once per node.
     """
-    if panels is None:
-        if not s_hi > s_lo:
-            return -_INF, -_INF, None
-        edges = grid_edges(s_lo, s_hi, points)
-        panels = _panels(edges[:-1], edges[1:], data)
+    if not s_hi > s_lo:
+        return -_INF, -_INF
+    lo, hi, _k = grid_panels(np.array([s_lo]), np.array([s_hi]), points)
+    s = nodes(lo, hi)
+    cols = (s, *(data(s) if data else ()))
     for _round in range(_MAX_ROUNDS):
-        lo, hi, s, *node_data = panels
-        f = log_g(s, *node_data)
-        top = float(f.max())
-        if top == _INF or not top > -_INF:
-            # an infinite node value, or no mass at any node
-            return top, top, panels
-        e = np.exp(f - top)
-        half = 0.5 * (hi - lo)
-        total = float(half @ (e @ _K_WEIGHTS))
-        err = np.abs(half * (e @ _G_MINUS_K))
-        err_total = float(err.sum())
-        budget = rel_tol * total
-        if err_total <= budget or len(lo) >= _MAX_PANELS:
+        ln_value, ln_err, split = gk_step(log_g(*cols), 0.5 * (hi - lo), rel_tol)
+        if not len(split):
             break
-        split = worst_panels(err, err_total, budget)
-        mid = 0.5 * (lo[split] + hi[split])
-        children = _panels(np.concatenate((lo[split], mid)), np.concatenate((mid, hi[split])),
-                           data)
-        whole = np.ones(len(lo), dtype=bool)
-        whole[split] = False
-        panels = tuple(np.concatenate((col[whole], child))
-                       for col, child in zip(panels, children))
-    ln_err = top + math.log(err_total) if err_total > 0.0 else -_INF
-    return top + math.log(total), ln_err, panels
+        whole, lo, hi = halve(lo, hi, split)
+        s = nodes(lo[whole.sum():], hi[whole.sum():])
+        new = (s, *(data(s) if data else ()))
+        cols = [np.concatenate((col[whole], n)) for col, n in zip(cols, new)]
+    return float(ln_value[0]), float(ln_err[0])
 
 
 def cut(level_ref, s: np.ndarray, levels: np.ndarray):
@@ -271,8 +304,7 @@ class RadialIntegral(NamedTuple):
     s_hi bound the log-radius interval handed to the quadrature, with tail
     cutoffs in place of singular ends.  divergence is None for a finite
     value, "power" when the power test at an end fails, and "cutoff" when
-    no tail cutoff is found; the value is +inf in both cases.  panels are
-    the quadrature's (see quad_s), and tails the (s_ref, s_cut) of each cut.
+    no tail cutoff is found; the value is +inf in both cases.
     """
 
     log_value: float
@@ -280,8 +312,6 @@ class RadialIntegral(NamedTuple):
     s_hi: float
     divergence: str | None
     log_error: float = -_INF
-    panels: tuple | None = None
-    tails: tuple[tuple[float, float], ...] = ()
 
     @property
     def value(self) -> float:
@@ -292,6 +322,38 @@ class RadialIntegral(NamedTuple):
             return _INF
 
 
+def tail_cuts(log_integrand, lo: float, hi: float, slope_at_0: float | None = None,
+              slope_at_inf: float | None = None):
+    """(s_lo, s_hi, divergence, tails): [ln lo, ln hi] with a tail cut in
+    place of each singular end (lo = 0, hi = inf), the one at inf first, and
+    the (s_ref, s_cut) of each cut.  slope_at_0 and slope_at_inf give the
+    limit of beta at a singular end of the integrand r**beta(r),
+    log_integrand(s) ~ (beta + 1) s: a known slope takes the power test and
+    linear_points, an unknown one (None) search_points.  divergence is None,
+    "power" or "cutoff" (see RadialIntegral), the failed end left at +-inf.
+    """
+    s = [-_INF if lo == 0.0 else math.log(lo), _INF if math.isinf(hi) else math.log(hi)]
+    tails = []
+    for end, slope, sign in ((1, slope_at_inf, 1), (0, slope_at_0, -1)):
+        if math.isfinite(s[end]):
+            continue
+        if slope is None:
+            s_ref = max(s[0], 1.0) if sign > 0 else min(s[1] - 1.0, -1.0)
+            points = search_points(s_ref, sign)
+        else:
+            # the integrand decays at rate -sign (slope + 1) into the tail
+            s_ref, rate = (max(s[0], 0.0) if sign > 0 else min(s[1], 0.0)), -sign * (slope + 1.0)
+            if rate <= DIV_TOL:
+                return s[0], s[1], "power", ()
+            points = linear_points(s_ref, rate, sign)
+        s_cut = search_cutoff(log_integrand, s_ref, points)
+        if s_cut is None:
+            return s[0], s[1], "cutoff", ()
+        s[end] = s_cut
+        tails.append((s_ref, s_cut))
+    return s[0], s[1], None, tuple(tails)
+
+
 def radial_integral(log_integrand, lo: float, hi: float,
                     slope_at_0: float | None = None,
                     slope_at_inf: float | None = None,
@@ -299,46 +361,16 @@ def radial_integral(log_integrand, lo: float, hi: float,
     """Integral of exp(log_integrand(s)) ds over s in [ln lo, ln hi].
 
     In radius terms this is the integral of r**beta(r) dr over [lo, hi]
-    with log_integrand(s) ~ (beta + 1) s.  slope_at_0 and slope_at_inf give
-    the limit of beta at a singular end (lo = 0, hi = inf); None means the
-    slope is unknown and the tail is cut among search_points, a known one
-    among linear_points.  breaks lists radii where the integrand may be
-    non-smooth.  A tail cut calls log_integrand on one array of points, the
-    quadrature on arrays of nodes followed by their node data (see quad_s).
+    with log_integrand(s) ~ (beta + 1) s.  Its singular ends are cut by
+    tail_cuts, with the slopes given there.  breaks lists radii where the
+    integrand may be non-smooth.  A tail cut calls log_integrand on one
+    array of points, the quadrature on arrays of nodes followed by their
+    node data (see quad_s).
     """
-    s_lo = -_INF if lo == 0.0 else math.log(lo)
-    s_hi = _INF if math.isinf(hi) else math.log(hi)
-    tails = []
-
-    if math.isinf(hi):
-        s_ref = max(s_lo, 1.0 if slope_at_inf is None else 0.0)
-        if slope_at_inf is None:
-            points = search_points(s_ref, +1)
-        elif slope_at_inf >= -1.0 - DIV_TOL:
-            return RadialIntegral(_INF, s_lo, s_hi, "power")
-        else:
-            points = linear_points(s_ref, abs(slope_at_inf + 1.0), +1)
-        s_hi = search_cutoff(log_integrand, s_ref, points)
-        if s_hi is None:
-            return RadialIntegral(_INF, s_lo, _INF, "cutoff")
-        tails.append((s_ref, s_hi))
-
-    if lo == 0.0:
-        s_ref = min(s_hi - 1.0, -1.0) if slope_at_0 is None else min(s_hi, 0.0)
-        if slope_at_0 is None:
-            points = search_points(s_ref, -1)
-        elif slope_at_0 <= -1.0 + DIV_TOL:
-            return RadialIntegral(_INF, s_lo, s_hi, "power")
-        else:
-            points = linear_points(s_ref, slope_at_0 + 1.0, -1)
-        s_lo = search_cutoff(log_integrand, s_ref, points)
-        if s_lo is None:
-            return RadialIntegral(_INF, -_INF, s_hi, "cutoff")
-        tails.append((s_ref, s_lo))
-
-    if s_hi <= s_lo:
-        return RadialIntegral(-_INF, s_lo, s_hi, None, tails=tuple(tails))
+    s_lo, s_hi, divergence, _tails = tail_cuts(log_integrand, lo, hi, slope_at_0, slope_at_inf)
+    if divergence is not None:
+        return RadialIntegral(_INF, s_lo, s_hi, divergence)
     pts = tuple(math.log(b) for b in breaks if b > 0)
     # positional, so that a wrapper bound over quad_s sees every argument
-    log_value, log_error, panels = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, data)
-    return RadialIntegral(log_value, s_lo, s_hi, None, log_error, panels, tuple(tails))
+    log_value, log_error = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, data)
+    return RadialIntegral(log_value, s_lo, s_hi, None, log_error)

@@ -13,13 +13,13 @@ space either way.
 Divergence is decided analytically first (power test at the singular
 endpoints), so infinite norms are reported instead of silently truncated.
 A Luxemburg norm is the root of ln F_p(g/eta) = 0 in x = ln eta.  Only x
-changes between the etas of one norm, so its quadrature rule is built
-once and frozen: on it the modular is one log-sum-exp, logsumexp(A - P x)
-over the closed-form rows and the quadrature nodes, which safeguarded
-Newton steps solve with its exact derivative.  The root is certified on
-that rule from both sides to a relative width of CERT_DELTA, and the rule
-is re-checked at the root (tail cutoffs and G-K error) and refined there
-only where it fails.
+changes between the etas of one norm, so the quadrature rows share one rule
+of arrays, built once and frozen: on it the modular is one log-sum-exp,
+logsumexp(A - P x) over the closed-form rows and the quadrature nodes, which
+safeguarded Newton steps solve with its exact derivative.  The root is
+certified on that rule from both sides to a relative width of CERT_DELTA,
+and the rule is re-checked at the root (tail cutoffs and each row's G-K
+error) and refined there only where it fails.
 """
 
 from __future__ import annotations
@@ -419,96 +419,10 @@ class PiecewisePowerFunction:
 
 # ln of the Kronrod weights of a quadrature panel
 _LN_WK = np.log(_quad._K_WEIGHTS)
-# G - K and K weights side by side: a panel's error estimate and value
-_GK_WEIGHTS = np.stack((_quad._G_MINUS_K, _quad._K_WEIGHTS), axis=1)
 
 
 class _InfiniteAt(Exception):
     """The modular is infinite at this eta: no tail cutoff exists there."""
-
-
-class _Piece:
-    """One clipped segment whose modular takes quadrature, on a frozen rule.
-
-    fit(x) cuts the tails and refines the panels at x = ln eta, or, fitted
-    before, re-checks each tail's drop test and the G-K error test at x on
-    the same nodes, and re-cuts or refines only a rule that fails.  Its
-    panels carry, per node, p, n s + p ln g and, where p is infinite,
-    cap = ln g: such a node adds no term, and F is infinite for x below it.
-    """
-
-    def __init__(self, seg: Segment, u: float, v: float, p: RadialExponent,
-                 n: int, rel_tol: float):
-        self.seg, self.u, self.v, self.p, self.n, self.rel_tol = seg, u, v, p, n, rel_tol
-        # an exponent infinite at a singular end gives no power slope there
-        a0, a_inf = seg.exponent_limits()
-        self.slope_at_0 = self.slope_at_inf = None
-        # divergent whatever eta is, or once eta is at most the limit of g at
-        # infinity, for x below tail_floor
-        self.tail_floor = -_INF
-        if math.isinf(v):
-            if math.isfinite(p.p_infty):
-                self.slope_at_inf = n - 1 + a_inf * p.p_infty
-            elif a_inf > _quad.DIV_TOL:
-                raise _EtaIndependent
-            elif abs(a_inf) <= _quad.DIV_TOL:
-                self.tail_floor = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
-        if u == 0.0:
-            if math.isfinite(p.p_zero):
-                self.slope_at_0 = n - 1 + a0 * p.p_zero
-            elif a0 < -_quad.DIV_TOL:
-                raise _EtaIndependent
-        self.breaks = set(seg.discontinuities()) | set(p.discontinuities())
-        self.tails = self.panels = None
-
-    def _node_data(self, s):
-        """(P, n s + P ln g, cap) at the nodes s: P = p where p is finite,
-        and cap = ln g where p is infinite (0, -inf and ln g there)."""
-        pv = self.p(_quad.radius(s))
-        la = self.seg.log_amplitude_s(s)
-        inf = np.isinf(pv)
-        pv = np.where(inf, 0.0, pv)
-        return pv, np.where(inf, -_INF, self.n * s + pv * la), np.where(inf, la, -_INF)
-
-    def _log_integrand(self, x: float):
-        """ln of r^n (g/eta)^p(r) at r = e^s and x = ln eta: at an array of s
-        for the tail cuts, and at nodes with their data for the quadrature."""
-        n = self.n
-
-        def log_integrand(s, pv=None, base=None, _cap=None):
-            if pv is not None:
-                return base - pv * x
-            pv, la = self.p(_quad.radius(s)), self.seg.log_amplitude_s(s)
-            with np.errstate(invalid="ignore"):
-                return np.where(np.isinf(pv), np.where(la > x, _INF, -_INF), n * s + pv * (la - x))
-
-        return log_integrand
-
-    def fit(self, x: float) -> bool:
-        """Fit the rule at x, or re-check it there; True when it changed.
-        Sets log_value, ln of the piece's modular at x.  Raises
-        _EtaIndependent for a power tail that diverges whatever eta is, and
-        _InfiniteAt where no tail cutoff exists at x."""
-        if x < self.tail_floor:
-            raise _InfiniteAt
-        log_integrand = self._log_integrand(x)
-        if self.tails is not None and all(_quad.tail_holds(log_integrand, *t)
-                                          for t in self.tails):
-            if self.panels is None:
-                return False
-            self.log_value, _err, panels = _quad.quad_s(
-                log_integrand, -_INF, _INF, self.rel_tol, (), self._node_data, self.panels)
-            if panels is self.panels:
-                return False
-        else:
-            res = _quad.radial_integral(log_integrand, self.u, self.v, self.slope_at_0,
-                                        self.slope_at_inf, self.breaks, self.rel_tol,
-                                        self._node_data)
-            if res.divergence is not None:
-                raise _EtaIndependent if res.divergence == "power" else _InfiniteAt
-            self.log_value, self.tails, panels = res.log_value, res.tails, res.panels
-        self.panels = panels
-        return True
 
 
 def _log_sum(logs: list[float], sigma: float) -> tuple[float | None, float | None]:
@@ -547,53 +461,111 @@ class _Modular:
     The closed-form rows, where p is constant and finite and g is a plain
     power c r^b, are one array of logs at eta = 1,
     p ln c + ln of the integral of r^(n-1+b p), less p x at x = ln eta.
-    Every other row is a quadrature _Piece.  fit(x) freezes the pieces'
-    rules at x, and on that rule the whole modular is one log-sum-exp,
-    ln F(x) = logsumexp(A - P x): a closed row has A = its log + ln sigma
-    and P = p, a node A = ln(panel half-width * Kronrod weight) + n s +
-    p ln g + ln sigma and P = p(r).  Below floor, the largest cap or
-    tail_floor, F is +inf.
+    Every other row is a piece of one quadrature rule in s = ln r: arrays of
+    panel ends, the piece of each panel, and per node p, n s + p ln g and,
+    where p is infinite, cap = ln g (no term, and F infinite below it).
+    fit(x) freezes the rule at x; on it ln F(x) = logsumexp(A - P x): a
+    closed row has A = its log + ln sigma and P = p, a node A = ln(panel
+    half-width * Kronrod weight) + n s + p ln g + ln sigma and P = p(r).
+    Below floor, the largest cap or tail_floor, F is +inf.
     """
 
     def __init__(self, g: PiecewisePowerFunction, p: RadialExponent, region: Region,
                  n: int, rel_tol: float):
-        self.pieces: list[_Piece] = []
-        self.A = None
+        self.A, self.lo, self.pieces = None, None, 0
         rows, u, v = g._clip(region.r_lo, region.r_hi)
         self.empty = not len(rows)
         if self.empty:
             return
         self.sigma = sphere_area(n)
+        closed, expo = slice(None), g.expo[rows]
         if p.is_constant and math.isfinite(p.p_zero) and not g.side:
             self.p = p.p_zero
-            expo = g.expo[rows]
         else:
-            closed, ps, side_expo = [], [], {}
+            closed, ps, quad = [], [], []
             for k, (i, lo, hi) in enumerate(zip(rows.tolist(), u.tolist(), v.tolist())):
                 seg = g.side.get(i)
                 if seg is None or seg.plain_power:
                     p_lo, p_hi = p.range_on(lo, hi)
                     if p_lo == p_hi and math.isfinite(p_lo):
                         if seg is not None:
-                            side_expo[len(closed)] = seg.expr(1.0)
+                            expo[k] = seg.expr(1.0)
                         closed.append(k)
                         ps.append(p_lo)
                         continue
-                self.pieces.append(_Piece(seg or g.segments[i], lo, hi, p, n, rel_tol))
+                quad.append(k)
+            if quad:
+                self._pieces(g, rows[quad], u[quad], v[quad], p, n, rel_tol)
             self.p = np.array(ps)
-            if not closed:
-                self.logs = np.empty(0)
-                return
-            rows, u, v = rows[closed], u[closed], v[closed]
-            expo = g.expo[rows]
-            for k, e in side_expo.items():
-                expo[k] = e
-        self.logs = (self.p * np.log(g.coef[rows])
-                     + _quad.log_power_integrals(u, v, n - 1 + expo * self.p))
+        rows, u, v = rows[closed], u[closed], v[closed]
+        self.logs = (self.p * np.log(g.coef[rows]) + _quad.log_power_integrals(
+            u, v, n - 1 + expo[closed] * self.p)) if len(rows) else np.empty(0)
+
+    def _pieces(self, g, rows, u, v, p, n, rel_tol) -> None:
+        """The quadrature pieces: the rows of g, clipped to [u, v).  Raises
+        _EtaIndependent for an end whose tail diverges whatever eta is."""
+        self.pieces, self.p_fn, self.n, self.rel_tol, self.u, self.v = (
+            len(rows), p, n, rel_tol, u, v)
+        self.ln_c, self.b = np.log(g.coef[rows]), g.expo[rows]
+        self.side = {k: g.side[i] for k, i in enumerate(rows.tolist()) if i in g.side}
+        with np.errstate(divide="ignore"):
+            self.s_lo, self.s_hi = np.log(u), np.log(v)
+        self.points = tuple(math.log(r) for r in p.discontinuities() if r > 0)
+        self.own = [(k, math.log(r)) for k, seg in self.side.items()
+                    for r in seg.discontinuities() if r > 0]
+        # rows are sorted and disjoint, so only the first piece can reach 0
+        # and only the last infinity: their tail cuts (s_ref, s_cut), None
+        # before the first; an exponent infinite at a singular end gives no
+        # power slope there, and F diverges whatever eta is, or below tail_floor
+        self.tails, self.slopes, self.tail_floor = {}, [None, None], -_INF
+        for k, end in ((0, 0), (len(rows) - 1, 1)):
+            if not (u[k] == 0.0, math.isinf(v[k]))[end]:
+                continue
+            self.tails[k] = None
+            i = int(rows[k])
+            seg = g.side.get(i) or Segment(u[k], v[k], g.coef[i], ExponentExpr(g.expo[i]))
+            a, p_end = seg.exponent_limits()[end], (p.p_zero, p.p_infty)[end]
+            if math.isfinite(p_end):
+                self.slopes[end] = n - 1 + a * p_end
+            elif (a if end else -a) > _quad.DIV_TOL:
+                raise _EtaIndependent
+            elif end and abs(a) <= _quad.DIV_TOL:
+                self.tail_floor = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
+
+    def _log_integrand(self, k: int, x: float):
+        """ln of r^n (g/eta)^p(r) on piece k at r = e^s and x = ln eta, at an
+        array of s, as the rule's nodes take it: what the tail cuts test."""
+        def log_integrand(s):
+            pv, base, cap = self._node_data(s[:, None], np.full(len(s), k))
+            return np.where(cap > x, _INF, base - pv * x)[:, 0]
+
+        return log_integrand
+
+    def _node_data(self, s: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
+        """(P, n s + P ln g, cap) at the nodes s of panels of the pieces ids;
+        where p is infinite they are 0, -inf and ln g."""
+        pv = self.p_fn(_quad.radius(s))
+        la = self.ln_c[ids][:, None] + self.b[ids][:, None] * s
+        for k in np.intersect1d(ids, list(self.side)).tolist() if self.side else ():
+            at = ids == k
+            la[at] = self.side[k].log_amplitude_s(s[at])
+        inf = np.isinf(pv)
+        pv = np.where(inf, 0.0, pv)
+        return pv, np.where(inf, -_INF, self.n * s + pv * la), np.where(inf, la, -_INF)
+
+    def _set(self, keep, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> None:
+        """Keep the panels keep marks and add the panels [lo, hi) of the
+        pieces ids, with their node data."""
+        new = (lo, hi, ids, *self._node_data(_quad.nodes(lo, hi), ids))
+        if self.lo is not None:
+            old = (self.lo, self.hi, self.ids, self.node_p, self.base, self.cap)
+            new = [np.concatenate((c[keep], n)) for c, n in zip(old, new)]
+        self.lo, self.hi, self.ids, self.node_p, self.base, self.cap = new
+        self.A = None
 
     def trial(self, eta: float) -> tuple[float | None, float | None]:
         """F_p(g/eta) as _log_sum gives it, (F, None) or (None, ln F), with
-        every piece fitted at eta, and (inf, None) when it diverges at this
+        the rule fitted at eta, and (inf, None) when it diverges at this
         eta.  Raises _EtaIndependent when it diverges at every eta."""
         if self.empty:
             return 0.0, None
@@ -608,29 +580,50 @@ class _Modular:
                 return _INF, None
             if x < self.floor:
                 return _INF, None
-            logs += [piece.log_value for piece in self.pieces]
+            logs += self.piece_logs.tolist()
         return _log_sum(logs, self.sigma)
 
     def fit(self, x: float) -> bool:
-        """Fit every piece's rule at x or re-check it there, and lay the
-        rule out as A, P and floor; True when the rule changed."""
-        stale = self.A is None
-        for piece in self.pieces:
-            if piece.fit(x):
-                # rebuilt below, or at the next fit if a later piece raises
-                stale, self.A = True, None
-        if not stale:
+        """Fit the rule at x or re-check it there, and lay it out as A, P and
+        floor; True when it changed.  An end piece whose tails are not cut,
+        or fail their drop test at x, is cut and laid on fresh grid panels;
+        a piece failing its G-K test at x bisects its worst panels
+        (_quad.gk_step, one integral per piece).  piece_logs keeps the
+        pieces' ln modulars at x.  Raises _EtaIndependent for a power tail
+        that diverges whatever eta is, _InfiniteAt where no cut exists."""
+        if self.pieces:
+            if x < self.tail_floor:
+                raise _InfiniteAt
+            fresh = np.full(self.pieces, self.lo is None)
+            for k, tails in self.tails.items():
+                f = self._log_integrand(k, x)
+                if tails is None or not all(_quad.tail_holds(f, *t) for t in tails):
+                    cut = _quad.tail_cuts(f, self.u[k], self.v[k], *self.slopes)
+                    if cut[2] is not None:
+                        raise _EtaIndependent if cut[2] == "power" else _InfiniteAt
+                    self.s_lo[k], self.s_hi[k], _div, self.tails[k] = cut
+                    fresh[k] = True
+            if fresh.any():
+                self._set(None if self.lo is None else ~fresh[self.ids], *_quad.grid_panels(
+                    self.s_lo, np.where(fresh, self.s_hi, self.s_lo), self.points, self.own))
+            for _round in range(_quad._MAX_ROUNDS):
+                self.piece_logs, _err, split = _quad.gk_step(
+                    self.base - self.node_p * x, 0.5 * (self.hi - self.lo), self.rel_tol,
+                    self.ids, self.pieces)
+                if not len(split):
+                    break
+                whole, lo, hi = _quad.halve(self.lo, self.hi, split)
+                self._set(whole, lo[whole.sum():], hi[whole.sum():], np.tile(self.ids[split], 2))
+        if self.A is not None:
             return False
         if _INF in self.logs:
             raise _EtaIndependent
         A, P = [self.logs], [np.broadcast_to(self.p, self.logs.shape)]
-        self.floor = max([piece.tail_floor for piece in self.pieces], default=-_INF)
-        panels = [piece.panels for piece in self.pieces if piece.panels is not None]
-        if panels:
-            lo, hi, _s, pv, base, cap = map(np.concatenate, zip(*panels))
-            A.append((np.log(0.5 * (hi - lo))[:, None] + _LN_WK + base).ravel())
-            P.append(pv.ravel())
-            self.floor = max(self.floor, float(cap.max()))
+        self.floor = -_INF
+        if self.pieces:
+            A.append((np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.base).ravel())
+            P.append(self.node_p.ravel())
+            self.floor = max(self.tail_floor, float(self.cap.max(initial=-_INF)))
         A, P = np.concatenate(A) + math.log(self.sigma), np.concatenate(P)
         live = A > -_INF
         self.A, self.P = A[live], P[live]
@@ -716,7 +709,7 @@ class _Modular:
 
 
 # F is infinite below x = ln eta = -ln(1 - 1e-12) for an exponent that is
-# infinite at infinity, where (1/eta)^p tends to 0 or inf, as for _Piece's
+# infinite at infinity, where (1/eta)^p tends to 0 or inf, as for _Modular's
 # tail_floor; that also keeps x above 0, the bound of the infinite-p nodes
 _ONE_FLOOR = -math.log1p(-1e-12)
 
@@ -767,69 +760,36 @@ class _OneRule:
         s_ref, s, p_ref, p = tail
         return _quad.cut(self.n * s_ref - p_ref * x, s, self.n * s - p * x[:, None])
 
-    def _add(self, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Add the panels [lo, hi), with every row's p at their nodes."""
-        _lo, _hi, s = _quad._panels(lo, hi)
+    def _set(self, keep, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Keep the panels keep marks and add the panels [lo, hi), with
+        every row's p at their nodes."""
+        s = _quad.nodes(lo, hi)
         p = self.p_at(_quad.radius(s.ravel())).reshape(-1, *s.shape)
         inf = np.isinf(p)
         p[inf] = 0.0
-        if self.lo is None:
-            self.lo, self.hi, self.s, self.p, self.inf = lo, hi, s, p, inf
-        else:
-            self.lo, self.hi = np.concatenate((self.lo, lo)), np.concatenate((self.hi, hi))
-            self.s = np.concatenate((self.s, s))
-            self.p = np.concatenate((self.p, p), axis=1)
-            self.inf = np.concatenate((self.inf, inf), axis=1)
+        if self.lo is not None:
+            lo, hi, s = (np.concatenate((c[keep], n)) for c, n in
+                         ((self.lo, lo), (self.hi, hi), (self.s, s)))
+            p, inf = (np.concatenate((c[:, keep], n), axis=1)
+                      for c, n in ((self.p, p), (self.inf, inf)))
+        self.lo, self.hi, self.s, self.p, self.inf = lo, hi, s, p, inf
         self.A = None
 
     def _cover(self, s_lo: float, s_hi: float) -> bool:
         """Extend the rule over [s_lo, s_hi]; True when it grew."""
-        if self.lo is None:
-            spans = [(s_lo, s_hi)]
-        else:
-            spans = [(a, b) for a, b in ((s_lo, self.span[0]), (self.span[1], s_hi)) if a < b]
-            s_lo, s_hi = min(s_lo, self.span[0]), max(s_hi, self.span[1])
-        for a, b in spans:
-            edges = _quad.grid_edges(a, b, self.points)
-            self._add(edges[:-1], edges[1:])
-        self.span = (s_lo, s_hi)
-        return bool(spans)
-
-    def _refine(self, x: np.ndarray) -> bool:
-        """At x, bisect for each row that fails its G-K test the panels
-        _quad.quad_s would bisect for it; False when every row passes."""
-        if len(self.lo) >= _quad._MAX_PANELS:
-            return False
-        f = self.p * -x[:, None, None]
-        f += self.n * self.s
-        np.copyto(f, -_INF, where=self.inf)
-        top = f.max(axis=(1, 2))
-        with np.errstate(invalid="ignore"):
-            f -= top[:, None, None]
-        sums = np.exp(f, out=f) @ _GK_WEIGHTS
-        half = 0.5 * (self.hi - self.lo)
-        err = np.abs(sums[..., 0] * half)
-        err_total = err.sum(axis=1)
-        budget = self.rel_tol * (sums[..., 1] @ half)
-        # a row with no mass at any node has nothing to refine
-        fails = np.flatnonzero((err_total > budget) & (top > -_INF))
-        if not len(fails):
-            return False
-        split = np.unique(np.concatenate([_quad.worst_panels(err[i], err_total[i], budget[i])
-                                          for i in fails.tolist()]))
-        mid = 0.5 * (self.lo[split] + self.hi[split])
-        whole = np.ones(len(self.lo), dtype=bool)
-        whole[split] = False
-        lo, hi = np.concatenate((self.lo[split], mid)), np.concatenate((mid, self.hi[split]))
-        self.lo, self.hi, self.s = self.lo[whole], self.hi[whole], self.s[whole]
-        self.p, self.inf = self.p[:, whole], self.inf[:, whole]
-        self._add(lo, hi)
-        return True
+        old = (s_hi, s_hi) if self.lo is None else self.span
+        lo, hi, _k = _quad.grid_panels(np.array([s_lo, old[1]]), np.array([old[0], s_hi]),
+                                       self.points)
+        self.span = (min(s_lo, old[0]), max(s_hi, old[1]))
+        if len(lo):
+            self._set(slice(None), lo, hi)
+        return bool(len(lo))
 
     def fit(self, x: np.ndarray) -> tuple[bool, np.ndarray]:
         """Cut the rows' tails at x, extend the rule over the cuts and refine
-        it until every row passes its G-K test at x: (whether the rule
-        changed, which rows have no tail cut at x)."""
+        it until every row passes its G-K test at x (_quad.gk_step, one
+        integral per row): (whether the rule changed, which rows have no
+        tail cut at x)."""
         s_lo = self._cut(self.tails[1], x)
         if len(self.tails) > 2:
             s_lo = np.where(self.finite_0, self._cut(self.tails[2], x), s_lo)
@@ -839,8 +799,14 @@ class _OneRule:
             return False, stuck
         changed = self._cover(float(s_lo.min()), float(s_hi.max()))
         for _round in range(_quad._MAX_ROUNDS):
-            if not self._refine(x):
+            f = self.p * -x[:, None, None]
+            f += self.n * self.s
+            np.copyto(f, -_INF, where=self.inf)
+            _value, _err, split = _quad.gk_step(f, 0.5 * (self.hi - self.lo), self.rel_tol)
+            if not len(split):
                 break
+            whole, lo, hi = _quad.halve(self.lo, self.hi, split)
+            self._set(whole, lo[whole.sum():], hi[whole.sum():])
             changed = True
         return changed, stuck
 
@@ -976,15 +942,15 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
 
     Returns 0 for the zero function and +inf when no eta up to 1e280 has
     F_p(g/eta) <= 1.  For constant p the norm has the closed form
-    F_p(g)^(1/p), which is used directly.  Otherwise the quadrature rule
-    of every piece is built once, at eta = guess (eta = 1 for a guess that
-    is not finite and positive).  On that frozen rule ln F_p(g/e^x) is one
-    log-sum-exp, convex and decreasing in x = ln eta, and safeguarded
-    Newton steps with its exact derivative find the root.  The returned eta
-    has F_p(g/eta) <= 1 < F_p(g/(eta (1 - CERT_DELTA))) on that rule,
-    whatever the guess.  At eta the rule is re-checked (each tail's drop
-    test and each piece's G-K error test); a piece that fails is re-cut or
-    refined and the root solved again.  max_iter caps the evaluations of
+    F_p(g)^(1/p), which is used directly.  Otherwise one quadrature rule
+    for all the rows without a closed form is built once, at eta = guess
+    (eta = 1 for a guess that is not finite and positive).  On that frozen
+    rule ln F_p(g/e^x) is one log-sum-exp, convex and decreasing in
+    x = ln eta, and safeguarded Newton steps with its exact derivative find
+    the root.  The returned eta has F_p(g/eta) <= 1 < F_p(g/(eta (1 -
+    CERT_DELTA))) on that rule, whatever the guess.  At eta the rule is
+    re-checked (each tail's drop test and each row's G-K error test); a row
+    that fails is re-cut or refined and the root solved again.  max_iter caps the evaluations of
     ln F on the frozen rules, over all solves; BracketError past it.
     """
     try:

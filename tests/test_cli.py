@@ -8,10 +8,12 @@ import pytest
 from hausnorm.bounds import CONSTANT_IDS
 from hausnorm.cli import main
 from hausnorm.config import ConfigError, ExperimentConfig, family_from_json, load_config
+from hausnorm.harness import upper_bound_suite
 from hausnorm.matrices import DiagonalEqualModulus, OrthogonalTimesScalar, PowerMap
 
 FIXTURES = Path(__file__).parent / "fixtures"
 FIXTURE_NAMES = sorted(p.name for p in FIXTURES.glob("*.json"))
+HERZ_A03 = Path(__file__).parents[1] / "perfbench" / "configs" / "herz_a03.json"
 
 
 def reject_non_finite(token):
@@ -401,6 +403,41 @@ class TestVerify:
         out = json.loads(capsys.readouterr().out)
         assert code == 0
         assert out["value"] is None and out["finite"] is False
+
+
+class TestVariableExponentRatios:
+    """Operator ratios whose target norms take the variable-exponent
+    quadrature: about 1250 rows per sampled image, pinned to 1e-9."""
+
+    def test_loginterp_c1_ratios(self, tmp_path):
+        out = tmp_path / "c1.csv"
+        code = main(["verify", "--config", str(FIXTURES / "loginterp_norm.json"),
+                     "--suite", "upper", "--which", "C1", "--n", "4", "--seed", "3",
+                     "--out", str(out)])
+        assert code == 0
+        rows = out.read_text().splitlines()
+        assert rows[0] == "seed,index,ratio"
+        ratios = [float(row.split(",")[2]) for row in rows[1:]]
+        want = [1.2335326695084801, 1.134266670214922, 0.94611395621696814,
+                1.2375229860070647]
+        assert ratios == pytest.approx(want, rel=1e-9, abs=0.0)
+
+    def test_herz_loginterp_c4_ratios(self):
+        # perfbench/configs/herz_a03.json with q = LogInterp(3, 2)
+        obj = json.loads(HERZ_A03.read_text())
+        obj["slots"][0]["q"] = {"type": "log_interp", "p0": 3.0, "p_inf": 2.0}
+        cfg = ExperimentConfig.from_json(obj)
+        st = cfg.settings
+        suite = upper_bound_suite(
+            cfg.operator(), cfg.bound_config(), "C4", 2, 3,
+            k_range=st.k_range, k0_range=st.k0_range, j_range=st.r_grid_range,
+            grid_octaves=st.grid_octaves, points_per_octave=st.points_per_octave,
+            rel_tol=st.rel_tol,
+        )
+        assert suite.constant == pytest.approx(38.90341412114988, rel=1e-9, abs=0.0)
+        assert [r for _s, _i, r in suite.rows] == pytest.approx(
+            [2.3592612107313169, 2.3278845926426697], rel=1e-9, abs=0.0)
+        assert not suite.violations
 
 
 class TestConfigRoundTrip:

@@ -368,18 +368,19 @@ def window_oracle(segs, region):
 
 
 def piece_log_value(seg, u, v, p, n):
-    """ln of one quadrature piece's modular at eta = 1, +inf if it diverges."""
-    try:
-        piece = luxemburg._Piece(seg, u, v, p, n, 1e-9)
-        piece.fit(0.0)
-    except luxemburg._EtaIndependent:
-        return math.inf
-    return piece.log_value
+    """ln of one quadrature row's modular at eta = 1 for a constant, finite
+    p, by _quad.radial_integral on that row alone; +inf if it diverges."""
+    q = p.p_zero
+    a0, a_inf = seg.exponent_limits()
+    res = luxemburg._quad.radial_integral(
+        lambda s: n * s + q * seg.log_amplitude_s(s), u, v, n - 1 + a0 * q, n - 1 + a_inf * q,
+        seg.discontinuities())
+    return res.log_value
 
 
 def constant_p_oracle(segs, region, p, n=1):
     """The constant-p norm summed one Segment at a time: the scalar closed
-    form where it applies, a _Piece otherwise."""
+    form where it applies, a radial_integral of its own otherwise."""
     logs = []
     for seg, u, v in pieces_oracle(segs, region):
         closed = closed_form_log(seg, u, v, p, n)
@@ -644,33 +645,34 @@ class TestLogRootFind:
     def test_failed_tail_is_searched_again_at_the_root(self, monkeypatch):
         # fitted at eta = 1e25, both tails of the C1 node factor are cut at
         # the search starts s = +-1, (1/eta)^p(r) having vanished there; at
-        # the root eta = 1.05 a cut fails the drop test, and the piece's
+        # the root eta = 1.05 a cut fails the drop test, and the rule's
         # tails are searched again, out to s = 49 and -17
         verdicts, searches = [], []
-        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.radial_integral
+        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.tail_cuts
 
         def recorded_holds(f, s_ref, s_cut):
             verdicts.append(holds(f, s_ref, s_cut))
             return verdicts[-1]
 
         def recorded_search(*args):
-            res = search(*args)
-            searches.extend(s_cut for _s_ref, s_cut in res.tails)
-            return res
+            cuts = search(*args)
+            searches.extend(s_cut for _s_ref, s_cut in cuts[3])
+            return cuts
 
         monkeypatch.setattr(luxemburg._quad, "tail_holds", recorded_holds)
-        monkeypatch.setattr(luxemburg._quad, "radial_integral", recorded_search)
+        monkeypatch.setattr(luxemburg._quad, "tail_cuts", recorded_search)
         one = PiecewisePowerFunction.one()
         p = ROOT_EXPONENTS["c1_residual"]
         mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)
         eta = mod.norm(math.log(1e25), 200)
-        (piece,) = mod.pieces
+        assert mod.pieces == 1
         assert searches == [1.0, -1.0, 49.0, -17.0]
         assert False in verdicts
-        assert piece.tails == ((1.0, 49.0), (-1.0, -17.0))
-        # the tails the rule ends with pass at the root
-        f = piece._log_integrand(math.log(eta))
-        assert all(holds(f, *t) for t in piece.tails)
+        assert mod.tails == {0: ((1.0, 49.0), (-1.0, -17.0))}
+        # the rule spans the cuts it ends with, and they pass at the root
+        assert (mod.lo.min(), mod.hi.max()) == (-17.0, 49.0)
+        f = mod._log_integrand(0, math.log(eta))
+        assert all(holds(f, *t) for t in mod.tails[0])
         assert eta == pytest.approx(certified_norm(one, p), rel=1e-9)
 
     @pytest.mark.parametrize("guess", [math.inf, math.nan, 0.0])
@@ -751,7 +753,8 @@ class TestLogRootFind:
 
 class TestNewtonProperty:
     """The Newton norm against bisection on a dense fixed rule, for seeded
-    piecewise powers on bounded annuli and p = LogInterp(p0, p_inf)."""
+    piecewise powers on bounded annuli (2-3 rows, or up to 60 with side rows
+    among them) and p = LogInterp(p0, p_inf)."""
 
     @staticmethod
     def dense_bisection(g, p, n=1):
@@ -778,12 +781,35 @@ class TestNewtonProperty:
             lo, hi = (mid, hi) if above_one(mid) else (lo, mid)
         return math.exp(hi)
 
+    @staticmethod
+    def random_rows(rng, side):
+        """2-60 rows on an annulus in [1/8, 8], touching or with gaps, each a
+        plain power or, with side, at random a side row: a reciprocal
+        LogInterp exponent term or a pow2 factor with a LogInterp alpha."""
+        edges = sorted({2.0 ** rng.uniform(-3.0, 3.0) for _ in range(rng.randint(3, 61))})
+        segs = []
+        for lo, hi in zip(edges, edges[1:]):
+            if hi <= lo * (1 + 1e-6) or rng.random() < 0.1:
+                continue
+            kind = rng.choice(["plain", "terms", "pow2"]) if side else "plain"
+            expr = ExponentExpr(rng.uniform(-0.4, 1.2))
+            pow2 = ((rng.choice([-1.0, 1.0]), LogInterp(0.6, 0.2, signed=True)),)
+            if kind == "terms":
+                expr = ExponentExpr(expr.const, (ExprTerm(-1.0, LOG_Q, True),))
+            segs.append(Segment(lo, hi, rng.uniform(0.1, 3.0), expr,
+                                pow2 if kind == "pow2" else ()))
+        return PiecewisePowerFunction(segs) if segs else random_piecewise(rng)
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6), p0=st.floats(1.2, 6.0), p_inf=st.floats(1.2, 6.0),
-           guess=st.sampled_from([1.0, 1e-8, 1e8]))
-    def test_newton_matches_dense_bisection(self, seed, p0, p_inf, guess):
-        # p0 = p_inf is a constant exponent, which takes the closed form
+           guess=st.sampled_from([1.0, 1e-8, 1e8]), rows=st.sampled_from(["few", "many", "side"]))
+    def test_newton_matches_dense_bisection(self, seed, p0, p_inf, guess, rows):
+        # p0 = p_inf is a constant exponent, which takes the closed form;
+        # many rows and side rows check the rule's per-piece G-K test and
+        # its side-row amplitudes
         assume(p0 != p_inf)
-        g, p = random_piecewise(seeded(seed)), LogInterp(p0, p_inf)
+        rng = seeded(seed)
+        g = random_piecewise(rng) if rows == "few" else self.random_rows(rng, rows == "side")
+        p = LogInterp(p0, p_inf)
         eta = certified_norm(g, p, guess)
         assert eta == pytest.approx(self.dense_bisection(g, p), rel=1e-9)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hausnorm import _quad
+from hausnorm import _quad, luxemburg
 from hausnorm._quad import (
     DIV_TOL,
     log_power_integral,
@@ -13,6 +13,8 @@ from hausnorm._quad import (
     power_integral,
     radial_integral,
 )
+from hausnorm.exponents import LogInterp
+from hausnorm.luxemburg import PiecewisePowerFunction, Region
 
 from conftest import seeded
 
@@ -90,8 +92,9 @@ class TestRadialIntegral:
         # Gaussians exp(-(s/w)^2) over (0, inf), searched at both tails from
         # s = +-1 with the target 80 below the start: a cutoff of 17 holds
         # while (17/w)^2 > 80 + 1/w^2, and a wider w makes the search walk
-        # on to 49.  A frozen rule keeps its tails while tail_holds passes
-        # the drop test on them, and searches them again otherwise.
+        # on to 49.  A frozen rule (luxemburg._Modular) keeps its tails
+        # while tail_holds passes the drop test on them, and cuts them again
+        # by tail_cuts otherwise.
         tails = None
         # (w, tails kept, cutoff)
         steps = [(1.0, False, 17.0), (1.5, True, 17.0), (3.0, False, 49.0), (2.0, True, 49.0),
@@ -103,26 +106,31 @@ class TestRadialIntegral:
             holds = tails is not None and all(_quad.tail_holds(log_integrand, *t) for t in tails)
             assert holds == kept
             if not holds:
-                tails = radial_integral(log_integrand, 0.0, math.inf).tails
+                tails = _quad.tail_cuts(log_integrand, 0.0, math.inf)[3]
             assert tails == ((1.0, cut), (-1.0, -cut))
-            ln_value, _ln_err, _panels = _quad.quad_s(log_integrand, -cut, cut)
+            ln_value, _ln_err = _quad.quad_s(log_integrand, -cut, cut)
             cold = radial_integral(log_integrand, 0.0, math.inf)
             assert math.exp(ln_value) == pytest.approx(cold.value, rel=1e-9)
             assert math.exp(ln_value) == pytest.approx(w * math.sqrt(math.pi), rel=1e-9)
 
     def test_panels_that_pass_come_back_unchanged(self):
-        # a rule refined for one integrand is re-checked, not rebuilt, for
+        # a frozen rule refined at one eta is re-checked, not rebuilt, at
         # another it integrates as well, and refined from where it stands
-        # for one it does not
-        def gaussian(w):
-            return lambda s: -(((s - 0.3) / w) ** 2)
+        # at one it does not: 1 on [1, e^4] against LogInterp(3, 2), whose
+        # (1/eta)^p(r) grows steep in s as eta falls
+        g = PiecewisePowerFunction.single_power(1.0, 0.0, 1.0, math.exp(4.0))
+        mod = luxemburg._Modular(g, LogInterp(3.0, 2.0), Region.all(), 1, 1e-9)
 
-        ln_value, _err, panels = _quad.quad_s(gaussian(0.1), -1.0, 2.0)
-        again = _quad.quad_s(gaussian(0.1), -1.0, 2.0, panels=panels)
-        assert again[2] is panels and again[0] == ln_value
-        _value, _err, finer = _quad.quad_s(gaussian(0.01), -1.0, 2.0, panels=panels)
-        assert len(finer[0]) > len(panels[0])
-        assert set(panels[0].tolist()) <= set(finer[0].tolist())
+        def rule():
+            return mod.lo, mod.hi, mod.ids, mod.node_p, mod.base, mod.cap
+
+        assert mod.fit(0.0)
+        panels = rule()
+        assert not mod.fit(0.5)
+        assert all(a is b for a, b in zip(rule(), panels))
+        assert mod.fit(-400.0)
+        assert len(mod.lo) > len(panels[0])
+        assert set(panels[0].tolist()) <= set(mod.lo.tolist())
 
 
 # The one-point searches that the array cut replaced, kept as its oracles:
@@ -337,3 +345,43 @@ class TestLogPowerIntegrals:
         u = [2.0 ** a for a, _w, _b in rows]
         v = [2.0 ** (a + w) for a, w, _b in rows]
         assert_logs_agree(u, v, [b for _a, _w, b in rows])
+
+
+class TestGKStep:
+    """gk_step on a batch of integrals against gk_step on each alone, which
+    is how quad_s calls it: the same value and error, and the same panels
+    bisected, bit for bit."""
+
+    @staticmethod
+    def batch(rng, groups):
+        """Panels of groups interleaved at random, each group a Gaussian in
+        s of its own width, centre and level (some past the float range),
+        one group with no mass and one at _MAX_PANELS panels."""
+        sizes = rng.integers(1, 12, groups)
+        sizes[1] = _quad._MAX_PANELS
+        group = rng.permutation(np.repeat(np.arange(groups), sizes))
+        lo = rng.uniform(-3.0, 3.0, len(group))
+        half = 0.5 * rng.uniform(0.01, 2.0, len(group))
+        s = _quad.nodes(lo, lo + 2.0 * half)
+        width = 10.0 ** rng.uniform(-2.5, 1.0, groups)
+        centre = rng.uniform(-3.0, 3.0, groups)
+        level = rng.choice([0.0, 900.0, -900.0], groups)
+        f = level[group][:, None] - ((s - centre[group][:, None]) / width[group][:, None]) ** 2
+        f[group == 0] = -np.inf
+        return f, half, group
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_groups_match_each_alone(self, seed):
+        rng = np.random.default_rng(seed)
+        groups = 9
+        f, half, group = self.batch(rng, groups)
+        ln_value, ln_err, split = _quad.gk_step(f, half, 1e-9, group, groups)
+        assert ln_value.shape == ln_err.shape == (groups,)
+        assert len(split) and ln_value[0] == ln_err[0] == -np.inf
+        for g in range(groups):
+            at = np.flatnonzero(group == g)
+            value, err, alone = _quad.gk_step(f[at], half[at], 1e-9)
+            assert (ln_value[g], ln_err[g]) == (value[0], err[0])
+            assert at[alone].tolist() == split[group[split] == g].tolist()
+        # the group at _MAX_PANELS and the one without mass bisect nothing
+        assert not np.isin(group[split], (0, 1)).any()
