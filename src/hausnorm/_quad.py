@@ -83,22 +83,25 @@ def log_power_integral(u: float, v: float, beta: float) -> float:
     return b * math.log(u) + math.log(-math.expm1(scaled)) - math.log(-b)
 
 
-def log_power_integrals(u: np.ndarray, v: np.ndarray, beta: np.ndarray) -> np.ndarray:
+def log_power_integrals(u: np.ndarray, v: np.ndarray, beta) -> np.ndarray:
     """log_power_integral over arrays of intervals (u < v) and exponents.
 
-    Rows with a finite |b ln(v/u)| >= 1e-10 take the closed form as arrays,
+    beta is one exponent per row, or one float for all rows that picks its
+    end and takes ln|b| once and gives the numbers of the array of it.  Rows
+    with a finite |b ln(v/u)| >= 1e-10 take the closed form as arrays,
     whose numpy log and expm1 may differ from libm's by an ulp; the rest,
     singular ends included, take log_power_integral itself.
     """
-    b = beta + 1.0
+    b, rows = beta + 1.0, np.ndim(beta) > 0
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         x = np.abs(b * np.log(v / u))
         # b ln v + ln(1 - e^(-b span)) - ln b for a rising power, and
         # b ln u + ln(1 - e^(b span)) - ln(-b) for a falling one
-        out = b * np.log(np.where(b > 0.0, v, u)) + np.log(-np.expm1(-x)) - np.log(np.abs(b))
+        end = np.where(b > 0.0, v, u) if rows else (v if b > 0.0 else u)
+        out = b * np.log(end) + np.log(-np.expm1(-x)) - np.log(np.abs(b))
         special = np.flatnonzero(~((x >= 1e-10) & (x < _INF)))
     for i in special.tolist():
-        out[i] = log_power_integral(float(u[i]), float(v[i]), float(beta[i]))
+        out[i] = log_power_integral(float(u[i]), float(v[i]), float(beta[i] if rows else beta))
     return out
 
 
@@ -253,9 +256,9 @@ def cut(level_ref, s: np.ndarray, levels: np.ndarray):
 
 
 def search_points(s_start: float, direction: int):
-    """The candidates of a cut on an unknown slope, in order: s_start, then
+    """The candidates of a cut on an unknown slope past s_start, in order:
     steps doubling from 16 while |s| stays within 3e5."""
-    s, step = s_start, 16.0
+    s, step = s_start + direction * 16.0, 32.0
     while abs(s) <= 3e5:
         yield s
         s += direction * step

@@ -134,8 +134,9 @@ def _pullback_windows(f: PiecewisePowerFunction, s: PowerMap, xs: np.ndarray):
 def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                   xs: np.ndarray, rel_tol: float) -> np.ndarray:
     """Image values at the radii xs, one segment combination (a segment of
-    each input) at a time: in closed form over the whole grid when every
-    segment is a plain power, by radial_integral per radius otherwise."""
+    each input) at a time, over the radii where it has support, if any: in
+    closed form with one scalar exponent when every segment is a plain
+    power, by radial_integral per radius otherwise."""
     k = spec.kernel
     for fam in spec.families:
         _scale_range(fam, k)
@@ -147,9 +148,14 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
         for combo in itertools.product(*windows):
             segs, los, his = zip(*combo)
-            u = np.maximum(k.r_lo, np.max(los, axis=0))
-            v = np.minimum(k.r_hi, np.min(his, axis=0))
+            # pairwise, not stacked: max and min are exact in any order
+            u, v = los[0], his[0]
+            for lo, hi in zip(los[1:], his[1:]):
+                u, v = np.maximum(u, lo), np.minimum(v, hi)
+            u, v = np.maximum(k.r_lo, u), np.minimum(k.r_hi, v)
             idx = np.flatnonzero(u < v)
+            if not len(idx):
+                continue
             if not all(seg.plain_power for seg in segs):
                 for i in idx:
                     total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
@@ -160,8 +166,7 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                 b = seg.expr.constant_value()
                 log_coef += math.log(seg.coef) + b * ln_cx[idx]
                 expo += fam.s.a * b
-            beta = np.full(len(idx), expo)
-            total[idx] += np.exp(log_coef + _quad.log_power_integrals(u[idx], v[idx], beta))
+            total[idx] += np.exp(log_coef + _quad.log_power_integrals(u[idx], v[idx], expo))
     return spec.sigma * total
 
 

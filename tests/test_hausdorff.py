@@ -1,6 +1,9 @@
+import itertools
 import math
+import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy import integrate
 
@@ -215,6 +218,10 @@ KERNEL_CASES = {
     "mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0)), [MIXED]),
     "m2_mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (0.8, -0.5)),
                            [MIXED, PLAIN2]),
+    # s_1 = r and s_2 = r^2: the support [0.5, inf) is only an outer bound,
+    # since r x < 6 and r^2 x >= 0.5 leave no r from x = 72 on
+    "m2_a_differ_outer_support": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (1.0, 2.0)),
+                                  [PLAIN, PLAIN2]),
 }
 
 
@@ -480,6 +487,102 @@ class TestScalarOracles:
     def test_sample_vectors(self, vals):
         xs = [0.024057 * 2.0 ** (j / 24.0) for j in range(len(vals))]
         assert_matches_scalar_interpolant(xs, vals)
+
+
+def image_values_oracle(spec, fs, xs, rel_tol):
+    """The per-combination loop that hausdorff._image_values replaced: each
+    combination over the whole grid, empty or not, its windows stacked, and
+    its exponent as one array entry per radius."""
+    k = spec.kernel
+    for fam in spec.families:
+        hausdorff._scale_range(fam, k)
+    total = np.zeros(len(xs))
+    if k.c == 0.0:
+        return total
+    with np.errstate(all="ignore"):
+        windows = [hausdorff._pullback_windows(f, fam.s, xs)
+                   for f, fam in zip(fs, spec.families)]
+        log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
+        for combo in itertools.product(*windows):
+            segs, los, his = zip(*combo)
+            u = np.maximum(k.r_lo, np.max(los, axis=0))
+            v = np.minimum(k.r_hi, np.min(his, axis=0))
+            idx = np.flatnonzero(u < v)
+            if not all(seg.plain_power for seg in segs):
+                for i in idx:
+                    total[i] += hausdorff._quadrature_piece(spec, segs, xs[i], u[i], v[i],
+                                                            rel_tol)
+                continue
+            log_coef, expo = math.log(k.c), k.a - 1.0
+            for seg, fam, ln_cx in zip(segs, spec.families, log_cx):
+                b = seg.expr.constant_value()
+                log_coef += math.log(seg.coef) + b * ln_cx[idx]
+                expo += fam.s.a * b
+            beta = np.full(len(idx), expo)
+            total[idx] += np.exp(log_coef + _quad.log_power_integrals(u[idx], v[idx], beta))
+    return spec.sigma * total
+
+
+def image_calls(monkeypatch, run):
+    """(spec, fs, xs, rel_tol, values) of every _image_values call in run()."""
+    calls = []
+    image_values = hausdorff._image_values
+
+    def spy(spec, fs, xs, rel_tol):
+        vals = image_values(spec, fs, xs, rel_tol)
+        calls.append((spec, fs, xs, rel_tol, vals))
+        return vals
+
+    monkeypatch.setattr(hausdorff, "_image_values", spy)
+    run()
+    monkeypatch.undo()
+    return calls
+
+
+def assert_image_matches_oracle(spec, fs, xs, rel_tol, vals):
+    assert vals.tobytes() == image_values_oracle(spec, fs, xs, rel_tol).tobytes()
+
+
+class TestImageOracle:
+    """_image_values against the per-combination loop it replaced, bit for
+    bit: empty combinations skipped, windows met pairwise and one scalar
+    exponent per combination change no sample."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_cases(self, case, monkeypatch):
+        spec, fs = KERNEL_CASES[case]
+        xs = np.array(grid_samples(spec, fs, monkeypatch)[0])
+        vals = hausdorff._image_values(spec, fs, xs, 1e-9)
+        assert_image_matches_oracle(spec, fs, xs, 1e-9, vals)
+
+    @pytest.mark.parametrize("seed", [3, 10, 15])
+    @pytest.mark.parametrize("fixture", ["hardy_p2.json", "bilinear_p4.json"])
+    def test_seeded_suite_images(self, fixture, seed, monkeypatch):
+        cfg = load_config(str(FIXTURES / fixture))
+        calls = image_calls(monkeypatch, lambda: upper_bound_suite(
+            cfg.operator(), cfg.bound_config(), "C9", 40, seed))
+        assert len(calls) >= 35
+        for call in calls:
+            assert_image_matches_oracle(*call)
+
+    def test_support_only_an_outer_bound(self, monkeypatch):
+        spec, fs = KERNEL_CASES["m2_a_differ_outer_support"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ((_spec, _fs, xs, rel_tol, vals),) = image_calls(
+                monkeypatch, lambda: apply_on_grid(spec, fs))
+        assert_image_matches_oracle(spec, fs, xs, rel_tol, vals)
+        # the grid runs from the outer bound's 0.5 to 2^48, and every
+        # combination is empty from x = 72 on, where the image is exactly 0
+        assert xs[0] < 0.6 and xs[-1] > 2.0 ** 47
+        assert (vals[xs >= 72.0] == 0.0).all() and (vals[xs < 72.0] > 0.0).sum() >= 24
+        combos = itertools.product(*(hausdorff._pullback_windows(f, fam.s, xs)
+                                     for f, fam in zip(fs, spec.families)))
+        live = [np.maximum(lo1, lo2) < np.minimum(np.minimum(hi1, hi2), 1.0)
+                for (_s1, lo1, hi1), (_s2, lo2, hi2) in combos]
+        assert not any(on.all() for on in live)
+        # some combinations have support somewhere, some nowhere
+        assert 0 < sum(on.any() for on in live) < len(live)
 
 
 class TestLogLogInterpolant:

@@ -644,9 +644,10 @@ class TestLogRootFind:
 
     def test_failed_tail_is_searched_again_at_the_root(self, monkeypatch):
         # fitted at eta = 1e25, both tails of the C1 node factor are cut at
-        # the search starts s = +-1, (1/eta)^p(r) having vanished there; at
-        # the root eta = 1.05 a cut fails the drop test, and the rule's
-        # tails are searched again, out to s = 49 and -17
+        # the first candidates past the search starts s = +-1, s = +-17,
+        # (1/eta)^p(r) having vanished there; at the root eta = 1.05 a cut
+        # fails the drop test, and the rule's tails are searched again, out
+        # to s = 49 and -17
         verdicts, searches = [], []
         holds, search = luxemburg._quad.tail_holds, luxemburg._quad.tail_cuts
 
@@ -666,7 +667,7 @@ class TestLogRootFind:
         mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)
         eta = mod.norm(math.log(1e25), 200)
         assert mod.pieces == 1
-        assert searches == [1.0, -1.0, 49.0, -17.0]
+        assert searches == [17.0, -17.0, 49.0, -17.0]
         assert False in verdicts
         assert mod.tails == {0: ((1.0, 49.0), (-1.0, -17.0))}
         # the rule spans the cuts it ends with, and they pass at the root

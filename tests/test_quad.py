@@ -146,11 +146,11 @@ def _cut_target(log_integrand, s_ref: float, drop: float) -> float:
 def lazy_search_points(s_start, direction, step0=8.0, s_limit=3e5):
     s, step = s_start, step0
     for _ in range(80):
-        yield s
         step *= 2.0
         s += direction * step
         if abs(s) > s_limit:
             return
+        yield s
 
 
 def lazy_search_cutoff(log_integrand, s_start, direction, drop=_quad._DROP, step0=8.0,
@@ -221,9 +221,11 @@ class TestCut:
                     assert _quad.linear_cutoff(f, s_ref, rate, direction) == got
 
     def test_cases_reach_every_outcome(self):
-        # a cut at the start, past it, and none at all
+        # a cut past the start, and none at all; a start level of -inf reads
+        # as 0, and the start is no candidate
         f = CUT_CASES
-        assert _quad.search_cutoff(f["minus-inf-at-start"], 1.0, _quad.search_points(1.0, 1)) == 1.0
+        up = _quad.search_points(1.0, 1)
+        assert _quad.search_cutoff(f["minus-inf-at-start"], 1.0, up) == 113.0
         assert _quad.search_cutoff(f["step"], 1.0, _quad.search_points(1.0, 1)) == 49.0
         assert _quad.search_cutoff(f["step"], -1.0, _quad.search_points(-1.0, -1)) == -49.0
         assert _quad.search_cutoff(f["no-cutoff"], 1.0, _quad.search_points(1.0, 1)) is None
@@ -333,6 +335,22 @@ class TestLogPowerIntegrals:
         u = [2.0 ** rng.uniform(-8, 8) for _ in range(30)]
         v = [x * 2.0 ** rng.uniform(1e-6, 4) for x in u]
         assert_logs_agree(u, v, [beta] * len(u))
+
+    @pytest.mark.parametrize("beta", [-1e3, -2.5, -1.0 - 0.5 * DIV_TOL, -1.0,
+                                      -1.0 + 1e-11, -1.0 + 0.5 * DIV_TOL, -0.4, 0.0, 1.7])
+    def test_scalar_beta_is_the_full_array(self, beta):
+        # rows at u = 0 and v = inf, convergent or divergent by the power
+        # test, with |b span| under 1e-10 (b = 0 at beta = -1), and plain ones
+        rng = seeded(int(1e3 * abs(beta)) + 7)
+        u = [0.0, 0.0, 0.5, 1e-3, 0.0, 3.0, 0.5, 2.0]
+        v = [2.0, 1e-3, math.inf, math.inf, math.inf, 3.0 * (1 + 1e-12), 1.5, 8.0]
+        u += [2.0 ** rng.uniform(-30, 30) for _ in range(24)]
+        v += [x * 2.0 ** rng.uniform(1e-9, 20) for x in u[8:]]
+        u, v = np.array(u), np.array(v)
+        got = log_power_integrals(u, v, beta)
+        want = log_power_integrals(u, v, np.full(len(u), beta))
+        assert got.tobytes() == want.tobytes()
+        assert np.isinf(got).any() and np.isfinite(got).any()
 
     @settings(max_examples=200, deadline=None)
     @given(
