@@ -1,9 +1,10 @@
 """Herz, Morrey-Herz, and two-weight central Morrey norms.
 
-All three are built out of weighted variable-exponent shell norms on the
-dyadic annuli 2^(k-1) < |x| <= 2^k.  Truncation windows are explicit: sums
-run over a finite k range, suprema scan a finite set of indices, and the
-result carries flags when the truncation looks load-bearing.
+Herz and Morrey-Herz norms are built out of weighted variable-exponent shell
+norms on the dyadic annuli 2^(k-1) < |x| <= 2^k, central Morrey norms out of
+the Luxemburg norms on the balls |x| <= 2^j (ball_norms).  Truncation windows
+are explicit: sums run over a finite k range, suprema scan a finite set of
+indices, and the result carries flags when the truncation looks load-bearing.
 """
 
 from __future__ import annotations
@@ -121,15 +122,21 @@ def _check_window(name: str, window: tuple[int, int]) -> None:
 
 
 def _shell_values(f, spec, k_range, rel_tol):
-    """The shell norms for k = k_range[0], ..., k_range[1], in that order."""
+    """The shell norms for k = k_range[0], ..., k_range[1], in that order; a
+    shell outside the hull [lo, hi) of f's nonzero rows is exactly 0.0 without
+    a shell_norm call, as _clip keeps none of the rows there."""
     _check_window("k_range", k_range)
-    return [shell_norm(f, spec, k, rel_tol) for k in range(k_range[0], k_range[1] + 1)]
+    live = f.coef != 0.0
+    lo, hi = (float(f.lo[live].min()), float(f.hi[live].max())) if live.any() else (_INF, 0.0)
+    return [shell_norm(f, spec, k, rel_tol) if 2.0 ** k > lo and 2.0 ** (k - 1) < hi else 0.0
+            for k in range(k_range[0], k_range[1] + 1)]
 
 
 def herz_norm(f: PiecewisePowerFunction, spec: SpaceSpec,
               k_range: tuple[int, int] = (-40, 40),
               rel_tol: float = 1e-9) -> NormReport:
-    """Truncated l^p sum over shells of the weighted shell norms."""
+    """Truncated l^p sum over shells of the weighted shell norms; a shell
+    outside the hull of f's nonzero rows is exactly 0.0, without a call."""
     vals = _shell_values(f, spec, k_range, rel_tol)
     if any(math.isinf(v) for v in vals):
         return NormReport(_INF, ("shell-norm-infinite",))

@@ -353,6 +353,34 @@ HERZ_SPECS = {
 }
 
 
+def _segments(*rows):
+    return PiecewisePowerFunction(tuple(
+        Segment(lo, hi, c, ExponentExpr(a)) for lo, hi, c, a in rows
+    ))
+
+
+# functions whose nonzero hull ends, or whose gaps, fall on or near shells
+HULL_SOURCES = {
+    "zero_rows_outside": lambda: _segments(
+        (2.0 ** -9, 2.0 ** -6, 0.0, 0.4), (2.0 ** -3, 2.0, 1.2, 0.3),
+        (2.0, 4.0, 0.7, -0.4), (2.0 ** 5, 2.0 ** 8, 0.0, 0.1)),
+    # nothing between 2^-3 and 2^3: six whole shells
+    "gap": lambda: _segments((2.0 ** -4, 2.0 ** -3, 1.0, 0.2), (2.0 ** 3, 12.0, 0.8, -0.3)),
+    "ends_above_edges": lambda: _segments(
+        (0.25 * (1 + 1e-13), 1.0, 1.1, 0.2), (1.0, 8.0 * (1 + 1e-13), 0.9, -0.1)),
+    "ends_below_edges": lambda: _segments(
+        (0.25 * (1 - 1e-13), 1.0, 1.1, 0.2), (1.0, 8.0 * (1 - 1e-13), 0.9, -0.1)),
+    "from_zero_to_inf": lambda: _segments(
+        (0.0, 2.0 ** -5, 1.0, 0.5), (2.0 ** 4, math.inf, 1.0, -2.0)),
+    "zero": PiecewisePowerFunction.zero,
+}
+
+HULL_ALPHAS = {
+    "constant_alpha": Constant(0.3, signed=True),
+    "loginterp_alpha": LogInterp(0.6, 0.2, signed=True),
+}
+
+
 class TestWindowedNormsBitIdentical:
     @pytest.mark.parametrize("case", sorted(HERZ_SPECS))
     @pytest.mark.parametrize("source", ["image", "snapped_edges"])
@@ -365,6 +393,23 @@ class TestWindowedNormsBitIdentical:
         assert 0.0 < rep.value < math.inf
         assert rep.value == full_copy_herz(f, herz, ks)
         mh = SpaceSpec("morrey_herz", 1, Constant(2.0), lam=0.2, p_outer=2.0, **HERZ_SPECS[case])
+        assert morrey_herz_norm(f, mh, k_range, k_range).value == full_copy_morrey_herz(f, mh, ks)
+
+    @pytest.mark.parametrize("alpha", sorted(HULL_ALPHAS))
+    @pytest.mark.parametrize("q", [Constant(2.0), LogInterp(3.0, 2.0)], ids=["q2", "q_loginterp"])
+    @pytest.mark.parametrize("source", sorted(HULL_SOURCES))
+    def test_shells_outside_the_hull(self, source, q, alpha):
+        """Shells skipped outside the nonzero hull are the 0.0 the every-shell
+        scan computes, so the norms match it bit for bit."""
+        f = HULL_SOURCES[source]()
+        ks = range(-12, 13)
+        k_range = (ks[0], ks[-1])
+        herz = SpaceSpec("herz", 1, q, alpha=HULL_ALPHAS[alpha], p_outer=2.0)
+        scan = full_copy_shells(f, herz, ks)
+        assert spaces._shell_values(f, herz, k_range, 1e-9) == scan
+        assert (max(scan) > 0.0) == (source != "zero")
+        assert herz_norm(f, herz, k_range).value == full_copy_herz(f, herz, ks)
+        mh = SpaceSpec("morrey_herz", 1, q, alpha=HULL_ALPHAS[alpha], lam=0.2, p_outer=2.0)
         assert morrey_herz_norm(f, mh, k_range, k_range).value == full_copy_morrey_herz(f, mh, ks)
 
     @pytest.mark.parametrize("gamma", [0.0, 0.3])
@@ -432,3 +477,32 @@ class TestWindowedNormsBitIdentical:
         monkeypatch.setattr(Segment, "__post_init__", counted)
         herz_norm(g, spec)
         assert len(built) <= window_total + 4 * len(ks)
+
+    def test_shell_norm_called_only_inside_the_hull(self, herz_image, monkeypatch):
+        called = []
+        inner = spaces.shell_norm
+
+        def counted(f, spec, k, rel_tol=1e-9):
+            called.append(k)
+            return inner(f, spec, k, rel_tol)
+
+        monkeypatch.setattr(spaces, "shell_norm", counted)
+        spec = SpaceSpec("herz", 1, Constant(2.0), alpha=Constant(0.3, signed=True), p_outer=2.0)
+        # nonzero on (4, 8]: only the shell k = 3
+        f = PiecewisePowerFunction.single_power(1.3, 0.2, 4.0, 8.0)
+        assert herz_norm(f, spec, (-40, 40)).value > 0.0
+        assert called == [3]
+        called.clear()
+        # zero rows on (2^-9, 2^-6) and (2^5, 2^8) widen no hull
+        herz_norm(HULL_SOURCES["zero_rows_outside"](), spec, (-40, 40))
+        assert called == [-2, -1, 0, 1, 2]
+        called.clear()
+        assert herz_norm(PiecewisePowerFunction.zero(), spec, (-40, 40)).value == 0.0
+        assert called == []
+        g, target = herz_image
+        live = g.coef != 0.0
+        lo, hi = g.lo[live].min(), g.hi[live].max()
+        meet = [k for k in range(-40, 41) if 2.0 ** k > lo and 2.0 ** (k - 1) < hi]
+        assert 0 < len(meet) < 81
+        herz_norm(g, target, (-40, 40))
+        assert called == meet
