@@ -31,6 +31,7 @@ from .exponents import Constant
 from .harness import (
     EXTREMAL_KINDS,
     ExtremalError,
+    SamplingError,
     SweepResult,
     random_test_functions,
     sharpness_sweep,
@@ -223,6 +224,8 @@ def cmd_verify(cfg: ExperimentConfig, args) -> int:
             )
         except HypothesisError as exc:
             return _failed_check(args.out, "constant_finite", exc, "constant not usable")
+        except SamplingError as exc:
+            return _failed_check(args.out, "sample_admissible", exc, "no admissible draws")
         rows = [f"{s},{i},{_fmt(r)}" for s, i, r in suite.rows]
         _write_rows(args.out, "seed,index,ratio", rows)
         return EXIT_OK if not suite.violations else EXIT_FAIL

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .bounds import BoundConfig, HypothesisError, evaluate_constant, sharpness_region_check
 from .exponents import Constant, ExponentDomainError, scale_exponent
-from .hausdorff import OperatorSpec, operator_ratio
+from .hausdorff import OperatorSpec, _image_ratio, operator_ratio
 from .luxemburg import ExponentExpr, ExprTerm, PiecewisePowerFunction, Segment
 from .matrices import rho_bound
 from .spaces import SpaceSpec, space_norm
@@ -23,6 +23,7 @@ from .spaces import SpaceSpec, space_norm
 __all__ = [
     "EXTREMAL_KINDS",
     "ExtremalError",
+    "SamplingError",
     "SuiteResult",
     "SweepResult",
     "extremal_family",
@@ -47,6 +48,10 @@ EXTREMAL_KINDS = (
 class ExtremalError(ValueError):
     """An extremal function falls outside its space (configuration is out
     of the admissible range)."""
+
+
+class SamplingError(RuntimeError):
+    """No admissible random test function was drawn within the attempts."""
 
 
 def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], SpaceSpec]:
@@ -208,8 +213,14 @@ def random_test_functions(seed: int, count: int, space: SpaceSpec,
 
     Each function has 2 to 5 segments with constant exponents, supported in
     a bounded annulus, so every space in scope gives it a finite norm; the
-    norm is still checked and offending draws are replaced.
+    norm is still checked, once per draw, and offending draws are replaced.
+    Raises SamplingError after 50 * count draws.
     """
+    return [f for f, _norm in _draws(seed, count, space, k_range, k0_range, j_range, rel_tol)]
+
+
+def _draws(seed, count, space, k_range, k0_range, j_range, rel_tol):
+    """random_test_functions' (function, space norm) pairs."""
     if count < 1:
         raise ValueError("count must be >= 1")
     rng = random.Random(seed)
@@ -218,7 +229,7 @@ def random_test_functions(seed: int, count: int, space: SpaceSpec,
     while len(out) < count:
         attempts += 1
         if attempts > 50 * count:
-            raise RuntimeError("could not sample admissible functions")
+            raise SamplingError("could not sample admissible functions")
         n_seg = rng.randint(2, 5)
         edges = sorted(2.0 ** rng.uniform(-6.0, 6.0) for _ in range(n_seg + 1))
         segs = []
@@ -233,7 +244,7 @@ def random_test_functions(seed: int, count: int, space: SpaceSpec,
         f = PiecewisePowerFunction(tuple(segs))
         nr = space_norm(f, space, k_range, k0_range, j_range, rel_tol)
         if 0.0 < nr.value < _INF:
-            out.append(f)
+            out.append((f, nr.value))
     return out
 
 
@@ -281,8 +292,10 @@ def upper_bound_suite(op_spec: OperatorSpec, cfg: BoundConfig, constant_id: str,
 
     In exact configurations a ratio above constant * (1 + ratio_tol) counts
     as a violation; otherwise violations stay empty and max_ratio is the
-    empirical comparability constant.  The tuples run serially; workers is
-    accepted for compatibility and changes nothing.
+    empirical comparability constant.  A draw's source norm, computed once
+    to accept it, is its ratio's denominator.  The tuples run serially;
+    workers is accepted for compatibility and changes nothing.  A slot
+    that draws too few admissible functions raises SamplingError.
     """
     res = evaluate_constant(cfg, constant_id)
     if not res.finite:
@@ -290,20 +303,16 @@ def upper_bound_suite(op_spec: OperatorSpec, cfg: BoundConfig, constant_id: str,
     sources, target = spaces_for_constant(cfg, constant_id)
 
     per_slot = [
-        random_test_functions(
-            seed + 7919 * i, n_samples, src, k_range, k0_range, j_range, rel_tol
-        )
+        _draws(seed + 7919 * i, n_samples, src, k_range, k0_range, j_range, rel_tol)
         for i, src in enumerate(sources)
     ]
-    tuples = [tuple(per_slot[i][j] for i in range(op_spec.m)) for j in range(n_samples)]
-
-    ratios = [
-        operator_ratio(
-            op_spec, fs, sources, target,
+    ratios = []
+    for draws in zip(*per_slot):
+        fs, norms = zip(*draws)
+        ratios.append(_image_ratio(
+            op_spec, fs, norms, target,
             k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol,
-        )
-        for fs in tuples
-    ]
+        ))
 
     exact = is_exact_configuration(cfg, constant_id)
     violations = tuple(
@@ -321,9 +330,9 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
                     rel_tol: float = 1e-9) -> SweepResult:
     """Ratio of the extremal family against the matching sharp constant.
 
-    eps_list must be strictly decreasing and positive; the epsilon-free
-    power families simply repeat their (epsilon-independent) row.  A
-    constant outside (0, inf) raises HypothesisError.
+    eps_list must be strictly decreasing and positive.  An epsilon variant
+    builds its family and ratio once per epsilon, an epsilon-free one once
+    for all rows.  A constant outside (0, inf) raises HypothesisError.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -357,14 +366,16 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
         raise HypothesisError(f"constant {constant_id} = {res.value} is not in (0, inf)")
     sources, target = spaces_for_constant(cfg, constant_id)
 
+    needs_eps = kind.endswith("_eps")
     rows = []
     for eps in eps_list:
-        fs = extremal_family(kind, cfg, eps if kind.endswith("_eps") else None,
-                             k_range, k0_range, j_range, rel_tol)
-        ratio = operator_ratio(
-            op_spec, fs, sources, target,
-            k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol,
-        )
+        if needs_eps or not rows:
+            fs = extremal_family(kind, cfg, eps if needs_eps else None,
+                                 k_range, k0_range, j_range, rel_tol)
+            ratio = operator_ratio(
+                op_spec, fs, sources, target,
+                k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol,
+            )
         rows.append((eps, ratio, res.value, ratio / res.value))
 
     monotone = all(b[1] >= a[1] * (1 - 1e-9) for a, b in zip(rows, rows[1:]))

@@ -380,7 +380,10 @@ def operator_ratio(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                    k_range=(-40, 40), k0_range=(-40, 40), j_range=(-40, 40),
                    grid_octaves=(-40, 48), points_per_octave=24,
                    rel_tol: float = 1e-9) -> float:
-    """||H(f_1, ..., f_m)||_target / prod_i ||f_i||_source_i."""
+    """||H(f_1, ..., f_m)||_target / prod_i ||f_i||_source_i.
+
+    Computes each source norm once, then one image and its target norm.
+    """
     if len(fs) != spec.m or len(source_specs) != spec.m:
         raise ValueError("need one function and one source space per slot")
     denom = []
@@ -389,6 +392,13 @@ def operator_ratio(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         if nr.value == 0.0 or math.isinf(nr.value):
             raise RatioUndefinedError(f"source norm is {nr.value}")
         denom.append(nr.value)
+    return _image_ratio(spec, fs, denom, target_spec, k_range, k0_range, j_range,
+                        grid_octaves, points_per_octave, rel_tol)
+
+
+def _image_ratio(spec, fs, denominators, target_spec, k_range, k0_range, j_range,
+                 grid_octaves, points_per_octave, rel_tol) -> float:
+    """||H(fs)||_target / prod(denominators), the source norms taken as given."""
     image = apply_on_grid(
         spec, fs,
         grid_octaves=grid_octaves,
@@ -398,4 +408,4 @@ def operator_ratio(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     num = space_norm(image, target_spec, k_range, k0_range, j_range, rel_tol)
     if math.isinf(num.value):
         raise RatioUndefinedError("target norm of the image is infinite")
-    return num.value / math.prod(denom)
+    return num.value / math.prod(denominators)

@@ -357,6 +357,16 @@ class TestVerify:
         assert code == 1
         assert "constant_finite,fail" in out.read_text()
 
+    def test_no_admissible_draw_exits_1(self):
+        # the Herz window 2^20..2^30 misses every draw, which lives in 2^-6..2^6
+        proc = run_cli("verify", "--config", str(FIXTURES / "herz_window_misses.json"),
+                       "--suite", "upper", "--n", "2", "--seed", "3")
+        assert proc.returncode == 1
+        detail = "could not sample admissible functions"
+        assert proc.stdout.splitlines() == ["check,status,detail",
+                                            f"sample_admissible,fail,{detail}"]
+        assert proc.stderr == f"no admissible draws: {detail}\n"
+
     def test_sharpness_suite_green(self, tmp_path):
         out = tmp_path / "sharp.csv"
         code = main(

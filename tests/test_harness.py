@@ -1,11 +1,16 @@
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+from hausnorm import harness, hausdorff
 from hausnorm.bounds import BoundConfig, HypothesisError, SlotParams
+from hausnorm.config import load_config
 from hausnorm.exponents import Constant, LogInterp
 from hausnorm.harness import (
     ExtremalError,
+    SamplingError,
     extremal_family,
     is_exact_configuration,
     random_test_functions,
@@ -13,10 +18,28 @@ from hausnorm.harness import (
     spaces_for_constant,
     upper_bound_suite,
 )
-from hausnorm.hausdorff import OperatorSpec, RadialKernel
+from hausnorm.hausdorff import OperatorSpec, RadialKernel, operator_ratio
 from hausnorm.luxemburg import Region, luxemburg_norm
 from hausnorm.matrices import PowerMap, ScalarDilation
 from hausnorm.spaces import SpaceSpec, space_norm
+
+
+ROOT = Path(__file__).parents[1]
+FIXTURES = ROOT / "tests" / "fixtures"
+CONFIGS = ROOT / "perfbench" / "configs"
+
+
+def count_calls(monkeypatch, module, name):
+    """Rebind module.name to a wrapper; the returned list grows by one per call."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
 
 
 def central_cfg():
@@ -85,6 +108,13 @@ class TestRandomFunctions:
             v = space_norm(f, space).value
             assert 0.0 < v < math.inf
 
+    def test_no_admissible_draw_is_a_sampling_error(self):
+        # the functions live in 2^-6 < r < 2^6, so every shell norm of the window is 0
+        space = SpaceSpec("herz", 1, Constant(2.0), alpha=Constant(0.3, signed=True), p_outer=2.0)
+        with pytest.raises(SamplingError, match="could not sample admissible functions"):
+            random_test_functions(3, 2, space, k_range=(20, 30))
+        assert issubclass(SamplingError, RuntimeError)
+
     def test_supports_straddle_unity(self):
         space = SpaceSpec("lebesgue", 1, Constant(2.0))
         found = False
@@ -149,6 +179,48 @@ class TestUpperBoundSuite:
         with pytest.raises(HypothesisError):
             upper_bound_suite(hardy_op, cfg, "C1", 5, 42)
 
+    @pytest.mark.parametrize("path, cid, k_range, min_draws", [
+        (FIXTURES / "hardy_p2.json", "C9", None, 3),
+        (FIXTURES / "bilinear_p4.json", "C9", None, 6),
+        (CONFIGS / "herz_a03.json", "C8", None, 3),
+        # shells k >= 6 miss some draws, which are replaced
+        (CONFIGS / "herz_a03.json", "C8", (6, 40), 4),
+        (CONFIGS / "morrey_herz_a03.json", "C7", None, 3),
+    ], ids=["hardy_p2", "bilinear_p4", "herz_a03", "herz_a03_k6", "morrey_herz_a03"])
+    def test_rows_match_operator_ratio(self, path, cid, k_range, min_draws, monkeypatch):
+        """The suite divides by the norms its draws were accepted with: one
+        space norm per draw, replaced draws included, and one per image."""
+        cfg = load_config(str(path))
+        st = cfg.settings
+        if k_range is not None:
+            st = replace(st, k_range=k_range, k0_range=k_range)
+        op, bc = cfg.operator(), cfg.bound_config()
+        windows = (st.k_range, st.k0_range, st.r_grid_range)
+        grid = (st.grid_octaves, st.points_per_octave, st.rel_tol)
+        n, seed = 3, 3
+        norms = count_calls(monkeypatch, harness, "space_norm")
+        image_norms = count_calls(monkeypatch, hausdorff, "space_norm")
+        draws = count_calls(monkeypatch, harness, "PiecewisePowerFunction")
+        suite = upper_bound_suite(
+            op, bc, cid, n, seed, k_range=st.k_range, k0_range=st.k0_range,
+            j_range=st.r_grid_range, grid_octaves=st.grid_octaves,
+            points_per_octave=st.points_per_octave, rel_tol=st.rel_tol,
+        )
+        assert len(draws) >= min_draws
+        assert (len(norms), len(image_norms)) == (len(draws), n)
+        monkeypatch.undo()
+
+        sources, target = spaces_for_constant(bc, cid)
+        per_slot = [
+            random_test_functions(seed + 7919 * i, n, src, *windows, st.rel_tol)
+            for i, src in enumerate(sources)
+        ]
+        oracle = [
+            operator_ratio(op, fs, sources, target, *windows, *grid)
+            for fs in zip(*per_slot)
+        ]
+        assert [r for _s, _i, r in suite.rows] == oracle
+
     def test_exactness_predicate(self, hardy_cfg):
         assert is_exact_configuration(hardy_cfg, "C9")
         assert not is_exact_configuration(hardy_cfg, "C2")
@@ -168,13 +240,50 @@ class TestSharpnessSweep:
             )
             assert ratio == pytest.approx(oracle, abs=1e-4)
 
-    def test_central_rows_constant(self):
+    def test_central_rows_constant(self, monkeypatch):
         op, cfg = central_cfg()
+        families = count_calls(monkeypatch, harness, "extremal_family")
+        images = count_calls(monkeypatch, hausdorff, "apply_on_grid")
         sweep = sharpness_sweep(op, cfg, "central_morrey_power", [0.1, 0.05])
         expected = 2.0 * (2.0**-0.1 - 1.0) / (-0.1)
         for row in sweep.rows:
             assert row[1] == pytest.approx(expected, rel=1e-9)
             assert row[3] == pytest.approx(1.0, rel=1e-9)
+        # the epsilon-free family is built and imaged once for both rows
+        assert (len(families), len(images)) == (1, 1)
+
+    @pytest.mark.parametrize("name, kind, cid, builds", [
+        ("central_morrey_m1.json", "central_morrey_power", "C12", 1),
+        ("hardy_p2.json", "lebesgue_eps", "C9", 3),
+    ])
+    def test_rows_match_per_eps_oracle(self, name, kind, cid, builds, monkeypatch):
+        cfg = load_config(str(FIXTURES / name))
+        st = cfg.settings
+        op, bc = cfg.operator(), cfg.bound_config()
+        eps_list = st.eps_list
+        assert len(eps_list) == 3
+        windows = (st.k_range, st.k0_range, st.r_grid_range)
+        # the grid the CLI gives a sweep
+        grid = ((st.grid_octaves[0], max(st.grid_octaves[1], 64)),
+                max(st.points_per_octave, 32), st.rel_tol)
+        families = count_calls(monkeypatch, harness, "extremal_family")
+        images = count_calls(monkeypatch, hausdorff, "apply_on_grid")
+        sweep = sharpness_sweep(
+            op, bc, kind, eps_list, constant_id=cid, k_range=st.k_range,
+            k0_range=st.k0_range, j_range=st.r_grid_range, grid_octaves=grid[0],
+            points_per_octave=grid[1], rel_tol=st.rel_tol,
+        )
+        assert (len(families), len(images)) == (builds, builds)
+        monkeypatch.undo()
+
+        sources, target = spaces_for_constant(bc, cid)
+        oracle = []
+        for eps in eps_list:
+            fs = extremal_family(kind, bc, eps if kind.endswith("_eps") else None,
+                                 *windows, st.rel_tol)
+            ratio = operator_ratio(op, fs, sources, target, *windows, *grid)
+            oracle.append((eps, ratio, sweep.constant, ratio / sweep.constant))
+        assert list(sweep.rows) == oracle
 
     def test_eps_list_validation(self, hardy_op, hardy_cfg):
         with pytest.raises(ValueError):
