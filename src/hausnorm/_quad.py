@@ -183,6 +183,9 @@ def gk_step(f: np.ndarray, half: np.ndarray, rel_tol: float, group=None, groups:
     the integral has fewer than _MAX_PANELS panels, those with the largest
     |G - K|, as few as leave the rest at most half the allowed error.
     """
+    if groups == 1:
+        # one integral per row: the largest node of the row is its group's
+        group = None
     *rows, count, _ = f.shape
     size = math.prod(rows) * groups
     gid = (np.zeros(count, dtype=np.intp) if group is None else group) \
@@ -291,12 +294,6 @@ def search_cutoff(log_integrand, s_ref: float, points) -> float | None:
 def linear_cutoff(log_integrand, s_ref: float, rate: float, direction: int) -> float | None:
     """search_cutoff among linear_points; perfbench/spans.py binds this name."""
     return search_cutoff(log_integrand, s_ref, linear_points(s_ref, rate, direction))
-
-
-def tail_holds(log_integrand, s_ref: float, s_cut: float) -> bool:
-    """Whether a tail cut at s_cut from s_ref still passes: search_cutoff on
-    the one candidate s_cut."""
-    return search_cutoff(log_integrand, s_ref, (s_cut,)) is not None
 
 
 class RadialIntegral(NamedTuple):

@@ -7,7 +7,8 @@ the constant function 1 against a per-radius residual exponent.  The
 kernel times the matrix factors is one PiecewisePowerFunction of the
 kernel radius and integrates exactly; with a norm-of-one node factor it
 falls back to adaptive quadrature, whose nodes of each round take their
-norms of one as one batch, solved on one shared quadrature rule.
+norms of one as one batch, solved as the exponent rows of one quadrature
+rule.
 Divergence is decided before integrating: at a singular kernel end the
 pullback of q tends to the constant q(inf) or q(0), which decides the
 pullback hypothesis there and each node factor's end slope in closed form.
@@ -235,11 +236,15 @@ class _Residuals:
     at 0, the check radii 1e-8 ... 1e8, every discontinuity of q and of its
     pullback and the geometric midpoints between neighbouring ones, and in
     the limits at 0 and at infinity.  The first failing row (where(i) names
-    it) raises HypothesisError with its first failing |x|; at() repeats the
-    test at its radii.  A row is flat, r = inf everywhere, where the
-    difference is at most RECIP_ZERO_TOL on the check radii and in both
-    limits.
+    it) raises HypothesisError with its first failing |x|.  A row is flat,
+    r = inf everywhere, where the difference is at most RECIP_ZERO_TOL on
+    the check radii and in both limits.  The rows that are not flat, solve,
+    are exponent rows as luxemburg._Modular takes them: a call gives their
+    r_i and repeats the sign test at its radii, and p_zero and p_infty are
+    their limits.
     """
+
+    is_constant = False
 
     def __init__(self, q: RadialExponent, zeta: float, pull: np.ndarray, where):
         self.q, self.zeta, self.pull, self.where = q, zeta, pull[:, None], where
@@ -250,7 +255,7 @@ class _Residuals:
         d_inf = 1.0 / lim_inf - 1.0 / (zeta * q.p_infty)
         breaks = np.array(q.discontinuities())
         radii = np.concatenate((_CHECK_ARRAY, [0.0]))
-        self.points = ()
+        self.breaks = ()
         if len(breaks):
             # a limit has no discontinuities of its own, so it repeats q's
             with np.errstate(over="ignore"):
@@ -259,13 +264,16 @@ class _Residuals:
             mids = np.sqrt(both[:, 1:]) * np.sqrt(both[:, :-1])  # no overflow near 1e308
             radii = np.concatenate((np.broadcast_to(radii, (len(pull), len(radii))), both, mids),
                                    axis=1)
-            self.points = tuple(np.log(both[(both > 0.0) & (both < _INF)]).tolist())
+            self.breaks = tuple(both[(both > 0.0) & (both < _INF)].tolist())
         every = np.arange(len(pull))
         d = self._diff(radii, every)
         self._check(d, radii, every, (d_0 < -RECIP_ZERO_TOL) | (d_inf < -RECIP_ZERO_TOL))
         self.flat = ((d[:, :len(_CHECK_ARRAY)] <= RECIP_ZERO_TOL).all(axis=1)
                      & (d_0 <= RECIP_ZERO_TOL) & (d_inf <= RECIP_ZERO_TOL))
-        self.finite_0, self.finite_inf = d_0 > RECIP_ZERO_TOL, d_inf > RECIP_ZERO_TOL
+        self.solve = np.flatnonzero(~self.flat)
+        with np.errstate(divide="ignore"):
+            self.p_zero, self.p_infty = (np.where(d > RECIP_ZERO_TOL, 1.0 / d, _INF)[self.solve]
+                                         for d in (d_0, d_inf))
 
     def _diff(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """1/q(pull r) - 1/(zeta q(r)), one line per row."""
@@ -288,20 +296,23 @@ class _Residuals:
                 f"|x|={witness.min() if len(witness) else _INF:.4g}"
             )
 
-    def at(self, r: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """The rows' r_i at the radii r, (len(rows), len(r)), inf where the
-        difference is at most RECIP_ZERO_TOL."""
-        d = self._diff(r, rows)
-        self._check(d, r, rows)
+    def __call__(self, r: np.ndarray) -> np.ndarray:
+        """The solved rows' r_i at the radii r, (len(solve), len(r)), inf
+        where the difference is at most RECIP_ZERO_TOL."""
+        d = self._diff(r, self.solve)
+        self._check(d, r, self.solve)
         with np.errstate(divide="ignore"):
             return np.where(d > RECIP_ZERO_TOL, 1.0 / d, _INF)
+
+    def discontinuities(self) -> tuple[float, ...]:
+        return self.breaks
 
 
 class _NormOne:
     """ln N(t) at s = ln t, N(t) the norm of 1 for the residual exponent
     1/r_t(x) = 1/q(x/|s(t)|) - 1/(zeta q(x)), |s(t)| = |c| t^a.  A call
-    takes an array of s, and solves their norms together on one shared
-    quadrature rule (luxemburg._log_norms_of_one)."""
+    takes an array of s, and solves their norms together as the exponent
+    rows of one quadrature rule (luxemburg._log_norms_of_one)."""
 
     def __init__(self, n: int, q: RadialExponent, fam, zeta: float, rel_tol: float):
         self.n, self.q, self.fam, self.zeta, self.rel_tol = n, q, fam, zeta, rel_tol
@@ -331,11 +342,8 @@ class _NormOne:
 
         resid = _Residuals(self.q, self.zeta, pull, where)
         out = np.zeros(len(s))
-        solve = np.flatnonzero(~resid.flat)
-        if len(solve):
-            out[solve] = luxemburg._log_norms_of_one(
-                lambda r: resid.at(r, solve), resid.finite_0[solve], resid.finite_inf[solve],
-                resid.points, self.n, self.rel_tol)
+        if len(resid.solve):
+            out[resid.solve] = luxemburg._log_norms_of_one(resid, self.n, self.rel_tol)
         return out
 
     def __call__(self, s):

@@ -7,19 +7,21 @@ a region is
 
     F_p(g) = |S^{n-1}| * integral of r^{n-1} g(r)^{p(r)} dr,
 
-computed in closed form, as one array over the rows where p and the segment
-exponent are constant, and by adaptive quadrature on every other row, in log
-space either way.
+computed in closed form, as one array over the plain-power rows where p is
+constant, and by adaptive quadrature on every other row, in log space either
+way.
 Divergence is decided analytically first (power test at the singular
 endpoints), so infinite norms are reported instead of silently truncated.
-A Luxemburg norm is the root of ln F_p(g/eta) = 0 in x = ln eta.  Only x
-changes between the etas of one norm, so the quadrature rows share one rule
-of arrays, built once and frozen: on it the modular is one log-sum-exp,
-logsumexp(A - P x) over the closed-form rows and the quadrature nodes, which
-safeguarded Newton steps solve with its exact derivative.  The root is
-certified on that rule from both sides to a relative width of CERT_DELTA,
-and the rule is re-checked at the root (tail cutoffs and each row's G-K
-error) and refined there only where it fails.
+A Luxemburg norm is the root of ln F_p(g/eta) = 0 in x = ln eta, F_p(g)^(1/p)
+for a constant p.  Otherwise only x changes between the etas of one norm, so
+the quadrature rows share one rule of arrays, built once and frozen: on it
+the modular is one log-sum-exp, logsumexp(A - P x) over the quadrature
+nodes, which safeguarded Newton steps solve with its exact derivative.  The
+root is certified on that rule from both sides to a relative width of
+CERT_DELTA, and the rule is re-checked at the root (tail cutoffs and each
+row's G-K error) and refined there only where it fails.  The rule also
+takes a batch of exponents as rows, one log-sum-exp each: the norms of 1
+behind the boundedness constants solve that way, all at once.
 """
 
 from __future__ import annotations
@@ -421,10 +423,6 @@ class PiecewisePowerFunction:
 _LN_WK = np.log(_quad._K_WEIGHTS)
 
 
-class _InfiniteAt(Exception):
-    """The modular is infinite at this eta: no tail cutoff exists there."""
-
-
 def _log_sum(logs: list[float], sigma: float) -> tuple[float | None, float | None]:
     """sigma * sum of e^l over the logs: (that sum, None) when every l is
     within +-_LN_RANGE and the float sum is finite, (None, its ln)
@@ -456,56 +454,59 @@ def _constant_p_root(m: float | None, ln_m: float | None, p: float) -> float:
 
 
 class _Modular:
-    """F_p(g/eta) on a region, for one (g, p, region, n), in x = ln eta.
+    """F_p(g/eta) on a region, for one (g, region, n) and each of a batch
+    of exponent rows p, in x = ln eta.
 
-    The closed-form rows, where p is constant and finite and g is a plain
-    power c r^b, are one array of logs at eta = 1,
-    p ln c + ln of the integral of r^(n-1+b p), less p x at x = ln eta.
-    Every other row is a piece of one quadrature rule in s = ln r: arrays of
-    panel ends, the piece of each panel, and per node p, n s + p ln g and,
-    where p is infinite, cap = ln g (no term, and F infinite below it).
-    fit(x) freezes the rule at x; on it ln F(x) = logsumexp(A - P x): a
-    closed row has A = its log + ln sigma and P = p, a node A = ln(panel
+    p is a RadialExponent, one row, or stands for a batch of rows: p(r)
+    gives every row's exponent at the radii r as (rows, len(r)), p_zero
+    and p_infty are arrays of the rows' limits, discontinuities() the radii
+    where any row may jump, and is_constant is False.
+    Under a constant, finite p, the rows of g that are plain powers c r^b
+    are one array of logs at eta = 1, p ln c + ln of the integral of
+    r^(n-1+b p), less p x at x = ln eta.  Every other row of g is a piece of
+    one quadrature rule in s = ln r that the exponent rows share: arrays of
+    panel ends and the piece of each panel, per exponent row and node p and
+    n s + p ln g, and per row and panel cap, the largest ln g at a node
+    where p is infinite (no term there, and F infinite below it).  A piece
+    that reaches 0 or infinity cuts that tail at every fit, each row by
+    _quad.cut among candidates evaluated once, and the rule grows to span
+    the farthest row's cut, keeping its panels.
+    fit(x) freezes the rule at each row's x; on it the pieces' ln F is one
+    log-sum-exp per row, logsumexp(A - P x), a node having A = ln(panel
     half-width * Kronrod weight) + n s + p ln g + ln sigma and P = p(r).
-    Below floor, the largest cap or tail_floor, F is +inf.
+    Below floor, the largest cap or tail_floor, F is +inf.  A row whose
+    tail diverges whatever eta is, is dead.
     """
 
-    def __init__(self, g: PiecewisePowerFunction, p: RadialExponent, region: Region,
-                 n: int, rel_tol: float):
+    def __init__(self, g: PiecewisePowerFunction, p, region: Region, n: int, rel_tol: float):
         self.A, self.lo, self.pieces = None, None, 0
         rows, u, v = g._clip(region.r_lo, region.r_hi)
         self.empty = not len(rows)
         if self.empty:
             return
         self.sigma = sphere_area(n)
-        closed, expo = slice(None), g.expo[rows]
-        if p.is_constant and math.isfinite(p.p_zero) and not g.side:
-            self.p = p.p_zero
-        else:
-            closed, ps, quad = [], [], []
-            for k, (i, lo, hi) in enumerate(zip(rows.tolist(), u.tolist(), v.tolist())):
-                seg = g.side.get(i)
-                if seg is None or seg.plain_power:
-                    p_lo, p_hi = p.range_on(lo, hi)
-                    if p_lo == p_hi and math.isfinite(p_lo):
-                        if seg is not None:
-                            expo[k] = seg.expr(1.0)
-                        closed.append(k)
-                        ps.append(p_lo)
-                        continue
-                quad.append(k)
-            if quad:
-                self._pieces(g, rows[quad], u[quad], v[quad], p, n, rel_tol)
-            self.p = np.array(ps)
-        rows, u, v = rows[closed], u[closed], v[closed]
+        if not (p.is_constant and math.isfinite(p.p_zero)):
+            self._pieces(g, rows, u, v, p, n, rel_tol)
+            self.logs, self.p = np.empty(0), 0.0
+            return
+        self.p, expo = p.p_zero, g.expo[rows]
+        if g.side:
+            for k in np.flatnonzero(np.isnan(expo)).tolist():
+                seg = g.side[int(rows[k])]
+                if seg.plain_power:
+                    expo[k] = seg.expr(1.0)
+            closed = ~np.isnan(expo)
+            if not closed.all():
+                self._pieces(g, rows[~closed], u[~closed], v[~closed], p, n, rel_tol)
+            rows, u, v, expo = rows[closed], u[closed], v[closed], expo[closed]
         self.logs = (self.p * np.log(g.coef[rows]) + _quad.log_power_integrals(
-            u, v, n - 1 + expo[closed] * self.p)) if len(rows) else np.empty(0)
+            u, v, n - 1 + expo * self.p)) if len(rows) else np.empty(0)
 
     def _pieces(self, g, rows, u, v, p, n, rel_tol) -> None:
-        """The quadrature pieces: the rows of g, clipped to [u, v).  Raises
-        _EtaIndependent for an end whose tail diverges whatever eta is."""
-        self.pieces, self.p_fn, self.n, self.rel_tol, self.u, self.v = (
-            len(rows), p, n, rel_tol, u, v)
+        """The quadrature pieces: the rows of g, clipped to [u, v), and the
+        candidates of their tail cuts.  Raises _EtaIndependent when every
+        exponent row is dead."""
+        self.pieces, self.p_fn, self.n, self.rel_tol = len(rows), p, n, rel_tol
         self.ln_c, self.b = np.log(g.coef[rows]), g.expo[rows]
         self.side = {k: g.side[i] for k, i in enumerate(rows.tolist()) if i in g.side}
         with np.errstate(divide="ignore"):
@@ -513,60 +514,84 @@ class _Modular:
         self.points = tuple(math.log(r) for r in p.discontinuities() if r > 0)
         self.own = [(k, math.log(r)) for k, seg in self.side.items()
                     for r in seg.discontinuities() if r > 0]
-        # rows are sorted and disjoint, so only the first piece can reach 0
-        # and only the last infinity: their tail cuts (s_ref, s_cut), None
-        # before the first; an exponent infinite at a singular end gives no
-        # power slope there, and F diverges whatever eta is, or below tail_floor
-        self.tails, self.slopes, self.tail_floor = {}, [None, None], -_INF
-        for k, end in ((0, 0), (len(rows) - 1, 1)):
+        p_ends = np.atleast_1d(p.p_zero), np.atleast_1d(p.p_infty)
+        self.count = len(p_ends[0])
+        self.dead, self.tail_floor = np.zeros(self.count, dtype=bool), np.full(self.count, -_INF)
+        # rows are sorted and disjoint, so only the last piece can reach
+        # infinity and only the first 0; the rows of a tail (k, end) take
+        # their candidates by group, (k, end, rows, [start, *candidates])
+        groups = []
+        for k, end in ((self.pieces - 1, 1), (0, 0)):
             if not (u[k] == 0.0, math.isinf(v[k]))[end]:
                 continue
-            self.tails[k] = None
-            i = int(rows[k])
+            i, sign = int(rows[k]), 2 * end - 1
             seg = g.side.get(i) or Segment(u[k], v[k], g.coef[i], ExponentExpr(g.expo[i]))
-            a, p_end = seg.exponent_limits()[end], (p.p_zero, p.p_infty)[end]
-            if math.isfinite(p_end):
-                self.slopes[end] = n - 1 + a * p_end
-            elif (a if end else -a) > _quad.DIV_TOL:
-                raise _EtaIndependent
-            elif end and abs(a) <= _quad.DIV_TOL:
-                self.tail_floor = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
-
-    def _log_integrand(self, k: int, x: float):
-        """ln of r^n (g/eta)^p(r) on piece k at r = e^s and x = ln eta, at an
-        array of s, as the rule's nodes take it: what the tail cuts test."""
-        def log_integrand(s):
-            pv, base, cap = self._node_data(s[:, None], np.full(len(s), k))
-            return np.where(cap > x, _INF, base - pv * x)[:, 0]
-
-        return log_integrand
+            a, p_end = seg.exponent_limits()[end], p_ends[end]
+            finite = np.isfinite(p_end)
+            # a known power slope n - 1 + a p takes the power test and
+            # linear_points; an exponent infinite at the end gives none, and
+            # F diverges whatever eta is, or below tail_floor
+            rate = -sign * ((n - 1 + a * np.where(finite, p_end, 0.0)) + 1.0)
+            self.dead |= np.where(finite, rate <= _quad.DIV_TOL, sign * a > _quad.DIV_TOL)
+            if end and abs(a) <= _quad.DIV_TOL:
+                self.tail_floor[~finite] = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
+            start = max(self.s_lo[k], 0.0) if end else min(self.s_hi[k], 0.0)
+            search = max(self.s_lo[k], 1.0) if end else min(self.s_hi[k] - 1.0, -1.0)
+            groups.append((k, end, ~finite, [search, *_quad.search_points(search, sign)]))
+            groups += [(k, end, finite & (rate == r), [start, *_quad.linear_points(start, r, sign)])
+                       for r in np.unique(rate[finite]).tolist() if r > _quad.DIV_TOL]
+        if self.dead.all():
+            raise _EtaIndependent
+        # every row's node data at each group's candidates, evaluated once
+        self.tails = [(k, end, at, np.array(s[1:]), *(d[:, 0] for d in self._node_data(
+            np.array([s]), np.array([k])))) for k, end, at, s in groups if at.any()]
 
     def _node_data(self, s: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
-        """(P, n s + P ln g, cap) at the nodes s of panels of the pieces ids;
-        where p is infinite they are 0, -inf and ln g."""
-        pv = self.p_fn(_quad.radius(s))
+        """(P, n s + P ln g, cap) of every exponent row at the nodes s of
+        panels of the pieces ids, (panels, nodes), each as (rows, panels,
+        nodes); where p is infinite they are 0, -inf and ln g."""
+        pv = np.reshape(self.p_fn(_quad.radius(s.ravel())), (-1, *s.shape))
         la = self.ln_c[ids][:, None] + self.b[ids][:, None] * s
         for k in np.intersect1d(ids, list(self.side)).tolist() if self.side else ():
             at = ids == k
             la[at] = self.side[k].log_amplitude_s(s[at])
         inf = np.isinf(pv)
         pv = np.where(inf, 0.0, pv)
-        return pv, np.where(inf, -_INF, self.n * s + pv * la), np.where(inf, la, -_INF)
+        base = self.n * s + pv * la
+        base[inf] = -_INF
+        return pv, base, np.where(inf, la, -_INF)
 
     def _set(self, keep, lo: np.ndarray, hi: np.ndarray, ids: np.ndarray) -> None:
         """Keep the panels keep marks and add the panels [lo, hi) of the
-        pieces ids, with their node data."""
-        new = (lo, hi, ids, *self._node_data(_quad.nodes(lo, hi), ids))
+        pieces ids, with every row's node data, cap as each panel's
+        largest."""
+        node_p, base, cap = self._node_data(_quad.nodes(lo, hi), ids)
+        data = node_p, base, cap.max(axis=-1)
         if self.lo is not None:
-            old = (self.lo, self.hi, self.ids, self.node_p, self.base, self.cap)
-            new = [np.concatenate((c[keep], n)) for c, n in zip(old, new)]
-        self.lo, self.hi, self.ids, self.node_p, self.base, self.cap = new
+            lo, hi, ids = (np.concatenate((c[keep], n)) for c, n in
+                           ((self.lo, lo), (self.hi, hi), (self.ids, ids)))
+            data = [np.concatenate((c[:, keep], n), axis=1)
+                    for c, n in zip((self.node_p, self.base, self.cap), data)]
+        self.lo, self.hi, self.ids = lo, hi, ids
+        self.node_p, self.base, self.cap = data
         self.A = None
 
+    def keep(self, rows: np.ndarray) -> None:
+        """Drop every exponent row but rows."""
+        p_fn = self.p_fn
+        self.p_fn = lambda r: p_fn(r)[rows]
+        self.count, self.dead, self.tail_floor = len(rows), self.dead[rows], self.tail_floor[rows]
+        self.tails = [(k, end, at[rows], s, *(c[rows] for c in data))
+                      for k, end, at, s, *data in self.tails]
+        if self.lo is not None:
+            self.node_p, self.base, self.cap, self.A, self.P, self.floor = (
+                c[rows] for c in (self.node_p, self.base, self.cap, self.A, self.P, self.floor))
+
     def trial(self, eta: float) -> tuple[float | None, float | None]:
-        """F_p(g/eta) as _log_sum gives it, (F, None) or (None, ln F), with
-        the rule fitted at eta, and (inf, None) when it diverges at this
-        eta.  Raises _EtaIndependent when it diverges at every eta."""
+        """F_p(g/eta) of the one exponent row as _log_sum gives it, (F, None)
+        or (None, ln F), with the rule fitted at eta, and (inf, None) when it
+        diverges at this eta.  Raises _EtaIndependent when it diverges at
+        every eta."""
         if self.empty:
             return 0.0, None
         x = math.log(eta)
@@ -574,86 +599,105 @@ class _Modular:
         if _INF in logs:
             raise _EtaIndependent
         if self.pieces:
-            try:
-                self.fit(x)
-            except _InfiniteAt:
-                return _INF, None
-            if x < self.floor:
+            _changed, stuck = self.fit(x)
+            if stuck[0] or x < self.floor[0]:
                 return _INF, None
             logs += self.piece_logs.tolist()
         return _log_sum(logs, self.sigma)
 
-    def fit(self, x: float) -> bool:
-        """Fit the rule at x or re-check it there, and lay it out as A, P and
-        floor; True when it changed.  An end piece whose tails are not cut,
-        or fail their drop test at x, is cut and laid on fresh grid panels;
-        a piece failing its G-K test at x bisects its worst panels
-        (_quad.gk_step, one integral per piece).  piece_logs keeps the
-        pieces' ln modulars at x.  Raises _EtaIndependent for a power tail
-        that diverges whatever eta is, _InfiniteAt where no cut exists."""
-        if self.pieces:
-            if x < self.tail_floor:
-                raise _InfiniteAt
-            fresh = np.full(self.pieces, self.lo is None)
-            for k, tails in self.tails.items():
-                f = self._log_integrand(k, x)
-                if tails is None or not all(_quad.tail_holds(f, *t) for t in tails):
-                    cut = _quad.tail_cuts(f, self.u[k], self.v[k], *self.slopes)
-                    if cut[2] is not None:
-                        raise _EtaIndependent if cut[2] == "power" else _InfiniteAt
-                    self.s_lo[k], self.s_hi[k], _div, self.tails[k] = cut
-                    fresh[k] = True
-            if fresh.any():
-                self._set(None if self.lo is None else ~fresh[self.ids], *_quad.grid_panels(
-                    self.s_lo, np.where(fresh, self.s_hi, self.s_lo), self.points, self.own))
-            for _round in range(_quad._MAX_ROUNDS):
-                self.piece_logs, _err, split = _quad.gk_step(
-                    self.base - self.node_p * x, 0.5 * (self.hi - self.lo), self.rel_tol,
-                    self.ids, self.pieces)
-                if not len(split):
-                    break
-                whole, lo, hi = _quad.halve(self.lo, self.hi, split)
-                self._set(whole, lo[whole.sum():], hi[whole.sum():], np.tile(self.ids[split], 2))
+    def fit(self, x) -> tuple[bool, np.ndarray]:
+        """Fit the rule at x, one ln eta per exponent row or one for all, or
+        re-check it there, and lay it out as A, P and floor: (whether it
+        changed, the rows stuck at x).  Each row cuts its tails at x by
+        _quad.cut; a row below its tail_floor, or with no cut, is stuck, and
+        while one is the rule is left as it is.  Otherwise the rule grows to
+        span the farthest row's cuts, and each (row, piece) failing its G-K
+        test at x bisects its worst panels (_quad.gk_step).  piece_logs
+        keeps the pieces' ln modulars at x, row after row."""
+        x = np.reshape(x, (-1, 1))
+        stuck, cuts = x[:, 0] < self.tail_floor, {}
+        for k, end, at, s, node_p, base, cap in self.tails:
+            levels = np.where(cap > x, _INF, base - node_p * x)
+            cuts[k, end] = np.where(at, _quad.cut(levels[:, 0], s, levels[:, 1:]),
+                                    cuts.get((k, end), np.nan))
+        for c in cuts.values():
+            stuck |= np.isnan(c)
+        if stuck.any():
+            return False, stuck
+        reach = {(k, end): float(c.max() if end else c.min()) for (k, end), c in cuts.items()}
+        if self.lo is None:
+            for (k, end), s in reach.items():
+                (self.s_hi if end else self.s_lo)[k] = s
+            self._set(None, *_quad.grid_panels(self.s_lo, self.s_hi, self.points, self.own))
+        for (k, end), s in reach.items():
+            span = (self.s_lo, self.s_hi)[end]
+            if (s > span[k]) if end else (s < span[k]):
+                ends = np.array([span[k], s] if end else [s, span[k]])
+                lo, hi, _one = _quad.grid_panels(ends[:1], ends[1:], self.points,
+                                                 [(0, r) for j, r in self.own if j == k])
+                self._set(slice(None), lo, hi, np.full(len(lo), k))
+                span[k] = s
+        for _round in range(_quad._MAX_ROUNDS):
+            self.piece_logs, _err, split = _quad.gk_step(
+                self.base - self.node_p * x[:, :, None], 0.5 * (self.hi - self.lo), self.rel_tol,
+                self.ids, self.pieces)
+            if not len(split):
+                break
+            whole, lo, hi = _quad.halve(self.lo, self.hi, split)
+            self._set(whole, lo[whole.sum():], hi[whole.sum():], np.tile(self.ids[split], 2))
         if self.A is not None:
-            return False
-        if _INF in self.logs:
-            raise _EtaIndependent
-        A, P = [self.logs], [np.broadcast_to(self.p, self.logs.shape)]
-        self.floor = -_INF
-        if self.pieces:
-            A.append((np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.base).ravel())
-            P.append(self.node_p.ravel())
-            self.floor = max(self.tail_floor, float(self.cap.max(initial=-_INF)))
-        A, P = np.concatenate(A) + math.log(self.sigma), np.concatenate(P)
-        live = A > -_INF
-        self.A, self.P = A[live], P[live]
-        return True
+            return False, stuck
+        self.A = (np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.base).reshape(
+            self.count, -1)
+        self.A += math.log(self.sigma)
+        self.P = self.node_p.reshape(self.count, -1)
+        self.floor = np.maximum(self.tail_floor, self.cap.max(axis=1))
+        return True, stuck
 
     def log_f(self, x: float) -> tuple[float, float]:
-        """(ln F, d ln F / dx) on the frozen rule at x: +inf below floor and
-        -inf where the rule has no term."""
-        if x < self.floor:
+        """(ln F, d ln F / dx) of the one exponent row on the frozen rule at
+        x: +inf below floor and -inf where the rule has no term."""
+        if x < self.floor[0]:
             return _INF, 0.0
-        if not len(self.A):
-            return -_INF, 0.0
         z = self.A - self.P * x
         top = z.max()
+        if top == -_INF:
+            return -_INF, 0.0
         w = np.exp(z - top)
         total = w.sum()
-        return float(top + math.log(total)), -float(self.P @ w) / float(total)
+        return float(top + math.log(total)), -float(np.vdot(self.P, w)) / float(total)
+
+    def log_fs(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
+        """(ln F, d ln F / dx) at x of the exponent rows on the frozen rule,
+        one log-sum-exp per row: +inf below the row's floor, and -inf and 0
+        for a row without a term."""
+        P = self.P[rows]
+        z = P * x[:, None]
+        np.subtract(self.A[rows], z, out=z)
+        top = z.max(axis=1)
+        with np.errstate(invalid="ignore"):
+            z -= top[:, None]
+        w = np.exp(z, out=z)
+        total = w.sum(axis=1)
+        none = top == -_INF
+        if none.any():
+            top, total = np.where(none, -_INF, top), np.where(none, 1.0, total)
+            w[none] = 0.0
+        h = np.where(x < self.floor[rows], _INF, top + np.log(total))
+        return h, -np.einsum("ij,ij->i", P, w) / total
 
     def norm(self, x: float, max_iter: int) -> float:
-        """inf{eta : F_p(g/eta) <= 1} from a rule fitted at x, clamped to
-        +-_LN_ETA_MAX: the root on the frozen rule, at which the rule is
-        re-checked, and solved again from there if it changed.  Where the
-        modular is infinite at a fit, the fit moves up by a doubling step.
-        max_iter caps the evaluations of ln F over all solves."""
+        """inf{eta : F_p(g/eta) <= 1} of the one exponent row, from a rule
+        fitted at x, clamped to +-_LN_ETA_MAX: the root on the frozen rule,
+        at which the rule is re-checked, and solved again from there if it
+        changed.  Where the row is stuck at a fit, the fit moves up by a
+        doubling step.  max_iter caps the evaluations of ln F over all
+        solves."""
         self.budget = max_iter
         x, step, eta = min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX), 1.0, None
         while True:
-            try:
-                changed = self.fit(x)
-            except _InfiniteAt:
+            changed, stuck = self.fit(x)
+            if stuck[0]:
                 if x >= _LN_ETA_MAX:
                     return _INF
                 x, step, eta = min(x + step, _LN_ETA_MAX), 2.0 * step, None
@@ -678,7 +722,7 @@ class _Modular:
         climb to it from there; they stay in the bracket [a, b] of evaluated
         points and in [floor, _LN_ETA_MAX].  A step below _TOL/4 ends at r,
         and the certificate is checked at eta = e^(r + _TOL/4)."""
-        lo = max(self.floor, -_LN_ETA_MAX)
+        lo = max(float(self.floor[0]), -_LN_ETA_MAX)
         a, b = -_INF, _INF
         x = min(max(x, lo), _LN_ETA_MAX)
         while True:
@@ -705,140 +749,14 @@ class _Modular:
 
 
 # ---------------------------------------------------------------------------
-# norms of 1 over R^n, a batch of exponents on one shared rule
+# norms of 1 over R^n, a batch of exponent rows on one rule
 
 
-# F is infinite below x = ln eta = -ln(1 - 1e-12) for an exponent that is
-# infinite at infinity, where (1/eta)^p tends to 0 or inf, as for _Modular's
-# tail_floor; that also keeps x above 0, the bound of the infinite-p nodes
-_ONE_FLOOR = -math.log1p(-1e-12)
-
-
-class _OneRule:
-    """One frozen quadrature rule in s = ln r for the modulars of 1 over R^n
-    against a batch of exponent rows.
-
-    p_at(r) gives every row's exponent at the radii r as (rows, len(r)),
-    inf where it is infinite.  On the rule, row i's modular is one
-    log-sum-exp, ln F_i(x) = logsumexp_j(A_j - P_ij x), with A_j = ln(panel
-    half-width * Kronrod weight) + n s_j + ln sigma the same for every row
-    and P_ij = p_i(e^s_j); a node where p_i is infinite adds no term (p
-    keeps 0 there, and inf marks it).  Each row cuts its own tails by
-    _quad.cut among the same candidates: _quad.search_points up from s = 1,
-    and down from s = -1 or, where p(0) is finite and the power slope at 0
-    is n - 1, linear_points down from s = 0 at rate n.  The rule spans
-    every row's cuts, and is refined until every row passes its G-K error
-    test.
-    """
-
-    def __init__(self, p_at, finite_0: np.ndarray, points, n: int, rel_tol: float):
-        self.p_at, self.finite_0, self.points = p_at, finite_0, points
-        self.n, self.rel_tol = n, rel_tol
-        self.ln_sigma = math.log(sphere_area(n))
-        self.tails = [self._tail(1.0, _quad.search_points(1.0, +1)),
-                      self._tail(-1.0, _quad.search_points(-1.0, -1))]
-        if finite_0.any():
-            self.tails.append(self._tail(0.0, _quad.linear_points(0.0, n, -1)))
-        self.lo = self.A = None
-
-    def _tail(self, s_ref: float, points) -> tuple:
-        s = np.array([s_ref, *points])
-        p = self.p_at(_quad.radius(s))
-        return s_ref, s[1:], p[:, 0], p[:, 1:]
-
-    def keep(self, rows: np.ndarray) -> None:
-        """Drop every row but rows."""
-        p_at = self.p_at
-        self.p_at = lambda r: p_at(r)[rows]
-        self.finite_0 = self.finite_0[rows]
-        self.tails = [(s_ref, s, p_ref[rows], p[rows]) for s_ref, s, p_ref, p in self.tails]
-        if self.lo is not None:
-            self.p, self.inf = self.p[rows], self.inf[rows]
-
-    def _cut(self, tail: tuple, x: np.ndarray) -> np.ndarray:
-        """Each row's _quad.cut of its log-integrand n s - p x at x."""
-        s_ref, s, p_ref, p = tail
-        return _quad.cut(self.n * s_ref - p_ref * x, s, self.n * s - p * x[:, None])
-
-    def _set(self, keep, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Keep the panels keep marks and add the panels [lo, hi), with
-        every row's p at their nodes."""
-        s = _quad.nodes(lo, hi)
-        p = self.p_at(_quad.radius(s.ravel())).reshape(-1, *s.shape)
-        inf = np.isinf(p)
-        p[inf] = 0.0
-        if self.lo is not None:
-            lo, hi, s = (np.concatenate((c[keep], n)) for c, n in
-                         ((self.lo, lo), (self.hi, hi), (self.s, s)))
-            p, inf = (np.concatenate((c[:, keep], n), axis=1)
-                      for c, n in ((self.p, p), (self.inf, inf)))
-        self.lo, self.hi, self.s, self.p, self.inf = lo, hi, s, p, inf
-        self.A = None
-
-    def _cover(self, s_lo: float, s_hi: float) -> bool:
-        """Extend the rule over [s_lo, s_hi]; True when it grew."""
-        old = (s_hi, s_hi) if self.lo is None else self.span
-        lo, hi, _k = _quad.grid_panels(np.array([s_lo, old[1]]), np.array([old[0], s_hi]),
-                                       self.points)
-        self.span = (min(s_lo, old[0]), max(s_hi, old[1]))
-        if len(lo):
-            self._set(slice(None), lo, hi)
-        return bool(len(lo))
-
-    def fit(self, x: np.ndarray) -> tuple[bool, np.ndarray]:
-        """Cut the rows' tails at x, extend the rule over the cuts and refine
-        it until every row passes its G-K test at x (_quad.gk_step, one
-        integral per row): (whether the rule changed, which rows have no
-        tail cut at x)."""
-        s_lo = self._cut(self.tails[1], x)
-        if len(self.tails) > 2:
-            s_lo = np.where(self.finite_0, self._cut(self.tails[2], x), s_lo)
-        s_hi = self._cut(self.tails[0], x)
-        stuck = np.isnan(s_lo) | np.isnan(s_hi)
-        if stuck.any():
-            return False, stuck
-        changed = self._cover(float(s_lo.min()), float(s_hi.max()))
-        for _round in range(_quad._MAX_ROUNDS):
-            f = self.p * -x[:, None, None]
-            f += self.n * self.s
-            np.copyto(f, -_INF, where=self.inf)
-            _value, _err, split = _quad.gk_step(f, 0.5 * (self.hi - self.lo), self.rel_tol)
-            if not len(split):
-                break
-            whole, lo, hi = _quad.halve(self.lo, self.hi, split)
-            self._set(whole, lo[whole.sum():], hi[whole.sum():])
-            changed = True
-        return changed, stuck
-
-    def log_f(self, x: np.ndarray, rows) -> tuple[np.ndarray, np.ndarray]:
-        """(ln F, d ln F / dx) at x of the rows on the frozen rule, one
-        log-sum-exp per row: +inf below _ONE_FLOOR, and -inf and 0 for a
-        row without a term."""
-        if self.A is None:
-            self.A = (np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.n * self.s
-                      + self.ln_sigma).ravel()
-        count = len(self.p)
-        P = self.p.reshape(count, -1)[rows]
-        z = P * x[:, None]
-        np.subtract(self.A, z, out=z)
-        np.copyto(z, -_INF, where=self.inf.reshape(count, -1)[rows])
-        top = z.max(axis=1)
-        with np.errstate(invalid="ignore"):
-            z -= top[:, None]
-        w = np.exp(z, out=z)
-        total = w.sum(axis=1)
-        none = top == -_INF
-        if none.any():
-            top, total = np.where(none, -_INF, top), np.where(none, 1.0, total)
-            w[none] = 0.0
-        h = np.where(x < _ONE_FLOOR, _INF, top + np.log(total))
-        return h, -np.einsum("ij,ij->i", P, w) / total
-
-
-def _roots(log_f, x: np.ndarray, lo: float, evals: np.ndarray, max_iter: int) -> np.ndarray:
-    """_Modular._root for every row at once, above a floor lo > 0: per row,
-    ln eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
-    frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
+def _roots(log_f, x: np.ndarray, lo: np.ndarray, evals: np.ndarray,
+           max_iter: int) -> np.ndarray:
+    """_Modular._root for every row at once, each above its floor lo > 0:
+    per row, ln eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA)))
+    on the frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
     log_f(x, rows) gives ln F and its derivative at x for the rows.  Each
     row takes Newton steps until one is below _TOL/4, then checks eta and
     eta (1 - CERT_DELTA), and goes back to Newton from the one that fails.
@@ -873,40 +791,38 @@ def _roots(log_f, x: np.ndarray, lo: float, evals: np.ndarray, max_iter: int) ->
         out[rows[done]] = np.log(eta[done])
         if np.any(done | gone):
             keep = ~(done | gone)
-            rows, x, a, b, eta, stage = (v[keep] for v in (rows, x, a, b, eta, stage))
+            rows, x, lo, a, b, eta, stage = (v[keep] for v in (rows, x, lo, a, b, eta, stage))
     return out
 
 
-def _log_norms_of_one(p_at, finite_0: np.ndarray, finite_inf: np.ndarray, points,
-                      n: int, rel_tol: float, max_iter: int = 200) -> np.ndarray:
+def _log_norms_of_one(p, n: int, rel_tol: float, max_iter: int = 200) -> np.ndarray:
     """ln of the Luxemburg norm of 1 over R^n against each of a batch of
-    exponent rows, as norm_of_one gives it, all solved on one shared rule.
+    exponent rows p, as _Modular takes them, each as norm_of_one gives it,
+    all solved as the rows of one _Modular of g = 1.
 
-    p_at(r) gives every row's exponent at the radii r as (rows, len(r)), inf
-    where it is infinite; finite_0 and finite_inf mark the rows whose limit
-    at 0 or at infinity is finite, and points are the ln of every row's
-    discontinuities.  A row finite at infinity has an infinite modular at
-    every eta (its integrand tends to r^(n-1)), so its norm is +inf.  The
-    rest start at eta = e (as norm_of_one from eta = 1, below the floor)
-    and solve together by safeguarded Newton (_roots) on one frozen rule
-    (_OneRule): built at the start, re-checked at the roots (each row's
-    tails and G-K test), and, where some row fails, refined or extended and
-    solved again.  Every returned eta is certified on the final rule; a row
-    without a tail cutoff at its eta moves up by a doubling step, and is
-    infinite past _LN_ETA_MAX.  max_iter caps each row's evaluations of ln
-    F; BracketError past it.
+    A dead row, such as one whose exponent is finite at infinity (its
+    integrand tends to r^(n-1) at every eta), is +inf.  The rest start at
+    eta = e (as norm_of_one from eta = 1, below the floor) and solve
+    together by safeguarded Newton (_roots) on the frozen rule: built at
+    the start, re-checked at the roots (each row's tails and G-K test),
+    and, where some row fails, refined or extended and solved again.  Every
+    returned eta is certified on the final rule; a row stuck at its eta
+    moves up by a doubling step, and is infinite past _LN_ETA_MAX.
+    max_iter caps each row's evaluations of ln F; BracketError past it.
     """
-    out = np.full(len(finite_inf), _INF)
-    live = np.flatnonzero(~finite_inf)
-    if not len(live):
+    out = np.full(len(p.p_zero), _INF)
+    try:
+        mod = _Modular(PiecewisePowerFunction.one(), p, Region.all(), n, rel_tol)
+    except _EtaIndependent:
         return out
-    rule = _OneRule(p_at if len(live) == len(out) else lambda r, rows=live: p_at(r)[rows],
-                    finite_0[live], points, n, rel_tol)
+    live = np.flatnonzero(~mod.dead)
+    if len(live) < len(out):
+        mod.keep(live)
     x, step = np.ones(len(live)), np.ones(len(live))
     evals = np.zeros(len(live), dtype=int)
     solved = False
     while len(live):
-        changed, stuck = rule.fit(x)
+        changed, stuck = mod.fit(x)
         if stuck.any():
             # no tail cut at x: up by a doubling step, infinite past _LN_ETA_MAX
             x[stuck] = np.where(x[stuck] >= _LN_ETA_MAX, _INF,
@@ -916,11 +832,11 @@ def _log_norms_of_one(p_at, finite_0: np.ndarray, finite_inf: np.ndarray, points
         elif solved and not changed:
             break
         else:
-            x, solved = _roots(rule.log_f, x, _ONE_FLOOR, evals, max_iter), True
+            x, solved = _roots(mod.log_fs, x, mod.floor, evals, max_iter), True
         if np.isinf(x).any():
             keep = np.isfinite(x)
             live, x, step, evals = (v[keep] for v in (live, x, step, evals))
-            rule.keep(np.flatnonzero(keep))
+            mod.keep(np.flatnonzero(keep))
     out[live] = x
     return out
 

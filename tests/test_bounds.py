@@ -158,36 +158,36 @@ class TestLebesgueConstants:
 
     def test_node_factor_work(self, monkeypatch):
         # each batch of nodes (a quad_s round, the end value, a tail cut's
-        # start and candidates) solves on one shared rule: built at the cold
-        # start, and changed at most once more where the re-check at the
-        # roots fails; every fit cuts each row's two tails (three for the
-        # end limit's finite p(0)) once.  The kernel's tail at t -> 0 is
-        # cut in one batch: its start s = 0, a flat row (t = 1) that takes
-        # no rule, and the 4 candidates -200, -360, -520 and -680 inside the
-        # end's edge.  The 135 nodes take one round, and the end t -> 0 one
-        # more row, the limit's
+        # start and candidates) solves as the rows of one rule: built at the
+        # cold start, and changed at most once more where the re-check at
+        # the roots fails; every fit cuts each row's two tails (three
+        # candidate groups for the end limit's finite p(0)) once.  The
+        # kernel's tail at t -> 0 is cut in one batch: its start s = 0, a
+        # flat row (t = 1) that takes no rule, and the 4 candidates -200,
+        # -360, -520 and -680 inside the end's edge.  The 135 nodes take one
+        # round, and the end t -> 0 one more row, the limit's
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         calls = {"rows": 0, "batches": 0, "builds": 0, "tail_searches": 0}
-        solve, fit, cut = luxemburg._log_norms_of_one, luxemburg._OneRule.fit, \
-            luxemburg._OneRule._cut
+        solve, fit, cut = luxemburg._log_norms_of_one, luxemburg._Modular.fit, _quad.cut
 
-        def counted_solve(p_at, finite_0, finite_inf, *args):
-            calls["rows"] += len(finite_inf)
+        def counted_solve(p, *args):
+            calls["rows"] += len(p.p_zero)
             calls["batches"] += 1
-            return solve(p_at, finite_0, finite_inf, *args)
+            return solve(p, *args)
 
         def counted_fit(self, x):
             changed, stuck = fit(self, x)
             calls["builds"] += changed
             return changed, stuck
 
-        def counted_cut(self, tail, x):
-            calls["tail_searches"] += len(x)
-            return cut(self, tail, x)
+        def counted_cut(level_ref, s, levels):
+            # the rows' cuts; the kernel's own tail cuts have no row axis
+            calls["tail_searches"] += len(level_ref) if np.ndim(level_ref) else 0
+            return cut(level_ref, s, levels)
 
         monkeypatch.setattr(luxemburg, "_log_norms_of_one", counted_solve)
-        monkeypatch.setattr(luxemburg._OneRule, "fit", counted_fit)
-        monkeypatch.setattr(luxemburg._OneRule, "_cut", counted_cut)
+        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(_quad, "cut", counted_cut)
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
         assert calls["rows"] == 4 + 135 + 1
         assert calls["builds"] <= 2 * calls["batches"]
@@ -370,10 +370,11 @@ def test_infinite_node_factor_diverges_by_power_test(monkeypatch):
     # the norm-of-one factor of divergent_c1.json is +inf at every radius:
     # the endpoint slope is -inf, so no tail is cut (the one stop rule,
     # _quad.cut, never runs), and the residual's finite limit at infinity
-    # decides it without a rule
+    # decides it without a rule: no exponent is evaluated at a node or a
+    # tail candidate
     calls = []
     monkeypatch.setattr(_quad, "cut", lambda *args, **kw: calls.append(args))
-    monkeypatch.setattr(luxemburg, "_OneRule", lambda *args: calls.append(args))
+    monkeypatch.setattr(luxemburg._Modular, "_node_data", lambda *args: calls.append(args))
     cfg = load_config(FIXTURES / "divergent_c1.json").bound_config()
     res = evaluate_constant(cfg, "C1")
     assert not res.finite
@@ -544,6 +545,23 @@ def per_node_log_norm(q, fam, zeta, n, t):
     return math.log(eta)
 
 
+class ExponentRows:
+    """A batch of exponent rows as luxemburg._Modular takes them: p_at(r)
+    gives each row's exponent at the radii r, and every row claims
+    infinite limits at 0 and at infinity."""
+
+    is_constant = False
+
+    def __init__(self, p_at, count: int):
+        self.p_at, self.p_zero, self.p_infty = p_at, np.full(count, math.inf), np.full(count, math.inf)
+
+    def __call__(self, r):
+        return self.p_at(r)
+
+    def discontinuities(self):
+        return ()
+
+
 class TestBatchedNormsOfOne:
     """A node factor solves a whole array of kernel radii as one batch on
     one shared rule; every row matches the per-node norm of one."""
@@ -572,29 +590,31 @@ class TestBatchedNormsOfOne:
                 factor(s)
             assert str(err.value) == failure
             return
-        rules, rule_type = [], luxemburg._OneRule
+        rules, rule_type = [], luxemburg._Modular
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(luxemburg, "_OneRule",
+            mp.setattr(luxemburg, "_Modular",
                        lambda *args: rules.append(rule_type(*args)) or rules[-1])
             got = factor(s)
         for g, e in zip(got.tolist(), expected):
             assert g == e if math.isinf(e) else abs(g - e) <= 1e-9
-        # each solved row's certificate holds on its batch's final rule
+        # each solved row's certificate holds on its batch's final rule,
+        # whose rows are the solved ones
         solved = [g for g in got.tolist() if 0.0 < g < math.inf]
         assert len(rules) == (1 if solved else 0)
         if solved:
             x = np.array(solved)
             rows = slice(None)
-            assert np.all(rules[0].log_f(x, rows)[0] <= 0.0)
+            assert rules[0].count == len(solved)
+            assert np.all(rules[0].log_fs(x, rows)[0] <= 0.0)
             below = np.log(np.exp(x) * (1.0 - luxemburg.CERT_DELTA))
-            assert np.all(rules[0].log_f(below, rows)[0] > 0.0)
+            assert np.all(rules[0].log_fs(below, rows)[0] > 0.0)
 
     def test_flat_rows_take_no_rule(self, monkeypatch):
         # t at or next to 1 pulls q back to itself within RECIP_ZERO_TOL:
         # the residual is flat and ln N is exactly 0, with no rule built
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         fam, q = cfg.operator.families[0], cfg.slots[0].q
-        monkeypatch.setattr(luxemburg, "_OneRule", None)
+        monkeypatch.setattr(luxemburg, "_Modular", None)
         factor = bounds._NormOne(1, q, fam, 1.0, 1e-7)
         assert factor(np.array([-1e-13, 0.0, 1e-13])).tolist() == [0.0, 0.0, 0.0]
 
@@ -602,13 +622,13 @@ class TestBatchedNormsOfOne:
         # p = 1 gives the integrand e^(s - x), which drops below the search
         # target nowhere up to x = ln 1e280, so that row climbs to the end
         # of the search range and is infinite; the other row solves on the
-        # rule all the same
+        # rule all the same.  Both rows claim infinite limits, so both ends
+        # take search_points
         def p_at(r):
             return np.stack((np.ones(r.shape), 2.0 + np.log1p(r) ** 2))
 
-        no = np.array([False, False])
-        got = luxemburg._log_norms_of_one(p_at, no, no, (), 1, 1e-9)
-        alone = luxemburg._log_norms_of_one(lambda r: p_at(r)[1:], no[1:], no[1:], (), 1, 1e-9)
+        got = luxemburg._log_norms_of_one(ExponentRows(p_at, 2), 1, 1e-9)
+        alone = luxemburg._log_norms_of_one(ExponentRows(lambda r: p_at(r)[1:], 1), 1, 1e-9)
         assert got[0] == math.inf
         assert abs(got[1] - alone[0]) <= 1e-9
 

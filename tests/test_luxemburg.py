@@ -642,38 +642,36 @@ class TestLogRootFind:
                 assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
                 assert eta == pytest.approx(oracle, rel=1e-9)
 
-    def test_failed_tail_is_searched_again_at_the_root(self, monkeypatch):
+    def test_tails_are_cut_again_at_every_fit(self, monkeypatch):
         # fitted at eta = 1e25, both tails of the C1 node factor are cut at
         # the first candidates past the search starts s = +-1, s = +-17,
-        # (1/eta)^p(r) having vanished there; at the root eta = 1.05 a cut
-        # fails the drop test, and the rule's tails are searched again, out
-        # to s = 49 and -17
-        verdicts, searches = [], []
-        holds, search = luxemburg._quad.tail_holds, luxemburg._quad.tail_cuts
+        # (1/eta)^p(r) having vanished there; the norm's first fit, at the
+        # same eta, cuts them there again; at the root eta = 1.05 the cut at
+        # infinity moves out to s = 49 and the rule grows from 17 to span
+        # it, keeping the edges of its panels; at the next root both cuts
+        # lie inside the rule, and the re-check there passes unchanged
+        cuts = []
+        cut = luxemburg._quad.cut
 
-        def recorded_holds(f, s_ref, s_cut):
-            verdicts.append(holds(f, s_ref, s_cut))
-            return verdicts[-1]
+        def recorded(*args):
+            cuts.append(cut(*args).tolist())
+            return np.array(cuts[-1])
 
-        def recorded_search(*args):
-            cuts = search(*args)
-            searches.extend(s_cut for _s_ref, s_cut in cuts[3])
-            return cuts
-
-        monkeypatch.setattr(luxemburg._quad, "tail_holds", recorded_holds)
-        monkeypatch.setattr(luxemburg._quad, "tail_cuts", recorded_search)
+        monkeypatch.setattr(luxemburg._quad, "cut", recorded)
         one = PiecewisePowerFunction.one()
         p = ROOT_EXPONENTS["c1_residual"]
         mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)
+        assert mod.fit(math.log(1e25))[0]
+        first = set(mod.lo.tolist()) | set(mod.hi.tolist())
         eta = mod.norm(math.log(1e25), 200)
         assert mod.pieces == 1
-        assert searches == [17.0, -17.0, 49.0, -17.0]
-        assert False in verdicts
-        assert mod.tails == {0: ((1.0, 49.0), (-1.0, -17.0))}
-        # the rule spans the cuts it ends with, and they pass at the root
+        assert cuts == [[17.0], [-17.0]] * 2 + [[49.0], [-17.0]] * 2
+        # the rule spans the cuts it ends with, grown from the first rule
         assert (mod.lo.min(), mod.hi.max()) == (-17.0, 49.0)
-        f = mod._log_integrand(0, math.log(eta))
-        assert all(holds(f, *t) for t in mod.tails[0])
+        assert 17.0 in first
+        assert first <= set(mod.lo.tolist()) | set(mod.hi.tolist())
+        changed, stuck = mod.fit(math.log(eta))
+        assert not changed and not stuck.any()
         assert eta == pytest.approx(certified_norm(one, p), rel=1e-9)
 
     @pytest.mark.parametrize("guess", [math.inf, math.nan, 0.0])
@@ -724,9 +722,9 @@ class TestLogRootFind:
         fit, log_f = luxemburg._Modular.fit, luxemburg._Modular.log_f
 
         def counted_fit(self, x):
-            changed = fit(self, x)
+            changed, stuck = fit(self, x)
             builds[-1] += changed
-            return changed
+            return changed, stuck
 
         def counted_log_f(self, x):
             evals[-1] += 1

@@ -6,8 +6,10 @@ agree to 1e-9 relative, and the |G - K| estimate of the last G-K step
 (_quad.gk_step) on the final rule must be at least the true error.
 """
 
+import json
 import math
 from bisect import bisect_right
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -31,6 +33,7 @@ from hausnorm.luxemburg import (
     modular,
 )
 
+from hausnorm.cli import main
 from test_luxemburg import c1_residual
 
 REL = 1e-9
@@ -151,6 +154,31 @@ def test_radial_integral_with_both_tails_searched(dps30, last_quad):
     want = mp.quad(lambda r: mp.sqrt(r) * mp.exp(-r - 1 / r), [0, 1, 10, mp.inf])
     check(res.value, want, last_quad, sigma=1.0)
     assert (res.log_value, res.log_error) == tuple(float(v[0]) for v in last_quad[-1])
+
+
+def test_step_exponent_norm_against_closed_form_root(dps30, capsys):
+    """`hausnorm norm` on tests/fixtures/step_q_norm.json against the
+    mpmath root of its modular, which on each step of q is a sum of
+    closed-form power integrals, read from the fixture's own numbers."""
+    path = Path(__file__).parent / "fixtures" / "step_q_norm.json"
+    obj = json.loads(path.read_text())
+    q, segs = obj["space"]["q"], obj["function"]["segments"]
+    edges = [0.0, *q["breaks"], math.inf]
+    # (lo, hi, c, a, q) of every segment on every step of q that it meets
+    pieces = [(max(s["lo"], lo), min(s["hi"], hi), s["c"], s["a"], p)
+              for s in segs for lo, hi, p in zip(edges, edges[1:], q["values"])
+              if max(s["lo"], lo) < min(s["hi"], hi)]
+
+    def log_modular(eta):
+        # 2 * sum of (c/eta)^p * integral of r^(a p) over [lo, hi], n = 1
+        return mp.log(2 * mp.fsum(
+            (mp.mpf(c) / eta) ** p * (mp.mpf(hi) ** (a * p + 1) - mp.mpf(lo) ** (a * p + 1))
+            / (a * p + 1) for lo, hi, c, a, p in pieces))
+
+    want = mp.findroot(log_modular, mp.mpf(8))
+    assert main(["norm", "--config", str(path)]) == 0
+    got = json.loads(capsys.readouterr().out)["norm"]
+    assert got == pytest.approx(float(want), rel=1e-10)
 
 
 # one step of a sampled image's grid, 2^(1/24), where near-critical image
