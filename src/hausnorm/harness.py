@@ -134,6 +134,14 @@ def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], Sp
     raise KeyError(f"unknown constant id {cid!r}")
 
 
+class _Family(list):
+    """The members of an extremal family, with the source spaces their
+    admissibility was checked in and each member's norm there."""
+
+    sources: list[SpaceSpec]
+    norms: list[float]
+
+
 def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
                     k_range=(-40, 40), k0_range=(-40, 40), j_range=(-40, 40),
                     rel_tol: float = 1e-9) -> list[PiecewisePowerFunction]:
@@ -141,7 +149,8 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
 
     Epsilon variants need eps > 0 and cut off below the inverse of the
     conditioning constant; the power variants are global power laws.
-    Construction verifies each member has finite nonzero source norm.
+    Construction verifies each member has finite nonzero source norm; the
+    list keeps those source spaces and norms as its sources and norms.
     """
     if kind not in EXTREMAL_KINDS:
         raise KeyError(f"unknown extremal kind {kind!r}")
@@ -194,6 +203,8 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
         sources, _ = spaces_for_constant(cfg, cid)
     except ExponentDomainError as exc:
         raise ExtremalError(f"the {cid} spaces of this family are undefined: {exc}") from None
+    family = _Family(out)
+    family.sources, family.norms = sources, []
     for f, src in zip(out, sources):
         nr = space_norm(f, src, k_range, k0_range, j_range, rel_tol)
         hidden_mass = {"shell-norm-infinite", "truncation-suspect-low"} & set(nr.flags)
@@ -202,7 +213,8 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
                 f"extremal member has source norm {nr.value} (flags {nr.flags}); "
                 "the configuration is outside the admissible range for this family"
             )
-    return out
+        family.norms.append(nr.value)
+    return family
 
 
 def random_test_functions(seed: int, count: int, space: SpaceSpec,
@@ -332,7 +344,9 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
 
     eps_list must be strictly decreasing and positive.  An epsilon variant
     builds its family and ratio once per epsilon, an epsilon-free one once
-    for all rows.  A constant outside (0, inf) raises HypothesisError.
+    for all rows.  Where the family's source spaces are the constant's,
+    the ratio divides by the norms the family was admitted with.  A
+    constant outside (0, inf) raises HypothesisError.
     """
     eps_list = list(eps_list)
     if not eps_list or any(e <= 0 for e in eps_list):
@@ -372,10 +386,11 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
         if needs_eps or not rows:
             fs = extremal_family(kind, cfg, eps if needs_eps else None,
                                  k_range, k0_range, j_range, rel_tol)
-            ratio = operator_ratio(
-                op_spec, fs, sources, target,
-                k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol,
-            )
+            settings = (k_range, k0_range, j_range, grid_octaves, points_per_octave, rel_tol)
+            if fs.sources == sources:
+                ratio = _image_ratio(op_spec, fs, fs.norms, target, *settings)
+            else:
+                ratio = operator_ratio(op_spec, fs, sources, target, *settings)
         rows.append((eps, ratio, res.value, ratio / res.value))
 
     monotone = all(b[1] >= a[1] * (1 - 1e-9) for a, b in zip(rows, rows[1:]))

@@ -4,9 +4,12 @@ The operator integrates a kernel phi(|t|)/|t|^n against a product of
 dilated factors f_i(A_i(t) x).  For radial kernels and radially dilating
 families the whole thing collapses to a 1-D integral over the kernel
 radius.  It is evaluated at a whole grid of radii at once, one segment
-combination at a time: in log closed form over the grid where the segments
-are powers with constant exponents, and by adaptive quadrature otherwise.
-The support of a sampled image is closed form at the kernel ends.
+combination at a time: in log closed form over the run of grid radii where
+it has support when the segments are powers with constant exponents, and
+by adaptive quadrature otherwise.  The support of a sampled image is
+closed form at the kernel ends.  Where the image is one exact power beyond
+its closed-form kinks, the grid is sampled only between the extreme kinks,
+and each pure-power run beyond them is one closed-form row.
 """
 
 from __future__ import annotations
@@ -153,20 +156,27 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             for lo, hi in zip(los[1:], his[1:]):
                 u, v = np.maximum(u, lo), np.minimum(v, hi)
             u, v = np.maximum(k.r_lo, u), np.minimum(k.r_hi, v)
-            idx = np.flatnonzero(u < v)
-            if not len(idx):
+            live = u < v
+            first = int(live.argmax())
+            if not live[first]:
                 continue
             if not all(seg.plain_power for seg in segs):
-                for i in idx:
+                for i in np.flatnonzero(live).tolist():
                     total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
                 continue
+            # every window end is affine in ln x, so the live radii are one
+            # run of the sorted xs; a radius inside it that rounding left
+            # dead gets the empty interval, whose integral is 0
+            run = slice(first, len(live) - int(live[::-1].argmax()))
+            u = u[run]
+            v = np.maximum(u, v[run])
             # in log space, so a divergent piece is +inf whatever its coefficient
             log_coef, expo = math.log(k.c), k.a - 1.0
             for seg, fam, ln_cx in zip(segs, spec.families, log_cx):
                 b = seg.expr.constant_value()
-                log_coef += math.log(seg.coef) + b * ln_cx[idx]
+                log_coef += math.log(seg.coef) + b * ln_cx[run]
                 expo += fam.s.a * b
-            total[idx] += np.exp(log_coef + _quad.log_power_integrals(u[idx], v[idx], expo))
+            total[run] += np.exp(log_coef + _quad.log_power_integrals(u, v, expo))
     return spec.sigma * total
 
 
@@ -281,6 +291,65 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
     return PiecewisePowerFunction.from_columns(x0, x1, coef, slope)
 
 
+def _power_core(spec, fs, grid: np.ndarray):
+    """(i, end, beta, high): the grid radii grid[i:end] that the image is
+    sampled at, where beyond them it is one exact power x^beta, beta =
+    -kernel.a / a, on grid[:i + 1] and, where high, on grid[end - 2:].
+    None unless every input has only plain rows and its nonzero hull inside
+    (0, inf), and the families share one exponent a != 0.
+
+    The image's kinks are e / |s_i(r_k)| for every row edge e of input i
+    and finite positive kernel end r_k.  Beyond the extreme ones, at the
+    hull ends, every pullback window lies wholly inside the kernel support
+    or wholly outside it, so u = |s(r)| x takes x^beta out of the integral.
+    grid[i] is the last radius at or below the lowest kink; the core ends
+    one radius past the first at or above the highest, so that its last
+    chord lies on the high run.  Without a finite positive kernel end the
+    whole grid is one run, and both kinks are the middle of those that
+    the kernel radius 1 would give, where the pullback windows sit near
+    r = 1.
+    """
+    exponents = {fam.s.a for fam in spec.families}
+    if len(exponents) != 1 or 0.0 in exponents or any(f.side for f in fs):
+        return None
+    hulls = np.array([f.support() for f in fs])
+    if not ((hulls[:, 0] > 0.0) & (hulls[:, 1] < _INF)).all():
+        return None
+    k = spec.kernel
+    ends = [r for r in (k.r_lo, k.r_hi) if 0.0 < r < _INF]
+    scales = np.array([[abs(fam.s(r)) for r in ends or [1.0]] for fam in spec.families])
+    with np.errstate(divide="ignore"):
+        x_min = float((hulls[:, :1] / scales).min())
+        x_max = float((hulls[:, 1:] / scales).max())
+    if not ends:
+        x_min = x_max = math.sqrt(x_min) * math.sqrt(x_max)
+    i = max(int(np.searchsorted(grid, x_min, side="right")) - 1, 0)
+    j = int(np.searchsorted(grid, x_max))
+    high = j + 1 < len(grid)
+    return i, j + 2 if high else len(grid), -k.a / exponents.pop(), high
+
+
+def _power_rows(image, xs, vals, beta, low_end, high: bool) -> PiecewisePowerFunction:
+    """image, the interpolant of the core samples (xs, vals), with each
+    power run beyond them as one row of slope beta through the core's end
+    sample, kept representable as the interpolant's tail is
+    (_representable_slope): [low_end, xs[0]) unless low_end is None, and
+    where high, [xs[-1], inf) in place of the interpolant's tail.  A zero
+    end sample adds no row, as it breaks the chain."""
+    cols = [image.lo, image.hi, image.coef, image.expo]
+
+    def row(x, v, r_lo, r_hi):
+        slope = _representable_slope(np.array([x]), np.array([v]), np.array([beta]))
+        return np.array([r_lo]), np.array([r_hi]), v / x ** slope, slope
+
+    if high and vals[-1] > 0.0:
+        keep = image.hi < _INF
+        cols = [np.append(c[keep], r) for c, r in zip(cols, row(xs[-1], vals[-1], xs[-1], _INF))]
+    if low_end is not None and vals[0] > 0.0:
+        cols = [np.append(r, c) for c, r in zip(cols, row(xs[0], vals[0], low_end, xs[0]))]
+    return PiecewisePowerFunction.from_columns(*cols)
+
+
 def _geometric_grid(lo: float, hi: float, points_per_octave: int) -> np.ndarray:
     """The radii lo * step, (lo * step) * step, ... below hi (1 + 1e-12), with
     step = 2^(1/points_per_octave), multiplied up one step at a time."""
@@ -302,7 +371,10 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     then the same power scaled by the kernel integral); otherwise the image
     is sampled on a dyadic grid (or at the radii of r_grid, at least two
     distinct positive ones) and interpolated log-log, with the last slope
-    extended to infinity.
+    extended to infinity.  On the dyadic grid, where the image is one
+    exact power beyond its extreme kinks (_power_core), only the grid
+    between them is sampled, and each pure-power run beyond them is one
+    closed-form row through the sample at its end.
     """
     if len(fs) != spec.m:
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
@@ -329,7 +401,9 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         lo = max(x_lo, 2.0 ** grid_octaves[0])
         hi = min(x_hi, 2.0 ** grid_octaves[1])
         grid = _geometric_grid(lo, hi, points_per_octave)
+        core = _power_core(spec, fs, grid)
     else:
+        core = None
         grid = sorted(r_grid)
         if len(grid) < 2:
             raise ValueError("need at least two grid radii")
@@ -339,10 +413,16 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             raise ValueError("grid radii must be distinct")
 
     xs = np.array(grid, dtype=float)
+    if core is not None:
+        i, end, beta, high = core
+        xs = xs[i:end]
     vals = _image_values(spec, fs, xs, rel_tol)
     if np.isinf(vals).any():
         raise DivergentImageError("image is infinite at a grid radius")
-    return _loglog_interpolant(xs, vals)
+    image = _loglog_interpolant(xs, vals)
+    if core is None:
+        return image
+    return _power_rows(image, xs, vals, beta, grid[0] if i else None, high)
 
 
 # ---------------------------------------------------------------------------

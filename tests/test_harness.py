@@ -285,6 +285,20 @@ class TestSharpnessSweep:
             oracle.append((eps, ratio, sweep.constant, ratio / sweep.constant))
         assert list(sweep.rows) == oracle
 
+    def test_source_norms_computed_once(self, monkeypatch):
+        # the lebesgue_eps family is admitted in the C2 sources, which on
+        # hardy_p2 equal C9's: each member's norm is its ratio's denominator,
+        # so one source norm and one image norm per epsilon, not 3 of 9
+        cfg = load_config(str(FIXTURES / "hardy_p2.json"))
+        st = cfg.settings
+        source_norms = count_calls(monkeypatch, harness, "space_norm")
+        image_norms = count_calls(monkeypatch, hausdorff, "space_norm")
+        sweep = sharpness_sweep(cfg.operator(), cfg.bound_config(), "lebesgue_eps",
+                                st.eps_list, rel_tol=st.rel_tol)
+        assert (len(source_norms), len(image_norms)) == (3, 3)
+        want = [1.8257346257459031, 1.9425694205368578, 1.9802943104152242]
+        assert [r[1] for r in sweep.rows] == pytest.approx(want, rel=1e-12)
+
     def test_eps_list_validation(self, hardy_op, hardy_cfg):
         with pytest.raises(ValueError):
             sharpness_sweep(hardy_op, hardy_cfg, "lebesgue_eps", [0.01, 0.1])

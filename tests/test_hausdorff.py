@@ -585,6 +585,53 @@ class TestImageOracle:
         assert 0 < sum(on.any() for on in live) < len(live)
 
 
+def full_grid(spec, fs):
+    """The default dyadic grid over the image support, every radius of it."""
+    x_lo, x_hi = hausdorff._image_support(spec, fs)
+    return hausdorff._geometric_grid(max(x_lo, 2.0 ** -40), min(x_hi, 2.0 ** 48), 24)
+
+
+def live_runs(spec, fs, xs):
+    """Per segment combination, the indices of the radii xs where its
+    pullback windows meet inside the kernel support."""
+    k = spec.kernel
+    windows = [hausdorff._pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+    with np.errstate(all="ignore"):
+        for combo in itertools.product(*windows):
+            _segs, los, his = zip(*combo)
+            u = np.maximum(k.r_lo, np.max(los, axis=0))
+            v = np.minimum(k.r_hi, np.min(his, axis=0))
+            yield np.flatnonzero(u < v)
+
+
+def assert_live_runs_contiguous(spec, fs):
+    """Every combination's live radii are one run of the full grid, which
+    is what lets _image_values slice instead of gather; returns how many
+    combinations are live."""
+    runs = [idx for idx in live_runs(spec, fs, full_grid(spec, fs)) if len(idx)]
+    for idx in runs:
+        assert idx[-1] - idx[0] + 1 == len(idx)
+    return len(runs)
+
+
+class TestLiveRuns:
+    """Window ends are affine in ln x under a PowerMap family, so each
+    combination is live on one interval of ln x: one run of the grid."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_cases(self, case):
+        spec, fs = KERNEL_CASES[case]
+        assert assert_live_runs_contiguous(spec, fs) >= 1
+
+    @pytest.mark.parametrize("fixture", ["hardy_p2.json", "bilinear_p4.json"])
+    def test_seeded_suite_images(self, fixture, monkeypatch):
+        cfg = load_config(str(FIXTURES / fixture))
+        calls = image_calls(monkeypatch, lambda: upper_bound_suite(
+            cfg.operator(), cfg.bound_config(), "C9", 40, 3))
+        assert len(calls) >= 35
+        assert sum(assert_live_runs_contiguous(spec, fs) for spec, fs, *_rest in calls) >= 100
+
+
 class TestLogLogInterpolant:
     def test_steep_jump_gets_a_representable_piece(self):
         # the image jumps from 1e-3 to 0.62 within one grid step at x = 0.024
@@ -638,12 +685,107 @@ class TestGeometricGrid:
             assert hausdorff._geometric_grid(lo, hi, ppo).tolist() == loop_grid(lo, hi, ppo)
 
     def test_hardy_image_grid(self, monkeypatch):
+        # kinks at x = 0.25 and 8: the grid is sampled from the support edge
+        # 0.25 to one radius past the first at or above 8, and the image
+        # beyond is the closed-form row x^-1 through the last sample
         spec = from_hardy_littlewood(PowerMap(1.0, 0.0))
         f = PiecewisePowerFunction.single_power(1.0, -0.3, 0.25, 8.0)
-        xs, _vals = grid_samples(spec, [f], monkeypatch)
+        xs, vals = grid_samples(spec, [f], monkeypatch)
         x_lo, x_hi = hausdorff._image_support(spec, [f])
-        assert xs == loop_grid(max(x_lo, 2.0 ** -40), min(x_hi, 2.0 ** 48), 24)
-        assert len(xs) > 100
+        grid = loop_grid(max(x_lo, 2.0 ** -40), min(x_hi, 2.0 ** 48), 24)
+        j = next(i for i, x in enumerate(grid) if x >= 8.0)
+        assert xs == grid[:j + 2]
+        assert len(xs) > 100 and len(grid) > 1000
+        img = apply_on_grid(spec, [f])
+        assert img.lo[0] == grid[0]
+        assert (img.lo[-1], img.hi[-1], img.expo[-1]) == (xs[-1], math.inf, -1.0)
+        assert img.coef[-1] == vals[-1] / xs[-1] ** -1.0
+        assert img.lo[:-1].tolist() == xs[:-1]
+
+
+def log_image(img, x):
+    """ln of a plain-row image at x from its row's columns, so that a value
+    past the float range keeps its digits; -inf off its rows."""
+    i = int(np.searchsorted(img.lo, x, side="right")) - 1
+    if i < 0 or not x < img.hi[i] or img.coef[i] == 0.0:
+        return -math.inf
+    return math.log(img.coef[i]) + img.expo[i] * math.log(x)
+
+
+# (kernel exponent, r_lo, r_hi) of the power-run oracle's one-sided kernels
+POWER_RUN_KERNELS = {
+    "0_1": (1.0, 0.0, 1.0),
+    "1_49": (-0.5, 1.0, 49.0),
+    "0_inf": (1.0, 0.0, math.inf),
+}
+_LN_NORMAL = (-1022 * math.log(2.0), 1024 * math.log(2.0))
+
+
+class TestPowerRuns:
+    """Beyond its extreme kinks the image of plain inputs under families
+    that share one exponent a is one exact power x^(-kernel.a / a): the
+    grid is sampled only between the kinks, and each run beyond is one
+    closed-form row."""
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("kernel", sorted(POWER_RUN_KERNELS))
+    @pytest.mark.parametrize("a", [1.0, 0.3, 0.03, 0.01, -1.0])
+    def test_matches_the_full_grid(self, a, kernel, m):
+        k_a, r_lo, r_hi = POWER_RUN_KERNELS[kernel]
+        spec = one_sided(1.0, k_a, r_lo, r_hi, *[(1.0, a), (0.8, a)][:m])
+        fs = [PLAIN, PLAIN2][:m]
+        grid = full_grid(spec, fs)
+        full = hausdorff._loglog_interpolant(grid, hausdorff._image_values(spec, fs, grid, 1e-9))
+        img = apply_on_grid(spec, fs)
+        # the sampled oracle is exact only where every pullback window end
+        # (e / (|c| x))^(1/a) is a float: past that, its window is clipped
+        edges = np.log([e for f in fs for e in (*f.lo, *f.hi)])
+        ln_c = np.log([abs(fam.s.c) for fam in spec.families])
+        compared = 0
+        # one radius past the grid end compares the tails
+        for x in [*grid.tolist(), 2.0 * grid[-1]]:
+            ln_full = log_image(full, x)
+            ln_ends = (edges[:, None] - ln_c - math.log(x)) / a
+            if _LN_NORMAL[0] <= ln_full < _LN_NORMAL[1] and np.abs(ln_ends).max() < 700.0:
+                assert log_image(img, x) == pytest.approx(ln_full, rel=0.0, abs=1e-12)
+                compared += 1
+        assert compared >= 48
+        # a kernel with an end at 0 has a run; [1, 49] has none
+        if kernel == "1_49":
+            assert img == full
+        else:
+            assert len(img.lo) < len(full.lo) / 3
+
+    @pytest.mark.parametrize("a, norm", [
+        (0.1, 1.3667831042858305),
+        (0.03, 1.3980582057153979),
+        (0.01, 1.3992100347519154),
+    ])
+    def test_steep_family_norms(self, a, norm):
+        # H chi[1, 2) under s(t) = t^a is (2^(1/a) - 1) x^(-1/a) from x = 2
+        # on; sampled out to 2^48 it underflows for small a, so a slope taken
+        # there would break the image at the kink
+        spec = from_hardy_cesaro(PowerMap(1.0, 0.0), PowerMap(1.0, a))
+        f = PiecewisePowerFunction.single_power(1.0, 0.0, 1.0, 2.0)
+        img = apply_on_grid(spec, [f])
+        assert img.expo[-1] == -1.0 / a
+        got = luxemburg_norm(img, Constant(2.0), Region.all(), 1)
+        assert got == pytest.approx(norm, rel=1e-12)
+
+    def test_differing_exponents_keep_the_full_grid(self, monkeypatch):
+        spec, fs = KERNEL_CASES["m2_a_differ_outer_support"]
+        xs, _vals = grid_samples(spec, fs, monkeypatch)
+        assert xs == full_grid(spec, fs).tolist()
+
+    def test_explicit_grid_keeps_its_radii(self, monkeypatch):
+        spec, fs = KERNEL_CASES["m1_a_pos"]
+        seen = []
+        interpolant = hausdorff._loglog_interpolant
+        monkeypatch.setattr(hausdorff, "_loglog_interpolant",
+                            lambda xs, vals: seen.append(list(xs)) or interpolant(xs, vals))
+        r_grid = [2.0 ** (j / 4.0) for j in range(-16, 64)]
+        apply_on_grid(spec, fs, r_grid=r_grid)
+        assert seen == [r_grid]
 
 
 class TestApplyOnGrid:
@@ -710,7 +852,8 @@ class TestApplyOnGrid:
         f = PiecewisePowerFunction.single_power(1.0, 0.0, 1.0, 2.0)
         assert hausdorff._image_support(spec, [f]) == (1.0, math.inf)
         img = apply_on_grid(spec, [f])
-        assert img.lo[-1] == pytest.approx(2.0 ** 48, rel=0.03)
+        # beyond the kink x = 2 the image is one closed-form row to infinity
+        assert (img.hi[-1], img.expo[-1]) == (math.inf, -10.0)
         for x in (4.0, 1e3, 1e9):
             assert apply_pointwise(spec, [f], x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-12)
             assert img.value(x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-9)

@@ -642,6 +642,20 @@ class TestLogRootFind:
                 assert modular(g.scaled(1.0 / shrunk), p, region, 1) >= 1.0 - 1e-9
                 assert eta == pytest.approx(oracle, rel=1e-9)
 
+    def test_root_on_the_tail_floor(self):
+        # g = c on [2, inf) against r with 1/r = 1/2 - 1/b, b = 3 below 2.25
+        # and 2 from there on: r = 6, then infinite.  g tends to c against an
+        # exponent infinite at infinity, so F is +inf below the tail floor
+        # ln c - ln(1 - 1e-12); above it only sigma * 0.25 * (c/eta)^6 <= 0.5
+        # is left, so the root is the floor, certified at e^(floor + TOL/4)
+        c = 0.7
+        g = PiecewisePowerFunction.single_power(c, 0.0, 2.0)
+        p = difference_reciprocal(Constant(2.0), PiecewiseRadial((2.25,), (3.0, 2.0)), 1.0)
+        assert (p(2.1), p(2.3), p.p_infty) == (pytest.approx(6.0), math.inf, math.inf)
+        floor = math.log(c) - math.log1p(-1e-12)
+        eta = luxemburg_norm(g, p, Region.all(), 1)
+        assert eta == pytest.approx(math.exp(floor + 0.25 * luxemburg._TOL), rel=1e-14, abs=0.0)
+
     def test_tails_are_cut_again_at_every_fit(self, monkeypatch):
         # fitted at eta = 1e25, both tails of the C1 node factor are cut at
         # the first candidates past the search starts s = +-1, s = +-17,
