@@ -21,7 +21,11 @@ root is certified on that rule from both sides to a relative width of
 CERT_DELTA, and the rule is re-checked at the root (tail cutoffs and each
 row's G-K error) and refined there only where it fails.  The rule also
 takes a batch of exponents as rows, one log-sum-exp each: the norms of 1
-behind the boundedness constants solve that way, all at once.
+behind the boundedness constants solve that way, all at once.  One loop,
+_Modular.solve, fits, solves and re-checks any number of rows; its Newton
+step is the scalar _root for one exponent and the array _roots for a batch.
+A row whose modular diverges at every eta is dead: never fitted, its norm
++inf.
 """
 
 from __future__ import annotations
@@ -69,10 +73,6 @@ _SNAP = 1e-12
 
 class BracketError(RuntimeError):
     """The norm root-find failed to bracket the unit modular level."""
-
-
-class _EtaIndependent(Exception):
-    """The modular diverges whatever eta is: the norm is infinite."""
 
 
 @dataclass(frozen=True)
@@ -504,9 +504,9 @@ class _Modular:
 
     def _pieces(self, g, rows, u, v, p, n, rel_tol) -> None:
         """The quadrature pieces: the rows of g, clipped to [u, v), and the
-        candidates of their tail cuts.  Raises _EtaIndependent when every
-        exponent row is dead."""
+        candidates of their tail cuts."""
         self.pieces, self.p_fn, self.n, self.rel_tol = len(rows), p, n, rel_tol
+        self.one = isinstance(p, RadialExponent)
         self.ln_c, self.b = np.log(g.coef[rows]), g.expo[rows]
         self.side = {k: g.side[i] for k, i in enumerate(rows.tolist()) if i in g.side}
         with np.errstate(divide="ignore"):
@@ -534,17 +534,20 @@ class _Modular:
             rate = -sign * ((n - 1 + a * np.where(finite, p_end, 0.0)) + 1.0)
             self.dead |= np.where(finite, rate <= _quad.DIV_TOL, sign * a > _quad.DIV_TOL)
             if end and abs(a) <= _quad.DIV_TOL:
+                # where p only tends to infinity, (g/c)^p -> 1 on the tail
+                # and F(g/c) = +inf, so the floor must exclude ln c itself;
+                # where p is exactly infinite on the tail, F(g/c) is finite
+                # and the margin biases the norm up by 1e-12
                 self.tail_floor[~finite] = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
             start = max(self.s_lo[k], 0.0) if end else min(self.s_hi[k], 0.0)
             search = max(self.s_lo[k], 1.0) if end else min(self.s_hi[k] - 1.0, -1.0)
             groups.append((k, end, ~finite, [search, *_quad.search_points(search, sign)]))
             groups += [(k, end, finite & (rate == r), [start, *_quad.linear_points(start, r, sign)])
                        for r in np.unique(rate[finite]).tolist() if r > _quad.DIV_TOL]
-        if self.dead.all():
-            raise _EtaIndependent
-        # every row's node data at each group's candidates, evaluated once
+        # every row's node data at the candidates of each group with a live
+        # row, evaluated once
         self.tails = [(k, end, at, np.array(s[1:]), *(d[:, 0] for d in self._node_data(
-            np.array([s]), np.array([k])))) for k, end, at, s in groups if at.any()]
+            np.array([s]), np.array([k])))) for k, end, at, s in groups if (at & ~self.dead).any()]
 
     def _node_data(self, s: np.ndarray, ids: np.ndarray) -> tuple[np.ndarray, ...]:
         """(P, n s + P ln g, cap) of every exponent row at the nodes s of
@@ -590,14 +593,13 @@ class _Modular:
     def trial(self, eta: float) -> tuple[float | None, float | None]:
         """F_p(g/eta) of the one exponent row as _log_sum gives it, (F, None)
         or (None, ln F), with the rule fitted at eta, and (inf, None) when it
-        diverges at this eta.  Raises _EtaIndependent when it diverges at
-        every eta."""
+        diverges at this eta or the row is dead."""
         if self.empty:
             return 0.0, None
         x = math.log(eta)
         logs = (self.logs if x == 0.0 else self.logs - self.p * x).tolist()
-        if _INF in logs:
-            raise _EtaIndependent
+        if _INF in logs or self.pieces and self.dead[0]:
+            return _INF, None
         if self.pieces:
             _changed, stuck = self.fit(x)
             if stuck[0] or x < self.floor[0]:
@@ -686,47 +688,74 @@ class _Modular:
         h = np.where(x < self.floor[rows], _INF, top + np.log(total))
         return h, -np.einsum("ij,ij->i", P, w) / total
 
-    def norm(self, x: float, max_iter: int) -> float:
-        """inf{eta : F_p(g/eta) <= 1} of the one exponent row, from a rule
-        fitted at x, clamped to +-_LN_ETA_MAX: the root on the frozen rule,
-        at which the rule is re-checked, and solved again from there if it
-        changed.  Where the row is stuck at a fit, the fit moves up by a
-        doubling step.  max_iter caps the evaluations of ln F over all
-        solves."""
-        self.budget = max_iter
-        x, step, eta = min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX), 1.0, None
-        while True:
-            changed, stuck = self.fit(x)
-            if stuck[0]:
-                if x >= _LN_ETA_MAX:
-                    return _INF
-                x, step, eta = min(x + step, _LN_ETA_MAX), 2.0 * step, None
-                continue
-            if eta is not None and not changed:
-                return eta
-            eta = self._root(x)
-            if eta == _INF:
-                return _INF
-            x = math.log(eta)
+    def solve(self, x: float, max_iter: int) -> list[float]:
+        """inf{eta : F_p(g/eta) <= 1} of each exponent row, from the rule
+        fitted at x = ln eta, clamped to +-_LN_ETA_MAX: the root on the
+        frozen rule, at which the rule is re-checked, and solved again from
+        there if it changed.  The Newton step is _root for one
+        RadialExponent and _roots for a batch.  A row stuck at a fit moves
+        up by a doubling step, and is +inf past _LN_ETA_MAX, as is a dead
+        row; such rows leave the rule.  max_iter caps each row's
+        evaluations of ln F over all solves; BracketError past it."""
+        out = [_INF] * self.count
+        live = [i for i, dead in enumerate(self.dead.tolist()) if not dead]
+        if len(live) < self.count:
+            self.keep(live)
+        # per-row state in lists: one row pays no array overhead in the loop
+        x = [min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX)] * len(live)
+        step, eta = [1.0] * len(live), [_INF] * len(live)
+        evals, solved = np.zeros(len(live), dtype=int), False
+        while live:
+            changed, stuck = self.fit(np.array(x))
+            if True in stuck.tolist():
+                # no tail cut at x: up by a doubling step, infinite past _LN_ETA_MAX
+                for i in np.flatnonzero(stuck).tolist():
+                    x[i] = _INF if x[i] >= _LN_ETA_MAX else min(x[i] + step[i], _LN_ETA_MAX)
+                    step[i] *= 2.0
+                solved = False
+            elif solved and not changed:
+                break
+            elif self.one:
+                eta = [self._root(x[0], evals, max_iter)]
+                x, solved = [math.log(eta[0])], True
+            else:
+                eta = _roots(self.log_fs, np.array(x), self.floor, evals, max_iter)
+                x, eta, solved = np.log(eta).tolist(), eta.tolist(), True
+            if _INF in x:
+                keep = [i for i, v in enumerate(x) if v < _INF]
+                live, x, step, eta = ([v[i] for i in keep] for v in (live, x, step, eta))
+                evals = evals[keep]
+                self.keep(keep)
+        for i, e in zip(live, eta):
+            out[i] = e
+        return out
 
-    def _h(self, x: float) -> tuple[float, float]:
-        self.budget -= 1
-        if self.budget < 0:
-            raise BracketError("norm root-find exceeded the iteration cap")
-        return self.log_f(x)
-
-    def _root(self, x: float) -> float:
-        """eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
-        frozen rule, from x; +inf when ln F > 0 up to _LN_ETA_MAX.  ln F is
-        convex and decreasing, so Newton steps land at or below the root and
-        climb to it from there; they stay in the bracket [a, b] of evaluated
+    def _root(self, x: float, evals: np.ndarray, max_iter: int) -> float:
+        """The Newton step of solve for the one exponent row: eta with
+        ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the frozen
+        rule, from x; +inf when ln F > 0 up to _LN_ETA_MAX.  ln F is convex
+        and decreasing, so Newton steps land at or below the root and climb
+        to it from there; they stay in the bracket [a, b] of evaluated
         points and in [floor, _LN_ETA_MAX].  A step below _TOL/4 ends at r,
-        and the certificate is checked at eta = e^(r + _TOL/4)."""
+        and the certificate is checked at eta = e^(r + _TOL/4).  evals[0]
+        counts the evaluations of ln F; BracketError once it passes
+        max_iter."""
+
+        spent = int(evals[0])
+
+        def h(x):
+            nonlocal spent
+            spent += 1
+            if spent > max_iter:
+                raise BracketError("norm root-find exceeded the iteration cap")
+            evals[0] = spent
+            return self.log_f(x)
+
         lo = max(float(self.floor[0]), -_LN_ETA_MAX)
         a, b = -_INF, _INF
         x = min(max(x, lo), _LN_ETA_MAX)
         while True:
-            hx, dh = self._h(x)
+            hx, dh = h(x)
             if hx > 0.0 and x >= _LN_ETA_MAX:
                 return _INF
             if hx <= 0.0 and x <= -_LN_ETA_MAX:
@@ -740,9 +769,9 @@ class _Modular:
                 x = min(r, _LN_ETA_MAX)
                 continue
             eta = math.exp(r + 0.25 * _TOL)
-            if self._h(math.log(eta))[0] > 0.0:
+            if h(math.log(eta))[0] > 0.0:
                 a = x = math.log(eta)
-            elif self._h(math.log(eta * (1.0 - CERT_DELTA)))[0] <= 0.0:
+            elif h(math.log(eta * (1.0 - CERT_DELTA)))[0] <= 0.0:
                 b = x = math.log(eta * (1.0 - CERT_DELTA))
             else:
                 return eta
@@ -754,14 +783,16 @@ class _Modular:
 
 def _roots(log_f, x: np.ndarray, lo: np.ndarray, evals: np.ndarray,
            max_iter: int) -> np.ndarray:
-    """_Modular._root for every row at once, each above its floor lo > 0:
-    per row, ln eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA)))
-    on the frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
+    """The Newton step of _Modular.solve for a batch of exponent rows:
+    _Modular._root for every row at once, each above its floor lo.  Per
+    row, eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
+    frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
     log_f(x, rows) gives ln F and its derivative at x for the rows.  Each
     row takes Newton steps until one is below _TOL/4, then checks eta and
     eta (1 - CERT_DELTA), and goes back to Newton from the one that fails.
     evals counts each row's evaluations of ln F; BracketError once one
-    passes max_iter."""
+    passes max_iter.  One RadialExponent keeps _root: on one row this
+    array step costs about eight times as much per solve."""
     count = len(x)
     out, rows = np.full(count, _INF), np.arange(count)
     x = np.minimum(np.maximum(x, lo), _LN_ETA_MAX)
@@ -788,7 +819,7 @@ def _roots(log_f, x: np.ndarray, lo: np.ndarray, evals: np.ndarray,
         x = np.where(lower, np.log(eta * (1.0 - CERT_DELTA)),
                      np.where(far, np.minimum(r, _LN_ETA_MAX), np.log(eta)))
         stage = np.where(lower, 2, np.where(far, 0, 1))
-        out[rows[done]] = np.log(eta[done])
+        out[rows[done]] = eta[done]
         if np.any(done | gone):
             keep = ~(done | gone)
             rows, x, lo, a, b, eta, stage = (v[keep] for v in (rows, x, lo, a, b, eta, stage))
@@ -797,57 +828,21 @@ def _roots(log_f, x: np.ndarray, lo: np.ndarray, evals: np.ndarray,
 
 def _log_norms_of_one(p, n: int, rel_tol: float, max_iter: int = 200) -> np.ndarray:
     """ln of the Luxemburg norm of 1 over R^n against each of a batch of
-    exponent rows p, as _Modular takes them, each as norm_of_one gives it,
-    all solved as the rows of one _Modular of g = 1.
-
-    A dead row, such as one whose exponent is finite at infinity (its
-    integrand tends to r^(n-1) at every eta), is +inf.  The rest start at
-    eta = e (as norm_of_one from eta = 1, below the floor) and solve
-    together by safeguarded Newton (_roots) on the frozen rule: built at
-    the start, re-checked at the roots (each row's tails and G-K test),
-    and, where some row fails, refined or extended and solved again.  Every
-    returned eta is certified on the final rule; a row stuck at its eta
-    moves up by a doubling step, and is infinite past _LN_ETA_MAX.
+    exponent rows p, as _Modular takes them, each as norm_of_one gives it:
+    the rows of one _Modular of g = 1, solved together by its solve loop
+    from eta = e (as norm_of_one from eta = 1, below the floor), each Newton
+    step the array _roots.  A dead row, such as one whose exponent is finite
+    at infinity (its integrand tends to r^(n-1) at every eta), is +inf.
     max_iter caps each row's evaluations of ln F; BracketError past it.
     """
-    out = np.full(len(p.p_zero), _INF)
-    try:
-        mod = _Modular(PiecewisePowerFunction.one(), p, Region.all(), n, rel_tol)
-    except _EtaIndependent:
-        return out
-    live = np.flatnonzero(~mod.dead)
-    if len(live) < len(out):
-        mod.keep(live)
-    x, step = np.ones(len(live)), np.ones(len(live))
-    evals = np.zeros(len(live), dtype=int)
-    solved = False
-    while len(live):
-        changed, stuck = mod.fit(x)
-        if stuck.any():
-            # no tail cut at x: up by a doubling step, infinite past _LN_ETA_MAX
-            x[stuck] = np.where(x[stuck] >= _LN_ETA_MAX, _INF,
-                                np.minimum(x[stuck] + step[stuck], _LN_ETA_MAX))
-            step[stuck] *= 2.0
-            solved = False
-        elif solved and not changed:
-            break
-        else:
-            x, solved = _roots(mod.log_fs, x, mod.floor, evals, max_iter), True
-        if np.isinf(x).any():
-            keep = np.isfinite(x)
-            live, x, step, evals = (v[keep] for v in (live, x, step, evals))
-            mod.keep(np.flatnonzero(keep))
-    out[live] = x
-    return out
+    mod = _Modular(PiecewisePowerFunction.one(), p, Region.all(), n, rel_tol)
+    return np.log(mod.solve(1.0, max_iter))
 
 
 def modular(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
             n: int, rel_tol: float = 1e-9) -> float:
     """F_p(g * chi_region); may be +inf, never raises on divergence."""
-    try:
-        m, ln_m = _Modular(g, p, region, n, rel_tol).trial(1.0)
-    except _EtaIndependent:
-        return _INF
+    m, ln_m = _Modular(g, p, region, n, rel_tol).trial(1.0)
     return m if m is not None else _exp(ln_m)
 
 
@@ -869,15 +864,12 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     that fails is re-cut or refined and the root solved again.  max_iter caps the evaluations of
     ln F on the frozen rules, over all solves; BracketError past it.
     """
-    try:
-        mod = _Modular(g, p, region, n, rel_tol)
-        if mod.empty:
-            return 0.0
-        if p.is_constant and math.isfinite(p.p_zero):
-            return _constant_p_root(*mod.trial(1.0), p.p_zero)
-        return mod.norm(math.log(guess) if 0.0 < guess < _INF else 0.0, max_iter)
-    except _EtaIndependent:
-        return _INF
+    mod = _Modular(g, p, region, n, rel_tol)
+    if mod.empty:
+        return 0.0
+    if p.is_constant and math.isfinite(p.p_zero):
+        return _constant_p_root(*mod.trial(1.0), p.p_zero)
+    return mod.solve(math.log(guess) if 0.0 < guess < _INF else 0.0, max_iter)[0]
 
 
 def ball_norms(g: PiecewisePowerFunction, p: RadialExponent, radii, n: int,

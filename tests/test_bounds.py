@@ -598,8 +598,9 @@ class TestBatchedNormsOfOne:
         for g, e in zip(got.tolist(), expected):
             assert g == e if math.isinf(e) else abs(g - e) <= 1e-9
         # each solved row's certificate holds on its batch's final rule,
-        # whose rows are the solved ones
+        # whose rows are the solved ones; a batch of dead rows fits no rule
         solved = [g for g in got.tolist() if 0.0 < g < math.inf]
+        rules = [rule for rule in rules if rule.lo is not None]
         assert len(rules) == (1 if solved else 0)
         if solved:
             x = np.array(solved)
@@ -623,14 +624,33 @@ class TestBatchedNormsOfOne:
         # target nowhere up to x = ln 1e280, so that row climbs to the end
         # of the search range and is infinite; the other row solves on the
         # rule all the same.  Both rows claim infinite limits, so both ends
-        # take search_points
-        def p_at(r):
-            return np.stack((np.ones(r.shape), 2.0 + np.log1p(r) ** 2))
+        # take search_points.  With a row whose exponent is finite at
+        # infinity in front, dead from the start (its integrand tends to
+        # r^(n-1) at every eta), that row is infinite too, and so are the
+        # modular and the norm of 1 against its exponent alone
+        dead = LogInterp(3.0, 2.0)
 
-        got = luxemburg._log_norms_of_one(ExponentRows(p_at, 2), 1, 1e-9)
-        alone = luxemburg._log_norms_of_one(ExponentRows(lambda r: p_at(r)[1:], 1), 1, 1e-9)
-        assert got[0] == math.inf
-        assert abs(got[1] - alone[0]) <= 1e-9
+        def p_at(r):
+            return np.stack((dead(r), np.ones(r.shape), 2.0 + np.log1p(r) ** 2))
+
+        alone = luxemburg._log_norms_of_one(ExponentRows(lambda r: p_at(r)[2:], 1), 1, 1e-9)
+        for first in (1, 0):
+            rows = ExponentRows(lambda r: p_at(r)[first:], 3 - first)
+            if first == 0:
+                rows.p_zero[0], rows.p_infty[0] = dead.p_zero, dead.p_infty
+            got = luxemburg._log_norms_of_one(rows, 1, 1e-9)
+            assert got[:-1].tolist() == [math.inf] * (2 - first)
+            assert abs(got[-1] - alone[0]) <= 1e-9
+        one = luxemburg.PiecewisePowerFunction.one()
+        assert luxemburg.modular(one, dead, luxemburg.Region.all(), 1) == math.inf
+        assert luxemburg.luxemburg_norm(one, dead, luxemburg.Region.all(), 1) == math.inf
+
+    def test_evaluation_cap(self):
+        # each Newton solve of a row takes more than two evaluations of ln F
+        rows = ExponentRows(lambda r: (2.0 + np.log1p(r) ** 2)[None], 1)
+        assert np.isfinite(luxemburg._log_norms_of_one(rows, 1, 1e-9)).all()
+        with pytest.raises(luxemburg.BracketError, match="iteration cap"):
+            luxemburg._log_norms_of_one(rows, 1, 1e-9, max_iter=2)
 
 
 class TestFinitenessConsistency:

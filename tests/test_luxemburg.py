@@ -608,7 +608,7 @@ def certified_norm(g, p, guess=1.0, region=Region.all()):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         mod = luxemburg._Modular(g, p, region, 1, 1e-9)
-        eta = mod.norm(math.log(guess), 200)
+        eta = mod.solve(math.log(guess), 200)[0]
         assert eta == luxemburg_norm(g, p, region, 1, guess=guess)
         assert 0.0 < eta < math.inf
         assert mod.log_f(math.log(eta))[0] <= 0.0
@@ -677,7 +677,7 @@ class TestLogRootFind:
         mod = luxemburg._Modular(one, p, Region.all(), 1, 1e-9)
         assert mod.fit(math.log(1e25))[0]
         first = set(mod.lo.tolist()) | set(mod.hi.tolist())
-        eta = mod.norm(math.log(1e25), 200)
+        eta = mod.solve(math.log(1e25), 200)[0]
         assert mod.pieces == 1
         assert cuts == [[17.0], [-17.0]] * 2 + [[49.0], [-17.0]] * 2
         # the rule spans the cuts it ends with, grown from the first rule
@@ -687,6 +687,32 @@ class TestLogRootFind:
         changed, stuck = mod.fit(math.log(eta))
         assert not changed and not stuck.any()
         assert eta == pytest.approx(certified_norm(one, p), rel=1e-9)
+
+    def test_evaluation_cap_spans_every_solve(self, monkeypatch):
+        # from eta = 1e25 the C1 node factor solves twice (the rule grows at
+        # the first root) and the re-check passes at the second: max_iter
+        # caps the evaluations of ln F over both solves, not each
+        one, p = PiecewisePowerFunction.one(), ROOT_EXPONENTS["c1_residual"]
+        at_fit, evals = [], [0]
+        fit, log_f = luxemburg._Modular.fit, luxemburg._Modular.log_f
+
+        def counted_fit(self, x):
+            at_fit.append(evals[0])
+            return fit(self, x)
+
+        def counted_log_f(self, x):
+            evals[0] += 1
+            return log_f(self, x)
+
+        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._Modular, "log_f", counted_log_f)
+        eta = luxemburg_norm(one, p, Region.all(), 1, guess=1e25)
+        first, total = at_fit[1], evals[0]
+        assert len(at_fit) == 3 and 0 < first < total
+        assert luxemburg_norm(one, p, Region.all(), 1, max_iter=total, guess=1e25) == eta
+        for k in (first, total - 1):
+            with pytest.raises(luxemburg.BracketError, match="iteration cap"):
+                luxemburg_norm(one, p, Region.all(), 1, max_iter=k, guess=1e25)
 
     @pytest.mark.parametrize("guess", [math.inf, math.nan, 0.0])
     def test_unusable_guess_starts_at_one(self, guess):
