@@ -6,9 +6,11 @@ gk_step, that tests many integrals over one array of panels in log space.
 radial_integral integrates in log-radius and decides each singular end
 (r = 0 or r = inf) on its own (tail_cuts): a known power slope there is
 checked with the power test and its tail is cut where the integrand has
-decayed, and an unknown slope falls back to a cutoff search.  Callers read
-power slopes off their own data; the dilation families, for instance, take
-a ``PowerMap`` so the image radius is a power of the kernel radius.
+decayed, and an unknown slope falls back to a cutoff search; tail_points,
+which the Luxemburg modular's rule shares, picks each tail's start and
+candidates.  Callers read power slopes off their own data; the dilation
+families, for instance, take a ``PowerMap`` so the image radius is a power
+of the kernel radius.
 """
 
 from __future__ import annotations
@@ -280,6 +282,21 @@ def linear_points(s_ref: float, rate: float, direction: int):
             return
 
 
+def tail_points(s_lo: float, s_hi: float, sign: int, rate: float | None = None):
+    """(s_ref, candidates) of the cut of the tail of [s_lo, s_hi] at inf
+    (sign 1) or 0 (sign -1).  A known decay rate takes the power test, None
+    where rate <= DIV_TOL, and linear_points from max(s_lo, 0) or
+    min(s_hi, 0); an unknown one (None) search_points from max(s_lo, 1) or
+    min(s_hi - 1, -1)."""
+    if rate is None:
+        s_ref = max(s_lo, 1.0) if sign > 0 else min(s_hi - 1.0, -1.0)
+        return s_ref, search_points(s_ref, sign)
+    if rate <= DIV_TOL:
+        return None
+    s_ref = max(s_lo, 0.0) if sign > 0 else min(s_hi, 0.0)
+    return s_ref, linear_points(s_ref, rate, sign)
+
+
 def search_cutoff(log_integrand, s_ref: float, points) -> float | None:
     """cut on log_integrand at [s_ref, *points], one array in which a level
     may overflow to +-inf; None where no candidate passes, which callers
@@ -328,29 +345,23 @@ def tail_cuts(log_integrand, lo: float, hi: float, slope_at_0: float | None = No
     place of each singular end (lo = 0, hi = inf), the one at inf first, and
     the (s_ref, s_cut) of each cut.  slope_at_0 and slope_at_inf give the
     limit of beta at a singular end of the integrand r**beta(r),
-    log_integrand(s) ~ (beta + 1) s: a known slope takes the power test and
-    linear_points, an unknown one (None) search_points.  divergence is None,
-    "power" or "cutoff" (see RadialIntegral), the failed end left at +-inf.
+    log_integrand(s) ~ (beta + 1) s, or None where it is unknown; each
+    cut's start, candidates and, for a known slope, power test are
+    tail_points'.  divergence is None, "power" or "cutoff" (see
+    RadialIntegral), the failed end left at +-inf.
     """
     s = [-_INF if lo == 0.0 else math.log(lo), _INF if math.isinf(hi) else math.log(hi)]
     tails = []
     for end, slope, sign in ((1, slope_at_inf, 1), (0, slope_at_0, -1)):
         if math.isfinite(s[end]):
             continue
-        if slope is None:
-            s_ref = max(s[0], 1.0) if sign > 0 else min(s[1] - 1.0, -1.0)
-            points = search_points(s_ref, sign)
-        else:
-            # the integrand decays at rate -sign (slope + 1) into the tail
-            s_ref, rate = (max(s[0], 0.0) if sign > 0 else min(s[1], 0.0)), -sign * (slope + 1.0)
-            if rate <= DIV_TOL:
-                return s[0], s[1], "power", ()
-            points = linear_points(s_ref, rate, sign)
-        s_cut = search_cutoff(log_integrand, s_ref, points)
+        # the integrand decays at rate -sign (slope + 1) into the tail
+        tail = tail_points(s[0], s[1], sign, None if slope is None else -sign * (slope + 1.0))
+        s_cut = None if tail is None else search_cutoff(log_integrand, *tail)
         if s_cut is None:
-            return s[0], s[1], "cutoff", ()
+            return s[0], s[1], "power" if tail is None else "cutoff", ()
         s[end] = s_cut
-        tails.append((s_ref, s_cut))
+        tails.append((tail[0], s_cut))
     return s[0], s[1], None, tuple(tails)
 
 

@@ -38,6 +38,7 @@ from .harness import (
     upper_bound_suite,
 )
 from .hausdorff import RatioUndefinedError, apply_pointwise
+from .luxemburg import BracketError
 from .matrices import Dilation, PowerMap, dyadic_index, inverse_stats, theta_star
 from .spaces import SpaceSpec, herz_norm, morrey_herz_norm, space_norm
 
@@ -340,6 +341,9 @@ def main(argv=None) -> int:
         return EXIT_CONFIG
     except HypothesisError as exc:
         sys.stderr.write(f"hypothesis error: {exc}\n")
+        return EXIT_FAIL
+    except BracketError as exc:
+        sys.stderr.write(f"root-find error: {exc}\n")
         return EXIT_FAIL
 
 

@@ -22,10 +22,10 @@ CERT_DELTA, and the rule is re-checked at the root (tail cutoffs and each
 row's G-K error) and refined there only where it fails.  The rule also
 takes a batch of exponents as rows, one log-sum-exp each: the norms of 1
 behind the boundedness constants solve that way, all at once.  One loop,
-_Modular.solve, fits, solves and re-checks any number of rows; its Newton
-step is the scalar _root for one exponent and the array _roots for a batch.
-A row whose modular diverges at every eta is dead: never fitted, its norm
-+inf.
+_Modular.solve, fits, solves and re-checks any number of rows.  Each row's
+root and certificate is one Newton step, _newton, and _roots runs the rows'
+steps in lock-step, one evaluation of ln F a round.  A row whose modular
+diverges at every eta is dead: never fitted, its norm +inf.
 """
 
 from __future__ import annotations
@@ -528,22 +528,24 @@ class _Modular:
             seg = g.side.get(i) or Segment(u[k], v[k], g.coef[i], ExponentExpr(g.expo[i]))
             a, p_end = seg.exponent_limits()[end], p_ends[end]
             finite = np.isfinite(p_end)
-            # a known power slope n - 1 + a p takes the power test and
-            # linear_points; an exponent infinite at the end gives none, and
-            # F diverges whatever eta is, or below tail_floor
+            # a known power slope n - 1 + a p takes the power test; an
+            # exponent infinite at the end gives none, and F diverges
+            # whatever eta is, or below tail_floor
             rate = -sign * ((n - 1 + a * np.where(finite, p_end, 0.0)) + 1.0)
-            self.dead |= np.where(finite, rate <= _quad.DIV_TOL, sign * a > _quad.DIV_TOL)
+            self.dead |= ~finite & (sign * a > _quad.DIV_TOL)
             if end and abs(a) <= _quad.DIV_TOL:
                 # where p only tends to infinity, (g/c)^p -> 1 on the tail
                 # and F(g/c) = +inf, so the floor must exclude ln c itself;
                 # where p is exactly infinite on the tail, F(g/c) is finite
                 # and the margin biases the norm up by 1e-12
                 self.tail_floor[~finite] = math.log(seg.coef_limits()[1]) - math.log1p(-1e-12)
-            start = max(self.s_lo[k], 0.0) if end else min(self.s_hi[k], 0.0)
-            search = max(self.s_lo[k], 1.0) if end else min(self.s_hi[k] - 1.0, -1.0)
-            groups.append((k, end, ~finite, [search, *_quad.search_points(search, sign)]))
-            groups += [(k, end, finite & (rate == r), [start, *_quad.linear_points(start, r, sign)])
-                       for r in np.unique(rate[finite]).tolist() if r > _quad.DIV_TOL]
+            for r in [None, *np.unique(rate[finite]).tolist()]:
+                at = ~finite if r is None else finite & (rate == r)
+                tail = _quad.tail_points(self.s_lo[k], self.s_hi[k], sign, r)
+                if tail is None:
+                    self.dead |= at
+                else:
+                    groups.append((k, end, at, [tail[0], *tail[1]]))
         # every row's node data at the candidates of each group with a live
         # row, evaluated once
         self.tails = [(k, end, at, np.array(s[1:]), *(d[:, 0] for d in self._node_data(
@@ -691,20 +693,25 @@ class _Modular:
     def solve(self, x: float, max_iter: int) -> list[float]:
         """inf{eta : F_p(g/eta) <= 1} of each exponent row, from the rule
         fitted at x = ln eta, clamped to +-_LN_ETA_MAX: the root on the
-        frozen rule, at which the rule is re-checked, and solved again from
-        there if it changed.  The Newton step is _root for one
-        RadialExponent and _roots for a batch.  A row stuck at a fit moves
-        up by a doubling step, and is +inf past _LN_ETA_MAX, as is a dead
-        row; such rows leave the rule.  max_iter caps each row's
-        evaluations of ln F over all solves; BracketError past it."""
+        frozen rule by _roots, at which the rule is re-checked, and solved
+        again from there if it changed.  ln F comes from log_f for one
+        RadialExponent and from log_fs over the live rows for a batch.  A
+        row stuck at a fit moves up by a doubling step, and is +inf past
+        _LN_ETA_MAX, as is a dead row; such rows leave the rule.  max_iter
+        caps each row's evaluations of ln F over all solves; BracketError
+        past it."""
         out = [_INF] * self.count
         live = [i for i, dead in enumerate(self.dead.tolist()) if not dead]
         if len(live) < self.count:
             self.keep(live)
-        # per-row state in lists: one row pays no array overhead in the loop
+
+        def log_fs(x, rows):
+            h, dh = self.log_fs(np.array(x), rows if len(rows) < self.count else slice(None))
+            return zip(h.tolist(), dh.tolist())
+
+        log_f = (lambda x, rows: [self.log_f(x[0])]) if self.one else log_fs
         x = [min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX)] * len(live)
-        step, eta = [1.0] * len(live), [_INF] * len(live)
-        evals, solved = np.zeros(len(live), dtype=int), False
+        step, eta, evals, solved = [1.0] * len(live), [_INF] * len(live), [0] * len(live), False
         while live:
             changed, stuck = self.fit(np.array(x))
             if True in stuck.tolist():
@@ -715,124 +722,93 @@ class _Modular:
                 solved = False
             elif solved and not changed:
                 break
-            elif self.one:
-                eta = [self._root(x[0], evals, max_iter)]
-                x, solved = [math.log(eta[0])], True
             else:
-                eta = _roots(self.log_fs, np.array(x), self.floor, evals, max_iter)
-                x, eta, solved = np.log(eta).tolist(), eta.tolist(), True
+                eta = _roots(log_f, x, self.floor.tolist(), evals, max_iter)
+                x, solved = [math.log(e) for e in eta], True
             if _INF in x:
                 keep = [i for i, v in enumerate(x) if v < _INF]
-                live, x, step, eta = ([v[i] for i in keep] for v in (live, x, step, eta))
-                evals = evals[keep]
+                live, x, step, eta, evals = ([v[i] for i in keep] for v in (live, x, step, eta, evals))
                 self.keep(keep)
         for i, e in zip(live, eta):
             out[i] = e
         return out
 
-    def _root(self, x: float, evals: np.ndarray, max_iter: int) -> float:
-        """The Newton step of solve for the one exponent row: eta with
-        ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the frozen
-        rule, from x; +inf when ln F > 0 up to _LN_ETA_MAX.  ln F is convex
-        and decreasing, so Newton steps land at or below the root and climb
-        to it from there; they stay in the bracket [a, b] of evaluated
-        points and in [floor, _LN_ETA_MAX].  A step below _TOL/4 ends at r,
-        and the certificate is checked at eta = e^(r + _TOL/4).  evals[0]
-        counts the evaluations of ln F; BracketError once it passes
-        max_iter."""
 
-        spent = int(evals[0])
-
-        def h(x):
-            nonlocal spent
-            spent += 1
-            if spent > max_iter:
-                raise BracketError("norm root-find exceeded the iteration cap")
-            evals[0] = spent
-            return self.log_f(x)
-
-        lo = max(float(self.floor[0]), -_LN_ETA_MAX)
-        a, b = -_INF, _INF
-        x = min(max(x, lo), _LN_ETA_MAX)
-        while True:
-            hx, dh = h(x)
-            if hx > 0.0 and x >= _LN_ETA_MAX:
+def _newton(x: float, lo: float):
+    """One row's certified Newton step from x, as a generator: it yields
+    each x = ln eta where it needs (ln F, d ln F / dx), sent back by the
+    caller, and returns eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 -
+    CERT_DELTA))), +inf when ln F > 0 up to _LN_ETA_MAX; BracketError when
+    ln F <= 0 down to -_LN_ETA_MAX.  ln F is convex and decreasing, so the
+    steps land at or below the root and climb to it, in the bracket [a, b]
+    of evaluated points and in [lo, _LN_ETA_MAX].  A step below _TOL/4 ends
+    at r: eta = e^(r + _TOL/4) is checked, and a failed check steps on."""
+    a, b = -_INF, _INF
+    x = min(max(x, lo), _LN_ETA_MAX)
+    h, dh = yield x
+    while True:
+        if h > 0.0:
+            if x >= _LN_ETA_MAX:
                 return _INF
-            if hx <= 0.0 and x <= -_LN_ETA_MAX:
+            a = x
+        else:
+            if x <= -_LN_ETA_MAX:
                 raise BracketError("modular stays below 1 for arbitrarily small eta")
-            a, b = (x, b) if hx > 0.0 else (a, x)
-            # with ln F <= 0 at the floor (or no term at all) the root is the floor
-            r = max(lo, x - hx / dh if hx > -_INF else lo)
-            if abs(r - x) > 0.25 * _TOL:
-                if not a < r < b and -_INF < a and b < _INF:
-                    r = 0.5 * (a + b)
-                x = min(r, _LN_ETA_MAX)
-                continue
-            eta = math.exp(r + 0.25 * _TOL)
-            if h(math.log(eta))[0] > 0.0:
-                a = x = math.log(eta)
-            elif h(math.log(eta * (1.0 - CERT_DELTA)))[0] <= 0.0:
-                b = x = math.log(eta * (1.0 - CERT_DELTA))
-            else:
+            b = x
+        # with ln F <= 0 at the floor (or no term at all) the root is the floor
+        r = max(lo, x - h / dh if h > -_INF else lo)
+        if abs(r - x) > 0.25 * _TOL:
+            if not a < r < b and -_INF < a and b < _INF:
+                r = 0.5 * (a + b)
+            x = min(r, _LN_ETA_MAX)
+            h, dh = yield x
+            continue
+        eta = math.exp(r + 0.25 * _TOL)
+        x = math.log(eta)
+        h, dh = yield x
+        if h <= 0.0:
+            x = math.log(eta * (1.0 - CERT_DELTA))
+            h, dh = yield x
+            if h > 0.0:
                 return eta
+
+
+def _roots(log_f, x: list[float], floor: list[float], evals: list[int],
+           max_iter: int) -> list[float]:
+    """Each row's _newton from x, above its floor, in lock-step, one
+    evaluation a round: log_f(x, rows) gives the (ln F, d ln F / dx) pairs
+    of the rows still stepping, each at its x.  evals counts each row's
+    evaluations; BracketError once one passes max_iter."""
+    steps = [_newton(v, max(f, -_LN_ETA_MAX)) for v, f in zip(x, floor)]
+    rows, at, eta = list(range(len(steps))), [next(s) for s in steps], [_INF] * len(steps)
+    while rows:
+        for i in rows:
+            evals[i] += 1
+            if evals[i] > max_iter:
+                raise BracketError("norm root-find exceeded the iteration cap")
+        done = []
+        for k, hd in enumerate(log_f(at, rows)):
+            try:
+                at[k] = steps[k].send(hd)
+            except StopIteration as stop:
+                eta[rows[k]] = stop.value
+                done.append(k)
+        for k in reversed(done):
+            del rows[k], steps[k], at[k]
+    return eta
 
 
 # ---------------------------------------------------------------------------
 # norms of 1 over R^n, a batch of exponent rows on one rule
 
 
-def _roots(log_f, x: np.ndarray, lo: np.ndarray, evals: np.ndarray,
-           max_iter: int) -> np.ndarray:
-    """The Newton step of _Modular.solve for a batch of exponent rows:
-    _Modular._root for every row at once, each above its floor lo.  Per
-    row, eta with ln F(ln eta) <= 0 < ln F(ln(eta (1 - CERT_DELTA))) on the
-    frozen rule, from x, and +inf where ln F > 0 up to _LN_ETA_MAX.
-    log_f(x, rows) gives ln F and its derivative at x for the rows.  Each
-    row takes Newton steps until one is below _TOL/4, then checks eta and
-    eta (1 - CERT_DELTA), and goes back to Newton from the one that fails.
-    evals counts each row's evaluations of ln F; BracketError once one
-    passes max_iter.  One RadialExponent keeps _root: on one row this
-    array step costs about eight times as much per solve."""
-    count = len(x)
-    out, rows = np.full(count, _INF), np.arange(count)
-    x = np.minimum(np.maximum(x, lo), _LN_ETA_MAX)
-    a, b, eta = np.full(count, -_INF), np.full(count, _INF), np.full(count, np.nan)
-    # 0: a Newton step, 1: checking eta, 2: checking eta (1 - CERT_DELTA)
-    stage = np.zeros(count, dtype=np.int8)
-    while len(rows):
-        evals[rows] += 1
-        if evals[rows].max() > max_iter:
-            raise BracketError("norm root-find exceeded the iteration cap")
-        h, dh = log_f(x, rows if len(rows) < count else slice(None))
-        above = h > 0.0
-        done = (stage == 2) & above
-        lower = (stage == 1) & ~above
-        newton = ~(done | lower)
-        gone = newton & above & (x >= _LN_ETA_MAX)
-        a, b = np.where(newton & above, x, a), np.where(newton & ~above, x, b)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            # with ln F <= 0 at the floor (or no term at all) the root is the floor
-            r = np.maximum(lo, np.where(h > -_INF, x - h / dh, lo))
-        far = np.abs(r - x) > 0.25 * _TOL
-        r = np.where(far & ((r <= a) | (r >= b)) & (a > -_INF) & (b < _INF), 0.5 * (a + b), r)
-        eta = np.where(newton & ~far, np.exp(r + 0.25 * _TOL), eta)
-        x = np.where(lower, np.log(eta * (1.0 - CERT_DELTA)),
-                     np.where(far, np.minimum(r, _LN_ETA_MAX), np.log(eta)))
-        stage = np.where(lower, 2, np.where(far, 0, 1))
-        out[rows[done]] = eta[done]
-        if np.any(done | gone):
-            keep = ~(done | gone)
-            rows, x, lo, a, b, eta, stage = (v[keep] for v in (rows, x, lo, a, b, eta, stage))
-    return out
-
-
 def _log_norms_of_one(p, n: int, rel_tol: float, max_iter: int = 200) -> np.ndarray:
     """ln of the Luxemburg norm of 1 over R^n against each of a batch of
     exponent rows p, as _Modular takes them, each as norm_of_one gives it:
     the rows of one _Modular of g = 1, solved together by its solve loop
-    from eta = e (as norm_of_one from eta = 1, below the floor), each Newton
-    step the array _roots.  A dead row, such as one whose exponent is finite
-    at infinity (its integrand tends to r^(n-1) at every eta), is +inf.
+    from eta = e (as norm_of_one from eta = 1, below the floor).  A dead
+    row, such as one whose exponent is finite at infinity (its integrand
+    tends to r^(n-1) at every eta), is +inf.
     max_iter caps each row's evaluations of ln F; BracketError past it.
     """
     mod = _Modular(PiecewisePowerFunction.one(), p, Region.all(), n, rel_tol)

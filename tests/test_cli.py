@@ -71,6 +71,13 @@ class TestNorm:
         bad.write_text("{not json", encoding="utf-8")
         assert main(["norm", "--config", str(bad)]) == 2
 
+    def test_below_search_range_exits_1(self):
+        # c = 1e-300 on [1, 2): the norm is below the root-find's 1e-280
+        proc = run_cli("norm", "--config", str(FIXTURES / "tiny_norm.json"))
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == (
+            "root-find error: modular stays below 1 for arbitrarily small eta\n")
+
 
 class TestConstants:
     def test_hardy_c9(self, capsys):

@@ -790,6 +790,130 @@ class TestLogRootFind:
         assert statistics.median(evals) <= 10 and max(evals) <= 20
 
 
+def synthetic_rows(seed, rows, terms=5):
+    """(A, P) of rows of a synthetic ln F(x) = logsumexp(A - P x), P > 0:
+    convex and decreasing in x, as ln F_p(g/e^x) is on a frozen rule."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(-8.0, 8.0, (rows, terms)), rng.uniform(0.5, 4.0, (rows, terms))
+
+
+def synthetic_log_f(A, P):
+    """log_f(x, rows) of _roots for the rows of (A, P): (ln F, d ln F / dx)
+    of each of the rows at its x."""
+
+    def log_f(x, rows):
+        out = []
+        for v, i in zip(x, rows):
+            z = A[i] - P[i] * v
+            top = z.max()
+            w = np.exp(z - top)
+            out.append((float(top + math.log(w.sum())), -float(P[i] @ w) / float(w.sum())))
+        return out
+
+    return log_f
+
+
+def synthetic_root(A, P):
+    """The root of ln F = 0 on a row, by bisection in x."""
+    lo, hi = -60.0, 60.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if np.logaddexp.reduce(A - P * mid) > 0.0 else (lo, mid)
+    return hi
+
+
+def newton_roots(A, P, x, max_iter=200, evals=None):
+    """_roots on the rows of (A, P) from x, with no floor."""
+    evals = [0] * len(x) if evals is None else evals
+    floor = [-math.inf] * len(x)
+    return luxemburg._roots(synthetic_log_f(A, P), list(x), floor, evals, max_iter)
+
+
+class TestNewtonStep:
+    """The one certified Newton step, on synthetic ln F = logsumexp(A - P x)
+    drawn from a seed, with no quadrature rule."""
+
+    def test_certificate_from_both_sides(self):
+        A, P = synthetic_rows(5, 12)
+        log_f = synthetic_log_f(A, P)
+        for i in range(len(A)):
+            root = synthetic_root(A[i], P[i])
+            for start in (root - 30.0, root - 1.0, root - 1e-9, root + 1e-9, root + 1.0,
+                          root + 30.0):
+                evals = [0]
+                eta = newton_roots(A[i:i + 1], P[i:i + 1], [start], evals=evals)[0]
+                assert log_f([math.log(eta)], [i])[0][0] <= 0.0
+                assert log_f([math.log(eta * (1 - luxemburg.CERT_DELTA))], [i])[0][0] > 0.0
+                assert math.log(eta) == pytest.approx(root, abs=1e-9)
+                assert evals[0] <= 30
+
+    def test_certificate_survives_a_wrong_slope(self):
+        # the certificate does not rest on Newton's accuracy: with the slope
+        # sent scaled by k, the steps are too long or too short, and the
+        # checks at eta and eta (1 - CERT_DELTA) walk eta to the root
+        A, P = synthetic_rows(11, 4)
+        for i in range(len(A)):
+            log_f, root = synthetic_log_f(A[i:i + 1], P[i:i + 1]), synthetic_root(A[i], P[i])
+            for k, offsets in ((0.25, (-1.0, 1e-8, 1.0)), (4.0, (-1.0, 1e-8, 1.0)),
+                               (1e3, (-1e-8, 1e-8))):
+                def skewed(x, rows):
+                    return [(h, k * dh) for h, dh in log_f(x, rows)]
+
+                for offset in offsets:
+                    eta = luxemburg._roots(skewed, [root + offset], [-math.inf], [0], 10_000)[0]
+                    assert log_f([math.log(eta)], [0])[0][0] <= 0.0
+                    assert log_f([math.log(eta * (1 - luxemburg.CERT_DELTA))], [0])[0][0] > 0.0
+
+    def test_infinite_above_the_search_range(self):
+        # ln F > 0 up to ln 1e280: a norm past the search range is +inf
+        A, P = synthetic_rows(6, 3)
+        A += 2000.0
+        assert newton_roots(A, P, [0.0, 700.0, -700.0]) == [math.inf] * 3
+
+    def test_below_the_search_range_raises(self):
+        # ln F = -700 - x/2 <= 0 from x = -1400 on, below -ln 1e280
+        A, P = np.array([[-700.0]]), np.array([[0.5]])
+        for x in (0.0, -700.0, 700.0):
+            with pytest.raises(luxemburg.BracketError, match="arbitrarily small eta"):
+                newton_roots(A, P, [x])
+        # and inside a batch, at once instead of at the iteration cap
+        B, Q = synthetic_rows(7, 4)
+        A, P = np.vstack((B[:2], np.full((1, 5), -700.0), B[2:])), np.vstack(
+            (Q[:2], np.full((1, 5), 0.5), Q[2:]))
+        with pytest.raises(luxemburg.BracketError, match="arbitrarily small eta"):
+            newton_roots(A, P, [0.0] * 5, max_iter=20)
+
+    def test_iteration_cap(self):
+        A, P = synthetic_rows(8, 6)
+        x, evals = [25.0] * 6, [0] * 6
+        eta = newton_roots(A, P, x, evals=evals)
+        cap = max(evals)
+        assert newton_roots(A, P, x, max_iter=cap) == eta
+        with pytest.raises(luxemburg.BracketError, match="iteration cap"):
+            newton_roots(A, P, x, max_iter=cap - 1)
+        # the cap spans every solve: counts carried in from before count too
+        with pytest.raises(luxemburg.BracketError, match="iteration cap"):
+            newton_roots(A, P, x, max_iter=cap, evals=[1] * 6)
+        # each row against its own count: the row done first may carry in
+        # up to the cap, and the others step on after it is done
+        first = evals.index(min(evals))
+        assert evals[first] < cap
+        prior = [0] * 6
+        prior[first] = cap - evals[first]
+        assert newton_roots(A, P, x, max_iter=cap, evals=prior) == eta
+        assert prior == [cap if i == first else evals[i] for i in range(6)]
+
+    def test_batch_is_each_row_alone(self):
+        A, P = synthetic_rows(9, 40)
+        x = np.random.default_rng(10).uniform(-40.0, 40.0, 40).tolist()
+        evals = [0] * 40
+        batch = newton_roots(A, P, x, evals=evals)
+        for i in range(40):
+            alone = [0]
+            assert newton_roots(A[i:i + 1], P[i:i + 1], x[i:i + 1], evals=alone) == [batch[i]]
+            assert alone == [evals[i]]
+
+
 class TestNewtonProperty:
     """The Newton norm against bisection on a dense fixed rule, for seeded
     piecewise powers on bounded annuli (2-3 rows, or up to 60 with side rows
