@@ -106,13 +106,13 @@ class QuadratureSettings:
 
 
 def eps_list_from_json(values) -> tuple[float, ...]:
-    """The epsilons of a sharpness sweep: positive and strictly decreasing."""
+    """The epsilons of a sharpness sweep: finite, positive, strictly decreasing."""
     try:
         eps = tuple(float(v) for v in values)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"bad eps_list {values!r}: {exc}") from exc
-    if not eps or not all(e > 0 for e in eps) or not all(b < a for a, b in zip(eps, eps[1:])):
-        raise ConfigError(f"eps_list {list(eps)} must be positive and strictly decreasing")
+    if not (eps and all(0 < e < _INF for e in eps) and all(b < a for a, b in zip(eps, eps[1:]))):
+        raise ConfigError(f"eps_list {list(eps)} must be finite, positive and strictly decreasing")
     return eps
 
 

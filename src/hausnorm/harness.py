@@ -147,16 +147,16 @@ def extremal_family(kind: str, cfg: BoundConfig, eps: float | None = None,
                     rel_tol: float = 1e-9) -> list[PiecewisePowerFunction]:
     """The near-maximizing functions for the given necessity argument.
 
-    Epsilon variants need eps > 0 and cut off below the inverse of the
-    conditioning constant; the power variants are global power laws.
+    Epsilon variants need a finite eps > 0 and cut off below the inverse of
+    the conditioning constant; the power variants are global power laws.
     Construction verifies each member has finite nonzero source norm; the
     list keeps those source spaces and norms as its sources and norms.
     """
     if kind not in EXTREMAL_KINDS:
         raise KeyError(f"unknown extremal kind {kind!r}")
     needs_eps = kind.endswith("_eps")
-    if needs_eps and not (eps is not None and eps > 0):
-        raise ValueError("epsilon variants need eps > 0")
+    if needs_eps and not (eps is not None and 0 < eps < _INF):
+        raise ValueError("epsilon variants need a finite eps > 0")
 
     n = cfg.operator.n
     cutoff = 0.0
@@ -342,15 +342,15 @@ def sharpness_sweep(op_spec: OperatorSpec, cfg: BoundConfig, kind: str,
                     rel_tol: float = 1e-9) -> SweepResult:
     """Ratio of the extremal family against the matching sharp constant.
 
-    eps_list must be strictly decreasing and positive.  An epsilon variant
-    builds its family and ratio once per epsilon, an epsilon-free one once
-    for all rows.  Where the family's source spaces are the constant's,
-    the ratio divides by the norms the family was admitted with.  A
-    constant outside (0, inf) raises HypothesisError.
+    eps_list must be strictly decreasing, positive and finite.  An epsilon
+    variant builds its family and ratio once per epsilon, an epsilon-free
+    one once for all rows.  Where the family's source spaces are the
+    constant's, the ratio divides by the norms the family was admitted
+    with.  A constant outside (0, inf) raises HypothesisError.
     """
     eps_list = list(eps_list)
-    if not eps_list or any(e <= 0 for e in eps_list):
-        raise ValueError("eps_list must be positive")
+    if not eps_list or not all(0 < e < _INF for e in eps_list):
+        raise ValueError("eps_list must be positive and finite")
     if any(b >= a for a, b in zip(eps_list, eps_list[1:])):
         raise ValueError("eps_list must be strictly decreasing")
     if not all(f.is_scalar for f in cfg.operator.families):

@@ -3,13 +3,14 @@
 The operator integrates a kernel phi(|t|)/|t|^n against a product of
 dilated factors f_i(A_i(t) x).  For radial kernels and radially dilating
 families the whole thing collapses to a 1-D integral over the kernel
-radius.  It is evaluated at a whole grid of radii at once, one segment
+radius.  It is evaluated at a whole grid of radii at once, one row
 combination at a time: in log closed form over the run of grid radii where
-it has support when the segments are powers with constant exponents, and
-by adaptive quadrature otherwise.  The support of a sampled image is
-closed form at the kernel ends.  Where the image is one exact power beyond
-its closed-form kinks, the grid is sampled only between the extreme kinks,
-and each pure-power run beyond them is one closed-form row.
+it has support when every row is a plain power (finite expo), and by
+adaptive quadrature otherwise.  The support of a sampled image is closed
+form at the kernel ends.  Where the image is one exact power beyond its
+closed-form kinks, the grid is sampled only between the extreme kinks; the
+log-log interpolant of the samples writes every row of the image, each
+pure-power run beyond them as one end row.
 """
 
 from __future__ import annotations
@@ -116,30 +117,26 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
 
 
 def _pullback_windows(f: PiecewisePowerFunction, s: PowerMap, xs: np.ndarray):
-    """(segment, r_lo, r_hi) per nonzero segment of f: arrays over xs of the
-    kernel radii r with |s(r)| x in [seg.r_lo, min(seg.r_hi, next start)),
-    where segment_at assigns it, so snapped overlaps are counted once."""
+    """(rows, r_lo, r_hi): the nonzero rows of f and, as (rows, len(xs))
+    arrays, the kernel radii r with |s(r)| x in [lo, min(hi, next start))
+    of each row, where segment_at assigns it, so snapped overlaps are
+    counted once."""
+    rows = np.flatnonzero(f.coef != 0.0)
+    lo, hi = f.lo[rows, None], np.minimum(f.hi, np.append(f.lo[1:], _INF))[rows, None]
     cx = abs(s.c) * xs
-    out = []
-    for seg, hi in zip(f.segments, f.starts[1:] + (_INF,)):
-        if seg.coef == 0.0:
-            continue
-        hi = min(seg.r_hi, hi)
-        if s.a == 0.0:
-            on = (seg.r_lo <= cx) & (cx < hi)
-            out.append((seg, np.where(on, 0.0, _INF), np.where(on, _INF, 0.0)))
-        else:
-            ends = ((seg.r_lo / cx) ** (1.0 / s.a), (hi / cx) ** (1.0 / s.a))
-            out.append((seg, *(ends if s.a > 0 else ends[::-1])))
-    return out
+    if s.a == 0.0:
+        on = (lo <= cx) & (cx < hi)
+        return rows, np.where(on, 0.0, _INF), np.where(on, _INF, 0.0)
+    ends = (lo / cx) ** (1.0 / s.a), (hi / cx) ** (1.0 / s.a)
+    return (rows, *(ends if s.a > 0 else ends[::-1]))
 
 
 def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                   xs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Image values at the radii xs, one segment combination (a segment of
-    each input) at a time, over the radii where it has support, if any: in
-    closed form with one scalar exponent when every segment is a plain
-    power, by radial_integral per radius otherwise."""
+    """Image values at the radii xs, one row combination (a row of each
+    input) at a time, over the radii where it has support, if any: in
+    closed form with one scalar exponent when every row is a plain power
+    (finite expo), by radial_integral per radius otherwise."""
     k = spec.kernel
     for fam in spec.families:
         _scale_range(fam, k)
@@ -147,10 +144,11 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     if k.c == 0.0:
         return total
     with np.errstate(all="ignore"):
-        windows = [_pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+        windows = [list(zip(*_pullback_windows(f, fam.s, xs)))
+                   for f, fam in zip(fs, spec.families)]
         log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
         for combo in itertools.product(*windows):
-            segs, los, his = zip(*combo)
+            rows, los, his = zip(*combo)
             # pairwise, not stacked: max and min are exact in any order
             u, v = los[0], his[0]
             for lo, hi in zip(los[1:], his[1:]):
@@ -160,7 +158,8 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             first = int(live.argmax())
             if not live[first]:
                 continue
-            if not all(seg.plain_power for seg in segs):
+            if any(math.isnan(f.expo[r]) for f, r in zip(fs, rows)):
+                segs = [f.segments[r] for f, r in zip(fs, rows)]
                 for i in np.flatnonzero(live).tolist():
                     total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
                 continue
@@ -172,9 +171,9 @@ def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             v = np.maximum(u, v[run])
             # in log space, so a divergent piece is +inf whatever its coefficient
             log_coef, expo = math.log(k.c), k.a - 1.0
-            for seg, fam, ln_cx in zip(segs, spec.families, log_cx):
-                b = seg.expr.constant_value()
-                log_coef += math.log(seg.coef) + b * ln_cx[run]
+            for f, r, fam, ln_cx in zip(fs, rows, spec.families, log_cx):
+                b = f.expo[r]
+                log_coef += math.log(f.coef[r]) + b * ln_cx[run]
                 expo += fam.s.a * b
             total[run] += np.exp(log_coef + _quad.log_power_integrals(u, v, expo))
     return spec.sigma * total
@@ -262,7 +261,7 @@ def _representable_slope(x0: np.ndarray, v0: np.ndarray, slope: np.ndarray) -> n
     return np.divide(np.clip(ln_pow, lo, hi), ln_x, out=slope.copy(), where=~ok)
 
 
-def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
+def _loglog_interpolant(xs, vals, tail=None, low=None) -> PiecewisePowerFunction:
     """Piecewise power function through positive samples, extrapolating the tail.
 
     Each pair of neighbouring positive finite samples gives the power
@@ -270,8 +269,10 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
     piece whose coefficient would leave the float range (the image jumping
     by orders of magnitude within one grid step, at an edge of its support)
     keeps its larger sample and takes the steepest slope representable
-    there.  A positive last sample extends to infinity with the slope of
-    the last piece.
+    there.  A positive last sample extends to infinity with slope tail, by
+    default the last piece's, and with low = (r, slope) a positive first
+    sample extends down to r: each end row is the power through its end
+    sample, its slope kept representable there.
     """
     xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
     ok = (vals > 0.0) & np.isfinite(vals)
@@ -282,21 +283,27 @@ def _loglog_interpolant(xs, vals) -> PiecewisePowerFunction:
     up = (_representable_slope(x0, v0, slope) != slope) & (v1 > v0)
     ax, av = np.where(up, x1, x0), np.where(up, v1, v0)
     slope = _representable_slope(ax, av, slope)
-    coef = av / ax ** slope
-    if len(i) and ok[-1]:
-        tail = _representable_slope(xs[-1:], vals[-1:], slope[-1:])
-        x0, x1 = np.append(x0, xs[-1]), np.append(x1, _INF)
-        coef = np.append(coef, vals[-1] / xs[-1] ** tail)
-        slope = np.append(slope, tail)
-    return PiecewisePowerFunction.from_columns(x0, x1, coef, slope)
+    rows = [(x0, x1, av / ax ** slope, slope)]
+
+    def end_row(k, r_lo, r_hi, beta):
+        beta = _representable_slope(xs[[k]], vals[[k]], np.array([beta]))
+        return np.array([r_lo]), np.array([r_hi]), vals[k] / xs[k] ** beta, beta
+
+    if ok[-1] and (len(i) or tail is not None):
+        rows.append(end_row(-1, xs[-1], _INF, slope[-1] if tail is None else tail))
+    if low is not None and ok[0]:
+        rows.insert(0, end_row(0, low[0], xs[0], low[1]))
+    return PiecewisePowerFunction.from_columns(*map(np.concatenate, zip(*rows)))
 
 
 def _power_core(spec, fs, grid: np.ndarray):
-    """(i, end, beta, high): the grid radii grid[i:end] that the image is
-    sampled at, where beyond them it is one exact power x^beta, beta =
-    -kernel.a / a, on grid[:i + 1] and, where high, on grid[end - 2:].
-    None unless every input has only plain rows and its nonzero hull inside
-    (0, inf), and the families share one exponent a != 0.
+    """(i, end, tail, low): the grid radii grid[i:end] that the image is
+    sampled at, and the end rows of its interpolant beyond them.  Where the
+    image is one exact power x^beta, beta = -kernel.a / a, on grid[:i + 1],
+    low = (grid[0], beta), and where it is one on grid[end - 2:], tail =
+    beta; each is None otherwise.  The whole grid, without end rows, unless
+    every input has only plain rows (finite expo) and its nonzero hull
+    inside (0, inf), and the families share one exponent a != 0.
 
     The image's kinks are e / |s_i(r_k)| for every row edge e of input i
     and finite positive kernel end r_k.  Beyond the extreme ones, at the
@@ -309,12 +316,12 @@ def _power_core(spec, fs, grid: np.ndarray):
     the kernel radius 1 would give, where the pullback windows sit near
     r = 1.
     """
-    exponents = {fam.s.a for fam in spec.families}
-    if len(exponents) != 1 or 0.0 in exponents or any(f.side for f in fs):
-        return None
+    exponents, whole = {fam.s.a for fam in spec.families}, (0, len(grid), None, None)
+    if len(exponents) != 1 or 0.0 in exponents or any(np.isnan(f.expo).any() for f in fs):
+        return whole
     hulls = np.array([f.support() for f in fs])
     if not ((hulls[:, 0] > 0.0) & (hulls[:, 1] < _INF)).all():
-        return None
+        return whole
     k = spec.kernel
     ends = [r for r in (k.r_lo, k.r_hi) if 0.0 < r < _INF]
     scales = np.array([[abs(fam.s(r)) for r in ends or [1.0]] for fam in spec.families])
@@ -325,29 +332,8 @@ def _power_core(spec, fs, grid: np.ndarray):
         x_min = x_max = math.sqrt(x_min) * math.sqrt(x_max)
     i = max(int(np.searchsorted(grid, x_min, side="right")) - 1, 0)
     j = int(np.searchsorted(grid, x_max))
-    high = j + 1 < len(grid)
-    return i, j + 2 if high else len(grid), -k.a / exponents.pop(), high
-
-
-def _power_rows(image, xs, vals, beta, low_end, high: bool) -> PiecewisePowerFunction:
-    """image, the interpolant of the core samples (xs, vals), with each
-    power run beyond them as one row of slope beta through the core's end
-    sample, kept representable as the interpolant's tail is
-    (_representable_slope): [low_end, xs[0]) unless low_end is None, and
-    where high, [xs[-1], inf) in place of the interpolant's tail.  A zero
-    end sample adds no row, as it breaks the chain."""
-    cols = [image.lo, image.hi, image.coef, image.expo]
-
-    def row(x, v, r_lo, r_hi):
-        slope = _representable_slope(np.array([x]), np.array([v]), np.array([beta]))
-        return np.array([r_lo]), np.array([r_hi]), v / x ** slope, slope
-
-    if high and vals[-1] > 0.0:
-        keep = image.hi < _INF
-        cols = [np.append(c[keep], r) for c, r in zip(cols, row(xs[-1], vals[-1], xs[-1], _INF))]
-    if low_end is not None and vals[0] > 0.0:
-        cols = [np.append(r, c) for c, r in zip(cols, row(xs[0], vals[0], low_end, xs[0]))]
-    return PiecewisePowerFunction.from_columns(*cols)
+    high, beta = j + 1 < len(grid), -k.a / exponents.pop()
+    return i, j + 2 if high else len(grid), beta if high else None, (grid[0], beta) if i else None
 
 
 def _geometric_grid(lo: float, hi: float, points_per_octave: int) -> np.ndarray:
@@ -370,25 +356,19 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
     Exact when every input is a single unrestricted power (the image is
     then the same power scaled by the kernel integral); otherwise the image
     is sampled on a dyadic grid (or at the radii of r_grid, at least two
-    distinct positive ones) and interpolated log-log, with the last slope
-    extended to infinity.  On the dyadic grid, where the image is one
+    distinct positive finite ones) and interpolated log-log, with the last
+    slope extended to infinity.  On the dyadic grid, where the image is one
     exact power beyond its extreme kinks (_power_core), only the grid
     between them is sampled, and each pure-power run beyond them is one
-    closed-form row through the sample at its end.
+    closed-form end row of the interpolant, through the sample at its end.
     """
     if len(fs) != spec.m:
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
 
-    exact = all(
-        len(f.segments) == 1
-        and f.segments[0].r_lo == 0.0
-        and math.isinf(f.segments[0].r_hi)
-        and f.segments[0].plain_power
-        for f in fs
-    )
-
+    exact = all(len(f.lo) == 1 and f.lo[0] == 0.0 and math.isinf(f.hi[0])
+                and not math.isnan(f.expo[0]) for f in fs)
     if exact:
-        b_total = math.fsum(f.segments[0].expr.constant_value() for f in fs)
+        b_total = math.fsum(f.expo[0] for f in fs)
         k_val = apply_pointwise(spec, fs, 1.0, rel_tol)
         if math.isinf(k_val):
             raise DivergentImageError("kernel integral diverges for these inputs")
@@ -401,28 +381,22 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         lo = max(x_lo, 2.0 ** grid_octaves[0])
         hi = min(x_hi, 2.0 ** grid_octaves[1])
         grid = _geometric_grid(lo, hi, points_per_octave)
-        core = _power_core(spec, fs, grid)
+        i, end, tail, low = _power_core(spec, fs, grid)
     else:
-        core = None
         grid = sorted(r_grid)
         if len(grid) < 2:
             raise ValueError("need at least two grid radii")
-        if any(x <= 0 for x in grid):
-            raise ValueError("grid radii must be positive")
+        if not all(0.0 < x < _INF for x in grid):
+            raise ValueError("grid radii must be positive and finite")
         if any(a == b for a, b in zip(grid, grid[1:])):
             raise ValueError("grid radii must be distinct")
+        i, end, tail, low = 0, len(grid), None, None
 
-    xs = np.array(grid, dtype=float)
-    if core is not None:
-        i, end, beta, high = core
-        xs = xs[i:end]
+    xs = np.array(grid[i:end], dtype=float)
     vals = _image_values(spec, fs, xs, rel_tol)
     if np.isinf(vals).any():
         raise DivergentImageError("image is infinite at a grid radius")
-    image = _loglog_interpolant(xs, vals)
-    if core is None:
-        return image
-    return _power_rows(image, xs, vals, beta, grid[0] if i else None, high)
+    return _loglog_interpolant(xs, vals, tail, low)
 
 
 # ---------------------------------------------------------------------------

@@ -241,26 +241,31 @@ class Segment:
 class PiecewisePowerFunction:
     """Nonnegative radial function assembled from power segments.
 
-    Stored as float columns over its rows, sorted by start: lo, hi and coef
-    for every row, and expo for the plain rows, coef * r^expo with a bare
-    constant exponent.  A row with exponent terms or pow2 factors keeps its
-    Segment in side, keyed by row, and has expo NaN.  segments is derived
-    from these on first use.
+    Stored as float columns over its rows, sorted by start: lo, hi, coef,
+    and expo, finite exactly where the row is a plain power coef * r^expo
+    and NaN elsewhere.  A row with exponent terms or pow2 factors keeps its
+    Segment in side, keyed by row, for segments, equality and hashing; its
+    expo is still its exponent, Segment.expr(1.0), where that is constant
+    and it has no pow2 factor.  segments is derived from these on first use.
     """
 
     __slots__ = ("lo", "hi", "coef", "expo", "side", "_segments")
+
+    @staticmethod
+    def _expo(seg: Segment) -> float:
+        """A row's expo: its exponent where it is a plain power, else NaN."""
+        return seg.expr(1.0) if seg.plain_power else math.nan
 
     def __init__(self, segments=()):
         segs = tuple(sorted(segments, key=lambda s: s.r_lo))
         for a, b in zip(segs, segs[1:]):
             if b.r_lo < a.r_hi * (1 - _SNAP):
                 raise ValueError("segments overlap")
-        side = {i: s for i, s in enumerate(segs) if s.expr.terms or s.pow2}
         self.lo, self.hi, self.coef, self.expo = np.array(
-            [(s.r_lo, s.r_hi, s.coef, math.nan if i in side else s.expr.const)
-             for i, s in enumerate(segs)], dtype=float,
+            [(s.r_lo, s.r_hi, s.coef, self._expo(s)) for s in segs], dtype=float,
         ).reshape(-1, 4).T
-        self.side, self._segments = side, segs
+        self.side = {i: s for i, s in enumerate(segs) if s.expr.terms or s.pow2}
+        self._segments = segs
 
     @classmethod
     def _of(cls, lo, hi, coef, expo, side, segments=None):
@@ -353,7 +358,10 @@ class PiecewisePowerFunction:
         if gamma == 0.0:
             return self
         side = {i: replace(s, expr=s.expr.shifted(gamma)) for i, s in self.side.items()}
-        return self._of(self.lo, self.hi, self.coef, self.expo + gamma, side)
+        # a side row's expo from its shifted Segment, (const + gamma) + terms
+        expo = self.expo + gamma
+        expo[list(side)] = [self._expo(s) for s in side.values()]
+        return self._of(self.lo, self.hi, self.coef, expo, side)
 
     def times_pow2(self, m: float, alpha: RadialExponent) -> "PiecewisePowerFunction":
         """Multiply by 2^{m * alpha(|x|)}; constant alpha folds into coefficients."""
@@ -461,14 +469,15 @@ class _Modular:
     gives every row's exponent at the radii r as (rows, len(r)), p_zero
     and p_infty are arrays of the rows' limits, discontinuities() the radii
     where any row may jump, and is_constant is False.
-    Under a constant, finite p, the rows of g that are plain powers c r^b
-    are one array of logs at eta = 1, p ln c + ln of the integral of
-    r^(n-1+b p), less p x at x = ln eta.  Every other row of g is a piece of
-    one quadrature rule in s = ln r that the exponent rows share: arrays of
-    panel ends and the piece of each panel, per exponent row and node p and
-    n s + p ln g, and per row and panel cap, the largest ln g at a node
-    where p is infinite (no term there, and F infinite below it).  A piece
-    that reaches 0 or infinity cuts that tail at every fit, each row by
+    Under a constant, finite p, the plain rows of g, c r^b with b its
+    finite expo, are one array of logs at eta = 1, p ln c + ln of the
+    integral of r^(n-1+b p), less p x at x = ln eta.  Every other row of g
+    is a piece of one quadrature rule in s = ln r that the exponent rows
+    share, ln g = ln c + b s where b is finite: arrays of panel ends and
+    the piece of each panel, per exponent row and node p and n s + p ln g,
+    and per row and panel cap, the largest ln g at a node where p is
+    infinite (no term there, and F infinite below it).  A piece that
+    reaches 0 or infinity cuts that tail at every fit, each row by
     _quad.cut among candidates evaluated once, and the rule grows to span
     the farthest row's cut, keeping its panels.
     fit(x) freezes the rule at each row's x; on it the pieces' ln F is one
@@ -490,14 +499,9 @@ class _Modular:
             self.logs, self.p = np.empty(0), 0.0
             return
         self.p, expo = p.p_zero, g.expo[rows]
-        if g.side:
-            for k in np.flatnonzero(np.isnan(expo)).tolist():
-                seg = g.side[int(rows[k])]
-                if seg.plain_power:
-                    expo[k] = seg.expr(1.0)
-            closed = ~np.isnan(expo)
-            if not closed.all():
-                self._pieces(g, rows[~closed], u[~closed], v[~closed], p, n, rel_tol)
+        closed = ~np.isnan(expo)
+        if not closed.all():
+            self._pieces(g, rows[~closed], u[~closed], v[~closed], p, n, rel_tol)
             rows, u, v, expo = rows[closed], u[closed], v[closed], expo[closed]
         self.logs = (self.p * np.log(g.coef[rows]) + _quad.log_power_integrals(
             u, v, n - 1 + expo * self.p)) if len(rows) else np.empty(0)
@@ -508,7 +512,7 @@ class _Modular:
         self.pieces, self.p_fn, self.n, self.rel_tol = len(rows), p, n, rel_tol
         self.one = isinstance(p, RadialExponent)
         self.ln_c, self.b = np.log(g.coef[rows]), g.expo[rows]
-        self.side = {k: g.side[i] for k, i in enumerate(rows.tolist()) if i in g.side}
+        self.side = {k: g.side[int(rows[k])] for k in np.flatnonzero(np.isnan(self.b)).tolist()}
         with np.errstate(divide="ignore"):
             self.s_lo, self.s_hi = np.log(u), np.log(v)
         self.points = tuple(math.log(r) for r in p.discontinuities() if r > 0)
@@ -525,7 +529,7 @@ class _Modular:
             if not (u[k] == 0.0, math.isinf(v[k]))[end]:
                 continue
             i, sign = int(rows[k]), 2 * end - 1
-            seg = g.side.get(i) or Segment(u[k], v[k], g.coef[i], ExponentExpr(g.expo[i]))
+            seg = self.side.get(k) or Segment(u[k], v[k], g.coef[i], ExponentExpr(self.b[k]))
             a, p_end = seg.exponent_limits()[end], p_ends[end]
             finite = np.isfinite(p_end)
             # a known power slope n - 1 + a p takes the power test; an
@@ -853,15 +857,15 @@ def ball_norms(g: PiecewisePowerFunction, p: RadialExponent, radii, n: int,
     """The Luxemburg norm of g on each ball B(0, R) of the radii, each as
     luxemburg_norm(g.window(ball), p, ball, n, rel_tol) gives it, bit for bit.
 
-    For a constant, finite p and g without side rows the balls take one
-    pass.  A row that ends below R (1 - 2 _SNAP), like every row before it,
-    lies whole in the ball, so its closed form is the same in every ball
-    that holds it; only the rows from there up to R are clipped, per ball.
-    One log_power_integrals call takes the whole rows and the clipped ones,
-    and each ball's norm is the closed form of its logs.  Otherwise each
-    ball takes its own luxemburg_norm.
+    For a constant, finite p and g whose rows are all plain powers (finite
+    expo) the balls take one pass.  A row that ends below R (1 - 2 _SNAP),
+    like every row before it, lies whole in the ball, so its closed form is
+    the same in every ball that holds it; only the rows from there up to R
+    are clipped, per ball.  One log_power_integrals call takes the whole
+    rows and the clipped ones, and each ball's norm is the closed form of
+    its logs.  Otherwise each ball takes its own luxemburg_norm.
     """
-    if not (p.is_constant and math.isfinite(p.p_zero)) or g.side:
+    if not (p.is_constant and math.isfinite(p.p_zero)) or np.isnan(g.expo).any():
         return [luxemburg_norm(g.window(Region.ball(r)), p, Region.ball(r), n, rel_tol)
                 for r in radii]
     q, radii = p.p_zero, np.array(radii, dtype=float)

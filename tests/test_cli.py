@@ -285,6 +285,14 @@ class TestSweep:
         assert code == 2
         assert capsys.readouterr().err.startswith("config error: eps_list [0.01, 0.1]")
 
+    @pytest.mark.parametrize("eps, shown", [("inf,0.1", "[inf, 0.1]"), ("0.1,nan", "[0.1, nan]")])
+    def test_non_finite_eps_flag_exits_2(self, eps, shown, capsys):
+        # inf wrote the row inf,nan,2,nan and exited 0
+        code = main(["sweep", "--config", str(FIXTURES / "hardy_p2.json"),
+                     "--kind", "lebesgue_eps", "--eps", eps])
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"config error: eps_list {shown}")
+
 
 class TestSharpnessFailures:
     """sweep and verify --suite sharpness share one front end: a bad eps
@@ -303,7 +311,7 @@ class TestSharpnessFailures:
             (hardy_with(kernel={"c": 0.0, "a": 1.0, "support": [0.0, 1.0], "one_sided": True}),
              "lebesgue_eps", 1, "constant_finite,fail,constant C9 = 0.0 is not in (0, inf)"),
             (hardy_with(quadrature={"eps_list": [0.01, 0.1]}), "lebesgue_eps", 2,
-             "config error: eps_list [0.01, 0.1] must be positive and strictly decreasing"),
+             "config error: eps_list [0.01, 0.1] must be finite, positive and strictly decreasing"),
             (MORREY_HERZ_A03_L01, "morrey_herz_power", 1,
              "extremal_admissible,fail,extremal member has source norm"),
             # two q = 2 slots combine to q = 1, outside the Lebesgue range

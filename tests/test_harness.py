@@ -74,6 +74,11 @@ class TestExtremalFamily:
         with pytest.raises(ValueError):
             extremal_family("lebesgue_eps", hardy_cfg, 0.0)
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan])
+    def test_eps_must_be_finite(self, hardy_cfg, eps):
+        with pytest.raises(ValueError, match="finite eps > 0"):
+            extremal_family("lebesgue_eps", hardy_cfg, eps)
+
     def test_morrey_herz_power_needs_admissible_cfg(self, hardy_op):
         # decreasing alpha violates the admissible window: infinite norm reported
         cfg = BoundConfig(
@@ -229,6 +234,12 @@ class TestUpperBoundSuite:
 
 
 class TestSharpnessSweep:
+    @pytest.mark.parametrize("eps_list", [[math.inf, 0.1], [0.1, math.nan], [math.nan]])
+    def test_eps_list_must_be_finite(self, hardy_op, hardy_cfg, eps_list):
+        # an infinite epsilon gave the row inf, nan; NaN passed every check
+        with pytest.raises(ValueError, match="positive and finite"):
+            sharpness_sweep(hardy_op, hardy_cfg, "lebesgue_eps", eps_list)
+
     def test_hardy_rows_match_oracle(self, hardy_op, hardy_cfg):
         sweep = sharpness_sweep(hardy_op, hardy_cfg, "lebesgue_eps", [0.1, 0.03, 0.01])
         assert sweep.constant_id == "C9"

@@ -231,12 +231,12 @@ def grid_samples(spec, fs, monkeypatch):
     seen = []
     interpolant = hausdorff._loglog_interpolant
 
-    def spy(xs, vals):
+    def spy(xs, vals, *ends):
         seen.append((list(xs), list(vals)))
-        return interpolant(xs, vals)
+        return interpolant(xs, vals, *ends)
 
     monkeypatch.setattr(hausdorff, "_loglog_interpolant", spy)
-    quadrature = any(not seg.plain_power for f in fs for seg in f.segments)
+    quadrature = any(np.isnan(f.expo).any() for f in fs)
     r_grid = [2.0 ** (j / 4.0) for j in range(-16, 16)] if quadrature else None
     apply_on_grid(spec, fs, r_grid=r_grid)
     monkeypatch.undo()
@@ -444,9 +444,9 @@ class TestScalarOracles:
             supports.append((spec, fs, out))
             return out
 
-        def interpolant_spy(xs, vals):
+        def interpolant_spy(xs, vals, *ends):
             samples.append((xs, vals))
-            return interpolant(xs, vals)
+            return interpolant(xs, vals, *ends)
 
         monkeypatch.setattr(hausdorff, "_image_support", support_spy)
         monkeypatch.setattr(hausdorff, "_loglog_interpolant", interpolant_spy)
@@ -489,6 +489,26 @@ class TestScalarOracles:
         assert_matches_scalar_interpolant(xs, vals)
 
 
+def pullback_windows_oracle(f, s, xs):
+    """(segment, r_lo, r_hi) per nonzero segment of f, by the per-segment
+    loop: arrays over xs of the kernel radii r with |s(r)| x in
+    [seg.r_lo, min(seg.r_hi, next start)); reference for
+    hausdorff._pullback_windows."""
+    cx = abs(s.c) * xs
+    out = []
+    for seg, hi in zip(f.segments, f.starts[1:] + (math.inf,)):
+        if seg.coef == 0.0:
+            continue
+        hi = min(seg.r_hi, hi)
+        if s.a == 0.0:
+            on = (seg.r_lo <= cx) & (cx < hi)
+            out.append((seg, np.where(on, 0.0, math.inf), np.where(on, math.inf, 0.0)))
+        else:
+            ends = ((seg.r_lo / cx) ** (1.0 / s.a), (hi / cx) ** (1.0 / s.a))
+            out.append((seg, *(ends if s.a > 0 else ends[::-1])))
+    return out
+
+
 def image_values_oracle(spec, fs, xs, rel_tol):
     """The per-combination loop that hausdorff._image_values replaced: each
     combination over the whole grid, empty or not, its windows stacked, and
@@ -500,7 +520,7 @@ def image_values_oracle(spec, fs, xs, rel_tol):
     if k.c == 0.0:
         return total
     with np.errstate(all="ignore"):
-        windows = [hausdorff._pullback_windows(f, fam.s, xs)
+        windows = [pullback_windows_oracle(f, fam.s, xs)
                    for f, fam in zip(fs, spec.families)]
         log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
         for combo in itertools.product(*windows):
@@ -576,7 +596,7 @@ class TestImageOracle:
         # combination is empty from x = 72 on, where the image is exactly 0
         assert xs[0] < 0.6 and xs[-1] > 2.0 ** 47
         assert (vals[xs >= 72.0] == 0.0).all() and (vals[xs < 72.0] > 0.0).sum() >= 24
-        combos = itertools.product(*(hausdorff._pullback_windows(f, fam.s, xs)
+        combos = itertools.product(*(pullback_windows_oracle(f, fam.s, xs)
                                      for f, fam in zip(fs, spec.families)))
         live = [np.maximum(lo1, lo2) < np.minimum(np.minimum(hi1, hi2), 1.0)
                 for (_s1, lo1, hi1), (_s2, lo2, hi2) in combos]
@@ -595,7 +615,7 @@ def live_runs(spec, fs, xs):
     """Per segment combination, the indices of the radii xs where its
     pullback windows meet inside the kernel support."""
     k = spec.kernel
-    windows = [hausdorff._pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+    windows = [pullback_windows_oracle(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
     with np.errstate(all="ignore"):
         for combo in itertools.product(*windows):
             _segs, los, his = zip(*combo)
@@ -632,6 +652,51 @@ class TestLiveRuns:
         assert sum(assert_live_runs_contiguous(spec, fs) for spec, fs, *_rest in calls) >= 100
 
 
+def assert_windows_match_oracle(f, s, xs):
+    rows, lo, hi = hausdorff._pullback_windows(f, s, xs)
+    ref = pullback_windows_oracle(f, s, xs)
+    assert [f.segments[r] for r in rows.tolist()] == [seg for seg, _lo, _hi in ref]
+    assert lo.shape == hi.shape == (len(ref), len(xs))
+    for got_lo, got_hi, (_seg, ref_lo, ref_hi) in zip(lo, hi, ref):
+        assert got_lo.tobytes() == ref_lo.tobytes() and got_hi.tobytes() == ref_hi.tobytes()
+
+
+class TestPullbackWindows:
+    """The windows of all rows of an input as one array pair, against the
+    per-segment loop, bit for bit."""
+
+    @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
+    def test_kernel_cases(self, case):
+        spec, fs = KERNEL_CASES[case]
+        xs = full_grid(spec, fs)
+        with np.errstate(all="ignore"):
+            for f, fam in zip(fs, spec.families):
+                assert_windows_match_oracle(f, fam.s, xs)
+
+    @pytest.mark.parametrize("s", [PowerMap(1.0, 1.0), PowerMap(-0.8, -0.5),
+                                   PowerMap(2.0, 0.0), PowerMap(1.0, 0.03)])
+    def test_zero_rows_and_snapped_edges(self, s):
+        # zero rows are skipped, but their starts still end the row before
+        f = PiecewisePowerFunction((*snapped_edges().segments[:5],
+                                    Segment(0.5, 0.75, 0.0, ExponentExpr(1.0)),
+                                    Segment(0.75, math.inf, 2.0, ExponentExpr(-1.2))))
+        xs = np.array([2.0 ** (j / 3.0) for j in range(-30, 30)])
+        with np.errstate(all="ignore"):
+            assert_windows_match_oracle(f, s, xs)
+            assert_windows_match_oracle(PiecewisePowerFunction.zero(), s, xs)
+
+    @pytest.mark.parametrize("fixture", ["hardy_p2.json", "bilinear_p4.json"])
+    def test_seeded_suite_images(self, fixture, monkeypatch):
+        cfg = load_config(str(FIXTURES / fixture))
+        calls = image_calls(monkeypatch, lambda: upper_bound_suite(
+            cfg.operator(), cfg.bound_config(), "C9", 40, 15))
+        assert len(calls) >= 35
+        with np.errstate(all="ignore"):
+            for spec, fs, xs, *_rest in calls:
+                for f, fam in zip(fs, spec.families):
+                    assert_windows_match_oracle(f, fam.s, xs)
+
+
 class TestLogLogInterpolant:
     def test_steep_jump_gets_a_representable_piece(self):
         # the image jumps from 1e-3 to 0.62 within one grid step at x = 0.024
@@ -649,6 +714,37 @@ class TestLogLogInterpolant:
             assert seg.expr.const == slope
         tail = img.segments[-1]
         assert tail.r_hi == math.inf and tail.value(xs[-1]) == pytest.approx(vals[-1])
+
+    def test_end_rows_through_the_end_samples(self):
+        xs = [0.5 * 2.0 ** (j / 4.0) for j in range(6)]
+        vals = [1.0, 1.2, 1.5, 1.4, 1.1, 0.9]
+        chords = hausdorff._loglog_interpolant(xs, vals)
+        img = hausdorff._loglog_interpolant(xs, vals, -2.0, (0.1, 0.5))
+        # the chords are the plain interpolant's; its tail takes slope -2.0
+        for col in ("lo", "hi", "coef", "expo"):
+            assert getattr(img, col)[1:-1].tobytes() == getattr(chords, col)[:-1].tobytes()
+        assert (img.lo[0], img.hi[0], img.expo[0]) == (0.1, xs[0], 0.5)
+        assert img.coef[0] == vals[0] / xs[0] ** 0.5
+        assert (img.lo[-1], img.hi[-1], img.expo[-1]) == (xs[-1], math.inf, -2.0)
+        assert img.coef[-1] == vals[-1] / xs[-1] ** -2.0
+        # a lone positive sample still takes both end rows
+        lone = hausdorff._loglog_interpolant(xs[:2], [0.0, 3.0], -2.0, (0.1, 0.5))
+        assert (lone.lo.tolist(), lone.hi.tolist()) == ([xs[1]], [math.inf])
+
+    def test_zero_end_samples_add_no_end_rows(self):
+        xs = [0.5 * 2.0 ** (j / 4.0) for j in range(6)]
+        vals = [0.0, 1.2, 1.5, 1.4, 1.1, 0.0]
+        img = hausdorff._loglog_interpolant(xs, vals, -2.0, (0.1, 0.5))
+        assert img == hausdorff._loglog_interpolant(xs, vals)
+        assert img.lo[0] == xs[1] and img.hi[-1] == xs[4]
+
+    def test_steep_end_slopes_kept_representable(self):
+        # x^-1e4 through (8, 1) would need the coefficient 8^1e4; the end
+        # rows take the steepest slopes whose coefficients stay below e^700
+        xs, vals = [8.0, 16.0], [1.0, 1.0]
+        img = hausdorff._loglog_interpolant(xs, vals, -1e4, (1e-3, 1e4))
+        assert img.expo.tolist() == [700.0 / math.log(8.0), 0.0, -700.0 / math.log(16.0)]
+        assert np.isfinite(img.coef).all() and (img.coef > 0.0).all()
 
     def test_seed_10_hardy_suite_within_c9(self):
         cfg = load_config(str(FIXTURES / "hardy_p2.json"))
@@ -781,11 +877,56 @@ class TestPowerRuns:
         spec, fs = KERNEL_CASES["m1_a_pos"]
         seen = []
         interpolant = hausdorff._loglog_interpolant
-        monkeypatch.setattr(hausdorff, "_loglog_interpolant",
-                            lambda xs, vals: seen.append(list(xs)) or interpolant(xs, vals))
+        monkeypatch.setattr(
+            hausdorff, "_loglog_interpolant",
+            lambda xs, vals, *ends: seen.append(list(xs)) or interpolant(xs, vals, *ends))
         r_grid = [2.0 ** (j / 4.0) for j in range(-16, 64)]
         apply_on_grid(spec, fs, r_grid=r_grid)
         assert seen == [r_grid]
+
+
+# the exponent 1 - 1/2 written with a constant term, and the plain power it is
+STRUCTURED_TWIN = PiecewisePowerFunction.power_with_terms(
+    1.3, 1.0, (ExprTerm(-1.0, Constant(2.0), reciprocal=True),), 0.5, 2.0)
+PLAIN_TWIN = PiecewisePowerFunction.single_power(1.3, 0.5, 0.5, 2.0)
+
+
+def assert_same_columns(a, b):
+    for col in ("lo", "hi", "coef", "expo"):
+        assert getattr(a, col).tobytes() == getattr(b, col).tobytes()
+
+
+class TestStructuredTwin:
+    """A row whose exponent terms are constant is the plain power it
+    equals: its expo column holds that exponent, so its images take the
+    plain path, bit for bit."""
+
+    def test_columns(self):
+        assert STRUCTURED_TWIN.side and not PLAIN_TWIN.side
+        # the segments keep the row as written
+        assert STRUCTURED_TWIN != PLAIN_TWIN
+        assert_same_columns(STRUCTURED_TWIN, PLAIN_TWIN)
+
+    @pytest.mark.parametrize("r_grid", [None, [2.0 ** (j / 4.0) for j in range(-16, 16)]],
+                             ids=["dyadic", "explicit"])
+    def test_images(self, hardy_op, r_grid):
+        img = apply_on_grid(hardy_op, [STRUCTURED_TWIN], r_grid=r_grid)
+        assert_same_columns(img, apply_on_grid(hardy_op, [PLAIN_TWIN], r_grid=r_grid))
+        if r_grid is None:
+            # sampled between the kinks 0.5 and 2 only, with one power row
+            # beyond them
+            assert len(img.lo) == 49 and img.expo[-1] == -1.0
+        for x in (0.3, 1.0, 1.7, 5.0):
+            assert (apply_pointwise(hardy_op, [STRUCTURED_TWIN], x)
+                    == apply_pointwise(hardy_op, [PLAIN_TWIN], x))
+
+    def test_bilinear_image(self):
+        # PLAIN with its last row, 2.2 r^0.25, written as 2.2 r^(0.75 - 1/2)
+        spec = KERNEL_CASES["m2_a_pos_and_neg"][0]
+        f = PiecewisePowerFunction((*PLAIN.segments[:2], Segment(
+            3.0, 6.0, 2.2, ExponentExpr(0.75, (ExprTerm(-1.0, Constant(2.0), reciprocal=True),)))))
+        assert_same_columns(f, PLAIN)
+        assert_same_columns(apply_on_grid(spec, [f, PLAIN2]), apply_on_grid(spec, [PLAIN, PLAIN2]))
 
 
 class TestApplyOnGrid:
@@ -820,6 +961,15 @@ class TestApplyOnGrid:
         f = PiecewisePowerFunction.single_power(1.0, 0.5, 0.5, 2.0)
         with pytest.raises(ValueError, match="distinct"):
             apply_on_grid(hardy_op, [f], r_grid=[1.0, 1.0, 2.0])
+
+    @pytest.mark.parametrize("r_grid", [[1.5, 3.0, math.inf], [1.0, math.inf],
+                                        [math.nan, 1.0, 2.0], [0.0, 1.0]],
+                             ids=["inf-tail", "inf-only", "nan", "zero"])
+    def test_explicit_grid_radii_must_be_positive_and_finite(self, hardy_op, r_grid):
+        # an infinite radius dropped the image's tail row, or gave the zero image
+        f = PiecewisePowerFunction.single_power(1.0, 0.5, 1.0, 2.0)
+        with pytest.raises(ValueError, match="positive and finite"):
+            apply_on_grid(hardy_op, [f], r_grid=r_grid)
 
     @pytest.mark.parametrize("r_grid", [[], [1.0]])
     def test_explicit_grid_needs_two_radii(self, hardy_op, r_grid):

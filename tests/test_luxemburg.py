@@ -393,6 +393,23 @@ def constant_p_oracle(segs, region, p, n=1):
     return m ** (1.0 / p.p_zero) if m is not None else math.exp(ln_m / p.p_zero)
 
 
+def assert_expo_column(g):
+    """expo is finite exactly on the rows that are plain powers, and there
+    it is the row's exponent, bit for bit."""
+    for b, seg in zip(g.expo.tolist(), g.segments):
+        if seg.plain_power:
+            assert b.hex() == seg.expr(1.0).hex()
+        else:
+            assert math.isnan(b)
+
+
+def plain_twin(g):
+    """g with every side row that is a plain power written as one."""
+    return PiecewisePowerFunction(tuple(
+        Segment(s.r_lo, s.r_hi, s.coef, ExponentExpr(s.expr(1.0))) if s.plain_power else s
+        for s in g.segments))
+
+
 class TestColumns:
     @settings(max_examples=150, deadline=None)
     @given(segs=mixed_segments())
@@ -401,7 +418,8 @@ class TestColumns:
         ordered = tuple(sorted(segs, key=lambda s: s.r_lo))
         assert f.segments == ordered and f.starts == tuple(s.r_lo for s in ordered)
         assert set(f.side) == {i for i, s in enumerate(ordered) if s.expr.terms or s.pow2}
-        assert all(math.isnan(f.expo[i]) for i in f.side)
+        # a side row with a constant exponent and no pow2 factor is plain
+        assert_expo_column(f)
         # rebuilt from the columns and side rows
         again = f.scaled(1.0)
         assert again.segments == ordered and again == f and hash(again) == hash(f)
@@ -431,11 +449,11 @@ class TestColumns:
         assert f.times_pow2(m, LOG_Q) == per_segment(
             lambda s: Segment(s.r_lo, s.r_hi, s.coef, s.expr, s.pow2 + ((m, LOG_Q),)))
         # the columns agree with the segments they derive
-        for g in (f.scaled(c), f.weighted(gamma), f.times_pow2(m, LOG_Q)):
+        for g in (f.scaled(c), f.weighted(gamma), f.times_pow2(m, LOG_Q),
+                  f.times_pow2(m, Constant(a, signed=True))):
             assert g.coef.tolist() == [s.coef for s in g.segments]
             assert g.lo.tolist() == [s.r_lo for s in g.segments]
-            plain = [i for i in range(len(g.lo)) if i not in g.side]
-            assert [g.expo[i] for i in plain] == [g.segments[i].expr.const for i in plain]
+            assert_expo_column(g)
 
     @settings(max_examples=150, deadline=None)
     @given(segs=mixed_segments(), k=st.integers(-3, 3))
@@ -445,6 +463,7 @@ class TestColumns:
         for region in regions_of(rows):
             win = f.window(region)
             assert win.segments == window_oracle(rows, region)
+            assert_expo_column(win)
             want = list(pieces_oracle(rows, region))
             assert list(f.pieces_in(region)) == want
             assert list(win.pieces_in(region)) == want
@@ -454,6 +473,7 @@ class TestColumns:
                 Segment(s.r_lo, s.r_hi, s.coef * 2.0 ** (k * 0.3), s.expr.shifted(0.2), s.pow2)
                 for s in window_oracle(rows, region)
             )
+            assert_expo_column(chained)
 
     @settings(max_examples=40, deadline=None)
     @given(segs=mixed_segments(), q=st.sampled_from([1.5, 2.0, 3.0]))
@@ -496,6 +516,36 @@ class TestColumns:
     def test_from_columns_checks_rows(self, lo, hi, coef):
         with pytest.raises(ValueError, match="sorted without overlap"):
             PiecewisePowerFunction.from_columns(*map(np.array, (lo, hi, coef, [0.0, 0.0])))
+
+
+class TestStructuredTwin:
+    """A side row whose exponent is constant, without pow2 factors, has its
+    exponent in expo, so g and its plain twin have the same columns and
+    the same norms, bit for bit."""
+
+    TWIN = PiecewisePowerFunction.power_with_terms(
+        1.3, 1.0, (ExprTerm(-1.0, Constant(2.0), reciprocal=True),), 0.5, 2.0)
+
+    @pytest.mark.parametrize("q", [Constant(2.0), Constant(1.5), LOG_Q], ids=str)
+    def test_single_row(self, q):
+        g, twin = self.TWIN, PiecewisePowerFunction.single_power(1.3, 0.5, 0.5, 2.0)
+        assert g.side and g.expo.tobytes() == twin.expo.tobytes()
+        for region in (Region.all(), Region.ball(1.0), Region.annulus(0.7, 1.5)):
+            assert luxemburg_norm(g, q, region, 1) == luxemburg_norm(twin, q, region, 1)
+        radii = [0.6, 1.0, 2.0 * (1 - 1e-13), 2.0, 8.0]
+        assert luxemburg.ball_norms(g, q, radii, 1) == luxemburg.ball_norms(twin, q, radii, 1)
+
+    @settings(max_examples=30, deadline=None)
+    @given(segs=mixed_segments(), q=st.sampled_from([Constant(2.0), Constant(3.0), LOG_Q]))
+    def test_mixed_rows(self, segs, q):
+        g = PiecewisePowerFunction(segs)
+        twin = plain_twin(g)
+        for col in ("lo", "hi", "coef", "expo"):
+            assert getattr(g, col).tobytes() == getattr(twin, col).tobytes()
+        for region in (Region.all(), Region.annulus(0.05, 20.0)):
+            assert luxemburg_norm(g, q, region, 1) == luxemburg_norm(twin, q, region, 1)
+        radii = [0.3, 1.0, 7.0]
+        assert luxemburg.ball_norms(g, q, radii, 1) == luxemburg.ball_norms(twin, q, radii, 1)
 
 
 class TestConstantExponentRange:
