@@ -499,8 +499,9 @@ class _Modular:
             self.logs, self.p = np.empty(0), 0.0
             return
         self.p, expo = p.p_zero, g.expo[rows]
-        closed = ~np.isnan(expo)
-        if not closed.all():
+        # a scalar scan: numpy's per-call cost shows on one-shell norms
+        if any(map(math.isnan, expo.tolist())):
+            closed = ~np.isnan(expo)
             self._pieces(g, rows[~closed], u[~closed], v[~closed], p, n, rel_tol)
             rows, u, v, expo = rows[closed], u[closed], v[closed], expo[closed]
         self.logs = (self.p * np.log(g.coef[rows]) + _quad.log_power_integrals(
