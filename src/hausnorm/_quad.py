@@ -8,9 +8,10 @@ radial_integral integrates in log-radius and decides each singular end
 checked with the power test and its tail is cut where the integrand has
 decayed, and an unknown slope falls back to a cutoff search; tail_points,
 which the Luxemburg modular's rule shares, picks each tail's start and
-candidates.  Callers read power slopes off their own data; the dilation
-families, for instance, take a ``PowerMap`` so the image radius is a power
-of the kernel radius.
+candidates.  quad_s calls an integrand once per node, so a caller passes
+the whole of it.  Callers read power slopes off their own data; the
+dilation families, for instance, take a ``PowerMap`` so the image radius is
+a power of the kernel radius.
 """
 
 from __future__ import annotations
@@ -225,28 +226,25 @@ def gk_step(f: np.ndarray, half: np.ndarray, rel_tol: float, group=None, groups:
 
 
 def quad_s(log_g, s_lo: float, s_hi: float, rel_tol: float = 1e-9,
-           points: tuple[float, ...] = (), data=None) -> tuple[float, float]:
+           points: tuple[float, ...] = ()) -> tuple[float, float]:
     """ln of the integral of exp(log_g(s)) ds over [s_lo, s_hi] and ln of
     its error estimate, the sum of |G - K|.
 
     gk_step on the panels of grid_panels, bisected until it passes.  Each
-    round calls log_g once, on the nodes of every panel as an array of
-    shape (panels, 15) followed by their node data, the tuple data(nodes)
-    evaluated once per node.
+    round calls log_g once, on the nodes of its new panels, (panels, 15):
+    all of them at first, then the halves; a kept panel keeps its values.
     """
     if not s_hi > s_lo:
         return -_INF, -_INF
     lo, hi, _k = grid_panels(np.array([s_lo]), np.array([s_hi]), points)
-    s = nodes(lo, hi)
-    cols = (s, *(data(s) if data else ()))
+    kept = np.empty((0, len(_NODES)))
     for _round in range(_MAX_ROUNDS):
-        ln_value, ln_err, split = gk_step(log_g(*cols), 0.5 * (hi - lo), rel_tol)
+        f = np.concatenate((kept, log_g(nodes(lo[len(kept):], hi[len(kept):]))))
+        ln_value, ln_err, split = gk_step(f, 0.5 * (hi - lo), rel_tol)
         if not len(split):
             break
         whole, lo, hi = halve(lo, hi, split)
-        s = nodes(lo[whole.sum():], hi[whole.sum():])
-        new = (s, *(data(s) if data else ()))
-        cols = [np.concatenate((col[whole], n)) for col, n in zip(cols, new)]
+        kept = f[whole]
     return float(ln_value[0]), float(ln_err[0])
 
 
@@ -368,20 +366,20 @@ def tail_cuts(log_integrand, lo: float, hi: float, slope_at_0: float | None = No
 def radial_integral(log_integrand, lo: float, hi: float,
                     slope_at_0: float | None = None,
                     slope_at_inf: float | None = None,
-                    breaks=(), rel_tol: float = 1e-9, data=None) -> RadialIntegral:
+                    breaks=(), rel_tol: float = 1e-9) -> RadialIntegral:
     """Integral of exp(log_integrand(s)) ds over s in [ln lo, ln hi].
 
     In radius terms this is the integral of r**beta(r) dr over [lo, hi]
     with log_integrand(s) ~ (beta + 1) s.  Its singular ends are cut by
     tail_cuts, with the slopes given there.  breaks lists radii where the
     integrand may be non-smooth.  A tail cut calls log_integrand on one
-    array of points, the quadrature on arrays of nodes followed by their
-    node data (see quad_s).
+    array of points, the quadrature once per node on arrays of nodes (see
+    quad_s).
     """
     s_lo, s_hi, divergence, _tails = tail_cuts(log_integrand, lo, hi, slope_at_0, slope_at_inf)
     if divergence is not None:
         return RadialIntegral(_INF, s_lo, s_hi, divergence)
     pts = tuple(math.log(b) for b in breaks if b > 0)
     # positional, so that a wrapper bound over quad_s sees every argument
-    log_value, log_error = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts, data)
+    log_value, log_error = quad_s(log_integrand, s_lo, s_hi, rel_tol, pts)
     return RadialIntegral(log_value, s_lo, s_hi, None, log_error)

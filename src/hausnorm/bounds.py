@@ -8,10 +8,11 @@ kernel times the matrix factors is one PiecewisePowerFunction of the
 kernel radius and integrates exactly; with a norm-of-one node factor it
 falls back to adaptive quadrature, whose nodes of each round take their
 norms of one as one batch, solved as the exponent rows of one quadrature
-rule.
-Divergence is decided before integrating: at a singular kernel end the
-pullback of q tends to the constant q(inf) or q(0), which decides the
-pullback hypothesis there and each node factor's end slope in closed form.
+rule.  Divergence and the pullback hypothesis are decided before
+integrating, the hypothesis by the sign test of those rows at sampled
+kernel radii and at the singular kernel ends, where the pullback of q tends
+to the constant q(inf) or q(0), which also gives each node factor's end
+slope in closed form.
 """
 
 from __future__ import annotations
@@ -86,10 +87,12 @@ class BoundConfig:
     def __post_init__(self):
         if len(self.slots) != self.operator.m:
             raise ValueError("need one slot of parameters per operator slot")
-        if self.zeta <= 0:
-            raise ValueError("zeta must be positive")
-        if not all(s.p > 0 for s in self.slots):
-            raise ValueError("outer indices p_i must be positive")
+        if not 0 < self.zeta < _INF:
+            raise ValueError("zeta must be positive and finite")
+        if not all(0 < s.p < _INF for s in self.slots):
+            raise ValueError("outer indices p_i must be positive and finite")
+        if not all(math.isfinite(s.gamma) and math.isfinite(s.lam) for s in self.slots):
+            raise ValueError("slot parameters gamma_i and lam_i must be finite")
 
     # --- derived couplings -------------------------------------------------
 
@@ -316,18 +319,18 @@ class _NormOne:
 
     def __init__(self, n: int, q: RadialExponent, fam, zeta: float, rel_tol: float):
         self.n, self.q, self.fam, self.zeta, self.rel_tol = n, q, fam, zeta, rel_tol
-        self.ln_c, self.a = math.log(abs(fam.s.c)), fam.s.a
+        # |s(1)| = |c|, SingularFamilyError where it is 0 or not finite
+        self.ln_c, self.a = math.log(fam.dilation_scale(1.0)), fam.s.a
         # N grows like |s|^growth as |s| -> inf, d = 1/q(0) - 1/(zeta q(inf))
         self.growth = n * max(0.0, 1.0 / q.p_zero - 1.0 / (zeta * q.p_infty))
         self.ln_hi = min(_LN_EDGE, 600.0 / self.growth) if self.growth else _LN_EDGE
         self.ends = {}
 
-    def _log_norms(self, s: np.ndarray, ln_scale: np.ndarray) -> np.ndarray:
-        """ln N of the rows ln |s(t)| = ln_scale at s = ln t, 0 where the
-        residual is flat.  A row pulls q back by 1/|s(t)| from the family
-        where t is a normal float, by e^(-ln |s(t)|) where it is not, and by
-        inf or 0 at a limit (ln |s(t)| = -inf or inf); a failing sign test
-        names t, ln |s(t)| or the end."""
+    def _rows(self, s: np.ndarray, ln_scale: np.ndarray) -> _Residuals:
+        """The residual rows ln |s(t)| = ln_scale at s = ln t.  A row pulls q
+        back by 1/|s(t)| from the family where t is a normal float, by
+        e^(-ln |s(t)|) where it is not, and by inf or 0 at a limit (ln |s(t)|
+        = -inf or inf); a failing sign test names t, ln |s(t)| or the end."""
         t = _quad.radius(s)
         normal = (2.0 ** -1022 <= t) & (t < _INF) & np.isfinite(ln_scale)
         with np.errstate(over="ignore"):
@@ -340,7 +343,11 @@ class _NormOne:
                 return f"as t -> {0 if (ln_scale[i] < 0.0) == (self.a > 0.0) else 'inf'}"
             return f"at t={t[i]:.4g}" if normal[i] else f"at ln |s(t)|={ln_scale[i]:.4g}"
 
-        resid = _Residuals(self.q, self.zeta, pull, where)
+        return _Residuals(self.q, self.zeta, pull, where)
+
+    def _log_norms(self, s: np.ndarray, ln_scale: np.ndarray) -> np.ndarray:
+        """ln N of the rows _rows(s, ln_scale), 0 where the residual is flat."""
+        resid = self._rows(s, ln_scale)
         out = np.zeros(len(s))
         if len(resid.solve):
             out[resid.solve] = luxemburg._log_norms_of_one(resid, self.n, self.rel_tol)
@@ -386,18 +393,28 @@ class _NormOne:
 
 def _norm_one_nodes(cfg: BoundConfig, zeta: float) -> list[_NormOne]:
     """The slots' norm-of-one factors (none for constant q at zeta = 1), once
-    the pullback hypothesis holds."""
-    _check_pullback_hypothesis(cfg, zeta)
-    return [_NormOne(cfg.operator.n, slot.q, fam, zeta, max(cfg.rel_tol, 1e-7))
-            for slot, fam in zip(cfg.slots, cfg.operator.families)
-            if not (slot.q.is_constant and zeta == 1.0)]
+    each slot's rows (_NormOne._rows) pass their sign test, the pullback
+    hypothesis, at nine sampled kernel radii t and at each singular kernel
+    end (s = ln t = -inf or inf) where the family's scale moves."""
+    k = cfg.operator.kernel
+    lo = k.r_lo if k.r_lo > 0 else (k.r_hi if math.isfinite(k.r_hi) else 1.0) * 1e-6
+    ts = [lo * (k.r_hi / lo) ** (i / 8.0) if math.isfinite(k.r_hi) else lo * 4.0 ** i
+          for i in range(9)]
+    ends = [-_INF] * (k.r_lo == 0.0) + [_INF] * math.isinf(k.r_hi)
+    nodes = []
+    for slot, fam in zip(cfg.slots, cfg.operator.families):
+        node = _NormOne(cfg.operator.n, slot.q, fam, zeta, max(cfg.rel_tol, 1e-7))
+        s = np.concatenate((np.log(ts), ends if node.a else []))
+        node._rows(s, node.ln_c + node.a * s)
+        if not (slot.q.is_constant and zeta == 1.0):
+            nodes.append(node)
+    return nodes
 
 
 def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
     """Integrate the kernel against the product of all factors; (value,
-    diagnostics).  The quadrature takes the node factors' log-product as
-    node data, evaluated once per node; at a singular kernel end its power
-    slope adds each node factor's closed-form end slope."""
+    diagnostics).  At a singular kernel end the quadrature's power slope
+    adds each node factor's closed-form end slope."""
     k = spec.kernel
     product = PiecewisePowerFunction.single_power(spec.sigma * k.c, k.a - 1.0, k.r_lo, k.r_hi)
     for factor, _label in factors:
@@ -409,9 +426,6 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
 
     diag: dict = {"factors": [label for _f, label in factors] + ["norm-of-one"] * len(node_fns),
                   "pieces": []}
-
-    def node_logs(s):
-        return (sum(fn(s) for fn in node_fns),)
 
     total = []
     for seg in segs:
@@ -425,15 +439,12 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
             total.append(val)
             continue
 
-        def log_integrand(s, logs=None, coef=coef, expo=expo):
-            if logs is None:
-                logs = sum(fn(s) for fn in node_fns)
-            return math.log(coef) + (expo + 1.0) * s + logs
+        def log_integrand(s, coef=coef, expo=expo):
+            return math.log(coef) + (expo + 1.0) * s + sum(fn(s) for fn in node_fns)
 
         slope_0 = expo + math.fsum(f.end(True)[2] for f in node_fns) if lo == 0.0 else None
         slope_inf = expo + math.fsum(f.end(False)[2] for f in node_fns) if math.isinf(hi) else None
-        res = _quad.radial_integral(log_integrand, lo, hi, slope_0, slope_inf,
-                                    rel_tol=rel_tol, data=node_logs)
+        res = _quad.radial_integral(log_integrand, lo, hi, slope_0, slope_inf, rel_tol=rel_tol)
         if res.divergence is not None:
             diag["divergent_at"] = [lo, hi]
             if res.divergence == "power":
@@ -449,25 +460,6 @@ def _integrate_factors(spec: OperatorSpec, factors, node_fns, rel_tol: float):
 
 # ---------------------------------------------------------------------------
 # per-slot hypothesis checks
-
-
-def _check_pullback_hypothesis(cfg: BoundConfig, zeta: float) -> None:
-    """q_i(A_i^{-1}(t) .) <= zeta q_i(.) at sampled kernel radii t, and in the
-    limit at each singular kernel end where the family's scale moves, all
-    decided in x by one batch of residual exponents' sign test."""
-    k = cfg.operator.kernel
-    lo = k.r_lo if k.r_lo > 0 else (k.r_hi if math.isfinite(k.r_hi) else 1.0) * 1e-6
-    ts = [lo * (k.r_hi / lo) ** (i / 8.0) if math.isfinite(k.r_hi) else lo * 4.0 ** i
-          for i in range(9)]
-    ends = ([True] if k.r_lo == 0.0 else []) + ([False] if math.isinf(k.r_hi) else [])
-    for slot, fam in zip(cfg.slots, cfg.operator.families):
-        ends_here = ends if fam.s.a != 0.0 else []
-        # the pullback tends to q(inf) where |s(t)| -> 0 and to q(0) where it grows
-        pull = [1.0 / fam.dilation_scale(t) for t in ts] + [
-            _INF if at_zero == (fam.s.a > 0.0) else 0.0 for at_zero in ends_here]
-        where = [f"at t={t:.4g}" for t in ts] + [
-            f"as t -> {0 if at_zero else 'inf'}" for at_zero in ends_here]
-        _Residuals(slot.q, zeta, np.array(pull), where.__getitem__)
 
 
 def _require(cond: bool, name: str) -> None:

@@ -683,6 +683,8 @@ class PowerWeight:
     def __post_init__(self):
         if self.n < 1:
             raise ExponentDomainError("dimension must be >= 1")
+        if not math.isfinite(self.gamma):
+            raise ExponentDomainError("weight power gamma must be finite")
 
     def __call__(self, r: float) -> float:
         if r == 0.0:

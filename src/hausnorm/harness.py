@@ -100,35 +100,19 @@ def spaces_for_constant(cfg: BoundConfig, cid: str) -> tuple[list[SpaceSpec], Sp
         return sources, target
 
     if cid in ("C10", "C11", "C12"):
-        if cid == "C12":
-            sources = [
-                SpaceSpec(
-                    "central_morrey", n, s.q,
-                    gamma=s.gamma / s.q.p_infty, gamma_outer=s.gamma, lam=s.lam,
-                )
-                for s in slots
-            ]
-            g = cfg.gamma_central()
-            q = cfg.combined_q()
-            target = SpaceSpec(
-                "central_morrey", n, q,
-                gamma=g / q.p_infty, gamma_outer=g, lam=cfg.lam_central(),
-            )
-        else:
-            sources = [
-                SpaceSpec(
-                    "central_morrey", n, s.q,
-                    gamma=s.alpha(1.0), gamma_outer=s.gamma, lam=s.lam,
-                )
-                for s in slots
-            ]
-            g = cfg.gamma_central()
-            q = cfg.combined_q()
-            alpha = math.fsum(s.alpha(1.0) for s in slots)
-            target = SpaceSpec(
-                "central_morrey", n, q,
-                gamma=alpha, gamma_outer=g, lam=cfg.lam_central(),
-            )
+        # the weight inside the norm: |x|^(gamma/q(inf)) for C12, |x|^alpha otherwise
+        c12 = cid == "C12"
+        inner = (lambda s: s.gamma / s.q.p_infty) if c12 else (lambda s: s.alpha(1.0))
+        sources = [
+            SpaceSpec("central_morrey", n, s.q, gamma=inner(s), gamma_outer=s.gamma, lam=s.lam)
+            for s in slots
+        ]
+        g, q = cfg.gamma_central(), cfg.combined_q()
+        target = SpaceSpec(
+            "central_morrey", n, q,
+            gamma=g / q.p_infty if c12 else math.fsum(s.alpha(1.0) for s in slots),
+            gamma_outer=g, lam=cfg.lam_central(),
+        )
         return sources, target
 
     raise KeyError(f"unknown constant id {cid!r}")

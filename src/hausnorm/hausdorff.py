@@ -68,8 +68,8 @@ class RadialKernel:
     one_sided: bool = False
 
     def __post_init__(self):
-        if self.c < 0:
-            raise ValueError("kernel coefficient must be nonnegative")
+        if not (0 <= self.c < _INF and math.isfinite(self.a)):
+            raise ValueError("kernel coefficient must be nonnegative and finite, its power finite")
         if not (0 <= self.r_lo < self.r_hi):
             raise ValueError("kernel support must satisfy 0 <= r_lo < r_hi")
 

@@ -55,6 +55,8 @@ class SpaceSpec:
     def __post_init__(self):
         if self.kind not in SPACE_KINDS:
             raise ValueError(f"unknown space kind {self.kind!r}")
+        if not all(map(math.isfinite, (self.gamma, self.lam, self.p_outer, self.gamma_outer or 0))):
+            raise ValueError("gamma, lam, p_outer and gamma_outer must be finite")
         if self.kind in ("herz", "morrey_herz"):
             if self.alpha is None:
                 raise ValueError("herz-type spaces need a smoothness index alpha")

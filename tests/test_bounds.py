@@ -35,12 +35,18 @@ from hausnorm.exponents import (
     difference_reciprocal,
     pullback_exponent,
 )
-from hausnorm.hausdorff import OperatorSpec, RadialKernel, from_multilinear_hardy_cesaro
+from hausnorm.hausdorff import (
+    OperatorSpec,
+    RadialKernel,
+    from_hardy_cesaro,
+    from_multilinear_hardy_cesaro,
+)
 from hausnorm.matrices import (
     DiagonalEqualModulus,
     OrthogonalTimesScalar,
     PowerMap,
     ScalarDilation,
+    SingularFamilyError,
     c_factor,
     frobenius_norm,
     inverse_stats,
@@ -140,9 +146,8 @@ class TestLebesgueConstants:
     def test_node_factor_evaluated_once_per_radius(self, monkeypatch):
         # each node factor value is one row of a batch of residual
         # exponents, pulled back once at its radius; the hypothesis check
-        # samples pullbacks at radii of its own
+        # builds rows of its own, which it does not solve
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
-        monkeypatch.setattr(bounds, "_check_pullback_hypothesis", lambda cfg, zeta: None)
         radii = []
         log_norms = bounds._NormOne._log_norms
 
@@ -193,6 +198,22 @@ class TestLebesgueConstants:
         assert calls["builds"] <= 2 * calls["batches"]
         assert calls["tail_searches"] <= 7 * calls["rows"]
         assert res.value == pytest.approx(2.2349737949480826, rel=1e-10)
+
+    @pytest.mark.parametrize("cid", ["C1", "C2", "C2*", "C4"])
+    def test_vanishing_family_is_singular(self, cid):
+        # s(t) = 0 at every t: no pullback, no norm of one
+        op = from_hardy_cesaro(PowerMap(1.0, 0.0), PowerMap(0.0, 1.0))
+        cfg = BoundConfig(op, (SlotParams(q=LogInterp(3.0, 2.0)),))
+        with pytest.raises(SingularFamilyError):
+            evaluate_constant(cfg, cid)
+
+    @pytest.mark.parametrize("zeta, slot", [
+        (math.nan, {}), (math.inf, {}), (1.0, {"p": math.inf}), (1.0, {"p": math.nan}),
+        (1.0, {"gamma": math.nan}), (1.0, {"lam": -math.inf}),
+    ])
+    def test_parameters_are_finite(self, hardy_op, zeta, slot):
+        with pytest.raises(ValueError, match="finite"):
+            BoundConfig(hardy_op, (SlotParams(q=Constant(2.0), **slot),), zeta=zeta)
 
     def test_outer_index_must_be_positive(self, hardy_op):
         with pytest.raises(ValueError, match="outer indices p_i must be positive"):

@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -195,6 +196,32 @@ class TestConstants:
         code = main(["constants", "--config", str(path), "--which", "C9"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestNonFiniteParameters:
+    """A non-finite parameter is a config error where it enters (exit 2),
+    never a traceback, a null result that reads as infinite, or a number."""
+
+    @pytest.mark.parametrize("fixture, keys, value, argv", [
+        ("hardy_p2.json", ("space", "gamma"), math.nan, ["norm"]),
+        ("hardy_p2.json", ("function", "c"), math.nan, ["norm"]),
+        ("loginterp_norm.json", ("function", "c"), math.inf, ["norm"]),
+        ("hardy_p2.json", ("kernel", "c"), math.nan, ["constants", "--which", "C9"]),
+        ("loginterp_norm.json", ("zeta",), math.nan, ["constants", "--which", "C1"]),
+        ("hardy_p2.json", ("slots", 0, "gamma"), math.nan, ["constants", "--which", "C1"]),
+    ], ids=["space-gamma", "function-c-nan", "function-c-inf", "kernel-c", "zeta", "slot-gamma"])
+    def test_exits_2(self, fixture, keys, value, argv, tmp_path, capsys):
+        obj = json.loads((FIXTURES / fixture).read_text())
+        node = obj
+        for key in keys[:-1]:
+            node = node[key]
+        node[keys[-1]] = value
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(obj))
+        code = main([argv[0], "--config", str(path), *argv[1:]])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("config error:") and "Traceback" not in captured.err
 
 
 class TestArgumentErrors:

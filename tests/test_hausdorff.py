@@ -47,6 +47,13 @@ def hardy_ratio_oracle(eps):
     return math.sqrt((0.5 - eps) ** -2 * (1.0 - 4.0 * eps / (0.5 + eps) + 2.0 * eps))
 
 
+@pytest.mark.parametrize("c, a", [(math.nan, 1.0), (math.inf, 1.0), (1.0, math.nan),
+                                  (1.0, -math.inf)])
+def test_kernel_parameters_are_finite(c, a):
+    with pytest.raises(ValueError, match="kernel coefficient must be nonnegative and finite"):
+        RadialKernel(c, a, 0.0, 1.0)
+
+
 class TestApplyPointwise:
     def test_average_of_one(self, hardy_op):
         assert apply_pointwise(hardy_op, [ONE], 1.0) == pytest.approx(1.0)

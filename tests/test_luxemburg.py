@@ -517,6 +517,17 @@ class TestColumns:
         with pytest.raises(ValueError, match="sorted without overlap"):
             PiecewisePowerFunction.from_columns(*map(np.array, (lo, hi, coef, [0.0, 0.0])))
 
+    @pytest.mark.parametrize("coef", [math.nan, math.inf])
+    def test_from_columns_coefficients_are_finite(self, coef):
+        with pytest.raises(ValueError, match="0 <= coef < inf"):
+            PiecewisePowerFunction.from_columns(
+                *map(np.array, ([1.0, 2.0], [2.0, 3.0], [1.0, coef], [0.0, 0.0])))
+
+    @pytest.mark.parametrize("coef", [math.nan, math.inf])
+    def test_segment_coefficient_is_finite(self, coef):
+        with pytest.raises(ValueError, match="coefficient must be nonnegative and finite"):
+            Segment(1.0, 2.0, coef)
+
 
 class TestStructuredTwin:
     """A side row whose exponent is constant, without pow2 factors, has its

@@ -111,6 +111,21 @@ class TestRadialIntegral:
             assert math.exp(ln_value) == pytest.approx(cold.value, rel=1e-9)
             assert math.exp(ln_value) == pytest.approx(w * math.sqrt(math.pi), rel=1e-9)
 
+    def test_each_node_evaluated_once(self):
+        # a narrow peak takes several rounds of bisection; the panels they
+        # keep are not evaluated again
+        rounds = []
+
+        def log_g(s):
+            rounds.append(s.ravel().tolist())
+            return -(((s - 0.3) / 1e-2) ** 2)
+
+        ln_value, _ln_err = _quad.quad_s(log_g, math.log(0.1), math.log(100.0))
+        assert math.exp(ln_value) == pytest.approx(math.sqrt(math.pi) * 1e-2, rel=1e-9)
+        assert len(rounds) >= 3
+        seen = [s for nodes in rounds for s in nodes]
+        assert len(set(seen)) == len(seen)
+
     def test_panels_that_pass_come_back_unchanged(self):
         # a frozen rule refined at one eta is re-checked, not rebuilt, at
         # another it integrates as well, and refined from where it stands

@@ -37,6 +37,20 @@ CHI_SHELL0 = PiecewisePowerFunction.single_power(1.0, 0.0, 0.5, 1.0)
 CHI_SHELL1 = PiecewisePowerFunction.single_power(1.0, 0.0, 1.0, 2.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["gamma", "lam", "p_outer", "gamma_outer"])
+def test_space_parameters_are_finite(name, value):
+    # an infinite p_outer would make every Herz norm (sum of shells)^0 = 1
+    with pytest.raises(ValueError, match="must be finite"):
+        SpaceSpec("herz", 1, Constant(2.0), alpha=ALPHA0, **{name: value})
+
+
+@pytest.mark.parametrize("gamma", [math.nan, -math.inf])
+def test_weight_power_is_finite(gamma):
+    with pytest.raises(ValueError, match="gamma must be finite"):
+        PowerWeight(gamma, 1)
+
+
 def random_compact(rng, n_seg=3):
     edges = sorted(2.0 ** rng.uniform(-5.0, 5.0) for _ in range(n_seg + 1))
     segs = []
