@@ -185,8 +185,8 @@ class Segment:
     pow2: tuple[tuple[float, RadialExponent], ...] = ()
 
     def __post_init__(self):
-        if not 0 <= self.coef < _INF:
-            raise ValueError("segment coefficient must be nonnegative and finite")
+        if not (0 <= self.coef < _INF and math.isfinite(self.expr.const)):
+            raise ValueError("segment coefficient must be nonnegative and finite, its power finite")
         if not (0 <= self.r_lo < self.r_hi):
             raise ValueError("segment bounds must satisfy 0 <= lo < hi")
 
@@ -280,9 +280,10 @@ class PiecewisePowerFunction:
     @classmethod
     def from_columns(cls, lo, hi, coef, expo) -> "PiecewisePowerFunction":
         """Plain rows coef * r^expo on [lo, hi), from float arrays sorted by lo."""
-        if not (np.all((0 <= lo) & (lo < hi) & (0 <= coef) & (coef < _INF))
+        if not (np.all((0 <= lo) & (lo < hi) & (0 <= coef) & (coef < _INF) & np.isfinite(expo))
                 and np.all(lo[1:] >= hi[:-1] * (1 - _SNAP))):
-            raise ValueError("need 0 <= lo < hi, 0 <= coef < inf and rows sorted without overlap")
+            raise ValueError("need 0 <= lo < hi, 0 <= coef < inf, finite expo and rows sorted "
+                             "without overlap")
         return cls._of(lo, hi, coef, expo, {})
 
     @classmethod

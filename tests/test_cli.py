@@ -205,11 +205,13 @@ class TestNonFiniteParameters:
     @pytest.mark.parametrize("fixture, keys, value, argv", [
         ("hardy_p2.json", ("space", "gamma"), math.nan, ["norm"]),
         ("hardy_p2.json", ("function", "c"), math.nan, ["norm"]),
+        ("hardy_p2.json", ("function", "a"), math.nan, ["norm"]),
         ("loginterp_norm.json", ("function", "c"), math.inf, ["norm"]),
         ("hardy_p2.json", ("kernel", "c"), math.nan, ["constants", "--which", "C9"]),
         ("loginterp_norm.json", ("zeta",), math.nan, ["constants", "--which", "C1"]),
         ("hardy_p2.json", ("slots", 0, "gamma"), math.nan, ["constants", "--which", "C1"]),
-    ], ids=["space-gamma", "function-c-nan", "function-c-inf", "kernel-c", "zeta", "slot-gamma"])
+    ], ids=["space-gamma", "function-c-nan", "function-a", "function-c-inf", "kernel-c", "zeta",
+            "slot-gamma"])
     def test_exits_2(self, fixture, keys, value, argv, tmp_path, capsys):
         obj = json.loads((FIXTURES / fixture).read_text())
         node = obj

@@ -517,16 +517,16 @@ class TestColumns:
         with pytest.raises(ValueError, match="sorted without overlap"):
             PiecewisePowerFunction.from_columns(*map(np.array, (lo, hi, coef, [0.0, 0.0])))
 
-    @pytest.mark.parametrize("coef", [math.nan, math.inf])
-    def test_from_columns_coefficients_are_finite(self, coef):
-        with pytest.raises(ValueError, match="0 <= coef < inf"):
+    @pytest.mark.parametrize("coef, expo", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_from_columns_values_are_finite(self, coef, expo):
+        with pytest.raises(ValueError, match="0 <= coef < inf, finite expo"):
             PiecewisePowerFunction.from_columns(
-                *map(np.array, ([1.0, 2.0], [2.0, 3.0], [1.0, coef], [0.0, 0.0])))
+                *map(np.array, ([1.0, 2.0], [2.0, 3.0], [1.0, coef], [0.0, expo])))
 
-    @pytest.mark.parametrize("coef", [math.nan, math.inf])
-    def test_segment_coefficient_is_finite(self, coef):
+    @pytest.mark.parametrize("coef, expo", [(math.nan, 0.0), (math.inf, 0.0), (1.0, math.nan)])
+    def test_segment_values_are_finite(self, coef, expo):
         with pytest.raises(ValueError, match="coefficient must be nonnegative and finite"):
-            Segment(1.0, 2.0, coef)
+            Segment(1.0, 2.0, coef, ExponentExpr(expo))
 
 
 class TestStructuredTwin:
