@@ -14,18 +14,21 @@ Divergence is decided analytically first (power test at the singular
 endpoints), so infinite norms are reported instead of silently truncated.
 A Luxemburg norm is the root of ln F_p(g/eta) = 0 in x = ln eta, F_p(g)^(1/p)
 for a constant p.  Otherwise only x changes between the etas of one norm, so
-the quadrature rows share one rule of arrays, built once and frozen: on it
-the modular is one log-sum-exp, logsumexp(A - P x) over the quadrature
-nodes, which safeguarded Newton steps solve with its exact derivative.  The
-root is certified on that rule from both sides to a relative width of
-CERT_DELTA, and the rule is re-checked at the root (tail cutoffs and each
-row's G-K error) and refined there only where it fails.  The rule also
-takes a batch of exponents as rows, one log-sum-exp each: the norms of 1
-behind the boundedness constants solve that way, all at once.  One loop,
-_Modular.solve, fits, solves and re-checks any number of rows.  Each row's
+the quadrature rows share one rule of arrays, laid out at the starting eta
+and frozen: on it the modular is one log-sum-exp, logsumexp(A - P x) over
+the quadrature nodes, which safeguarded Newton steps solve with its exact
+derivative.  The root is certified on that rule from both sides to a
+relative width of CERT_DELTA, and the rule is tested only there: its tails
+are cut again at the root, and where that leaves the rule as it is, each
+row's G-K error test runs at the root; a rule either changes is solved
+again from there.  So each frozen rule is G-K tested once, at its root.
+The rule also takes a batch of exponents as rows, one log-sum-exp each:
+the norms of 1 behind the boundedness constants solve that way, all at
+once.  One loop, _Modular.solve, lays out, solves and tests any number of
+rows.  Each row's
 root and certificate is one Newton step, _newton, and _roots runs the rows'
 steps in lock-step, one evaluation of ln F a round.  A row whose modular
-diverges at every eta is dead: never fitted, its norm +inf.
+diverges at every eta is dead: never laid out, its norm +inf.
 """
 
 from __future__ import annotations
@@ -478,12 +481,14 @@ class _Modular:
     the piece of each panel, per exponent row and node p and n s + p ln g,
     and per row and panel cap, the largest ln g at a node where p is
     infinite (no term there, and F infinite below it).  A piece that
-    reaches 0 or infinity cuts that tail at every fit, each row by
+    reaches 0 or infinity cuts that tail at every lay-out, each row by
     _quad.cut among candidates evaluated once, and the rule grows to span
     the farthest row's cut, keeping its panels.
-    fit(x) freezes the rule at each row's x; on it the pieces' ln F is one
-    log-sum-exp per row, logsumexp(A - P x), a node having A = ln(panel
-    half-width * Kronrod weight) + n s + p ln g + ln sigma and P = p(r).
+    lay_out(x) freezes the rule at each row's x, check(x) runs its G-K
+    test there, and fit(x) does both; on the frozen rule the pieces' ln F
+    is one log-sum-exp per row, logsumexp(A - P x), a node having A =
+    ln(panel half-width * Kronrod weight) + n s + p ln g + ln sigma and
+    P = p(r).
     Below floor, the largest cap or tail_floor, F is +inf.  A row whose
     tail diverges whatever eta is, is dead.
     """
@@ -615,15 +620,13 @@ class _Modular:
             logs += self.piece_logs.tolist()
         return _log_sum(logs, self.sigma)
 
-    def fit(self, x) -> tuple[bool, np.ndarray]:
-        """Fit the rule at x, one ln eta per exponent row or one for all, or
-        re-check it there, and lay it out as A, P and floor: (whether it
-        changed, the rows stuck at x).  Each row cuts its tails at x by
-        _quad.cut; a row below its tail_floor, or with no cut, is stuck, and
-        while one is the rule is left as it is.  Otherwise the rule grows to
-        span the farthest row's cuts, and each (row, piece) failing its G-K
-        test at x bisects its worst panels (_quad.gk_step).  piece_logs
-        keeps the pieces' ln modulars at x, row after row."""
+    def lay_out(self, x) -> tuple[bool, np.ndarray]:
+        """Lay the rule out at x, one ln eta per exponent row or one for
+        all, as A, P and floor: (whether it changed, the rows stuck at x).
+        Each row cuts its tails at x by _quad.cut; a row below its
+        tail_floor, or with no cut, is stuck, and while one is the rule is
+        left as it is.  Otherwise the rule grows to span the farthest row's
+        cuts, keeping its panels."""
         x = np.reshape(x, (-1, 1))
         stuck, cuts = x[:, 0] < self.tail_floor, {}
         for k, end, at, s, node_p, base, cap in self.tails:
@@ -647,22 +650,43 @@ class _Modular:
                                                  [(0, r) for j, r in self.own if j == k])
                 self._set(slice(None), lo, hi, np.full(len(lo), k))
                 span[k] = s
+        return self._freeze(), stuck
+
+    def check(self, x) -> bool:
+        """Test the rule at x, one ln eta per exponent row or one for all:
+        each (row, piece) failing its G-K test at x bisects its worst panels
+        (_quad.gk_step) until none does.  Whether the rule changed;
+        piece_logs keeps the pieces' ln modulars at x, row after row."""
+        x = np.reshape(x, (-1, 1, 1))
         for _round in range(_quad._MAX_ROUNDS):
             self.piece_logs, _err, split = _quad.gk_step(
-                self.base - self.node_p * x[:, :, None], 0.5 * (self.hi - self.lo), self.rel_tol,
+                self.base - self.node_p * x, 0.5 * (self.hi - self.lo), self.rel_tol,
                 self.ids, self.pieces)
             if not len(split):
                 break
             whole, lo, hi = _quad.halve(self.lo, self.hi, split)
             self._set(whole, lo[whole.sum():], hi[whole.sum():], np.tile(self.ids[split], 2))
+        return self._freeze()
+
+    def fit(self, x) -> tuple[bool, np.ndarray]:
+        """lay_out at x, then check there unless a row is stuck: (whether
+        the rule changed, the rows stuck at x)."""
+        changed, stuck = self.lay_out(x)
+        if not stuck.any():
+            changed = self.check(x) or changed
+        return changed, stuck
+
+    def _freeze(self) -> bool:
+        """Lay out A, P and floor if the panels changed since they last
+        were: whether they did."""
         if self.A is not None:
-            return False, stuck
+            return False
         self.A = (np.log(0.5 * (self.hi - self.lo))[:, None] + _LN_WK + self.base).reshape(
             self.count, -1)
         self.A += math.log(self.sigma)
         self.P = self.node_p.reshape(self.count, -1)
         self.floor = np.maximum(self.tail_floor, self.cap.max(axis=1))
-        return True, stuck
+        return True
 
     def log_f(self, x: float) -> tuple[float, float]:
         """(ln F, d ln F / dx) of the one exponent row on the frozen rule at
@@ -698,14 +722,14 @@ class _Modular:
 
     def solve(self, x: float, max_iter: int) -> list[float]:
         """inf{eta : F_p(g/eta) <= 1} of each exponent row, from the rule
-        fitted at x = ln eta, clamped to +-_LN_ETA_MAX: the root on the
-        frozen rule by _roots, at which the rule is re-checked, and solved
-        again from there if it changed.  ln F comes from log_f for one
-        RadialExponent and from log_fs over the live rows for a batch.  A
-        row stuck at a fit moves up by a doubling step, and is +inf past
-        _LN_ETA_MAX, as is a dead row; such rows leave the rule.  max_iter
-        caps each row's evaluations of ln F over all solves; BracketError
-        past it."""
+        laid out at x = ln eta, clamped to +-_LN_ETA_MAX: the root on the
+        frozen rule by _roots, at which the rule is laid out again and,
+        where that leaves it as it is, checked; solved again from there if
+        either changed it.  ln F comes from log_f for one RadialExponent and
+        from log_fs over the live rows for a batch.  A row stuck at a
+        lay-out moves up by a doubling step, and is +inf past _LN_ETA_MAX,
+        as is a dead row; such rows leave the rule.  max_iter caps each
+        row's evaluations of ln F over all solves; BracketError past it."""
         out = [_INF] * self.count
         live = [i for i, dead in enumerate(self.dead.tolist()) if not dead]
         if len(live) < self.count:
@@ -719,14 +743,15 @@ class _Modular:
         x = [min(max(x, -_LN_ETA_MAX), _LN_ETA_MAX)] * len(live)
         step, eta, evals, solved = [1.0] * len(live), [_INF] * len(live), [0] * len(live), False
         while live:
-            changed, stuck = self.fit(np.array(x))
+            changed, stuck = self.lay_out(np.array(x))
             if True in stuck.tolist():
                 # no tail cut at x: up by a doubling step, infinite past _LN_ETA_MAX
                 for i in np.flatnonzero(stuck).tolist():
                     x[i] = _INF if x[i] >= _LN_ETA_MAX else min(x[i] + step[i], _LN_ETA_MAX)
                     step[i] *= 2.0
                 solved = False
-            elif solved and not changed:
+            # the G-K test runs only at roots the lay-out left as they were
+            elif solved and not (changed or self.check(np.array(x))):
                 break
             else:
                 eta = _roots(log_f, x, self.floor.tolist(), evals, max_iter)
@@ -836,15 +861,17 @@ def luxemburg_norm(g: PiecewisePowerFunction, p: RadialExponent, region: Region,
     Returns 0 for the zero function and +inf when no eta up to 1e280 has
     F_p(g/eta) <= 1.  For constant p the norm has the closed form
     F_p(g)^(1/p), which is used directly.  Otherwise one quadrature rule
-    for all the rows without a closed form is built once, at eta = guess
-    (eta = 1 for a guess that is not finite and positive).  On that frozen
-    rule ln F_p(g/e^x) is one log-sum-exp, convex and decreasing in
-    x = ln eta, and safeguarded Newton steps with its exact derivative find
-    the root.  The returned eta has F_p(g/eta) <= 1 < F_p(g/(eta (1 -
-    CERT_DELTA))) on that rule, whatever the guess.  At eta the rule is
-    re-checked (each tail's drop test and each row's G-K error test); a row
-    that fails is re-cut or refined and the root solved again.  max_iter caps the evaluations of
-    ln F on the frozen rules, over all solves; BracketError past it.
+    for all the rows without a closed form is laid out at eta = guess
+    (eta = 1 for a guess that is not finite and positive): its tail cuts
+    and panels, untested.  On that frozen rule ln F_p(g/e^x) is one
+    log-sum-exp, convex and decreasing in x = ln eta, and safeguarded
+    Newton steps with its exact derivative find the root.  At the root the
+    rule is tested (each tail's drop test, then each row's G-K error test);
+    a row that fails is re-cut or refined and the root solved again, so
+    the rule the norm ends on passes both at the returned eta, which has
+    F_p(g/eta) <= 1 < F_p(g/(eta (1 - CERT_DELTA))) on it, whatever the
+    guess.  max_iter caps the evaluations of ln F on the frozen rules, over
+    all solves; BracketError past it.
     """
     mod = _Modular(g, p, region, n, rel_tol)
     if mod.empty:

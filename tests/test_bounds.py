@@ -163,9 +163,9 @@ class TestLebesgueConstants:
 
     def test_node_factor_work(self, monkeypatch):
         # each batch of nodes (a quad_s round, the end value, a tail cut's
-        # start and candidates) solves as the rows of one rule: built at the
-        # cold start, and changed at most once more where the re-check at
-        # the roots fails; every fit cuts each row's two tails (three
+        # start and candidates) solves as the rows of one rule: laid out at
+        # the cold start, and changed at most once more where the re-check
+        # at the roots fails; every lay-out cuts each row's two tails (three
         # candidate groups for the end limit's finite p(0)) once.  The
         # kernel's tail at t -> 0 is cut in one batch: its start s = 0, a
         # flat row (t = 1) that takes no rule, and the 4 candidates -200,
@@ -173,17 +173,23 @@ class TestLebesgueConstants:
         # round, and the end t -> 0 one more row, the limit's
         cfg = load_config(str(FIXTURES / "loginterp_norm.json")).bound_config()
         calls = {"rows": 0, "batches": 0, "builds": 0, "tail_searches": 0}
-        solve, fit, cut = luxemburg._log_norms_of_one, luxemburg._Modular.fit, _quad.cut
+        solve, cut = luxemburg._log_norms_of_one, _quad.cut
+        lay_out, check = luxemburg._Modular.lay_out, luxemburg._Modular.check
 
         def counted_solve(p, *args):
             calls["rows"] += len(p.p_zero)
             calls["batches"] += 1
             return solve(p, *args)
 
-        def counted_fit(self, x):
-            changed, stuck = fit(self, x)
+        def counted_lay_out(self, x):
+            changed, stuck = lay_out(self, x)
             calls["builds"] += changed
             return changed, stuck
+
+        def counted_check(self, x):
+            changed = check(self, x)
+            calls["builds"] += changed
+            return changed
 
         def counted_cut(level_ref, s, levels):
             # the rows' cuts; the kernel's own tail cuts have no row axis
@@ -191,7 +197,8 @@ class TestLebesgueConstants:
             return cut(level_ref, s, levels)
 
         monkeypatch.setattr(luxemburg, "_log_norms_of_one", counted_solve)
-        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._Modular, "lay_out", counted_lay_out)
+        monkeypatch.setattr(luxemburg._Modular, "check", counted_check)
         monkeypatch.setattr(_quad, "cut", counted_cut)
         res = evaluate_constant(cfg, "C1", rel_tol=1e-6)
         assert calls["rows"] == 4 + 135 + 1

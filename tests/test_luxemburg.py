@@ -663,7 +663,8 @@ def root_find_cases(name):
 def certified_norm(g, p, guess=1.0, region=Region.all()):
     """The norm luxemburg_norm returns from this guess, checked on the rule
     it ends on: F <= 1 at eta and F > 1 at eta (1 - 1e-10) on that one
-    frozen rule, and a fresh modular fitted at eta within rel_tol of 1.
+    frozen rule, which passes its tail re-cut and G-K test at eta
+    unchanged, and a fresh modular fitted at eta within rel_tol of 1.
     Any RuntimeWarning (an inf * 0 at a node where p is infinite, say)
     fails the check."""
     with warnings.catch_warnings():
@@ -674,6 +675,8 @@ def certified_norm(g, p, guess=1.0, region=Region.all()):
         assert 0.0 < eta < math.inf
         assert mod.log_f(math.log(eta))[0] <= 0.0
         assert mod.log_f(math.log(eta * (1 - 1e-10)))[0] > 0.0
+        changed, stuck = mod.fit(math.log(eta))
+        assert not changed and not stuck.any()
         m, ln_m = luxemburg._Modular(g, p, region, 1, 1e-9).trial(eta)
         assert (m if m is not None else math.exp(ln_m)) <= 1.0 + 1e-9
     return eta
@@ -720,11 +723,12 @@ class TestLogRootFind:
     def test_tails_are_cut_again_at_every_fit(self, monkeypatch):
         # fitted at eta = 1e25, both tails of the C1 node factor are cut at
         # the first candidates past the search starts s = +-1, s = +-17,
-        # (1/eta)^p(r) having vanished there; the norm's first fit, at the
-        # same eta, cuts them there again; at the root eta = 1.05 the cut at
-        # infinity moves out to s = 49 and the rule grows from 17 to span
-        # it, keeping the edges of its panels; at the next root both cuts
-        # lie inside the rule, and the re-check there passes unchanged
+        # (1/eta)^p(r) having vanished there; the norm's first lay-out, at
+        # the same eta, cuts them there again; at the root eta = 1.05 the
+        # cut at infinity moves out to s = 49 and the rule grows from 17 to
+        # span it, keeping the edges of its panels; at the next two roots
+        # both cuts lie inside the rule, its G-K check refines it at the
+        # first and passes unchanged at the second
         cuts = []
         cut = luxemburg._quad.cut
 
@@ -740,7 +744,7 @@ class TestLogRootFind:
         first = set(mod.lo.tolist()) | set(mod.hi.tolist())
         eta = mod.solve(math.log(1e25), 200)[0]
         assert mod.pieces == 1
-        assert cuts == [[17.0], [-17.0]] * 2 + [[49.0], [-17.0]] * 2
+        assert cuts == [[17.0], [-17.0]] * 2 + [[49.0], [-17.0]] * 3
         # the rule spans the cuts it ends with, grown from the first rule
         assert (mod.lo.min(), mod.hi.max()) == (-17.0, 49.0)
         assert 17.0 in first
@@ -750,26 +754,27 @@ class TestLogRootFind:
         assert eta == pytest.approx(certified_norm(one, p), rel=1e-9)
 
     def test_evaluation_cap_spans_every_solve(self, monkeypatch):
-        # from eta = 1e25 the C1 node factor solves twice (the rule grows at
-        # the first root) and the re-check passes at the second: max_iter
-        # caps the evaluations of ln F over both solves, not each
+        # from eta = 1e25 the C1 node factor solves three times (the rule
+        # grows at the first root, its G-K check refines it at the second)
+        # and the re-check passes at the third: max_iter caps the
+        # evaluations of ln F over all solves, not each
         one, p = PiecewisePowerFunction.one(), ROOT_EXPONENTS["c1_residual"]
-        at_fit, evals = [], [0]
-        fit, log_f = luxemburg._Modular.fit, luxemburg._Modular.log_f
+        at_lay_out, evals = [], [0]
+        lay_out, log_f = luxemburg._Modular.lay_out, luxemburg._Modular.log_f
 
-        def counted_fit(self, x):
-            at_fit.append(evals[0])
-            return fit(self, x)
+        def counted_lay_out(self, x):
+            at_lay_out.append(evals[0])
+            return lay_out(self, x)
 
         def counted_log_f(self, x):
             evals[0] += 1
             return log_f(self, x)
 
-        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._Modular, "lay_out", counted_lay_out)
         monkeypatch.setattr(luxemburg._Modular, "log_f", counted_log_f)
         eta = luxemburg_norm(one, p, Region.all(), 1, guess=1e25)
-        first, total = at_fit[1], evals[0]
-        assert len(at_fit) == 3 and 0 < first < total
+        first, total = at_lay_out[1], evals[0]
+        assert len(at_lay_out) == 4 and 0 < first < total
         assert luxemburg_norm(one, p, Region.all(), 1, max_iter=total, guess=1e25) == eta
         for k in (first, total - 1):
             with pytest.raises(luxemburg.BracketError, match="iteration cap"):
@@ -820,18 +825,25 @@ class TestLogRootFind:
         # one rule build per norm, and a second only where the re-check at
         # the root fails; a handful of ln F evaluations on the frozen rule
         builds, evals = [], []
-        fit, log_f = luxemburg._Modular.fit, luxemburg._Modular.log_f
+        lay_out, check, log_f = (luxemburg._Modular.lay_out, luxemburg._Modular.check,
+                                 luxemburg._Modular.log_f)
 
-        def counted_fit(self, x):
-            changed, stuck = fit(self, x)
+        def counted_lay_out(self, x):
+            changed, stuck = lay_out(self, x)
             builds[-1] += changed
             return changed, stuck
+
+        def counted_check(self, x):
+            changed = check(self, x)
+            builds[-1] += changed
+            return changed
 
         def counted_log_f(self, x):
             evals[-1] += 1
             return log_f(self, x)
 
-        monkeypatch.setattr(luxemburg._Modular, "fit", counted_fit)
+        monkeypatch.setattr(luxemburg._Modular, "lay_out", counted_lay_out)
+        monkeypatch.setattr(luxemburg._Modular, "check", counted_check)
         monkeypatch.setattr(luxemburg._Modular, "log_f", counted_log_f)
 
         def count(fn):

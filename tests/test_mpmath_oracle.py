@@ -3,7 +3,9 @@
 Each case is integrated once more by mpmath's tanh-sinh rule, with the
 exponents re-evaluated in mpmath arithmetic.  The package's value must
 agree to 1e-9 relative, and the |G - K| estimate of the last G-K step
-(_quad.gk_step) on the final rule must be at least the true error.
+(_quad.gk_step) on the final rule must be at least the true error.  A
+variable-exponent Luxemburg norm is checked the same way: the mpmath
+modular at the norm must be 1.
 """
 
 import json
@@ -30,11 +32,13 @@ from hausnorm.luxemburg import (
     PiecewisePowerFunction,
     Region,
     Segment,
+    luxemburg_norm,
     modular,
 )
 
 from hausnorm.cli import main
-from test_luxemburg import c1_residual
+from conftest import seeded
+from test_luxemburg import ROOT_EXPONENTS, c1_residual, random_piecewise
 
 REL = 1e-9
 # the edges of mpmath's subintervals in s = ln r, dense where the C1
@@ -144,6 +148,18 @@ class TestModularOracle:
         got = modular(g, q, Region.all(), 1)
         want = mp_modular(g.segments[0], q, mp.mpf(1), S_EDGES)
         check(got, want, last_quad)
+
+
+@pytest.mark.parametrize("name", ["loginterp", "jump"])
+def test_norm_is_the_mpmath_unit_level(dps30, name):
+    """Luxemburg norms of six seeded piecewise powers on annuli in [1/8, 8]:
+    the mpmath modular at the returned eta is 1 to within 2e-9."""
+    p, rng = ROOT_EXPONENTS[name], seeded(43)
+    for g in [random_piecewise(rng) for _ in range(6)]:
+        eta = luxemburg_norm(g, p, Region.all(), 1)
+        # the mpmath subintervals end at the jump's step r = 1
+        level = mp.fsum(mp_modular(seg, p, mp.mpf(eta), [0.0]) for seg in g.segments)
+        assert abs(level - 1) <= 2e-9
 
 
 def test_radial_integral_with_both_tails_searched(dps30, last_quad):
