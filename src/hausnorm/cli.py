@@ -8,6 +8,7 @@ and bad arguments.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -272,7 +273,9 @@ def _radius(text: str) -> float:
     return x
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by every main call."""
     parser = argparse.ArgumentParser(
         prog="hausnorm",
         description="Variable-exponent space norms and Hausdorff operator bounds",

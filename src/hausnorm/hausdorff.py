@@ -3,10 +3,10 @@
 The operator integrates a kernel phi(|t|)/|t|^n against a product of
 dilated factors f_i(A_i(t) x).  For radial kernels and radially dilating
 families the whole thing collapses to a 1-D integral over the kernel
-radius.  It is evaluated at a whole grid of radii at once, one row
-combination at a time: in log closed form over the run of grid radii where
-it has support when every row is a plain power (finite expo), and by
-adaptive quadrature otherwise.  The support of a sampled image is closed
+radius.  It is evaluated at a whole grid of radii and every row
+combination at once: each live (combination, radius) pair in log closed
+form when every row is a plain power (finite expo), and by adaptive
+quadrature otherwise.  The support of a sampled image is closed
 form at the kernel ends.  Where the image is one exact power beyond its
 closed-form kinks, the grid is sampled only between the extreme kinks; the
 log-log interpolant of the samples writes every row of the image, each
@@ -15,7 +15,6 @@ pure-power run beyond them as one end row.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Sequence
@@ -113,6 +112,8 @@ def apply_pointwise(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         raise ValueError(f"expected {spec.m} input functions, got {len(fs)}")
     if not 0.0 < x_radius < _INF:
         raise ValueError("evaluation radius must be positive and finite")
+    for fam in spec.families:
+        _scale_range(fam, spec.kernel)
     return float(_image_values(spec, fs, np.array([float(x_radius)]), rel_tol)[0])
 
 
@@ -131,51 +132,50 @@ def _pullback_windows(f: PiecewisePowerFunction, s: PowerMap, xs: np.ndarray):
     return (rows, *(ends if s.a > 0 else ends[::-1]))
 
 
+# the most (combination, radius) entries that _image_values holds at once
+_BLOCK = 2 ** 16
+
+
 def _image_values(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
                   xs: np.ndarray, rel_tol: float) -> np.ndarray:
-    """Image values at the radii xs, one row combination (a row of each
-    input) at a time, over the radii where it has support, if any: in
-    closed form with one scalar exponent when every row is a plain power
-    (finite expo), by radial_integral per radius otherwise."""
+    """Image values at the radii xs over every row combination (a row of
+    each input, the first input's varying slowest), in blocks of at most
+    _BLOCK (combination, radius) entries.  A pair where the combination's
+    windows meet inside the kernel support is in closed form when every row
+    is a plain power (finite expo), by radial_integral otherwise; the pairs
+    add up radius by radius in combination order."""
     k = spec.kernel
-    for fam in spec.families:
-        _scale_range(fam, k)
     total = np.zeros(len(xs))
     if k.c == 0.0:
         return total
     with np.errstate(all="ignore"):
-        windows = [list(zip(*_pullback_windows(f, fam.s, xs)))
-                   for f, fam in zip(fs, spec.families)]
+        windows = [_pullback_windows(f, fam.s, xs) for f, fam in zip(fs, spec.families)]
+        expos = [f.expo[rows] for f, (rows, _lo, _hi) in zip(fs, windows)]
+        # math.log: numpy's log may differ from libm's by an ulp
+        log_coefs = [np.array([math.log(c) for c in f.coef[rows].tolist()])
+                     for f, (rows, _lo, _hi) in zip(fs, windows)]
         log_cx = [np.log(abs(fam.s.c) * xs) for fam in spec.families]
-        for combo in itertools.product(*windows):
-            rows, los, his = zip(*combo)
+        shape = tuple(len(rows) for rows, _lo, _hi in windows)
+        count, step = math.prod(shape), max(_BLOCK // len(xs), 1)
+        for start in range(0, count, step):
+            combo = np.unravel_index(np.arange(start, min(start + step, count)), shape)
             # pairwise, not stacked: max and min are exact in any order
-            u, v = los[0], his[0]
-            for lo, hi in zip(los[1:], his[1:]):
-                u, v = np.maximum(u, lo), np.minimum(v, hi)
-            u, v = np.maximum(k.r_lo, u), np.minimum(k.r_hi, v)
-            live = u < v
-            first = int(live.argmax())
-            if not live[first]:
-                continue
-            if any(math.isnan(f.expo[r]) for f, r in zip(fs, rows)):
-                segs = [f.segments[r] for f, r in zip(fs, rows)]
-                for i in np.flatnonzero(live).tolist():
-                    total[i] += _quadrature_piece(spec, segs, xs[i], u[i], v[i], rel_tol)
-                continue
-            # every window end is affine in ln x, so the live radii are one
-            # run of the sorted xs; a radius inside it that rounding left
-            # dead gets the empty interval, whose integral is 0
-            run = slice(first, len(live) - int(live[::-1].argmax()))
-            u = u[run]
-            v = np.maximum(u, v[run])
+            u, v = k.r_lo, k.r_hi
+            for (_rows, lo, hi), r in zip(windows, combo):
+                u, v = np.maximum(u, lo[r]), np.minimum(v, hi[r])
+            c, x = np.nonzero(u < v)
+            u, v, rows = u[c, x], v[c, x], [r[c] for r in combo]
             # in log space, so a divergent piece is +inf whatever its coefficient
-            log_coef, expo = math.log(k.c), k.a - 1.0
-            for f, r, fam, ln_cx in zip(fs, rows, spec.families, log_cx):
-                b = f.expo[r]
-                log_coef += math.log(f.coef[r]) + b * ln_cx[run]
-                expo += fam.s.a * b
-            total[run] += np.exp(log_coef + _quad.log_power_integrals(u, v, expo))
+            log_coef, beta = math.log(k.c), k.a - 1.0
+            for b, ln_c, fam, ln_cx, r in zip(expos, log_coefs, spec.families, log_cx, rows):
+                log_coef = log_coef + (ln_c[r] + b[r] * ln_cx[x])
+                beta = beta + fam.s.a * b[r]
+            vals = np.exp(log_coef + _quad.log_power_integrals(u, v, beta))
+            # beta is nan where a row is not a plain power: quadrature there
+            for j in np.flatnonzero(np.isnan(beta)).tolist():
+                segs = [f.segments[nz[r[j]]] for f, (nz, _lo, _hi), r in zip(fs, windows, rows)]
+                vals[j] = _quadrature_piece(spec, segs, xs[x[j]], u[j], v[j], rel_tol)
+            np.add.at(total, x, vals)
     return spec.sigma * total
 
 
@@ -277,23 +277,26 @@ def _loglog_interpolant(xs, vals, tail=None, low=None) -> PiecewisePowerFunction
     xs, vals = np.asarray(xs, dtype=float), np.asarray(vals, dtype=float)
     ok = (vals > 0.0) & np.isfinite(vals)
     i = np.flatnonzero(ok[:-1] & ok[1:])
-    x0, x1, v0, v1 = xs[i], xs[i + 1], vals[i], vals[i + 1]
-    slope = np.log(v1 / v0) / np.log(x1 / x0)
+    slope = np.log(vals[i + 1] / vals[i]) / np.log(xs[i + 1] / xs[i])
+    # (sample, lo, hi, slope) of each row, the pieces at their left samples
+    cols = [(i, xs[i], xs[i + 1], slope)]
+    last = ok[-1] and (len(i) or tail is not None)
+    if last:
+        cols.append(([len(xs) - 1], xs[-1:], [_INF], [slope[-1] if tail is None else tail]))
+    first = int(low is not None and ok[0])
+    if first:
+        cols.insert(0, ([0], [low[0]], xs[:1], [low[1]]))
+    at, lo, hi, want = map(np.concatenate, zip(*cols))
+    beta = _representable_slope(xs[at], vals[at], want)
     # a steep piece passes through its larger sample
-    up = (_representable_slope(x0, v0, slope) != slope) & (v1 > v0)
-    ax, av = np.where(up, x1, x0), np.where(up, v1, v0)
-    slope = _representable_slope(ax, av, slope)
-    rows = [(x0, x1, av / ax ** slope, slope)]
-
-    def end_row(k, r_lo, r_hi, beta):
-        beta = _representable_slope(xs[[k]], vals[[k]], np.array([beta]))
-        return np.array([r_lo]), np.array([r_hi]), vals[k] / xs[k] ** beta, beta
-
-    if ok[-1] and (len(i) or tail is not None):
-        rows.append(end_row(-1, xs[-1], _INF, slope[-1] if tail is None else tail))
-    if low is not None and ok[0]:
-        rows.insert(0, end_row(0, low[0], xs[0], low[1]))
-    return PiecewisePowerFunction.from_columns(*map(np.concatenate, zip(*rows)))
+    up = first + np.flatnonzero((beta[first:first + len(i)] != slope) & (vals[i + 1] > vals[i]))
+    if len(up):
+        at[up] += 1
+        beta[up] = _representable_slope(xs[at[up]], vals[at[up]], want[up])
+    if last and tail is None and beta[-2] != slope[-1]:
+        # the tail takes the last piece's slope as that piece ended up
+        beta[-1:] = _representable_slope(xs[-1:], vals[-1:], beta[-2:-1])
+    return PiecewisePowerFunction.from_columns(lo, hi, vals[at] / xs[at] ** beta, beta)
 
 
 def _power_core(spec, fs, grid: np.ndarray):
@@ -381,6 +384,9 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
         lo = max(x_lo, 2.0 ** grid_octaves[0])
         hi = min(x_hi, 2.0 ** grid_octaves[1])
         grid = _geometric_grid(lo, hi, points_per_octave)
+        if len(grid) < 2:
+            raise ValueError(f"image support [{x_lo:.6g}, {x_hi:.6g}] leaves fewer than two radii"
+                             f" of the grid window [2^{grid_octaves[0]}, 2^{grid_octaves[1]}]")
         i, end, tail, low = _power_core(spec, fs, grid)
     else:
         grid = sorted(r_grid)
@@ -390,6 +396,8 @@ def apply_on_grid(spec: OperatorSpec, fs: Sequence[PiecewisePowerFunction],
             raise ValueError("grid radii must be positive and finite")
         if any(a == b for a, b in zip(grid, grid[1:])):
             raise ValueError("grid radii must be distinct")
+        for fam in spec.families:
+            _scale_range(fam, spec.kernel)
         i, end, tail, low = 0, len(grid), None, None
 
     xs = np.array(grid[i:end], dtype=float)

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from hausnorm.bounds import CONSTANT_IDS
-from hausnorm.cli import main
+from hausnorm.cli import build_parser, main
 from hausnorm.config import ConfigError, ExperimentConfig, family_from_json, load_config
 from hausnorm.harness import upper_bound_suite
 from hausnorm.matrices import DiagonalEqualModulus, OrthogonalTimesScalar, PowerMap
@@ -196,6 +196,42 @@ class TestConstants:
         code = main(["constants", "--config", str(path), "--which", "C9"])
         assert code == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestParserReuse:
+    """main parses every argv with the one parser of the process: calls in
+    a row, with different subcommands and errors, each give the output and
+    exit code of a first call."""
+
+    HARDY = str(FIXTURES / "hardy_p2.json")
+    ARGVS = [
+        ["constants", "--config", HARDY, "--which", "C9"],
+        ["verify", "--config", HARDY, "--suite", "upper", "--which", "C99"],
+        ["norm", "--config", HARDY],
+        ["sweep", "--config", HARDY, "--kind", "bogus"],
+        ["apply", "--config", HARDY, "--x", "0.5", "2"],
+        ["bogus"],
+        ["verify", "--help"],
+        ["apply", "--config", HARDY, "--x", "0"],
+        ["norm", "--config", str(FIXTURES / "tiny_norm.json")],
+        ["constants", "--config", HARDY, "--which", "C9"],
+    ]
+
+    def test_calls_in_a_row_match_first_calls(self, capsys):
+        def call(argv):
+            code = main(argv)
+            out = capsys.readouterr()
+            return code, out.out, out.err
+
+        first = []
+        for argv in self.ARGVS:
+            build_parser.cache_clear()
+            first.append(call(argv))
+        build_parser.cache_clear()
+        assert [call(argv) for argv in self.ARGVS] == first
+        assert build_parser() is build_parser()
+        assert sorted({code for code, _out, _err in first}) == [0, 1, 2]
+        assert all(out or err for _code, out, err in first)
 
 
 class TestNonFiniteParameters:

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -225,6 +226,9 @@ KERNEL_CASES = {
     "mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0)), [MIXED]),
     "m2_mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (0.8, -0.5)),
                            [MIXED, PLAIN2]),
+    # m = 3, one input with a LogInterp row and three dilation exponents
+    "m3_mixed_loginterp": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (0.8, 1.5), (1.2, 0.5)),
+                           [PLAIN2, MIXED, PLAIN]),
     # s_1 = r and s_2 = r^2: the support [0.5, inf) is only an outer bound,
     # since r x < 6 and r^2 x >= 0.5 leave no r from x = 72 on
     "m2_a_differ_outer_support": (one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (1.0, 2.0)),
@@ -570,10 +574,19 @@ def assert_image_matches_oracle(spec, fs, xs, rel_tol, vals):
     assert vals.tobytes() == image_values_oracle(spec, fs, xs, rel_tol).tobytes()
 
 
+def rows_between(lo, hi, count, rng):
+    """A function of count plain rows on geometric edges from lo to hi."""
+    edges = np.geomspace(lo, hi, count + 1)
+    coef = np.array([rng.uniform(0.1, 3.0) for _ in range(count)])
+    expo = np.array([rng.uniform(-1.5, 1.5) for _ in range(count)])
+    return PiecewisePowerFunction.from_columns(edges[:-1], edges[1:], coef, expo)
+
+
 class TestImageOracle:
     """_image_values against the per-combination loop it replaced, bit for
-    bit: empty combinations skipped, windows met pairwise and one scalar
-    exponent per combination change no sample."""
+    bit: the live (combination, radius) pairs of every combination at once,
+    windows met pairwise, and the pairs added in combination order change
+    no sample."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_kernel_cases(self, case, monkeypatch):
@@ -591,6 +604,25 @@ class TestImageOracle:
         assert len(calls) >= 35
         for call in calls:
             assert_image_matches_oracle(*call)
+
+    def test_blocks_of_two_40_row_inputs(self):
+        # 1600 combinations on the 2112 radii of the default grid: the dense
+        # (combination, radius) arrays would take 27 MB each
+        rng = seeded(7)
+        spec = one_sided(1.0, 1.0, 0.0, 1.0, (1.0, 1.0), (0.8, 1.0))
+        fs = [rows_between(2.0 ** -41, 2.0 ** 6, 40, rng) for _ in range(2)]
+        xs = full_grid(spec, fs)
+        dense = 40 * 40 * len(xs) * 8
+        assert len(xs) == 2112 and dense > 8 * 8 * hausdorff._BLOCK
+        tracemalloc.start()
+        try:
+            vals = hausdorff._image_values(spec, fs, xs, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < dense / 3
+        assert (vals > 0.0).all()
+        assert_image_matches_oracle(spec, fs, xs, 1e-9, vals)
 
     def test_support_only_an_outer_bound(self, monkeypatch):
         spec, fs = KERNEL_CASES["m2_a_differ_outer_support"]
@@ -632,9 +664,8 @@ def live_runs(spec, fs, xs):
 
 
 def assert_live_runs_contiguous(spec, fs):
-    """Every combination's live radii are one run of the full grid, which
-    is what lets _image_values slice instead of gather; returns how many
-    combinations are live."""
+    """Every combination's live radii are one run of the full grid; returns
+    how many combinations are live."""
     runs = [idx for idx in live_runs(spec, fs, full_grid(spec, fs)) if len(idx)]
     for idx in runs:
         assert idx[-1] - idx[0] + 1 == len(idx)
@@ -643,7 +674,8 @@ def assert_live_runs_contiguous(spec, fs):
 
 class TestLiveRuns:
     """Window ends are affine in ln x under a PowerMap family, so each
-    combination is live on one interval of ln x: one run of the grid."""
+    combination is live on one interval of ln x: one run of the grid.
+    _image_values gathers the live pairs and does not rely on this."""
 
     @pytest.mark.parametrize("case", sorted(KERNEL_CASES))
     def test_kernel_cases(self, case):
@@ -737,6 +769,15 @@ class TestLogLogInterpolant:
         # a lone positive sample still takes both end rows
         lone = hausdorff._loglog_interpolant(xs[:2], [0.0, 3.0], -2.0, (0.1, 0.5))
         assert (lone.lo.tolist(), lone.hi.tolist()) == ([xs[1]], [math.inf])
+
+    def test_steep_falling_last_piece_hands_its_slope_to_the_tail(self):
+        # the last piece falls 50 decades in one grid step at x = 2^-28: it
+        # keeps its left sample and the slope representable there, and the
+        # tail takes that slope, not the chord's, representable at its sample
+        xs = [2.0 ** -28, 2.0 ** (-28 + 1 / 24)]
+        img = assert_matches_scalar_interpolant(xs, [1e208, 1e158])
+        assert img.expo[-1] == img.expo[0]
+        assert img.expo[0] == pytest.approx(700.0 / math.log(xs[0]), rel=1e-15)
 
     def test_zero_end_samples_add_no_end_rows(self):
         xs = [0.5 * 2.0 ** (j / 4.0) for j in range(6)]
@@ -1014,6 +1055,23 @@ class TestApplyOnGrid:
         for x in (4.0, 1e3, 1e9):
             assert apply_pointwise(spec, [f], x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-12)
             assert img.value(x) == pytest.approx(1023.0 * x ** -10.0, rel=1e-9)
+
+    @pytest.mark.parametrize("spec, f", [
+        # the image support [2^50, inf) starts above the window's 2^48
+        (from_hardy_littlewood(PowerMap(1.0, 0.0)),
+         PiecewisePowerFunction.single_power(1.0, 0.0, 2.0 ** 50, 2.0 ** 51)),
+        # [2^-60, 2^-49] ends below its 2^-40
+        (one_sided(1.0, 1.0, 0.5, 1.0, (1.0, 1.0)),
+         PiecewisePowerFunction.single_power(1.0, 0.0, 2.0 ** -60, 2.0 ** -50)),
+    ], ids=["above", "below"])
+    def test_support_outside_the_grid_window_raises(self, spec, f):
+        with pytest.raises(ValueError, match=r"image support \[.+\] leaves fewer than two "
+                                             r"radii of the grid window \[2\^-40, 2\^48\]"):
+            apply_on_grid(spec, [f])
+        # a window that takes in the support samples the image
+        img = apply_on_grid(spec, [f], grid_octaves=(-64, 56))
+        x = math.sqrt(f.lo[0] * f.hi[0])
+        assert img.value(x) == pytest.approx(apply_pointwise(spec, [f], x), rel=1e-9)
 
     @pytest.mark.parametrize("f", [
         PiecewisePowerFunction.single_power(1.0, -1.2),  # divergent at c != 0

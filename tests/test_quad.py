@@ -344,18 +344,17 @@ class TestLogPowerIntegrals:
 
     @pytest.mark.parametrize("beta", [-1e3, -2.5, -1.0 - 0.5 * DIV_TOL, -1.0,
                                       -1.0 + 1e-11, -1.0 + 0.5 * DIV_TOL, -0.4, 0.0, 1.7])
-    def test_scalar_beta_is_the_full_array(self, beta):
+    def test_one_exponent_over_mixed_rows(self, beta):
         # rows at u = 0 and v = inf, convergent or divergent by the power
-        # test, with |b span| under 1e-10 (b = 0 at beta = -1), and plain ones
+        # test, with |b span| under 1e-10 (b = 0 at beta = -1), and plain
+        # ones, all at the one exponent of a plain row combination
         rng = seeded(int(1e3 * abs(beta)) + 7)
         u = [0.0, 0.0, 0.5, 1e-3, 0.0, 3.0, 0.5, 2.0]
         v = [2.0, 1e-3, math.inf, math.inf, math.inf, 3.0 * (1 + 1e-12), 1.5, 8.0]
         u += [2.0 ** rng.uniform(-30, 30) for _ in range(24)]
         v += [x * 2.0 ** rng.uniform(1e-9, 20) for x in u[8:]]
-        u, v = np.array(u), np.array(v)
-        got = log_power_integrals(u, v, beta)
-        want = log_power_integrals(u, v, np.full(len(u), beta))
-        assert got.tobytes() == want.tobytes()
+        assert_logs_agree(u, v, [beta] * len(u))
+        got = log_power_integrals(np.array(u), np.array(v), np.full(len(u), beta))
         assert np.isinf(got).any() and np.isfinite(got).any()
 
     @settings(max_examples=200, deadline=None)
